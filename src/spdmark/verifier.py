@@ -214,63 +214,136 @@ def similarity_matrix(
         raise ValueError("all messages must share one length")
     exp = np.array([msg.bits for msg in expected], dtype=np.uint8)
     ext = np.array(extracted.messages, dtype=np.uint8)
-    mismatches = (exp[:, None, :] != ext[None, :, :]).sum(axis=2)
+    return _similarity(exp, ext)
+
+
+def _similarity(expected: np.ndarray, extracted: np.ndarray) -> SimilarityMatrix:
+    # Matched-bit counts of (T, M) and (T_r, M) uint8 bit arrays.
+    m = expected.shape[1]
+    mismatches = (expected[:, None, :] != extracted[None, :, :]).sum(axis=2)
     return SimilarityMatrix(m - mismatches, m)
 
 
-def _assignment_value(counts: np.ndarray) -> int:
-    if min(counts.shape) == 0:
-        return 0
-    rows, cols = linear_sum_assignment(counts, maximize=True)
-    return int(counts[rows, cols].sum())
+def _row_potentials(weights: np.ndarray, assigned: np.ndarray) -> np.ndarray:
+    # Bellman-Ford on u_k <= u_i + w[k, m(k)] - w[i, m(k)] from u = 0.  The
+    # constraints have a negative cycle exactly when the assignment m is not
+    # a maximum, so they converge within n rounds iff m is optimal.
+    n = len(assigned)
+    held = weights[:, assigned]  # held[i, k] = w[i, m(k)]
+    slack = held.diagonal() - held
+    u = np.zeros(n, dtype=np.int64)
+    for _ in range(n + 1):
+        relaxed = (u[:, None] + slack).min(axis=0)
+        if np.array_equal(relaxed, u):
+            return u
+        u = relaxed
+    raise RuntimeError("assignment is not optimal: dual potentials did not converge")
+
+
+def _rows_reaching(
+    rows_at: list[int], assigned: list[int], free: int, row: int, goal: int
+) -> dict[int, int]:
+    # Reverse BFS from `row` over the free rows, along a -> b when row a is
+    # tight at b's column.  Maps each row found to its next step toward
+    # `row`, and stops once `goal` is found.
+    successor: dict[int, int] = {}
+    seen = 0
+    frontier = [row]
+    while frontier and goal not in successor:
+        found = []
+        for b in frontier:
+            new = rows_at[assigned[b]] & free & ~seen
+            seen |= new
+            while new:
+                low = new & -new
+                a = low.bit_length() - 1
+                successor[a] = b
+                found.append(a)
+                new ^= low
+        frontier = found
+    return successor
+
+
+def _smallest_tight_matching(
+    tight: np.ndarray, assigned: list[int], num_rows: int
+) -> list[int]:
+    # Fixes rows in order; each takes its smallest tight column whose holder
+    # can reach it, and the matching is rotated along that cycle.  Row sets
+    # are Python-int bitsets: bit a of rows_at[j] is set when row a is tight
+    # at column j.
+    n = len(assigned)
+    packed = np.packbits(tight.T, axis=1, bitorder="little")
+    rows_at = [int.from_bytes(bits.tobytes(), "little") for bits in packed]
+    holder = [0] * n
+    for row, col in enumerate(assigned):
+        holder[col] = row
+    free = (1 << n) - 1
+    for row in range(num_rows):
+        free ^= 1 << row
+        earlier = [
+            col
+            for col in np.flatnonzero(tight[row, : assigned[row]]).tolist()
+            if free >> holder[col] & 1
+        ]
+        if not earlier:
+            continue
+        successor = _rows_reaching(rows_at, assigned, free, row, holder[earlier[0]])
+        for col in earlier:
+            if holder[col] in successor:
+                cycle = [holder[col]]
+                while cycle[-1] != row:
+                    cycle.append(successor[cycle[-1]])
+                cols = [assigned[k] for k in cycle]
+                for k, c in zip(cycle, cols[1:] + cols[:1]):
+                    assigned[k] = c
+                    holder[c] = k
+                break
+    return assigned
 
 
 def hungarian_match(sim: SimilarityMatrix) -> Assignment:
     """Maximum-similarity one-to-one alignment of size min(T, T_r).
 
     Among all maximizing assignments the lexicographically smallest pair
-    sequence is returned, found by growing the pair list in expected-index
-    order and committing, per row, to the smallest extracted position that
-    still permits an optimal completion (checked by re-solving the reduced
-    assignment on exact integer counts).
+    sequence is returned; a row is left unmatched only when no maximizing
+    assignment that agrees with the earlier rows gives it a column.
+
+    The counts are zero-padded to a square matrix, dummy rows or columns
+    indexed after the real ones, and solved once.  Exact integer dual
+    potentials for that solution make the maximizing assignments exactly
+    the perfect matchings of the tight edges (u_i + v_j == w_ij).  Rows are
+    then fixed in expected-index order: each takes its smallest tight column
+    whose holder can pass a column back to it along an alternating path of
+    unfixed rows, and the matching is rotated along that cycle.  Dummy
+    columns sort after real ones, so a row takes one only when no real
+    column remains possible.  Raises RuntimeError if the solve was not
+    optimal.
     """
     counts = sim.matched_bits
     num_rows, num_cols = counts.shape
-    total_pairs = min(num_rows, num_cols)
-    best = _assignment_value(counts)
-    pairs: list[tuple[int, int]] = []
-    cols = list(range(num_cols))
-    achieved = 0
-    for row in range(num_rows):
-        if len(pairs) == total_pairs:
-            break
-        target = best - achieved
-        rows_left = num_rows - row
-        needed = total_pairs - len(pairs)
-        rest = counts[np.ix_(range(row + 1, num_rows), cols)]
-        # Upper bound for any completion that also uses this row.
-        bound = _assignment_value(rest)
-        chosen = None
-        for position, col in enumerate(cols):
-            if counts[row, col] + bound < target:
-                continue
-            remainder = counts[np.ix_(range(row + 1, num_rows), cols[:position] + cols[position + 1 :])]
-            if counts[row, col] + _assignment_value(remainder) == target:
-                chosen = (position, col)
-                break
-        if chosen is None:
-            # Row stays unmatched; only possible when rows outnumber columns.
-            if rows_left <= needed:
-                raise RuntimeError("assignment refinement failed to complete")
-            continue
-        position, col = chosen
-        pairs.append((row + 1, col + 1))
-        achieved += int(counts[row, col])
-        del cols[position]
-    if len(pairs) != total_pairs or achieved != best:
+    n = max(num_rows, num_cols)
+    weights = np.zeros((n, n), dtype=np.int64)
+    weights[:num_rows, :num_cols] = counts
+    _, solved = linear_sum_assignment(weights, maximize=True)
+    held = weights[np.arange(n), solved]
+    best = int(held.sum())
+
+    u = _row_potentials(weights, solved)
+    v = np.empty(n, dtype=np.int64)
+    v[solved] = held - u
+    tight = u[:, None] + v[None, :] == weights
+    assigned = _smallest_tight_matching(tight, solved.tolist(), num_rows)
+
+    pairs = tuple(
+        (row + 1, col + 1)
+        for row, col in enumerate(assigned[:num_rows])
+        if col < num_cols
+    )
+    achieved = sum(int(counts[pi - 1, rho - 1]) for pi, rho in pairs)
+    if len(pairs) != min(num_rows, num_cols) or achieved != best:
         raise RuntimeError("assignment refinement lost optimality")
     return Assignment(
-        pairs=tuple(pairs),
+        pairs=pairs,
         total_similarity=best / sim.message_bits,
         total_matched=best,
     )
@@ -510,9 +583,7 @@ def null_calibration(
         identity_q = int((identity_counts >= tau_f).sum())
         identity_passes += identity_q
         identity_valid += identity_q >= tau_v
-        mismatches = (expected[:, None, :] != extracted[None, :, :]).sum(axis=2)
-        sim = SimilarityMatrix(message_bits - mismatches, message_bits)
-        verdict = _verdict_from_matrix(sim, gamma_f, gamma_v)
+        verdict = _verdict_from_matrix(_similarity(expected, extracted), gamma_f, gamma_v)
         matched_passes += len(verdict.valid_set)
         matched_valid += verdict.valid
     pair_trials = trials * num_frames

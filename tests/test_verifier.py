@@ -4,9 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.optimize import linear_sum_assignment
 
+import spdmark.verifier
+from reference_match import hungarian_match as reference_match
 from spdmark.channel_attacks import (
     ChannelSpec,
     attack_drop,
@@ -205,6 +209,18 @@ def lexicographic_oracle(counts: np.ndarray):
     return best_total, best_pairs
 
 
+@st.composite
+def count_matrices(draw):
+    # Shapes 1..9 x 1..9; alphabet size 1 gives all-equal matrices, and the
+    # offset places the alphabet anywhere inside [0, 28].
+    rows = draw(st.integers(1, 9))
+    cols = draw(st.integers(1, 9))
+    alphabet = draw(st.sampled_from([1, 2, 3, 29]))
+    offset = draw(st.integers(0, 29 - alphabet))
+    values = st.integers(offset, offset + alphabet - 1)
+    return draw(arrays(np.int64, (rows, cols), elements=values))
+
+
 class TestHungarianMatch:
     def test_two_by_two_example(self):
         sim = SimilarityMatrix(np.array([[9, 1], [2, 8]]), 10)
@@ -229,7 +245,7 @@ class TestHungarianMatch:
 
     def test_matches_brute_force_on_random_matrices(self):
         rng = np.random.default_rng(9)
-        for _ in range(300)            :
+        for _ in range(300):
             rows = int(rng.integers(1, 8))
             cols = int(rng.integers(1, 8))
             counts = rng.integers(0, 29, (rows, cols))
@@ -247,6 +263,66 @@ class TestHungarianMatch:
             total, pairs = lexicographic_oracle(counts)
             assert assignment.total_matched == total
             assert assignment.pairs == pairs
+
+    @given(count_matrices())
+    @example(np.arange(9).reshape(1, 9) % 3)
+    @example(np.arange(9).reshape(9, 1) % 3)
+    @example(np.full((9, 9), 5))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_reference_oracle(self, counts):
+        sim = SimilarityMatrix(counts, 28)
+        got, want = hungarian_match(sim), reference_match(sim)
+        assert got.pairs == want.pairs
+        assert got.total_matched == want.total_matched
+
+    @pytest.mark.parametrize("shape", [(25, 25), (100, 100), (200, 200), (200, 150)])
+    def test_matches_reference_oracle_on_random_bits(self, shape):
+        rng = np.random.default_rng(shape)
+        expected = rng.integers(0, 2, (shape[0], 28))
+        extracted = rng.integers(0, 2, (shape[1], 28))
+        counts = 28 - (expected[:, None, :] != extracted[None, :, :]).sum(axis=2)
+        sim = SimilarityMatrix(counts, 28)
+        got, want = hungarian_match(sim), reference_match(sim)
+        assert got.pairs == want.pairs
+        assert got.total_matched == want.total_matched
+
+    def test_long_video_reaches_the_optimum(self):
+        rng = np.random.default_rng(1000)
+        expected = rng.integers(0, 2, (1000, 28))
+        extracted = rng.integers(0, 2, (1000, 28))
+        counts = 28 - (expected[:, None, :] != extracted[None, :, :]).sum(axis=2)
+        assignment = hungarian_match(SimilarityMatrix(counts, 28))
+        pis = [pi for pi, _ in assignment.pairs]
+        rhos = [rho for _, rho in assignment.pairs]
+        assert pis == list(range(1, 1001))
+        assert sorted(rhos) == list(range(1, 1001))
+        rows, cols = linear_sum_assignment(counts, maximize=True)
+        optimum = int(counts[rows, cols].sum())
+        assert assignment.total_matched == optimum
+        assert sum(int(counts[pi - 1, rho - 1]) for pi, rho in assignment.pairs) == optimum
+
+    def test_suboptimal_solve_is_rejected(self, monkeypatch):
+        counts = np.full((6, 6), 3)
+        np.fill_diagonal(counts, 10)
+
+        def reversed_assignment(weights, maximize=False):
+            n = len(weights)
+            return np.arange(n), np.arange(n)[::-1].copy()
+
+        monkeypatch.setattr(spdmark.verifier, "linear_sum_assignment", reversed_assignment)
+        with pytest.raises(RuntimeError, match="not optimal"):
+            hungarian_match(SimilarityMatrix(counts, 10))
+
+    def test_non_optimal_refinement_is_rejected(self, monkeypatch):
+        counts = np.full((6, 6), 3)
+        np.fill_diagonal(counts, 10)
+        monkeypatch.setattr(
+            spdmark.verifier,
+            "_smallest_tight_matching",
+            lambda tight, assigned, num_rows: assigned[::-1],
+        )
+        with pytest.raises(RuntimeError, match="lost optimality"):
+            hungarian_match(SimilarityMatrix(counts, 10))
 
     def test_single_row_and_column(self):
         sim = SimilarityMatrix(np.array([[1, 5, 5]]), 8)
