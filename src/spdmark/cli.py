@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import sys
@@ -34,10 +35,11 @@ from .channel_attacks import (
 from .keyspace import (
     BaseSecret,
     KeyConfig,
-    WatermarkKey,
     bits_to_hex,
     derive_frame_messages,
     hex_to_bits,
+    key_document,
+    parse_key_document,
     parse_schedule_document,
     random_key,
     schedule_document,
@@ -103,14 +105,18 @@ class StageError(Exception):
 
 
 @contextlib.contextmanager
-def _stage(name: str):
-    """Tag any failure inside the block with the pipeline stage name."""
+def _stage(name: str, seconds: Optional[dict] = None):
+    """Tag any failure inside the block with the pipeline stage name, and
+    record the block's wall time under that name in `seconds` if given."""
+    begin = time.perf_counter()
     try:
         yield
     except (ConfigError, StageError):
         raise
     except Exception as exc:
         raise StageError(name, exc) from exc
+    if seconds is not None:
+        seconds[name] = time.perf_counter() - begin
 
 
 @dataclass(frozen=True)
@@ -367,6 +373,102 @@ def forensics_table(cfg: RunConfig) -> list:
     return rows
 
 
+# One function per toy pipeline stage, on in-memory objects.  The
+# subcommands read their inputs from files, run the stage and write its
+# artifact; run-pipeline --mode toy runs the same stages in order and writes
+# through the same writers.
+
+
+def _keygen(cfg: RunConfig):
+    return random_key(cfg.key_config(), cfg.seed)
+
+
+def _schedule(cfg: RunConfig, key) -> list:
+    return derive_frame_messages(cfg.secret(), key, cfg.num_frames)
+
+
+def _embed(cfg: RunConfig, schedule, with_clean: bool) -> tuple:
+    """The watermarked video and, if asked, the unwatermarked one (alpha 0)
+    from the same latents."""
+    dictionary, decoder, condition = toy_components(cfg)
+    latent_seed = derive_seed(cfg.seed, "latent")
+    marked = generate_video(
+        decoder, dictionary, schedule, latent_seed, condition, cfg.latent_scale
+    )
+    clean = None
+    if with_clean:
+        clean = generate_video(
+            decoder, dataclasses.replace(dictionary, alpha=0.0), schedule, latent_seed,
+            condition, cfg.latent_scale,
+        )
+    return marked, clean
+
+
+def _fit_extractor(cfg: RunConfig) -> tuple:
+    """The extractor fitted on the training corpus, and that corpus."""
+    dictionary, decoder, condition = toy_components(cfg)
+    train = build_corpus(
+        cfg, "train", cfg.train_videos, cfg.train_frames, dictionary, decoder, condition
+    )
+    return fit_extractor(*train, ridge_lambda=cfg.ridge_lambda), train
+
+
+def _attack(cfg: RunConfig, target) -> tuple:
+    spec = dict(cfg.attack or {"attack": "none"})
+    spec.setdefault("seed", derive_seed(cfg.seed, "attack"))
+    return apply_attack(target, spec)
+
+
+def _extract(extractor, frames) -> ExtractedSequence:
+    return ExtractedSequence(tuple(extractor.decode(frame.pixels) for frame in frames))
+
+
+def _verify(cfg: RunConfig, schedule, extracted: ExtractedSequence) -> Verdict:
+    return verify(schedule, extracted, cfg.gamma_f, cfg.gamma_v)
+
+
+def _diagnose(verdict: Verdict, record: Optional[TamperRecord]):
+    """Localize edits; a missing record (photometric attacks) scores nothing."""
+    return diagnose_tampering(
+        verdict, verdict.num_expected, verdict.num_extracted, record
+    )
+
+
+def _read_schedule(path: str) -> list:
+    return parse_schedule_document(_read_json(path))[2]
+
+
+def _read_binary(path: str, reader):
+    with open(path, "rb") as stream:
+        return reader(stream)
+
+
+def _read_record(path: str) -> Optional[TamperRecord]:
+    """A tamper record file; the JSON null written for photometric attacks
+    means there is no ground truth."""
+    doc = _read_json(path)
+    return None if doc is None else TamperRecord.from_doc(doc)
+
+
+def _write_binary(path, writer, reader, value):
+    """Write `value` to `path` with `writer` and return it as `reader` reads
+    those bytes back, so later stages see the stored (float32) precision
+    whether or not they run in the same process."""
+    buffer = io.BytesIO()
+    writer(buffer, value)
+    Path(path).write_bytes(buffer.getvalue())
+    buffer.seek(0)
+    return reader(buffer)
+
+
+def _key_file(cfg: RunConfig, key) -> dict:
+    return {**key_document(cfg.key_config(), key), "seed": cfg.seed}
+
+
+def _record_doc(record: Optional[TamperRecord]) -> Optional[dict]:
+    return None if record is None else record.to_doc()
+
+
 def cmd_keygen(cfg: RunConfig, args) -> int:
     bits = args.bits if args.bits is not None else cfg.message_bits
     if bits != cfg.message_bits:
@@ -375,27 +477,14 @@ def cmd_keygen(cfg: RunConfig, args) -> int:
             f"({cfg.num_layers} layers x log2({cfg.bases_per_layer}) bits)"
         )
     with _stage("keygen"):
-        key = random_key(cfg.key_config(), cfg.seed)
-        doc = {
-            "config": {"L": cfg.num_layers, "P": cfg.bases_per_layer, "M": cfg.message_bits},
-            "key_hex": bits_to_hex(key.bits),
-            "seed": cfg.seed,
-        }
-        _emit(doc, args.out)
+        _emit(_key_file(cfg, _keygen(cfg)), args.out)
     return 0
 
 
 def cmd_schedule(cfg: RunConfig, args) -> int:
     with _stage("schedule"):
-        key_doc = _read_json(args.key)
-        key_cfg = KeyConfig(
-            num_layers=int(key_doc["config"]["L"]),
-            bases_per_layer=int(key_doc["config"]["P"]),
-            message_bits=int(key_doc["config"]["M"]),
-        )
-        key = WatermarkKey(hex_to_bits(key_doc["key_hex"], key_cfg.message_bits))
-        frames = derive_frame_messages(cfg.secret(), key, cfg.num_frames)
-        _emit(schedule_document(key_cfg, key, frames), args.out)
+        key_cfg, key = parse_key_document(_read_json(args.key))
+        _emit(schedule_document(key_cfg, key, _schedule(cfg, key)), args.out)
     return 0
 
 
@@ -403,54 +492,32 @@ def cmd_embed(cfg: RunConfig, args) -> int:
     if not args.out:
         raise ConfigError("embed writes a binary video and needs --out")
     with _stage("embed"):
-        _, _, schedule = parse_schedule_document(_read_json(args.schedule))
-        dictionary, decoder, condition = toy_components(cfg)
-        frames = generate_video(
-            decoder, dictionary, schedule,
-            latent_seed=derive_seed(cfg.seed, "latent"),
-            condition=condition, latent_scale=cfg.latent_scale,
-        )
-        with open(args.out, "wb") as stream:
-            write_video(stream, frames)
-        if args.clean_out:
-            clean_dictionary, _, _ = toy_components(cfg, alpha=0.0)
-            clean = generate_video(
-                decoder, clean_dictionary, schedule,
-                latent_seed=derive_seed(cfg.seed, "latent"),
-                condition=condition, latent_scale=cfg.latent_scale,
-            )
-            with open(args.clean_out, "wb") as stream:
-                write_video(stream, clean)
+        marked, clean = _embed(cfg, _read_schedule(args.schedule), bool(args.clean_out))
+        _write_binary(args.out, write_video, read_video, marked)
+        if clean is not None:
+            _write_binary(args.clean_out, write_video, read_video, clean)
     return 0
 
 
 def cmd_attack(cfg: RunConfig, args) -> int:
-    spec = dict(cfg.attack or {"attack": "none"})
-    spec.setdefault("seed", derive_seed(cfg.seed, "attack"))
     with _stage("attack"):
         if args.video:
-            with open(args.video, "rb") as stream:
-                target = read_video(stream)
+            target = _read_binary(args.video, read_video)
         elif args.extraction:
             target = parse_extraction_document(_read_json(args.extraction))
         elif args.schedule:
-            _, _, schedule = parse_schedule_document(_read_json(args.schedule))
-            target = _schedule_sequence(schedule)
+            target = _schedule_sequence(_read_schedule(args.schedule))
         else:
             raise ConfigError("attack needs --video, --extraction, or --schedule")
-        attacked, record = apply_attack(target, spec)
+        attacked, record = _attack(cfg, target)
         if isinstance(attacked, ExtractedSequence):
             _emit(extraction_document(attacked), args.out)
         else:
             if not args.out:
                 raise ConfigError("attacking a video writes binary output and needs --out")
-            with open(args.out, "wb") as stream:
-                write_video(stream, attacked)
+            _write_binary(args.out, write_video, read_video, attacked)
         if args.record:
-            doc = record.to_doc() if record is not None else None
-            Path(args.record).write_text(
-                json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-            )
+            _emit(_record_doc(record), args.record)
     return 0
 
 
@@ -459,17 +526,14 @@ def cmd_extract(cfg: RunConfig, args) -> int:
         if args.video:
             if not args.extractor:
                 raise ConfigError("extracting from a video needs --extractor")
-            with open(args.video, "rb") as stream:
-                frames = read_video(stream)
-            with open(args.extractor, "rb") as stream:
-                extractor = read_extractor(stream)
-            sequence = ExtractedSequence(
-                tuple(extractor.decode(frame.pixels) for frame in frames)
+            sequence = _extract(
+                _read_binary(args.extractor, read_extractor),
+                _read_binary(args.video, read_video),
             )
         elif args.schedule:
-            _, _, schedule = parse_schedule_document(_read_json(args.schedule))
             sequence = channel_extract(
-                schedule, _channel(cfg, derive_seed(cfg.seed, "channel"))
+                _read_schedule(args.schedule),
+                _channel(cfg, derive_seed(cfg.seed, "channel")),
             )
         else:
             raise ConfigError("extract needs --video with --extractor, or --schedule")
@@ -479,17 +543,12 @@ def cmd_extract(cfg: RunConfig, args) -> int:
 
 def cmd_fit_extractor(cfg: RunConfig, args) -> int:
     with _stage("fit-extractor"):
-        dictionary, decoder, condition = toy_components(cfg)
-        train = build_corpus(
-            cfg, "train", cfg.train_videos, cfg.train_frames, dictionary, decoder, condition
-        )
-        held = build_corpus(
-            cfg, "holdout", cfg.holdout_videos, cfg.train_frames, dictionary, decoder, condition
-        )
-        extractor = fit_extractor(*train, ridge_lambda=cfg.ridge_lambda)
+        extractor, train = _fit_extractor(cfg)
         out_path = args.out or str(Path(cfg.out_dir) / "extractor.bin")
-        with open(out_path, "wb") as stream:
-            write_extractor(stream, extractor)
+        _write_binary(out_path, write_extractor, read_extractor, extractor)
+        held = build_corpus(
+            cfg, "holdout", cfg.holdout_videos, cfg.train_frames, *toy_components(cfg)
+        )
         report = {
             "extractor": out_path,
             "train_videos": cfg.train_videos,
@@ -506,9 +565,11 @@ def cmd_fit_extractor(cfg: RunConfig, args) -> int:
 
 def cmd_verify(cfg: RunConfig, args) -> int:
     with _stage("verify"):
-        _, _, schedule = parse_schedule_document(_read_json(args.schedule))
-        extracted = parse_extraction_document(_read_json(args.extraction))
-        verdict = verify(schedule, extracted, cfg.gamma_f, cfg.gamma_v)
+        verdict = _verify(
+            cfg,
+            _read_schedule(args.schedule),
+            parse_extraction_document(_read_json(args.extraction)),
+        )
         tamper = _read_json(args.tamper) if args.tamper else None
         _emit(verdict.to_doc(tamper), args.out)
     return 0 if verdict.valid else 3
@@ -517,11 +578,8 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 def cmd_diagnose(cfg: RunConfig, args) -> int:
     with _stage("diagnose"):
         verdict = Verdict.from_doc(_read_json(args.verdict))
-        ground = TamperRecord.from_doc(_read_json(args.tamper)) if args.tamper else None
-        diagnosis = diagnose_tampering(
-            verdict, verdict.num_expected, verdict.num_extracted, ground
-        )
-        _emit(diagnosis.to_doc(), args.out)
+        record = _read_record(args.tamper) if args.tamper else None
+        _emit(_diagnose(verdict, record).to_doc(), args.out)
     return 0
 
 
@@ -553,91 +611,41 @@ def cmd_calibrate(cfg: RunConfig, args) -> int:
 
 def _toy_pipeline(cfg: RunConfig, out: Path) -> int:
     started = time.perf_counter()
-    key_cfg = cfg.key_config()
-    secret = cfg.secret()
-    stage_seconds = {}
-
-    def clock(name, fn):
-        begin = time.perf_counter()
-        with _stage(name):
-            result = fn()
-        stage_seconds[name] = time.perf_counter() - begin
-        return result
-
-    key = clock("keygen", lambda: random_key(key_cfg, cfg.seed))
-    schedule = clock(
-        "schedule", lambda: derive_frame_messages(secret, key, cfg.num_frames)
-    )
-    Path(out / "key.json").write_text(
-        json.dumps({
-            "config": {"L": cfg.num_layers, "P": cfg.bases_per_layer, "M": cfg.message_bits},
-            "key_hex": bits_to_hex(key.bits),
-            "seed": cfg.seed,
-        }, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    _emit(schedule_document(key_cfg, key, schedule), str(out / "schedule.json"))
-
-    def embed():
-        dictionary, decoder, condition = toy_components(cfg)
-        clean_dictionary, _, _ = toy_components(cfg, alpha=0.0)
-        latent_seed = derive_seed(cfg.seed, "latent")
-        marked = generate_video(
-            decoder, dictionary, schedule, latent_seed, condition, cfg.latent_scale
+    seconds: dict = {}
+    with _stage("keygen", seconds):
+        key = _keygen(cfg)
+        _emit(_key_file(cfg, key), str(out / "key.json"))
+    with _stage("schedule", seconds):
+        schedule = _schedule(cfg, key)
+        _emit(schedule_document(cfg.key_config(), key, schedule), str(out / "schedule.json"))
+    with _stage("embed", seconds):
+        marked, clean = _embed(cfg, schedule, with_clean=True)
+        stored_marked = _write_binary(out / "marked.spdf", write_video, read_video, marked)
+        _write_binary(out / "clean.spdf", write_video, read_video, clean)
+    with _stage("fit-extractor", seconds):
+        extractor, _ = _fit_extractor(cfg)
+        stored_extractor = _write_binary(
+            out / "extractor.bin", write_extractor, read_extractor, extractor
         )
-        clean = generate_video(
-            decoder, clean_dictionary, schedule, latent_seed, condition, cfg.latent_scale
+    with _stage("attack", seconds):
+        attacked, record = _attack(cfg, stored_marked)
+        attacked = _write_binary(out / "attacked.spdf", write_video, read_video, attacked)
+        _emit(_record_doc(record), str(out / "tamper.json"))
+    with _stage("extract", seconds):
+        extracted = _extract(stored_extractor, attacked)
+        _emit(extraction_document(extracted), str(out / "extraction.json"))
+    with _stage("verify", seconds):
+        verdict = _verify(cfg, schedule, extracted)
+        _emit(verdict.to_doc(_record_doc(record)), str(out / "verdict.json"))
+    with _stage("diagnose", seconds):
+        _emit(_diagnose(verdict, record).to_doc(), str(out / "diagnosis.json"))
+    # The losses compare the videos and extractor as generated and fitted,
+    # before they are stored at float32.
+    with _stage("losses", seconds):
+        losses = loss_report(
+            video_to_array(clean), video_to_array(marked), extractor, schedule,
+            LossWeights(cfg.lambda_ps, cfg.lambda_tc),
         )
-        with open(out / "marked.spdf", "wb") as stream:
-            write_video(stream, marked)
-        with open(out / "clean.spdf", "wb") as stream:
-            write_video(stream, clean)
-        return dictionary, decoder, condition, marked, clean
-
-    dictionary, decoder, condition, marked, clean = clock("embed", embed)
-
-    def fit():
-        train = build_corpus(
-            cfg, "train", cfg.train_videos, cfg.train_frames, dictionary, decoder, condition
-        )
-        extractor = fit_extractor(*train, ridge_lambda=cfg.ridge_lambda)
-        with open(out / "extractor.bin", "wb") as stream:
-            write_extractor(stream, extractor)
-        return extractor
-
-    extractor = clock("fit-extractor", fit)
-
-    def run_attack():
-        spec = dict(cfg.attack or {"attack": "none"})
-        spec.setdefault("seed", derive_seed(cfg.seed, "attack"))
-        attacked, record = apply_attack(marked, spec)
-        with open(out / "attacked.spdf", "wb") as stream:
-            write_video(stream, attacked)
-        Path(out / "tamper.json").write_text(
-            json.dumps(record.to_doc() if record else None, indent=2, sort_keys=True)
-            + "\n", encoding="utf-8")
-        return attacked, record
-
-    attacked, record = clock("attack", run_attack)
-    extracted = clock("extract", lambda: ExtractedSequence(
-        tuple(extractor.decode(frame.pixels) for frame in attacked)
-    ))
-    _emit(extraction_document(extracted), str(out / "extraction.json"))
-
-    verdict = clock(
-        "verify", lambda: verify(schedule, extracted, cfg.gamma_f, cfg.gamma_v)
-    )
-    _emit(
-        verdict.to_doc(record.to_doc() if record else None),
-        str(out / "verdict.json"),
-    )
-    diagnosis = clock("diagnose", lambda: diagnose_tampering(
-        verdict, cfg.num_frames, extracted.source_length, record
-    ))
-    _emit(diagnosis.to_doc(), str(out / "diagnosis.json"))
-
-    losses = clock("losses", lambda: loss_report(
-        video_to_array(clean), video_to_array(marked), extractor, schedule,
-        LossWeights(cfg.lambda_ps, cfg.lambda_tc),
-    ))
     report = {
         "mode": "toy",
         "config_hash": config_hash(cfg),
@@ -649,7 +657,7 @@ def _toy_pipeline(cfg: RunConfig, out: Path) -> int:
         "losses": losses,
         "artifacts": sorted(p.name for p in out.iterdir()),
         "runtime": {
-            "stage_seconds": stage_seconds,
+            "stage_seconds": seconds,
             "total_seconds": time.perf_counter() - started,
         },
     }

@@ -29,12 +29,13 @@ __all__ = [
     "key_to_mask",
     "mask_to_key",
     "derive_frame_messages",
-    "hamming",
     "random_key",
     "pack_bits",
     "unpack_bits",
     "bits_to_hex",
     "hex_to_bits",
+    "key_document",
+    "parse_key_document",
     "schedule_document",
     "parse_schedule_document",
 ]
@@ -138,10 +139,6 @@ class SelectionMask:
     def bases_per_layer(self) -> int:
         return self.mask.shape[1]
 
-    def selected_columns(self) -> tuple[int, ...]:
-        """0-based selected column per layer."""
-        return tuple(int(c) for c in self.mask.argmax(axis=1))
-
 
 @dataclass(frozen=True)
 class BaseSecret:
@@ -238,23 +235,14 @@ def derive_frame_messages(
     return schedule
 
 
-def hamming(a: Sequence[int], b: Sequence[int]) -> int:
-    """Number of differing positions between two equal-length bit sequences."""
-    if len(a) != len(b):
-        raise ValueError("bit sequences must have equal length")
-    return sum(1 for x, y in zip(a, b) if int(x) != int(y))
-
-
 def random_key(cfg: KeyConfig, seed: int) -> WatermarkKey:
     """Draw a uniform key, deterministic under the seed."""
     rng = np.random.default_rng(seed)
     return WatermarkKey(tuple(int(b) for b in rng.integers(0, 2, cfg.message_bits)))
 
 
-def schedule_document(
-    cfg: KeyConfig, key: WatermarkKey, frames: Sequence[FrameMessage]
-) -> dict:
-    """JSON-ready schedule document; bit fields are hex in packed form."""
+def key_document(cfg: KeyConfig, key: WatermarkKey) -> dict:
+    """JSON-ready key document: the keyspace layout and the packed key."""
     return {
         "config": {
             "L": cfg.num_layers,
@@ -262,6 +250,25 @@ def schedule_document(
             "M": cfg.message_bits,
         },
         "key_hex": bits_to_hex(key.bits),
+    }
+
+
+def parse_key_document(doc: dict) -> tuple[KeyConfig, WatermarkKey]:
+    cfg = KeyConfig(
+        num_layers=int(doc["config"]["L"]),
+        bases_per_layer=int(doc["config"]["P"]),
+        message_bits=int(doc["config"]["M"]),
+    )
+    return cfg, WatermarkKey(hex_to_bits(doc["key_hex"], cfg.message_bits))
+
+
+def schedule_document(
+    cfg: KeyConfig, key: WatermarkKey, frames: Sequence[FrameMessage]
+) -> dict:
+    """The key document plus the frame messages; bit fields are hex in
+    packed form."""
+    return {
+        **key_document(cfg, key),
         "frames": [
             {"t": msg.frame_index, "bits_hex": bits_to_hex(msg.bits)}
             for msg in frames
@@ -272,12 +279,7 @@ def schedule_document(
 def parse_schedule_document(
     doc: dict,
 ) -> tuple[KeyConfig, WatermarkKey, list[FrameMessage]]:
-    cfg = KeyConfig(
-        num_layers=int(doc["config"]["L"]),
-        bases_per_layer=int(doc["config"]["P"]),
-        message_bits=int(doc["config"]["M"]),
-    )
-    key = WatermarkKey(hex_to_bits(doc["key_hex"], cfg.message_bits))
+    cfg, key = parse_key_document(doc)
     frames = [
         FrameMessage(int(entry["t"]), hex_to_bits(entry["bits_hex"], cfg.message_bits))
         for entry in doc["frames"]

@@ -30,7 +30,6 @@ from .spd_core import ToyFrame
 __all__ = [
     "LossWeights",
     "LinearExtractor",
-    "LogitVector",
     "bce_logits",
     "recovery_loss",
     "luminance",
@@ -64,26 +63,6 @@ class LossWeights:
             value = getattr(self, name)
             if not np.isfinite(value) or value < 0:
                 raise ValueError(f"{name} must be finite and >= 0")
-
-
-@dataclass(frozen=True, eq=False)
-class LogitVector:
-    """One logit per message bit for a single frame."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 1:
-            raise ValueError("logits must be a 1-D vector")
-        if not np.isfinite(values).all():
-            raise ValueError("logits must be finite")
-        values = values.copy()
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,19 +150,16 @@ def _message_bits(message) -> np.ndarray:
     return bits
 
 
-def bce_logits(logits: "LogitVector | np.ndarray", target) -> float:
+def bce_logits(logits: np.ndarray, target) -> float:
     """Mean binary cross entropy with logits over the bits of one frame.
 
     Uses the stable form max(s, 0) - s*b + log(1 + exp(-|s|)).
     """
-    if isinstance(logits, LogitVector):
-        values = logits.values
-    else:
-        values = np.asarray(logits, dtype=np.float64)
-        if values.ndim != 1:
-            raise ValueError("logits must be a 1-D vector")
-        if not np.isfinite(values).all():
-            raise ValueError("logits must be finite")
+    values = np.asarray(logits, dtype=np.float64)
+    if values.ndim != 1:
+        raise ValueError("logits must be a 1-D vector")
+    if not np.isfinite(values).all():
+        raise ValueError("logits must be finite")
     bits = _message_bits(target)
     if bits.shape != values.shape:
         raise ValueError("logit and target lengths differ")
@@ -247,6 +223,16 @@ def _temporal_term(clean: np.ndarray, marked: np.ndarray) -> float:
     return float(np.abs(delta_clean - delta_marked).mean())
 
 
+def _weighted_terms(clean, marked, weights: LossWeights, distance) -> tuple[float, float]:
+    """The weighted perceptual and temporal-consistency terms (ps, tc)."""
+    clean, marked = _check_pair(clean, marked)
+    if clean.shape[0] < 2:
+        raise ValueError("temporal consistency needs at least 2 frames")
+    ps = weights.lambda_ps * _perceptual_term(clean, marked, distance)
+    tc = weights.lambda_tc * _temporal_term(clean, marked)
+    return ps, tc
+
+
 def imperceptibility_loss(
     clean,
     marked,
@@ -258,14 +244,8 @@ def imperceptibility_loss(
     The temporal term compares luminance differences of successive frames, so
     it needs at least two frames; a static pixel offset leaves it at zero.
     """
-    clean, marked = _check_pair(clean, marked)
-    if clean.shape[0] < 2:
-        raise ValueError("temporal consistency needs at least 2 frames")
-    if distance is None:
-        distance = mean_squared_error
-    ps = _perceptual_term(clean, marked, distance)
-    tc = _temporal_term(clean, marked)
-    return weights.lambda_ps * ps + weights.lambda_tc * tc
+    ps, tc = _weighted_terms(clean, marked, weights, distance or mean_squared_error)
+    return ps + tc
 
 
 def loss_report(
@@ -276,11 +256,7 @@ def loss_report(
     weights: LossWeights = LossWeights(),
 ) -> dict:
     """Weighted loss terms as {ps, tc, rec, total} with total = ps + tc + rec."""
-    clean, marked = _check_pair(clean, marked)
-    if clean.shape[0] < 2:
-        raise ValueError("temporal consistency needs at least 2 frames")
-    ps = weights.lambda_ps * _perceptual_term(clean, marked, mean_squared_error)
-    tc = weights.lambda_tc * _temporal_term(clean, marked)
+    ps, tc = _weighted_terms(clean, marked, weights, mean_squared_error)
     rec = recovery_loss(marked, extractor, schedule)
     return {"ps": ps, "tc": tc, "rec": rec, "total": ps + tc + rec}
 

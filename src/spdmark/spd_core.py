@@ -38,10 +38,6 @@ __all__ = [
     "write_video",
     "read_video",
     "video_to_array",
-    "dictionary_document",
-    "dictionary_from_document",
-    "decoder_document",
-    "decoder_from_document",
     "DEFAULT_LAYER_DIM",
     "DEFAULT_FRAME_SIDE",
     "DEFAULT_NUM_LAYERS",
@@ -68,6 +64,7 @@ _PROJECTION_OFFSET = 0.5
 
 _VIDEO_MAGIC = b"SPDF"
 _VIDEO_VERSION = 1
+_READ_CHUNK_BYTES = 1 << 20
 
 _product_log: contextvars.ContextVar = contextvars.ContextVar(
     "spdmark_product_log", default=None
@@ -441,6 +438,19 @@ def write_video(stream: BinaryIO, frames: Sequence[ToyFrame]) -> None:
         stream.write(np.ascontiguousarray(frame.pixels, dtype="<f4").tobytes())
 
 
+def _read_payload(stream: BinaryIO, size: int) -> bytes:
+    """Read exactly `size` bytes in bounded chunks, so a header that declares
+    more data than the stream holds fails without a huge allocation."""
+    chunks = []
+    while size > 0:
+        chunk = stream.read(min(size, _READ_CHUNK_BYTES))
+        if not chunk:
+            raise ValueError("truncated video payload")
+        chunks.append(chunk)
+        size -= len(chunk)
+    return b"".join(chunks)
+
+
 def read_video(stream: BinaryIO) -> list[ToyFrame]:
     header = stream.read(4 + 1 + 16)
     if len(header) != 21 or header[:4] != _VIDEO_MAGIC:
@@ -449,56 +459,11 @@ def read_video(stream: BinaryIO) -> list[ToyFrame]:
     if version != _VIDEO_VERSION:
         raise ValueError(f"unsupported video format version {version}")
     num_frames, height, width, channels = struct.unpack(">IIII", header[5:])
-    count = num_frames * channels * height * width
-    data = stream.read(4 * count)
-    if len(data) != 4 * count:
-        raise ValueError("truncated video payload")
-    pixels = np.frombuffer(data, dtype="<f4").astype(np.float64)
+    if min(num_frames, height, width, channels) < 1:
+        raise ValueError("video header declares an empty dimension")
+    pixels = np.frombuffer(
+        _read_payload(stream, 4 * num_frames * channels * height * width), dtype="<f4"
+    ).astype(np.float64)
     pixels = pixels.reshape(num_frames, channels, height, width)
     return [ToyFrame(pixels[t], t + 1) for t in range(num_frames)]
 
-
-def dictionary_document(dictionary: BasisDictionary) -> dict:
-    """JSON-ready description; factors are regenerated from the seed on load."""
-    return {
-        "num_layers": dictionary.num_layers,
-        "bases_per_layer": dictionary.bases_per_layer,
-        "layer_dim": dictionary.layer_dim,
-        "rank": dictionary.rank,
-        "alpha": dictionary.alpha,
-        "init_seed": dictionary.init_seed,
-        "init_scale": dictionary.init_scale,
-    }
-
-
-def dictionary_from_document(doc: dict) -> BasisDictionary:
-    cfg = KeyConfig.from_layout(int(doc["num_layers"]), int(doc["bases_per_layer"]))
-    return init_dictionary(
-        cfg,
-        layer_dim=int(doc["layer_dim"]),
-        rank=int(doc["rank"]),
-        alpha=float(doc["alpha"]),
-        init_seed=int(doc["init_seed"]),
-        init_scale=float(doc["init_scale"]),
-    )
-
-
-def decoder_document(decoder: ToyDecoder) -> dict:
-    channels, height, width = decoder.frame_shape
-    return {
-        "layer_dim": decoder.layer_dim,
-        "height": height,
-        "width": width,
-        "num_layers": decoder.num_layers,
-        "seed": decoder.seed,
-    }
-
-
-def decoder_from_document(doc: dict) -> ToyDecoder:
-    return init_toy_decoder(
-        layer_dim=int(doc["layer_dim"]),
-        height=int(doc["height"]),
-        width=int(doc["width"]),
-        num_layers=int(doc["num_layers"]),
-        seed=int(doc["seed"]),
-    )

@@ -203,6 +203,28 @@ class TestAttackDiagnoseFlow:
         assert diag["scores"]["drop"]["f1"] == 1.0
         assert diag["scores"]["insert"]["f1"] == 1.0
 
+    def test_photometric_attack_record_is_null(self, schedule_files, tmp_path):
+        _, _, schedule = schedule_files
+        marked = tmp_path / "marked.spdf"
+        attacked = tmp_path / "attacked.spdf"
+        record = tmp_path / "record.json"
+        extraction = tmp_path / "extraction.json"
+        verdict = tmp_path / "verdict.json"
+        diagnosis = tmp_path / "diagnosis.json"
+        assert run("embed", "--schedule", str(schedule), "--seed", "11",
+                   "--out", str(marked)) == 0
+        assert run("attack", "--video", str(marked), "--attack", '{"attack": "pixel_noise"}',
+                   "--out", str(attacked), "--record", str(record)) == 0
+        assert read_json(record) is None
+        assert run("extract", "--schedule", str(schedule), "--seed", "11",
+                   "--out", str(extraction)) == 0
+        assert run("verify", "--schedule", str(schedule), "--extraction", str(extraction),
+                   "--tamper", str(record), "--out", str(verdict)) == 0
+        assert read_json(verdict)["tamper"] is None
+        assert run("diagnose", "--verdict", str(verdict), "--tamper", str(record),
+                   "--out", str(diagnosis)) == 0
+        assert read_json(diagnosis)["scores"] is None
+
     def test_attack_without_input_is_config_error(self, capsys):
         assert run("attack", "--attack", '{"attack": "none"}') == 2
         capsys.readouterr()
@@ -271,10 +293,54 @@ class TestToyVideoFlow:
         assert run("run-pipeline", "--config", str(cfg), "--out", str(first)) == 0
         assert run("run-pipeline", "--config", str(cfg), "--out", str(second)) == 0
         capsys.readouterr()
-        a = strip_runtime(read_json(first / "report.json"))
-        b = strip_runtime(read_json(second / "report.json"))
-        assert a == b
-        assert (first / "marked.spdf").read_bytes() == (second / "marked.spdf").read_bytes()
+        names = sorted(path.name for path in first.iterdir())
+        assert names == sorted(path.name for path in second.iterdir())
+        for name in names:
+            if name == "report.json":
+                a = strip_runtime(read_json(first / name))
+                b = strip_runtime(read_json(second / name))
+                assert a == b
+            else:
+                assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+    @pytest.mark.parametrize(
+        "attack",
+        [{"attack": "drop", "fraction": 0.3}, {"attack": "pixel_noise"}],
+        ids=["drop", "pixel_noise"],
+    )
+    def test_subcommand_chain_matches_pipeline(self, tmp_path, capsys, attack):
+        cfg = str(fast_toy_config(tmp_path, attack=attack))
+        chain = tmp_path / "chain"
+        chain.mkdir()
+
+        def path(name):
+            return str(chain / name)
+
+        codes = [
+            run("keygen", "--config", cfg, "--out", path("key.json")),
+            run("schedule", "--config", cfg, "--key", path("key.json"),
+                "--out", path("schedule.json")),
+            run("embed", "--config", cfg, "--schedule", path("schedule.json"),
+                "--out", path("marked.spdf"), "--clean-out", path("clean.spdf")),
+            run("fit-extractor", "--config", cfg, "--out", path("extractor.bin")),
+            run("attack", "--config", cfg, "--video", path("marked.spdf"),
+                "--out", path("attacked.spdf"), "--record", path("tamper.json")),
+            run("extract", "--config", cfg, "--video", path("attacked.spdf"),
+                "--extractor", path("extractor.bin"), "--out", path("extraction.json")),
+            run("verify", "--config", cfg, "--schedule", path("schedule.json"),
+                "--extraction", path("extraction.json"), "--tamper", path("tamper.json"),
+                "--out", path("verdict.json")),
+            run("diagnose", "--config", cfg, "--verdict", path("verdict.json"),
+                "--tamper", path("tamper.json"), "--out", path("diagnosis.json")),
+        ]
+        pipeline = tmp_path / "run"
+        assert run("run-pipeline", "--config", cfg, "--out", str(pipeline)) == 0
+        capsys.readouterr()
+        assert codes == [0] * 8
+        shared = sorted(p.name for p in chain.iterdir())
+        assert len(shared) == 10
+        for name in shared:
+            assert (chain / name).read_bytes() == (pipeline / name).read_bytes(), name
 
 
 class TestChannelPipeline:

@@ -14,7 +14,6 @@ from spdmark.keyspace import (
     WatermarkKey,
     bits_to_hex,
     derive_frame_messages,
-    hamming,
     hex_to_bits,
     key_to_mask,
     mask_to_key,
@@ -75,7 +74,7 @@ class TestKeyToMask:
     def test_all_zero_key_selects_first_basis(self):
         cfg = KeyConfig.from_layout(14, 4)
         mask = key_to_mask(WatermarkKey((0,) * 28), cfg)
-        assert mask.selected_columns() == (0,) * 14
+        assert mask.mask.argmax(axis=1).tolist() == [0] * 14
 
     def test_rows_are_one_hot(self):
         cfg = KeyConfig.from_layout(14, 4)
@@ -171,7 +170,7 @@ class TestFrameMessages:
     def test_adjacent_frames_differ(self):
         key = random_key(self.cfg, 4)
         schedule = derive_frame_messages(self.secret, key, 2)
-        assert hamming(schedule[0].bits, schedule[1].bits) >= 1
+        assert schedule[0].bits != schedule[1].bits
 
     def test_message_length_is_key_length(self):
         key = random_key(self.cfg, 9)
@@ -207,38 +206,6 @@ class TestFrameMessages:
             warnings.warn("one frame-message collision observed (prob ~1e-3)")
         else:
             assert collisions == 0
-
-
-class TestHamming:
-    def test_single_differing_bit(self):
-        assert hamming((1, 0, 1, 0), (1, 0, 0, 0)) == 1
-
-    def test_identity_and_complement(self):
-        bits = (1, 0, 1, 1, 0, 0, 1, 0)
-        assert hamming(bits, bits) == 0
-        assert hamming(bits, tuple(1 - b for b in bits)) == len(bits)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            hamming((1, 0), (1, 0, 1))
-
-    @given(
-        st.integers(1, 64).flatmap(
-            lambda n: st.tuples(
-                *(
-                    st.lists(st.integers(0, 1), min_size=n, max_size=n)
-                    for _ in range(3)
-                )
-            )
-        )
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_metric_properties(self, triple):
-        a, b, c = triple
-        assert hamming(a, b) == hamming(b, a)
-        assert hamming(a, a) == 0
-        assert (hamming(a, b) == 0) == (a == b)
-        assert hamming(a, c) <= hamming(a, b) + hamming(b, c)
 
 
 class TestSecret:

@@ -26,7 +26,6 @@ from spdmark.objective import (
     DEFAULT_RIDGE_LAMBDA,
     LUMA_WEIGHTS,
     LinearExtractor,
-    LogitVector,
     LossWeights,
     bce_logits,
     bit_accuracy,
@@ -111,14 +110,13 @@ class TestBceLogits:
     def test_accepts_logit_vector_and_frame_message(self):
         cfg = KeyConfig.from_layout(2, 4)
         schedule = derive_frame_messages(SECRET, random_key(cfg, 0), 1)
-        vec = LogitVector(np.zeros(cfg.message_bits))
-        assert bce_logits(vec, schedule[0]) == pytest.approx(math.log(2))
+        assert bce_logits(np.zeros(cfg.message_bits), schedule[0]) == pytest.approx(math.log(2))
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             bce_logits(np.array([np.inf]), np.array([1.0]))
         with pytest.raises(ValueError):
-            LogitVector(np.array([np.nan]))
+            bce_logits(np.array([np.nan]), np.array([1.0]))
         with pytest.raises(ValueError):
             bce_logits(np.zeros(3), np.zeros(4))
         with pytest.raises(ValueError):

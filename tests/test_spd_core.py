@@ -15,10 +15,6 @@ from spdmark.spd_core import (
     DEFAULT_RANK,
     BasisShift,
     compose_displacement,
-    decoder_document,
-    decoder_from_document,
-    dictionary_document,
-    dictionary_from_document,
     displaced_layer_forward,
     generate_video,
     init_dictionary,
@@ -86,7 +82,7 @@ class TestComposeDisplacement:
         key = random_key(CFG, 3)
         mask = key_to_mask(key, CFG)
         shifts = compose_displacement(dictionary, mask)
-        for layer, column in enumerate(mask.selected_columns()):
+        for layer, column in enumerate(mask.mask.argmax(axis=1)):
             expected = dictionary.shifts[layer][column]
             assert np.array_equal(shifts[layer].factor_a, expected.factor_a)
             assert np.array_equal(shifts[layer].factor_b, expected.factor_b)
@@ -369,19 +365,20 @@ class TestVideoFile:
         with pytest.raises(ValueError):
             read_video(io.BytesIO(raw))
 
-
-class TestDocuments:
-    def test_dictionary_round_trip_regenerates_factors(self):
-        original = init_dictionary(CFG, layer_dim=16, rank=4, alpha=0.7, init_seed=77)
-        restored = dictionary_from_document(dictionary_document(original))
-        assert restored.alpha == original.alpha
-        for row_a, row_b in zip(original.shifts, restored.shifts):
-            for shift_a, shift_b in zip(row_a, row_b):
-                np.testing.assert_array_equal(shift_a.factor_a, shift_b.factor_a)
-
-    def test_decoder_round_trip(self):
-        original = init_toy_decoder(layer_dim=16, height=4, width=4, num_layers=3, seed=5)
-        restored = decoder_from_document(decoder_document(original))
-        np.testing.assert_array_equal(original.weights, restored.weights)
-        np.testing.assert_array_equal(original.offsets, restored.offsets)
-        np.testing.assert_array_equal(original.projection, restored.projection)
+    @pytest.mark.parametrize(
+        "dims",
+        [
+            (0, 2, 2, 3),
+            (1, 0, 2, 3),
+            (2**32 - 1, 2**32 - 1, 2**32 - 1, 3),
+            (2**32 - 1, 8, 8, 3),
+        ],
+    )
+    def test_malformed_header_rejected(self, dims, tmp_path):
+        raw = b"SPDF\x01" + b"".join(d.to_bytes(4, "big") for d in dims) + b"\x00" * 48
+        with pytest.raises(ValueError):
+            read_video(io.BytesIO(raw))
+        path = tmp_path / "bad.spdf"
+        path.write_bytes(raw)
+        with open(path, "rb") as stream, pytest.raises(ValueError):
+            read_video(stream)
