@@ -154,15 +154,18 @@ class TamperRecord:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "TamperRecord":
-        return cls(
-            source_length=int(doc["source_length"]),
-            output_length=int(doc["output_length"]),
-            dropped=frozenset(int(i) for i in doc["dropped"]),
-            inserted=frozenset(int(i) for i in doc["inserted"]),
-            permutation={int(k): int(v) for k, v in doc["permutation"]},
-            trim_head=int(doc["trim_head"]),
-            trim_tail=int(doc["trim_tail"]),
-        )
+        try:
+            return cls(
+                source_length=int(doc["source_length"]),
+                output_length=int(doc["output_length"]),
+                dropped=frozenset(int(i) for i in doc["dropped"]),
+                inserted=frozenset(int(i) for i in doc["inserted"]),
+                permutation={int(k): int(v) for k, v in doc["permutation"]},
+                trim_head=int(doc["trim_head"]),
+                trim_tail=int(doc["trim_tail"]),
+            )
+        except KeyError as exc:
+            raise ValueError(f"tamper record is missing key {exc.args[0]!r}") from None
 
 
 @dataclass(frozen=True)

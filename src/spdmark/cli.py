@@ -53,6 +53,7 @@ from .objective import (
     write_extractor,
 )
 from .spd_core import (
+    generate_frames,
     generate_video,
     init_dictionary,
     init_toy_decoder,
@@ -292,23 +293,27 @@ def build_corpus(cfg: RunConfig, role: str, count: int, frames_per_video: int,
     The condition vector is shared across the corpus: the displacement a
     mask adds is linear in the hidden state, so a single linear extractor
     has a fixed signal direction to learn only when the condition is fixed.
+    Sharing it also lets the whole corpus be generated in one batch.
     """
     key_cfg = cfg.key_config()
     secret = cfg.secret()
-    videos, schedules = [], []
-    for index in range(count):
-        key = random_key(key_cfg, derive_seed(cfg.seed, role, index, "key"))
-        schedule = derive_frame_messages(secret, key, frames_per_video)
-        frames = generate_video(
-            decoder,
-            dictionary,
-            schedule,
-            latent_seed=derive_seed(cfg.seed, role, index, "latent"),
-            condition=condition,
-            latent_scale=cfg.latent_scale,
+    schedules = [
+        derive_frame_messages(
+            secret, random_key(key_cfg, derive_seed(cfg.seed, role, index, "key")),
+            frames_per_video,
         )
-        videos.append(video_to_array(frames))
-        schedules.append(schedule)
+        for index in range(count)
+    ]
+    latent_seeds = [
+        derive_seed(cfg.seed, role, index, "latent")
+        for index in range(count)
+        for _ in range(frames_per_video)
+    ]
+    pixels = generate_frames(
+        decoder, dictionary, [msg for schedule in schedules for msg in schedule],
+        latent_seeds, condition, cfg.latent_scale,
+    )
+    videos = list(pixels.reshape(count, frames_per_video, *pixels.shape[1:]))
     return videos, schedules
 
 
@@ -387,10 +392,10 @@ def _schedule(cfg: RunConfig, key) -> list:
     return derive_frame_messages(cfg.secret(), key, cfg.num_frames)
 
 
-def _embed(cfg: RunConfig, schedule, with_clean: bool) -> tuple:
+def _embed(cfg: RunConfig, components, schedule, with_clean: bool) -> tuple:
     """The watermarked video and, if asked, the unwatermarked one (alpha 0)
-    from the same latents."""
-    dictionary, decoder, condition = toy_components(cfg)
+    from the same latents; `components` is what toy_components returns."""
+    dictionary, decoder, condition = components
     latent_seed = derive_seed(cfg.seed, "latent")
     marked = generate_video(
         decoder, dictionary, schedule, latent_seed, condition, cfg.latent_scale
@@ -404,12 +409,9 @@ def _embed(cfg: RunConfig, schedule, with_clean: bool) -> tuple:
     return marked, clean
 
 
-def _fit_extractor(cfg: RunConfig) -> tuple:
+def _fit_extractor(cfg: RunConfig, components) -> tuple:
     """The extractor fitted on the training corpus, and that corpus."""
-    dictionary, decoder, condition = toy_components(cfg)
-    train = build_corpus(
-        cfg, "train", cfg.train_videos, cfg.train_frames, dictionary, decoder, condition
-    )
+    train = build_corpus(cfg, "train", cfg.train_videos, cfg.train_frames, *components)
     return fit_extractor(*train, ridge_lambda=cfg.ridge_lambda), train
 
 
@@ -492,7 +494,9 @@ def cmd_embed(cfg: RunConfig, args) -> int:
     if not args.out:
         raise ConfigError("embed writes a binary video and needs --out")
     with _stage("embed"):
-        marked, clean = _embed(cfg, _read_schedule(args.schedule), bool(args.clean_out))
+        marked, clean = _embed(
+            cfg, toy_components(cfg), _read_schedule(args.schedule), bool(args.clean_out)
+        )
         _write_binary(args.out, write_video, read_video, marked)
         if clean is not None:
             _write_binary(args.clean_out, write_video, read_video, clean)
@@ -543,11 +547,12 @@ def cmd_extract(cfg: RunConfig, args) -> int:
 
 def cmd_fit_extractor(cfg: RunConfig, args) -> int:
     with _stage("fit-extractor"):
-        extractor, train = _fit_extractor(cfg)
+        components = toy_components(cfg)
+        extractor, train = _fit_extractor(cfg, components)
         out_path = args.out or str(Path(cfg.out_dir) / "extractor.bin")
         _write_binary(out_path, write_extractor, read_extractor, extractor)
         held = build_corpus(
-            cfg, "holdout", cfg.holdout_videos, cfg.train_frames, *toy_components(cfg)
+            cfg, "holdout", cfg.holdout_videos, cfg.train_frames, *components
         )
         report = {
             "extractor": out_path,
@@ -619,11 +624,12 @@ def _toy_pipeline(cfg: RunConfig, out: Path) -> int:
         schedule = _schedule(cfg, key)
         _emit(schedule_document(cfg.key_config(), key, schedule), str(out / "schedule.json"))
     with _stage("embed", seconds):
-        marked, clean = _embed(cfg, schedule, with_clean=True)
+        components = toy_components(cfg)
+        marked, clean = _embed(cfg, components, schedule, with_clean=True)
         stored_marked = _write_binary(out / "marked.spdf", write_video, read_video, marked)
         _write_binary(out / "clean.spdf", write_video, read_video, clean)
     with _stage("fit-extractor", seconds):
-        extractor, _ = _fit_extractor(cfg)
+        extractor, _ = _fit_extractor(cfg, components)
         stored_extractor = _write_binary(
             out / "extractor.bin", write_extractor, read_extractor, extractor
         )

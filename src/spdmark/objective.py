@@ -25,7 +25,7 @@ import scipy.linalg
 from scipy.special import expit
 
 from .keyspace import FrameMessage
-from .spd_core import ToyFrame
+from .spd_core import ToyFrame, _read_payload
 
 __all__ = [
     "LossWeights",
@@ -49,6 +49,9 @@ __all__ = [
 LUMA_WEIGHTS = (0.299, 0.587, 0.114)
 
 DEFAULT_RIDGE_LAMBDA = 1e-3
+
+# The extractor header is one short JSON line; anything longer is not one.
+_MAX_HEADER_BYTES = 4096
 
 
 @dataclass(frozen=True)
@@ -405,18 +408,28 @@ def read_extractor(stream: BinaryIO) -> LinearExtractor:
             raise ValueError("truncated extractor header")
         if byte == b"\n":
             break
+        if len(header_line) == _MAX_HEADER_BYTES:
+            raise ValueError(f"extractor header exceeds {_MAX_HEADER_BYTES} bytes")
         header_line += byte
     header = json.loads(header_line.decode("ascii"))
-    bits = int(header["message_bits"])
-    features = int(header["features"])
-    weight_bytes = stream.read(4 * bits * features)
-    bias_bytes = stream.read(4 * bits)
-    if len(weight_bytes) != 4 * bits * features or len(bias_bytes) != 4 * bits:
-        raise ValueError("truncated extractor payload")
-    weight = np.frombuffer(weight_bytes, dtype="<f4").reshape(bits, features)
-    bias = np.frombuffer(bias_bytes, dtype="<f4")
+    try:
+        bits = int(header["message_bits"])
+        features = int(header["features"])
+        ridge_lambda = float(header["ridge_lambda"])
+    except KeyError as exc:
+        raise ValueError(f"extractor header is missing key {exc.args[0]!r}") from None
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed extractor header: {exc}") from None
+    if bits < 1 or features < 1:
+        raise ValueError(
+            f"extractor header declares {bits} bits x {features} features; "
+            "both must be positive"
+        )
+    payload = np.frombuffer(
+        _read_payload(stream, 4 * bits * (features + 1), "extractor"), dtype="<f4"
+    )
     return LinearExtractor(
-        weight=weight.astype(np.float64),
-        bias=bias.astype(np.float64),
-        ridge_lambda=float(header["ridge_lambda"]),
+        weight=payload[: bits * features].reshape(bits, features).astype(np.float64),
+        bias=payload[bits * features :].astype(np.float64),
+        ridge_lambda=ridge_lambda,
     )

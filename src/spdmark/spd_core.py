@@ -5,7 +5,9 @@ with A of shape d x r and B of shape r x d.  The realized delta A @ B is
 never formed: the displaced forward pass evaluates A @ (B @ h) as two
 rank-r products.  A selection mask picks one shift per decoder layer, and
 the toy generator runs a latent through L displaced affine layers followed
-by a pixel projection.
+by a pixel projection.  It runs all frames of a call together as a stack of
+column vectors, which numpy multiplies with one matrix-vector product per
+frame, so each frame is byte-identical to generating it alone.
 
 Dictionary and decoder are immutable after construction (their arrays are
 marked read-only), and generation is a pure function of its seeds, so
@@ -14,13 +16,14 @@ concurrent use over disjoint frames matches sequential output exactly.
 
 import contextlib
 import contextvars
+import math
 import struct
 from dataclasses import dataclass
 from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
 
-from .keyspace import FrameMessage, KeyConfig, SelectionMask, WatermarkKey, key_to_mask
+from .keyspace import FrameMessage, KeyConfig, SelectionMask
 
 __all__ = [
     "BasisShift",
@@ -30,6 +33,7 @@ __all__ = [
     "ToyFrame",
     "compose_displacement",
     "displaced_layer_forward",
+    "generate_frames",
     "generate_video",
     "init_dictionary",
     "init_toy_decoder",
@@ -84,9 +88,15 @@ def record_products() -> Iterator[list]:
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, logged when record_products is active.  A right-hand side
+    stacked as column vectors (..., k, 1) runs as one gemv per vector, so it
+    is logged as one (a.shape, (k,)) record per vector."""
     log = _product_log.get()
     if log is not None:
-        log.append((a.shape, b.shape))
+        if b.ndim > 1 and b.shape[-1] == 1:
+            log.extend([(a.shape, b.shape[-2:-1])] * math.prod(b.shape[:-2]))
+        else:
+            log.append((a.shape, b.shape))
     return a @ b
 
 
@@ -243,6 +253,11 @@ class ToyFrame:
         object.__setattr__(self, "pixels", pix)
 
 
+def _check_finite(values: np.ndarray, what: str) -> None:
+    if not np.isfinite(values).all():
+        raise ValueError(f"{what} must be finite")
+
+
 def compose_displacement(
     dictionary: BasisDictionary, mask: "SelectionMask | np.ndarray"
 ) -> list[LayerShift]:
@@ -288,8 +303,7 @@ def displaced_layer_forward(
     h = np.asarray(h, dtype=np.float64)
     if h.ndim != 1 or h.shape[0] != weight.shape[1]:
         raise ValueError("hidden state dimension mismatch")
-    if not np.isfinite(h).all():
-        raise ValueError("hidden state must be finite")
+    _check_finite(h, "hidden state")
     base = _matmul(weight, h) + offset
     if alpha == 0.0 or shift.factor_a.shape[1] == 0:
         return base
@@ -299,6 +313,88 @@ def displaced_layer_forward(
 def _frame_latent(latent_seed: int, frame_index: int, dim: int, scale: float):
     rng = np.random.default_rng([latent_seed, frame_index])
     return rng.normal(0.0, scale, dim)
+
+
+def _basis_indices(messages: Sequence[FrameMessage], cfg: KeyConfig) -> np.ndarray:
+    """The (n, L) basis index each message selects per layer: chunk ell of
+    the bits read MSB first, as key_to_mask reads a key."""
+    for msg in messages:
+        if len(msg.bits) != cfg.message_bits:
+            raise ValueError(
+                f"message has {len(msg.bits)} bits, config expects {cfg.message_bits}"
+            )
+    width = cfg.bits_per_layer
+    bits = np.array([msg.bits for msg in messages], dtype=np.intp)
+    chunks = bits.reshape(len(messages), cfg.num_layers, width)
+    return (chunks << np.arange(width - 1, -1, -1)).sum(axis=2)
+
+
+def _forward(
+    decoder: ToyDecoder,
+    dictionary: BasisDictionary,
+    indices: np.ndarray,
+    latents: np.ndarray,
+) -> np.ndarray:
+    """Pixel rows (n, 3*H*W) for n latents, frame i displaced at layer ell by
+    basis indices[i, ell].
+
+    Hidden states are an (n, d, 1) stack of column vectors, so each product
+    runs as one gemv per frame and every row is bit-identical to the
+    frame-by-frame forward, whatever the other frames in the batch.
+    """
+    h = latents[:, :, None]
+    displaced = dictionary.alpha != 0.0 and dictionary.rank > 0
+    for layer in range(decoder.num_layers):
+        _check_finite(h, "hidden state")
+        out = _matmul(decoder.weights[layer], h) + decoder.offsets[layer][:, None]
+        if displaced:
+            column = indices[:, layer]
+            for basis in np.unique(column):
+                rows = np.flatnonzero(column == basis)
+                shift = dictionary.shifts[layer][basis]
+                out[rows] += dictionary.alpha * _matmul(
+                    shift.factor_a, _matmul(shift.factor_b, h[rows])
+                )
+        h = out
+    _check_finite(h, "hidden state")
+    raster = _matmul(decoder.projection, h)[:, :, 0] + decoder.projection_offset
+    _check_finite(raster, "pixel values")
+    return np.clip(raster, 0.0, 1.0)
+
+
+def generate_frames(
+    decoder: ToyDecoder,
+    dictionary: BasisDictionary,
+    messages: Sequence[FrameMessage],
+    latent_seeds: Sequence[int],
+    condition: np.ndarray,
+    latent_scale: float = DEFAULT_LATENT_SCALE,
+) -> np.ndarray:
+    """Pixels (n, 3, H, W) of n frames generated in one batch; frame i is
+    the frame of messages[i] in the video with seed latent_seeds[i].
+
+    Each frame equals the one generate_video gives for it, byte for byte,
+    so videos that share a condition (a training corpus) can be generated
+    together.
+    """
+    if not messages:
+        raise ValueError("schedule must be non-empty")
+    if len(latent_seeds) != len(messages):
+        raise ValueError("need one latent seed per message")
+    if decoder.num_layers != dictionary.num_layers:
+        raise ValueError("decoder and dictionary disagree on layer count")
+    if decoder.layer_dim != dictionary.layer_dim:
+        raise ValueError("decoder and dictionary disagree on layer dimension")
+    condition = np.asarray(condition, dtype=np.float64)
+    if condition.shape != (decoder.layer_dim,):
+        raise ValueError("condition must be a layer_dim vector")
+    indices = _basis_indices(messages, dictionary.key_config())
+    latents = np.stack([
+        _frame_latent(seed, msg.frame_index, decoder.layer_dim, latent_scale)
+        for msg, seed in zip(messages, latent_seeds)
+    ]) + condition
+    pixels = _forward(decoder, dictionary, indices, latents)
+    return pixels.reshape(len(messages), *decoder.frame_shape)
 
 
 def generate_video(
@@ -315,37 +411,11 @@ def generate_video(
     The per-frame latent depends only on (latent_seed, t), so the output is
     per-frame deterministic and frames may be produced in any order.
     """
-    if not schedule:
-        raise ValueError("schedule must be non-empty")
-    if decoder.num_layers != dictionary.num_layers:
-        raise ValueError("decoder and dictionary disagree on layer count")
-    if decoder.layer_dim != dictionary.layer_dim:
-        raise ValueError("decoder and dictionary disagree on layer dimension")
-    condition = np.asarray(condition, dtype=np.float64)
-    if condition.shape != (decoder.layer_dim,):
-        raise ValueError("condition must be a layer_dim vector")
-    cfg = dictionary.key_config()
-    channels, height, width = decoder.frame_shape
-    frames = []
-    for msg in schedule:
-        mask = key_to_mask(WatermarkKey(msg.bits), cfg)
-        shifts = compose_displacement(dictionary, mask)
-        h = (
-            _frame_latent(latent_seed, msg.frame_index, decoder.layer_dim, latent_scale)
-            + condition
-        )
-        for layer in range(decoder.num_layers):
-            h = displaced_layer_forward(
-                decoder.weights[layer],
-                decoder.offsets[layer],
-                shifts[layer],
-                dictionary.alpha,
-                h,
-            )
-        raster = _matmul(decoder.projection, h) + decoder.projection_offset
-        pixels = np.clip(raster, 0.0, 1.0).reshape(channels, height, width)
-        frames.append(ToyFrame(pixels, msg.frame_index))
-    return frames
+    pixels = generate_frames(
+        decoder, dictionary, schedule, [latent_seed] * len(schedule), condition,
+        latent_scale,
+    )
+    return [ToyFrame(frame, msg.frame_index) for frame, msg in zip(pixels, schedule)]
 
 
 def init_dictionary(
@@ -438,14 +508,14 @@ def write_video(stream: BinaryIO, frames: Sequence[ToyFrame]) -> None:
         stream.write(np.ascontiguousarray(frame.pixels, dtype="<f4").tobytes())
 
 
-def _read_payload(stream: BinaryIO, size: int) -> bytes:
+def _read_payload(stream: BinaryIO, size: int, what: str) -> bytes:
     """Read exactly `size` bytes in bounded chunks, so a header that declares
     more data than the stream holds fails without a huge allocation."""
     chunks = []
     while size > 0:
         chunk = stream.read(min(size, _READ_CHUNK_BYTES))
         if not chunk:
-            raise ValueError("truncated video payload")
+            raise ValueError(f"truncated {what} payload")
         chunks.append(chunk)
         size -= len(chunk)
     return b"".join(chunks)
@@ -462,7 +532,8 @@ def read_video(stream: BinaryIO) -> list[ToyFrame]:
     if min(num_frames, height, width, channels) < 1:
         raise ValueError("video header declares an empty dimension")
     pixels = np.frombuffer(
-        _read_payload(stream, 4 * num_frames * channels * height * width), dtype="<f4"
+        _read_payload(stream, 4 * num_frames * channels * height * width, "video"),
+        dtype="<f4",
     ).astype(np.float64)
     pixels = pixels.reshape(num_frames, channels, height, width)
     return [ToyFrame(pixels[t], t + 1) for t in range(num_frames)]

@@ -157,32 +157,35 @@ class Verdict:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "Verdict":
-        frames = tuple(
-            FrameEntry(
-                int(f["pi"]), int(f["rho"]), int(f["matched_bits"]), bool(f["valid"])
+        try:
+            frames = tuple(
+                FrameEntry(
+                    int(f["pi"]), int(f["rho"]), int(f["matched_bits"]), bool(f["valid"])
+                )
+                for f in doc["frames"]
             )
-            for f in doc["frames"]
-        )
-        return cls(
-            valid=bool(doc["valid"]),
-            valid_set=tuple(
-                (f.pi, f.rho, f.matched_bits) for f in frames if f.valid
-            ),
-            thresholds=Thresholds(
-                tau_f=int(doc["tau_f"]),
-                p_f=float(doc["p_f"]),
-                tau_v=int(doc["tau_v"]),
-                gamma_f=float(doc["gamma_f"]),
-                gamma_v=float(doc["gamma_v"]),
-            ),
-            frames=frames,
-            bit_acc=float(doc["bit_acc"]),
-            order_acc=float(doc["order_acc"]),
-            video_p_value=float(doc["video_p_value"]),
-            num_expected=int(doc["num_expected"]),
-            num_extracted=int(doc["num_extracted"]),
-            message_bits=int(doc["message_bits"]),
-        )
+            return cls(
+                valid=bool(doc["valid"]),
+                valid_set=tuple(
+                    (f.pi, f.rho, f.matched_bits) for f in frames if f.valid
+                ),
+                thresholds=Thresholds(
+                    tau_f=int(doc["tau_f"]),
+                    p_f=float(doc["p_f"]),
+                    tau_v=int(doc["tau_v"]),
+                    gamma_f=float(doc["gamma_f"]),
+                    gamma_v=float(doc["gamma_v"]),
+                ),
+                frames=frames,
+                bit_acc=float(doc["bit_acc"]),
+                order_acc=float(doc["order_acc"]),
+                video_p_value=float(doc["video_p_value"]),
+                num_expected=int(doc["num_expected"]),
+                num_extracted=int(doc["num_extracted"]),
+                message_bits=int(doc["message_bits"]),
+            )
+        except KeyError as exc:
+            raise ValueError(f"verdict document is missing key {exc.args[0]!r}") from None
 
 
 @dataclass(frozen=True)

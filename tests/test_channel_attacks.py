@@ -324,6 +324,14 @@ class TestRecordReconciliation:
         _, record = attack_insert(seq, 0.3, "duplicate", seed=9)
         assert TamperRecord.from_doc(record.to_doc()) == record
 
+    def test_record_document_missing_key_rejected(self):
+        with pytest.raises(ValueError, match="'source_length'"):
+            TamperRecord.from_doc({})
+        doc = TamperRecord.identity(4).to_doc()
+        del doc["permutation"]
+        with pytest.raises(ValueError, match="'permutation'"):
+            TamperRecord.from_doc(doc)
+
     def test_inconsistent_record_rejected(self):
         with pytest.raises(ValueError):
             TamperRecord(source_length=5, output_length=5, dropped=frozenset({1}))

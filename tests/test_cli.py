@@ -9,15 +9,19 @@ from pathlib import Path
 
 import pytest
 
+import spdmark.cli
+from reference_generate import generate_video as reference_generate
 from spdmark.cli import (
     DEFAULT_ATTACK_SUITE,
     ConfigError,
     RunConfig,
+    build_corpus,
     config_hash,
     derive_seed,
     forensics_table,
     load_config,
     main,
+    toy_components,
 )
 from spdmark.keyspace import KeyConfig, bits_to_hex, random_key
 
@@ -234,6 +238,29 @@ class TestAttackDiagnoseFlow:
         assert run("attack", "--schedule", str(schedule), "--attack", "{oops") == 2
         capsys.readouterr()
 
+    def test_empty_verdict_names_the_missing_key(self, tmp_path, capsys):
+        empty = tmp_path / "x.json"
+        write_json(empty, {})
+        assert run("diagnose", "--verdict", str(empty)) == 4
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["stage"] == "diagnose"
+        assert "missing key 'frames'" in err["message"]
+
+    def test_empty_tamper_record_names_the_missing_key(self, schedule_files, capsys):
+        tmp_path, _, schedule = schedule_files
+        extraction = tmp_path / "extraction.json"
+        verdict = tmp_path / "verdict.json"
+        empty = tmp_path / "x.json"
+        write_json(empty, {})
+        assert run("extract", "--schedule", str(schedule), "--seed", "11",
+                   "--out", str(extraction)) == 0
+        assert run("verify", "--schedule", str(schedule), "--extraction", str(extraction),
+                   "--out", str(verdict)) == 0
+        assert run("diagnose", "--verdict", str(verdict), "--tamper", str(empty)) == 4
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["stage"] == "diagnose"
+        assert "missing key 'source_length'" in err["message"]
+
 
 def fast_toy_config(tmp_path, **extra) -> Path:
     doc = {
@@ -341,6 +368,36 @@ class TestToyVideoFlow:
         assert len(shared) == 10
         for name in shared:
             assert (chain / name).read_bytes() == (pipeline / name).read_bytes(), name
+
+
+class TestCorpus:
+    def test_one_batch_equals_per_video_generation(self):
+        cfg = RunConfig(seed=3, train_videos=12, train_frames=5)
+        dictionary, decoder, condition = toy_components(cfg)
+        videos, schedules = build_corpus(
+            cfg, "train", cfg.train_videos, cfg.train_frames, dictionary, decoder, condition
+        )
+        assert len(videos) == len(schedules) == 12
+        for index, (video, schedule) in enumerate(zip(videos, schedules)):
+            want = reference_generate(
+                decoder, dictionary, schedule, derive_seed(cfg.seed, "train", index, "latent"),
+                condition, cfg.latent_scale,
+            )
+            assert video.shape == (5, 3, 8, 8)
+            assert [frame.tobytes() for frame in video] == [f.pixels.tobytes() for f in want]
+
+    def test_pipeline_builds_components_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return toy_components(*args, **kwargs)
+
+        monkeypatch.setattr(spdmark.cli, "toy_components", counted)
+        cfg = fast_toy_config(tmp_path)
+        assert run("run-pipeline", "--config", str(cfg), "--out", str(tmp_path / "run")) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
 
 
 class TestChannelPipeline:

@@ -8,6 +8,7 @@ equations; and direct double-loop evaluations of the loss reductions.
 """
 
 import io
+import json
 import math
 
 import mpmath
@@ -479,6 +480,31 @@ class TestSerialization:
             read_extractor(io.BytesIO(payload[:-4]))
         with pytest.raises(ValueError):
             read_extractor(io.BytesIO(payload.split(b"\n")[0]))
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ({"message_bits": 99999, "features": 99999999}, "truncated extractor payload"),
+            ({"message_bits": -1, "features": 12}, "must be positive"),
+            ({"message_bits": 2, "features": 0}, "must be positive"),
+            ({"message_bits": 2}, "missing key 'features'"),
+            ({"message_bits": [2], "features": 12}, "malformed"),
+        ],
+    )
+    def test_malformed_header_rejected(self, header, message, tmp_path):
+        raw = json.dumps({"ridge_lambda": 0.001, **header}).encode() + b"\n" + b"\0" * 64
+        with pytest.raises(ValueError, match=message):
+            read_extractor(io.BytesIO(raw))
+        path = tmp_path / "extractor.bin"
+        path.write_bytes(raw)
+        with open(path, "rb") as stream, pytest.raises(ValueError, match=message):
+            read_extractor(stream)
+
+    def test_unterminated_long_header_rejected(self, tmp_path):
+        path = tmp_path / "extractor.bin"
+        path.write_bytes(b"{" + b" " * 100_000)
+        with open(path, "rb") as stream, pytest.raises(ValueError, match="header exceeds"):
+            read_extractor(stream)
 
 
 class TestLossReport:

@@ -1,7 +1,12 @@
+import dataclasses
 import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from reference_generate import generate_video as reference_generate
 
 from spdmark.keyspace import (
     BaseSecret,
@@ -14,8 +19,11 @@ from spdmark.spd_core import (
     DEFAULT_LAYER_DIM,
     DEFAULT_RANK,
     BasisShift,
+    ToyDecoder,
+    _matmul,
     compose_displacement,
     displaced_layer_forward,
+    generate_frames,
     generate_video,
     init_dictionary,
     init_toy_decoder,
@@ -270,6 +278,134 @@ class TestGenerateVideo:
         schedule = derive_frame_messages(SECRET, key, 1)
         with pytest.raises(ValueError):
             generate_video(decoder, other, schedule, 0, random_condition(32, 0))
+
+
+def frame_bytes(frames) -> list:
+    return [frame.pixels.tobytes() for frame in frames]
+
+
+class TestBatchedGeneration:
+    """The batched generator against the frame-by-frame oracle in
+    tests/reference_generate.py: equal bytes, whatever the batch."""
+
+    @given(
+        num_layers=st.integers(1, 4),
+        bases=st.sampled_from([2, 4, 8]),
+        layer_dim=st.integers(1, 12),
+        rank_share=st.floats(0.0, 1.0),
+        alpha=st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
+        num_frames=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_frame_by_frame_oracle(
+        self, num_layers, bases, layer_dim, rank_share, alpha, num_frames, seed
+    ):
+        cfg = KeyConfig.from_layout(num_layers, bases)
+        rank = round(rank_share * layer_dim)
+        dictionary = init_dictionary(
+            cfg, layer_dim=layer_dim, rank=rank, alpha=alpha, init_seed=seed
+        )
+        decoder = init_toy_decoder(
+            layer_dim=layer_dim, height=2, width=3, num_layers=num_layers, seed=seed
+        )
+        schedule = derive_frame_messages(SECRET, random_key(cfg, seed), num_frames)
+        condition = random_condition(layer_dim, seed + 1)
+        got = generate_video(decoder, dictionary, schedule, seed, condition)
+        want = reference_generate(decoder, dictionary, schedule, seed, condition)
+        assert [f.frame_index for f in got] == [f.frame_index for f in want]
+        assert frame_bytes(got) == frame_bytes(want)
+
+    def test_batch_equals_per_video_and_single_frame_calls(self):
+        decoder, dictionary = small_setup()
+        condition = random_condition(16, 4)
+        schedules = [
+            derive_frame_messages(SECRET, random_key(CFG, 30 + v), 7) for v in range(5)
+        ]
+        seeds = [100 + v for v in range(5)]
+        batch = generate_frames(
+            decoder, dictionary, [m for s in schedules for m in s],
+            [seed for seed in seeds for _ in range(7)], condition,
+        )
+        assert batch.shape == (35, 3, 4, 4)
+        rows = iter(batch)
+        for schedule, seed in zip(schedules, seeds):
+            video = generate_video(decoder, dictionary, schedule, seed, condition)
+            for message, frame in zip(schedule, video):
+                single = generate_video(decoder, dictionary, [message], seed, condition)
+                assert next(rows).tobytes() == frame.pixels.tobytes()
+                assert single[0].pixels.tobytes() == frame.pixels.tobytes()
+
+    @pytest.mark.parametrize("alpha, per_frame", [(1.0, 43), (0.0, 15)])
+    def test_products_per_frame_at_default_size(self, alpha, per_frame):
+        cfg = KeyConfig.from_layout(14, 4)
+        dictionary = init_dictionary(cfg, alpha=alpha)
+        decoder = init_toy_decoder()
+        schedule = derive_frame_messages(SECRET, random_key(cfg, 2), 9)
+        with record_products() as products:
+            generate_video(decoder, dictionary, schedule, 0, random_condition(64, 0))
+        assert len(products) == per_frame * 9
+        assert all(len(rhs) == 1 and len(lhs) == 2 for lhs, rhs in products)
+
+    def test_stacked_product_logged_once_per_vector(self):
+        a = np.ones((4, 3))
+        with record_products() as products:
+            _matmul(a, np.ones((5, 3, 1)))
+            _matmul(a, np.ones((2, 2, 3, 1)))
+            _matmul(a, np.ones(3))
+            _matmul(a, np.ones((3, 2)))
+        assert products == (
+            [((4, 3), (3,))] * 9 + [((4, 3), (3,)), ((4, 3), (3, 2))]
+        )
+
+    def test_mismatched_inputs_rejected(self):
+        decoder, dictionary = small_setup()
+        schedule = derive_frame_messages(SECRET, random_key(CFG, 1), 3)
+        condition = random_condition(16, 1)
+        with pytest.raises(ValueError, match="latent seed"):
+            generate_frames(decoder, dictionary, schedule, [0, 1], condition)
+        short = [dataclasses.replace(schedule[0], bits=schedule[0].bits[:-1])]
+        with pytest.raises(ValueError, match="bits"):
+            generate_frames(decoder, dictionary, short, [0], condition)
+
+    def test_nan_condition_rejected(self):
+        decoder, dictionary = small_setup()
+        schedule = derive_frame_messages(SECRET, random_key(CFG, 1), 3)
+        condition = random_condition(16, 1)
+        condition[5] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            generate_video(decoder, dictionary, schedule, 0, condition)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("num_layers", [2, 4])
+    def test_overflowing_hidden_state_rejected(self, num_layers):
+        cfg = KeyConfig.from_layout(num_layers, 4)
+        dictionary = init_dictionary(cfg, layer_dim=16, rank=8)
+        decoder = init_toy_decoder(layer_dim=16, height=4, width=4, num_layers=num_layers)
+        # Orthogonal weights times 1e200 reach inf at the second layer.
+        loud = dataclasses.replace(decoder, weights=decoder.weights * 1e200)
+        schedule = derive_frame_messages(SECRET, random_key(cfg, 1), 3)
+        with pytest.raises(ValueError, match="finite"):
+            generate_video(loud, dictionary, schedule, 0, random_condition(16, 1))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_overflowing_raster_is_not_clipped_to_a_pixel(self):
+        layers, dim = 2, 4
+        decoder = ToyDecoder(
+            weights=np.zeros((layers, dim, dim)),
+            offsets=np.ones((layers, dim)),
+            projection=np.full((3 * 2 * 2, dim), 1e308),
+            projection_offset=np.zeros(3 * 2 * 2),
+            frame_shape=(3, 2, 2),
+            seed=0,
+        )
+        cfg = KeyConfig.from_layout(layers, 2)
+        dictionary = init_dictionary(cfg, layer_dim=dim, rank=2, alpha=0.0)
+        schedule = derive_frame_messages(SECRET, random_key(cfg, 0), 1)
+        with pytest.raises(ValueError, match="finite"):
+            generate_video(decoder, dictionary, schedule, 0, np.zeros(dim))
 
 
 class TestInitDictionary:

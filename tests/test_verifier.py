@@ -410,6 +410,16 @@ class TestVerify:
 
         assert Verdict.from_doc(verdict.to_doc()) == verdict
 
+    def test_verdict_document_missing_key_rejected(self):
+        from spdmark.verifier import Verdict
+
+        with pytest.raises(ValueError, match="'frames'"):
+            Verdict.from_doc({})
+        doc = verify(make_schedule(4), ideal(make_schedule(4))).to_doc()
+        del doc["tau_v"]
+        with pytest.raises(ValueError, match="'tau_v'"):
+            Verdict.from_doc(doc)
+
     def test_video_p_value_extremes(self):
         schedule = make_schedule(10)
         verdict = verify(schedule, ideal(schedule))
