@@ -1,7 +1,7 @@
 """Extraction channels and the attack suite, with ground-truth tamper records.
 
-Attacks operate on either a toy video (a list of frames) or an extracted
-message sequence; the structural edit depends only on (length, parameters,
+Attacks operate on either a toy video (a list of frames) or a message
+sequence; the structural edit depends only on (length, parameters,
 seed), so for the ideal channel every temporal attack commutes with
 extraction.  Each temporal attack returns the attacked object plus a
 TamperRecord that reconciles the original and attacked lengths exactly and
@@ -20,11 +20,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .keyspace import FrameMessage
+from .keyspace import MessageSequence
 from .spd_core import ToyFrame
 
 __all__ = [
-    "ExtractedSequence",
     "TamperRecord",
     "ChannelSpec",
     "channel_extract",
@@ -46,32 +45,6 @@ DEFAULT_PAIR_FRACTION = 0.3
 # Distribution of noise-mode inserted frames (clamped to [0, 1]).
 _NOISE_FRAME_MEAN = 0.5
 _NOISE_FRAME_STD = 0.25
-
-
-@dataclass(frozen=True)
-class ExtractedSequence:
-    """Ordered M-bit messages recovered from a (possibly attacked) video."""
-
-    messages: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        msgs = tuple(tuple(int(b) for b in m) for m in self.messages)
-        if not msgs:
-            raise ValueError("extracted sequence must be non-empty")
-        length = len(msgs[0])
-        if length == 0 or any(len(m) != length for m in msgs):
-            raise ValueError("all messages must share one nonzero length")
-        if any(b not in (0, 1) for m in msgs for b in m):
-            raise ValueError("messages must contain only 0/1 values")
-        object.__setattr__(self, "messages", msgs)
-
-    @property
-    def source_length(self) -> int:
-        return len(self.messages)
-
-    @property
-    def message_bits(self) -> int:
-        return len(self.messages[0])
 
 
 @dataclass(frozen=True)
@@ -98,19 +71,23 @@ class TamperRecord:
             raise ValueError("lengths must be >= 1")
         if self.trim_head < 0 or self.trim_tail < 0 or self.trim_head + self.trim_tail >= t:
             raise ValueError("trim bounds must leave at least one frame")
-        trimmed = self.trimmed
-        if not self.dropped <= set(range(1, t + 1)) - trimmed:
+        # Range arithmetic, not sets of indices, so that a document claiming
+        # huge lengths is rejected without building them.
+        first, last = self.trim_head + 1, t - self.trim_tail
+        if not all(first <= i <= last for i in self.dropped):
             raise ValueError("dropped indices must be untrimmed originals")
-        if not self.inserted <= set(range(1, t_r + 1)):
+        if not all(1 <= p <= t_r for p in self.inserted):
             raise ValueError("inserted positions must lie in the output range")
-        survivors = set(range(1, t + 1)) - trimmed - self.dropped
-        if t_r != len(survivors) + len(self.inserted):
+        survivors = last - first + 1 - len(self.dropped)
+        if t_r != survivors + len(self.inserted):
             raise ValueError("record does not reconcile lengths")
-        if set(self.permutation) != survivors:
+        if len(self.permutation) != survivors or not all(
+            first <= k <= last and k not in self.dropped for k in self.permutation
+        ):
             raise ValueError("permutation keys must be exactly the survivors")
         targets = set(self.permutation.values())
-        if len(targets) != len(survivors) or targets != (
-            set(range(1, t_r + 1)) - self.inserted
+        if len(targets) != survivors or not all(
+            1 <= p <= t_r and p not in self.inserted for p in targets
         ):
             raise ValueError("permutation values must fill the non-inserted slots")
 
@@ -166,6 +143,8 @@ class TamperRecord:
             )
         except KeyError as exc:
             raise ValueError(f"tamper record is missing key {exc.args[0]!r}") from None
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(f"malformed tamper record: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -183,28 +162,14 @@ class ChannelSpec:
             raise ValueError("flip_probability must lie in [0, 1]")
 
 
-def _message_matrix(
-    messages: "Sequence[FrameMessage] | ExtractedSequence",
-) -> np.ndarray:
-    if isinstance(messages, ExtractedSequence):
-        rows = messages.messages
-    else:
-        rows = tuple(m.bits for m in messages)
-    if not rows:
-        raise ValueError("message sequence must be non-empty")
-    return np.array(rows, dtype=np.uint8)
-
-
-def channel_extract(
-    messages: "Sequence[FrameMessage] | ExtractedSequence", spec: ChannelSpec
-) -> ExtractedSequence:
+def channel_extract(messages: MessageSequence, spec: ChannelSpec) -> MessageSequence:
     """Pass messages through the channel; bitflip flips each bit i.i.d."""
-    bits = _message_matrix(messages)
+    bits = messages.messages
     if spec.kind == "bitflip" and spec.flip_probability > 0.0:
         rng = np.random.default_rng(spec.seed)
         flips = rng.random(bits.shape) < spec.flip_probability
         bits = bits ^ flips
-    return ExtractedSequence(tuple(tuple(int(b) for b in row) for row in bits))
+    return MessageSequence(bits)
 
 
 def rounded_count(total: int, fraction) -> int:
@@ -217,7 +182,7 @@ def floor_count(total: int, fraction) -> int:
 
 
 def _as_items(target) -> list:
-    if isinstance(target, ExtractedSequence):
+    if isinstance(target, MessageSequence):
         return list(target.messages)
     items = list(target)
     if not items:
@@ -226,14 +191,14 @@ def _as_items(target) -> list:
 
 
 def _rewrap(target, items: list):
-    if isinstance(target, ExtractedSequence):
-        return ExtractedSequence(tuple(items))
+    if isinstance(target, MessageSequence):
+        return MessageSequence(np.stack(items))
     return [ToyFrame(frame.pixels, position + 1) for position, frame in enumerate(items)]
 
 
 def _noise_item(target, rng: np.random.Generator):
-    if isinstance(target, ExtractedSequence):
-        return tuple(int(b) for b in rng.integers(0, 2, len(target.messages[0])))
+    if isinstance(target, MessageSequence):
+        return rng.integers(0, 2, target.message_bits)
     shape = target[0].pixels.shape
     pixels = np.clip(
         rng.normal(_NOISE_FRAME_MEAN, _NOISE_FRAME_STD, shape), 0.0, 1.0

@@ -25,9 +25,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from .channel_attacks import (
     ChannelSpec,
-    ExtractedSequence,
     TamperRecord,
     apply_attack,
     channel_extract,
@@ -35,10 +36,11 @@ from .channel_attacks import (
 from .keyspace import (
     BaseSecret,
     KeyConfig,
-    bits_to_hex,
+    MessageSequence,
     derive_frame_messages,
-    hex_to_bits,
+    extraction_document,
     key_document,
+    parse_extraction_document,
     parse_key_document,
     parse_schedule_document,
     random_key,
@@ -237,28 +239,6 @@ def _emit(doc: dict, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def extraction_document(sequence: ExtractedSequence) -> dict:
-    return {
-        "message_bits": sequence.message_bits,
-        "frames": [
-            {"t": position + 1, "bits_hex": bits_to_hex(message)}
-            for position, message in enumerate(sequence.messages)
-        ],
-    }
-
-
-def parse_extraction_document(doc: dict) -> ExtractedSequence:
-    bits = int(doc["message_bits"])
-    entries = sorted(doc["frames"], key=lambda entry: int(entry["t"]))
-    return ExtractedSequence(
-        tuple(hex_to_bits(entry["bits_hex"], bits) for entry in entries)
-    )
-
-
-def _schedule_sequence(schedule) -> ExtractedSequence:
-    return ExtractedSequence(tuple(message.bits for message in schedule))
-
-
 def _channel(cfg: RunConfig, seed: int) -> ChannelSpec:
     kind = "bitflip" if cfg.flip_probability > 0 else "ideal"
     return ChannelSpec(kind, cfg.flip_probability, seed)
@@ -304,14 +284,14 @@ def build_corpus(cfg: RunConfig, role: str, count: int, frames_per_video: int,
         )
         for index in range(count)
     ]
-    latent_seeds = [
-        derive_seed(cfg.seed, role, index, "latent")
+    frame_seeds = [
+        (derive_seed(cfg.seed, role, index, "latent"), t)
         for index in range(count)
-        for _ in range(frames_per_video)
+        for t in range(1, frames_per_video + 1)
     ]
     pixels = generate_frames(
-        decoder, dictionary, [msg for schedule in schedules for msg in schedule],
-        latent_seeds, condition, cfg.latent_scale,
+        decoder, dictionary, np.concatenate(schedules),
+        frame_seeds, condition, cfg.latent_scale,
     )
     videos = list(pixels.reshape(count, frames_per_video, *pixels.shape[1:]))
     return videos, schedules
@@ -340,7 +320,7 @@ def forensics_table(cfg: RunConfig) -> list:
             key = random_key(key_cfg, derive_seed(row_seed, trial, "key"))
             schedule = derive_frame_messages(secret, key, cfg.num_frames)
             attacked, record = apply_attack(
-                _schedule_sequence(schedule),
+                schedule,
                 {**spec, "seed": derive_seed(row_seed, trial, "attack")},
             )
             if record is None:
@@ -353,7 +333,7 @@ def forensics_table(cfg: RunConfig) -> list:
             )
             verdict = verify(schedule, received, cfg.gamma_f, cfg.gamma_v)
             diagnosis = diagnose_tampering(
-                verdict, cfg.num_frames, received.source_length, record
+                verdict, cfg.num_frames, len(received), record
             )
             sums["bit_acc"] += verdict.bit_acc
             sums["order_acc"] += verdict.order_acc
@@ -388,7 +368,7 @@ def _keygen(cfg: RunConfig):
     return random_key(cfg.key_config(), cfg.seed)
 
 
-def _schedule(cfg: RunConfig, key) -> list:
+def _schedule(cfg: RunConfig, key) -> MessageSequence:
     return derive_frame_messages(cfg.secret(), key, cfg.num_frames)
 
 
@@ -421,11 +401,11 @@ def _attack(cfg: RunConfig, target) -> tuple:
     return apply_attack(target, spec)
 
 
-def _extract(extractor, frames) -> ExtractedSequence:
-    return ExtractedSequence(tuple(extractor.decode(frame.pixels) for frame in frames))
+def _extract(extractor, frames) -> MessageSequence:
+    return MessageSequence([extractor.decode(frame.pixels) for frame in frames])
 
 
-def _verify(cfg: RunConfig, schedule, extracted: ExtractedSequence) -> Verdict:
+def _verify(cfg: RunConfig, schedule, extracted: MessageSequence) -> Verdict:
     return verify(schedule, extracted, cfg.gamma_f, cfg.gamma_v)
 
 
@@ -436,7 +416,7 @@ def _diagnose(verdict: Verdict, record: Optional[TamperRecord]):
     )
 
 
-def _read_schedule(path: str) -> list:
+def _read_schedule(path: str) -> MessageSequence:
     return parse_schedule_document(_read_json(path))[2]
 
 
@@ -510,11 +490,11 @@ def cmd_attack(cfg: RunConfig, args) -> int:
         elif args.extraction:
             target = parse_extraction_document(_read_json(args.extraction))
         elif args.schedule:
-            target = _schedule_sequence(_read_schedule(args.schedule))
+            target = _read_schedule(args.schedule)
         else:
             raise ConfigError("attack needs --video, --extraction, or --schedule")
         attacked, record = _attack(cfg, target)
-        if isinstance(attacked, ExtractedSequence):
+        if isinstance(attacked, MessageSequence):
             _emit(extraction_document(attacked), args.out)
         else:
             if not args.out:

@@ -9,14 +9,17 @@ the rest of the pipeline:
 * a frame-message schedule, the deterministic sequence of per-frame M-bit
   messages derived from a base secret and the key via HMAC-SHA256.
 
+Frame messages, scheduled or extracted, are one MessageSequence: a
+read-only (T, M) uint8 bit matrix, checked once when it is built.
+
 Everything here is pure and deterministic, so concurrent use needs no
 coordination.
 """
 
-import hashlib
+import contextlib
 import hmac
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -24,20 +27,21 @@ __all__ = [
     "KeyConfig",
     "WatermarkKey",
     "FrameMessage",
+    "MessageSequence",
     "SelectionMask",
     "BaseSecret",
     "key_to_mask",
     "mask_to_key",
     "derive_frame_messages",
     "random_key",
-    "pack_bits",
-    "unpack_bits",
     "bits_to_hex",
     "hex_to_bits",
     "key_document",
     "parse_key_document",
     "schedule_document",
     "parse_schedule_document",
+    "extraction_document",
+    "parse_extraction_document",
 ]
 
 MIN_SECRET_BYTES = 16
@@ -99,19 +103,51 @@ class WatermarkKey:
             raise ValueError("key must contain at least one bit")
 
 
-@dataclass(frozen=True)
-class FrameMessage:
-    """The M-bit message assigned to one frame; frame indices are 1-based."""
+class FrameMessage(NamedTuple):
+    """One row of a MessageSequence: frame t (1-based) and its read-only bits."""
 
     frame_index: int
-    bits: tuple[int, ...]
+    bits: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class MessageSequence:
+    """T frame messages of M bits as a read-only (T, M) uint8 matrix; row
+    t - 1 is the message of frame t.  T >= 1, M >= 1, entries 0 or 1."""
+
+    messages: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.frame_index < 1:
-            raise ValueError("frame_index is 1-based and must be >= 1")
-        object.__setattr__(self, "bits", _validate_bits(self.bits, "message bits"))
-        if not self.bits:
-            raise ValueError("message must contain at least one bit")
+        bits = np.asarray(self.messages)
+        if bits.ndim != 2 or 0 in bits.shape:
+            raise ValueError("messages must be a non-empty (T, M) bit matrix")
+        if not np.all((bits == 0) | (bits == 1)):
+            raise ValueError("message bits must be 0 or 1")
+        bits = np.array(bits, dtype=np.uint8, order="C")
+        bits.setflags(write=False)
+        object.__setattr__(self, "messages", bits)
+
+    @property
+    def message_bits(self) -> int:
+        return self.messages.shape[1]
+
+    def __len__(self) -> int:
+        return self.messages.shape[0]
+
+    def __iter__(self) -> Iterator[FrameMessage]:
+        return (FrameMessage(t, row) for t, row in enumerate(self.messages, 1))
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if dtype is None and not copy:
+            return self.messages
+        return np.array(self.messages, dtype=dtype)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MessageSequence):
+            return NotImplemented
+        return np.array_equal(self.messages, other.messages)
+
+    __hash__ = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,33 +223,31 @@ def mask_to_key(mask: SelectionMask, cfg: KeyConfig) -> WatermarkKey:
     return WatermarkKey(tuple(bits))
 
 
-def pack_bits(bits: Sequence[int]) -> bytes:
-    """Pack bits MSB-first into bytes, zero-padding the low bits of the last."""
-    data = bytearray((len(bits) + 7) // 8)
-    for i, bit in enumerate(bits):
-        if bit:
-            data[i >> 3] |= 0x80 >> (i & 7)
-    return bytes(data)
-
-
-def unpack_bits(data: bytes, num_bits: int) -> tuple[int, ...]:
-    """Read num_bits MSB-first from a byte string."""
-    if num_bits > 8 * len(data):
-        raise ValueError("not enough bytes for the requested bit count")
-    return tuple((data[i >> 3] >> (7 - (i & 7))) & 1 for i in range(num_bits))
+def _pack(bits: Sequence[int]) -> bytes:
+    return np.packbits(np.asarray(bits, dtype=np.uint8)).tobytes()
 
 
 def bits_to_hex(bits: Sequence[int]) -> str:
-    return pack_bits(tuple(int(b) for b in bits)).hex()
+    """Bits packed MSB first, the last byte zero-padded, as hex."""
+    return _pack(bits).hex()
 
 
-def hex_to_bits(text: str, num_bits: int) -> tuple[int, ...]:
-    return unpack_bits(bytes.fromhex(text), num_bits)
+def hex_to_bits(text: str, num_bits: int) -> np.ndarray:
+    """Inverse of bits_to_hex: exactly ceil(num_bits / 8) bytes whose
+    padding bits are zero."""
+    data = np.frombuffer(bytes.fromhex(text), dtype=np.uint8)
+    size = (num_bits + 7) // 8
+    if data.size != size:
+        raise ValueError(f"{num_bits} bits take {size} bytes, not {data.size}")
+    bits = np.unpackbits(data)
+    if bits[num_bits:].any():
+        raise ValueError(f"nonzero padding bits after bit {num_bits}")
+    return bits[:num_bits]
 
 
 def derive_frame_messages(
     secret: BaseSecret, key: WatermarkKey, num_frames: int
-) -> list[FrameMessage]:
+) -> MessageSequence:
     """Derive the deterministic per-frame message schedule.
 
     Message t is the first M bits of HMAC-SHA256(secret, msg_t) with
@@ -223,16 +257,17 @@ def derive_frame_messages(
     if num_frames < 1:
         raise ValueError("num_frames must be >= 1")
     m = len(key.bits)
-    prefix = pack_bits(key.bits) + _HASH_SEPARATOR
-    schedule = []
-    for t in range(1, num_frames + 1):
-        digest = hmac.new(
-            secret.key_bytes,
-            prefix + t.to_bytes(_FRAME_INDEX_BYTES, "big"),
-            hashlib.sha256,
-        ).digest()
-        schedule.append(FrameMessage(t, unpack_bits(digest, m)))
-    return schedule
+    if m > 256:
+        raise ValueError("a message is cut from one 256-bit HMAC-SHA256 digest")
+    prefix = _pack(key.bits) + _HASH_SEPARATOR
+    digests = b"".join(
+        hmac.digest(secret.key_bytes, prefix + t.to_bytes(_FRAME_INDEX_BYTES, "big"),
+                    "sha256")
+        for t in range(1, num_frames + 1)
+    )
+    bits = np.unpackbits(np.frombuffer(digests, dtype=np.uint8).reshape(num_frames, -1),
+                         axis=1)
+    return MessageSequence(bits[:, :m])
 
 
 def random_key(cfg: KeyConfig, seed: int) -> WatermarkKey:
@@ -253,35 +288,69 @@ def key_document(cfg: KeyConfig, key: WatermarkKey) -> dict:
     }
 
 
+@contextlib.contextmanager
+def _document(what: str):
+    """Report a missing key or a value of the wrong type in a JSON document
+    as ValueError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{what} is missing key {exc.args[0]!r}") from None
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed {what}: {exc}") from None
+
+
 def parse_key_document(doc: dict) -> tuple[KeyConfig, WatermarkKey]:
-    cfg = KeyConfig(
-        num_layers=int(doc["config"]["L"]),
-        bases_per_layer=int(doc["config"]["P"]),
-        message_bits=int(doc["config"]["M"]),
+    with _document("key document"):
+        cfg = KeyConfig(
+            num_layers=int(doc["config"]["L"]),
+            bases_per_layer=int(doc["config"]["P"]),
+            message_bits=int(doc["config"]["M"]),
+        )
+        return cfg, WatermarkKey(hex_to_bits(doc["key_hex"], cfg.message_bits))
+
+
+def _frames_document(messages: MessageSequence) -> list:
+    return [
+        {"t": t, "bits_hex": bits_to_hex(row)}
+        for t, row in enumerate(messages.messages, 1)
+    ]
+
+
+def _parse_frames(frames: list, num_bits: int) -> MessageSequence:
+    # Entries may come in any order, but their indices t must be 1..T.
+    entries = sorted(
+        ((int(entry["t"]), entry["bits_hex"]) for entry in frames),
+        key=lambda entry: entry[0],
     )
-    return cfg, WatermarkKey(hex_to_bits(doc["key_hex"], cfg.message_bits))
+    if [t for t, _ in entries] != list(range(1, len(entries) + 1)):
+        raise ValueError("frame indices t must be exactly 1..T")
+    return MessageSequence([hex_to_bits(text, num_bits) for _, text in entries])
 
 
 def schedule_document(
-    cfg: KeyConfig, key: WatermarkKey, frames: Sequence[FrameMessage]
+    cfg: KeyConfig, key: WatermarkKey, frames: MessageSequence
 ) -> dict:
     """The key document plus the frame messages; bit fields are hex in
     packed form."""
-    return {
-        **key_document(cfg, key),
-        "frames": [
-            {"t": msg.frame_index, "bits_hex": bits_to_hex(msg.bits)}
-            for msg in frames
-        ],
-    }
+    return {**key_document(cfg, key), "frames": _frames_document(frames)}
 
 
 def parse_schedule_document(
     doc: dict,
-) -> tuple[KeyConfig, WatermarkKey, list[FrameMessage]]:
+) -> tuple[KeyConfig, WatermarkKey, MessageSequence]:
     cfg, key = parse_key_document(doc)
-    frames = [
-        FrameMessage(int(entry["t"]), hex_to_bits(entry["bits_hex"], cfg.message_bits))
-        for entry in doc["frames"]
-    ]
-    return cfg, key, frames
+    with _document("schedule document"):
+        return cfg, key, _parse_frames(doc["frames"], cfg.message_bits)
+
+
+def extraction_document(sequence: MessageSequence) -> dict:
+    return {
+        "message_bits": sequence.message_bits,
+        "frames": _frames_document(sequence),
+    }
+
+
+def parse_extraction_document(doc: dict) -> MessageSequence:
+    with _document("extraction document"):
+        return _parse_frames(doc["frames"], int(doc["message_bits"]))

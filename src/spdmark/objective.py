@@ -24,7 +24,6 @@ import numpy as np
 import scipy.linalg
 from scipy.special import expit
 
-from .keyspace import FrameMessage
 from .spd_core import ToyFrame, _read_payload
 
 __all__ = [
@@ -114,9 +113,9 @@ class LinearExtractor:
             )
         return self.weight @ flat + self.bias
 
-    def decode(self, frame: "ToyFrame | np.ndarray") -> tuple:
+    def decode(self, frame: "ToyFrame | np.ndarray") -> np.ndarray:
         """Decode bits as the sign of each logit; a tie at 0 decodes to 0."""
-        return tuple(int(s > 0) for s in self.logits(frame))
+        return (self.logits(frame) > 0).astype(np.uint8)
 
 
 def _flat_pixels(frame) -> np.ndarray:
@@ -145,11 +144,20 @@ def _as_video(video) -> np.ndarray:
 
 
 def _message_bits(message) -> np.ndarray:
-    if isinstance(message, FrameMessage):
-        return np.asarray(message.bits, dtype=np.float64)
     bits = np.asarray(message, dtype=np.float64)
     if bits.ndim != 1 or not np.isin(bits, (0.0, 1.0)).all():
         raise ValueError("target must be a flat sequence of 0/1 bits")
+    return bits
+
+
+def _schedule_bits(schedule, num_frames: int) -> np.ndarray:
+    """A schedule (a MessageSequence, or a sequence of 0/1 rows) as one
+    (T, M) float matrix with T == num_frames."""
+    bits = np.asarray(schedule, dtype=np.float64)
+    if bits.ndim != 2 or not np.isin(bits, (0.0, 1.0)).all():
+        raise ValueError("schedule must be a (T, M) matrix of 0/1 bits")
+    if len(bits) != num_frames:
+        raise ValueError("schedule length must equal the frame count")
     return bits
 
 
@@ -174,11 +182,9 @@ def recovery_loss(video, extractor: LinearExtractor, schedule: Sequence) -> floa
     """Mean over frames of the per-frame BCE between extractor logits and the
     scheduled message bits."""
     pixels = _as_video(video)
-    if len(schedule) != pixels.shape[0]:
-        raise ValueError("schedule length must equal the frame count")
     total = 0.0
-    for frame, message in zip(pixels, schedule):
-        total += bce_logits(extractor.logits(frame), message)
+    for frame, bits in zip(pixels, _schedule_bits(schedule, pixels.shape[0])):
+        total += bce_logits(extractor.logits(frame), bits)
     return total / pixels.shape[0]
 
 
@@ -281,8 +287,7 @@ def loss_gradients(
     num_frames = clean.shape[0]
     if num_frames < 2:
         raise ValueError("temporal consistency needs at least 2 frames")
-    if len(schedule) != num_frames:
-        raise ValueError("schedule length must equal the frame count")
+    targets = _schedule_bits(schedule, num_frames)
     pixels_per_frame = clean[0].size
 
     ps_grad = weights.lambda_ps * 2.0 * (marked - clean) / (num_frames * pixels_per_frame)
@@ -301,10 +306,9 @@ def loss_gradients(
 
     rec_grad = np.zeros_like(marked)
     bit_count = extractor.message_bits
-    for index, message in enumerate(schedule):
-        bits = _message_bits(message)
-        if bits.shape[0] != bit_count:
-            raise ValueError("message length must match the extractor bit count")
+    if targets.shape[1] != bit_count:
+        raise ValueError("message length must match the extractor bit count")
+    for index, bits in enumerate(targets):
         residual = expit(extractor.logits(marked[index])) - bits
         flat = extractor.weight.T @ residual / (bit_count * num_frames)
         rec_grad[index] = flat.reshape(marked[index].shape)
@@ -340,22 +344,20 @@ def fit_extractor(
     bit_count = None
     for video, schedule in zip(videos, schedules):
         pixels = _as_video(video)
-        if len(schedule) != pixels.shape[0]:
-            raise ValueError("schedule length must equal the frame count")
-        for frame, message in zip(pixels, schedule):
-            flat = frame.ravel()
-            bits = _message_bits(message)
-            if features is None:
-                features, bit_count = flat.shape[0], bits.shape[0]
-            elif flat.shape[0] != features or bits.shape[0] != bit_count:
-                raise ValueError("inconsistent frame or message dimensions")
-            rows.append(flat)
-            targets.append(2.0 * bits - 1.0)
-    if not rows or features == 0 or bit_count == 0:
+        bits = _schedule_bits(schedule, pixels.shape[0])
+        flat = pixels.reshape(pixels.shape[0], -1)
+        if features is None:
+            features, bit_count = flat.shape[1], bits.shape[1]
+        elif flat.shape[1] != features or bits.shape[1] != bit_count:
+            raise ValueError("inconsistent frame or message dimensions")
+        rows.append(flat)
+        targets.append(2.0 * bits - 1.0)
+    frames = np.vstack(rows)
+    if len(frames) == 0 or features == 0 or bit_count == 0:
         raise ValueError("degenerate frame or message dimensions")
 
-    design = np.hstack([np.stack(rows), np.ones((len(rows), 1))])
-    bipolar = np.stack(targets)
+    design = np.hstack([frames, np.ones((len(frames), 1))])
+    bipolar = np.vstack(targets)
     if ridge_lambda == 0.0:
         solution, *_ = np.linalg.lstsq(design, bipolar, rcond=None)
     else:
@@ -375,13 +377,12 @@ def bit_accuracy(extractor: LinearExtractor, videos: Sequence, schedules: Sequen
     total = 0
     for video, schedule in zip(videos, schedules):
         pixels = _as_video(video)
-        if len(schedule) != pixels.shape[0]:
-            raise ValueError("schedule length must equal the frame count")
-        for frame, message in zip(pixels, schedule):
-            decoded = extractor.decode(frame)
-            bits = message.bits if isinstance(message, FrameMessage) else tuple(message)
-            correct += sum(int(d == b) for d, b in zip(decoded, bits))
-            total += len(decoded)
+        targets = _schedule_bits(schedule, pixels.shape[0])
+        if targets.shape[1] != extractor.message_bits:
+            raise ValueError("message length must match the extractor bit count")
+        for frame, bits in zip(pixels, targets):
+            correct += int((extractor.decode(frame) == bits).sum())
+            total += len(bits)
     if total == 0:
         raise ValueError("no frames to score")
     return correct / total
@@ -411,7 +412,10 @@ def read_extractor(stream: BinaryIO) -> LinearExtractor:
         if len(header_line) == _MAX_HEADER_BYTES:
             raise ValueError(f"extractor header exceeds {_MAX_HEADER_BYTES} bytes")
         header_line += byte
-    header = json.loads(header_line.decode("ascii"))
+    try:
+        header = json.loads(header_line.decode("ascii"))
+    except RecursionError:
+        raise ValueError("extractor header is nested too deeply") from None
     try:
         bits = int(header["message_bits"])
         features = int(header["features"])

@@ -23,7 +23,7 @@ from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
 
-from .keyspace import FrameMessage, KeyConfig, SelectionMask
+from .keyspace import KeyConfig, MessageSequence, SelectionMask
 
 __all__ = [
     "BasisShift",
@@ -315,17 +315,15 @@ def _frame_latent(latent_seed: int, frame_index: int, dim: int, scale: float):
     return rng.normal(0.0, scale, dim)
 
 
-def _basis_indices(messages: Sequence[FrameMessage], cfg: KeyConfig) -> np.ndarray:
-    """The (n, L) basis index each message selects per layer: chunk ell of
-    the bits read MSB first, as key_to_mask reads a key."""
-    for msg in messages:
-        if len(msg.bits) != cfg.message_bits:
-            raise ValueError(
-                f"message has {len(msg.bits)} bits, config expects {cfg.message_bits}"
-            )
+def _basis_indices(bits: np.ndarray, cfg: KeyConfig) -> np.ndarray:
+    """The (n, L) basis index each row of (n, M) bits selects per layer:
+    chunk ell of the row read MSB first, as key_to_mask reads a key."""
+    if bits.shape[1] != cfg.message_bits:
+        raise ValueError(
+            f"messages have {bits.shape[1]} bits, config expects {cfg.message_bits}"
+        )
     width = cfg.bits_per_layer
-    bits = np.array([msg.bits for msg in messages], dtype=np.intp)
-    chunks = bits.reshape(len(messages), cfg.num_layers, width)
+    chunks = bits.astype(np.intp).reshape(len(bits), cfg.num_layers, width)
     return (chunks << np.arange(width - 1, -1, -1)).sum(axis=2)
 
 
@@ -365,22 +363,23 @@ def _forward(
 def generate_frames(
     decoder: ToyDecoder,
     dictionary: BasisDictionary,
-    messages: Sequence[FrameMessage],
-    latent_seeds: Sequence[int],
+    messages: "MessageSequence | np.ndarray",
+    frame_seeds: Sequence[tuple[int, int]],
     condition: np.ndarray,
     latent_scale: float = DEFAULT_LATENT_SCALE,
 ) -> np.ndarray:
-    """Pixels (n, 3, H, W) of n frames generated in one batch; frame i is
-    the frame of messages[i] in the video with seed latent_seeds[i].
+    """Pixels (n, 3, H, W) of n frames generated in one batch from the
+    (n, M) bit rows of `messages`; frame_seeds[i] is row i's (latent_seed,
+    frame_index), and frame i is frame frame_index of the video with seed
+    latent_seed.
 
     Each frame equals the one generate_video gives for it, byte for byte,
-    so videos that share a condition (a training corpus) can be generated
-    together.
+    so videos that share a condition (a training corpus), or a single frame
+    at any position, can be generated alone or together.
     """
-    if not messages:
-        raise ValueError("schedule must be non-empty")
-    if len(latent_seeds) != len(messages):
-        raise ValueError("need one latent seed per message")
+    bits = MessageSequence(messages).messages
+    if len(frame_seeds) != len(bits):
+        raise ValueError("need one (latent seed, frame index) per message")
     if decoder.num_layers != dictionary.num_layers:
         raise ValueError("decoder and dictionary disagree on layer count")
     if decoder.layer_dim != dictionary.layer_dim:
@@ -388,19 +387,19 @@ def generate_frames(
     condition = np.asarray(condition, dtype=np.float64)
     if condition.shape != (decoder.layer_dim,):
         raise ValueError("condition must be a layer_dim vector")
-    indices = _basis_indices(messages, dictionary.key_config())
+    indices = _basis_indices(bits, dictionary.key_config())
     latents = np.stack([
-        _frame_latent(seed, msg.frame_index, decoder.layer_dim, latent_scale)
-        for msg, seed in zip(messages, latent_seeds)
+        _frame_latent(seed, frame_index, decoder.layer_dim, latent_scale)
+        for seed, frame_index in frame_seeds
     ]) + condition
     pixels = _forward(decoder, dictionary, indices, latents)
-    return pixels.reshape(len(messages), *decoder.frame_shape)
+    return pixels.reshape(len(bits), *decoder.frame_shape)
 
 
 def generate_video(
     decoder: ToyDecoder,
     dictionary: BasisDictionary,
-    schedule: Sequence[FrameMessage],
+    schedule: MessageSequence,
     latent_seed: int,
     condition: np.ndarray,
     latent_scale: float = DEFAULT_LATENT_SCALE,
@@ -411,11 +410,12 @@ def generate_video(
     The per-frame latent depends only on (latent_seed, t), so the output is
     per-frame deterministic and frames may be produced in any order.
     """
+    frame_indices = range(1, len(schedule) + 1)
     pixels = generate_frames(
-        decoder, dictionary, schedule, [latent_seed] * len(schedule), condition,
-        latent_scale,
+        decoder, dictionary, schedule, [(latent_seed, t) for t in frame_indices],
+        condition, latent_scale,
     )
-    return [ToyFrame(frame, msg.frame_index) for frame, msg in zip(pixels, schedule)]
+    return [ToyFrame(frame, t) for frame, t in zip(pixels, frame_indices)]
 
 
 def init_dictionary(
@@ -510,7 +510,8 @@ def write_video(stream: BinaryIO, frames: Sequence[ToyFrame]) -> None:
 
 def _read_payload(stream: BinaryIO, size: int, what: str) -> bytes:
     """Read exactly `size` bytes in bounded chunks, so a header that declares
-    more data than the stream holds fails without a huge allocation."""
+    more data than the stream holds fails without a huge allocation, and
+    require the stream to end there."""
     chunks = []
     while size > 0:
         chunk = stream.read(min(size, _READ_CHUNK_BYTES))
@@ -518,6 +519,8 @@ def _read_payload(stream: BinaryIO, size: int, what: str) -> bytes:
             raise ValueError(f"truncated {what} payload")
         chunks.append(chunk)
         size -= len(chunk)
+    if stream.read(1):
+        raise ValueError(f"trailing data after the {what} payload")
     return b"".join(chunks)
 
 

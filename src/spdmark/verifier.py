@@ -24,8 +24,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.special import gammaln, logsumexp
 
-from .channel_attacks import ExtractedSequence, TamperRecord
-from .keyspace import FrameMessage
+from .channel_attacks import TamperRecord
+from .keyspace import MessageSequence
 
 __all__ = [
     "SimilarityMatrix",
@@ -186,6 +186,8 @@ class Verdict:
             )
         except KeyError as exc:
             raise ValueError(f"verdict document is missing key {exc.args[0]!r}") from None
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(f"malformed verdict document: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -207,17 +209,12 @@ class TamperDiagnosis:
 
 
 def similarity_matrix(
-    expected: Sequence[FrameMessage], extracted: ExtractedSequence
+    expected: MessageSequence, extracted: MessageSequence
 ) -> SimilarityMatrix:
     """Matched-bit counts between every (expected, extracted) message pair."""
-    if not expected:
-        raise ValueError("expected schedule must be non-empty")
-    m = len(expected[0].bits)
-    if any(len(msg.bits) != m for msg in expected) or extracted.message_bits != m:
+    if expected.message_bits != extracted.message_bits:
         raise ValueError("all messages must share one length")
-    exp = np.array([msg.bits for msg in expected], dtype=np.uint8)
-    ext = np.array(extracted.messages, dtype=np.uint8)
-    return _similarity(exp, ext)
+    return _similarity(expected.messages, extracted.messages)
 
 
 def _similarity(expected: np.ndarray, extracted: np.ndarray) -> SimilarityMatrix:
@@ -454,8 +451,8 @@ def _verdict_from_matrix(
 
 
 def verify(
-    expected: Sequence[FrameMessage],
-    extracted: ExtractedSequence,
+    expected: MessageSequence,
+    extracted: MessageSequence,
     gamma_f: float = 1e-3,
     gamma_v: float = 1e-6,
 ) -> Verdict:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from spdmark.channel_attacks import (
     ChannelSpec,
-    ExtractedSequence,
     TamperRecord,
     apply_attack,
     attack_drop,
@@ -22,14 +21,20 @@ from spdmark.channel_attacks import (
     floor_count,
     rounded_count,
 )
-from spdmark.keyspace import BaseSecret, KeyConfig, derive_frame_messages, random_key
+from spdmark.keyspace import (
+    BaseSecret,
+    KeyConfig,
+    MessageSequence,
+    derive_frame_messages,
+    random_key,
+)
 from spdmark.spd_core import ToyFrame
 
 CFG = KeyConfig.from_layout(14, 4)
 SECRET = BaseSecret(b"attack-test-secret-0")
 
 
-def make_sequence(num_frames: int, seed: int = 0) -> ExtractedSequence:
+def make_sequence(num_frames: int, seed: int = 0) -> MessageSequence:
     key = random_key(CFG, seed)
     schedule = derive_frame_messages(SECRET, key, num_frames)
     return channel_extract(schedule, ChannelSpec("ideal"))
@@ -71,7 +76,7 @@ class TestChannelExtract:
         key = random_key(CFG, 1)
         schedule = derive_frame_messages(SECRET, key, 10)
         extracted = channel_extract(schedule, ChannelSpec("ideal"))
-        assert extracted.messages == tuple(m.bits for m in schedule)
+        np.testing.assert_array_equal(extracted.messages, schedule.messages)
 
     def test_zero_flip_probability_equals_ideal(self):
         key = random_key(CFG, 2)
@@ -95,11 +100,10 @@ class TestChannelExtract:
         # (conservative for discrete distributions).
         num = 100_000
         key = random_key(CFG, 4)
-        base = derive_frame_messages(SECRET, key, 1)[0]
-        schedule = [base] * num
+        expected = derive_frame_messages(SECRET, key, 1).messages[0]
+        schedule = MessageSequence(np.tile(expected, (num, 1)))
         extracted = channel_extract(schedule, ChannelSpec("bitflip", 0.5, seed=11))
-        expected = np.array(base.bits, dtype=np.uint8)
-        got = np.array(extracted.messages, dtype=np.uint8)
+        got = extracted.messages
         matched = (got == expected).sum(axis=1)
         counts = np.bincount(matched, minlength=29)
         empirical_cdf = np.cumsum(counts) / num
@@ -121,7 +125,7 @@ class TestDrop:
         seq = make_sequence(25)
         attacked, record = attack_drop(seq, 0.5, seed=1)
         assert len(record.dropped) == 12
-        assert attacked.source_length == 13
+        assert len(attacked) == 13
         assert record.output_length == 13
 
     def test_zero_fraction_is_identity(self):
@@ -140,7 +144,9 @@ class TestDrop:
         seq = make_sequence(25)
         attacked, record = attack_drop(seq, 0.5, seed=3)
         survivors = [i for i in range(1, 26) if i not in record.dropped]
-        assert attacked.messages == tuple(seq.messages[i - 1] for i in survivors)
+        np.testing.assert_array_equal(
+            attacked.messages, seq.messages[np.array(survivors) - 1]
+        )
         assert record.permutation == {
             orig: pos + 1 for pos, orig in enumerate(survivors)
         }
@@ -161,10 +167,10 @@ class TestSwapRandom:
     def test_inverse_permutation_restores_order(self):
         seq = make_sequence(12)
         attacked, record = attack_swap_random(seq, seed=5)
-        restored = [None] * 12
+        restored = np.empty_like(seq.messages)
         for orig, pos in record.permutation.items():
             restored[orig - 1] = attacked.messages[pos - 1]
-        assert tuple(restored) == seq.messages
+        np.testing.assert_array_equal(restored, seq.messages)
 
     def test_permutations_are_uniform(self):
         # 1e4 trials at T=5: each of the 120 permutations within 4 sigma of
@@ -223,37 +229,34 @@ class TestInsert:
         for t, fraction in [(25, 0.2), (10, 0.25), (8, 0.5)]:
             seq = make_sequence(t)
             attacked, record = attack_insert(seq, fraction, "noise", seed=2)
-            assert attacked.source_length == t + rounded_count(t, fraction)
+            assert len(attacked) == t + rounded_count(t, fraction)
             assert len(record.inserted) == rounded_count(t, fraction)
 
     def test_duplicate_mode_copies_existing_frames(self):
         seq = make_sequence(10)
         attacked, record = attack_insert(seq, 0.5, "duplicate", seed=3)
-        originals = set(seq.messages)
         for pos in record.inserted:
-            assert attacked.messages[pos - 1] in originals
+            assert (seq.messages == attacked.messages[pos - 1]).all(axis=1).any()
 
     def test_surviving_frames_keep_order(self):
         seq = make_sequence(10)
         attacked, record = attack_insert(seq, 0.3, "noise", seed=4)
-        kept = [
-            attacked.messages[record.permutation[i] - 1] for i in range(1, 11)
-        ]
-        assert tuple(kept) == seq.messages
+        kept = [record.permutation[i] - 1 for i in range(1, 11)]
+        np.testing.assert_array_equal(attacked.messages[kept], seq.messages)
         assert sorted(record.permutation.values()) == [
-            p for p in range(1, attacked.source_length + 1) if p not in record.inserted
+            p for p in range(1, len(attacked) + 1) if p not in record.inserted
         ]
 
     def test_noise_messages_are_unbiased(self):
         # Inserted random messages should agree with any fixed message on
         # about half the bits.
         seq = make_sequence(4)
-        reference = np.array(seq.messages[0], dtype=np.uint8)
+        reference = seq.messages[0]
         matches = []
         for seed in range(500):
             attacked, record = attack_insert(seq, 1.0, "noise", seed=seed)
             for pos in record.inserted:
-                inserted = np.array(attacked.messages[pos - 1], dtype=np.uint8)
+                inserted = attacked.messages[pos - 1]
                 matches.append((inserted == reference).sum())
         mean = np.mean(matches)
         sigma = math.sqrt(28 * 0.25 / len(matches))
@@ -270,8 +273,8 @@ class TestTrim:
         attacked, record = attack_trim(seq, 0.2, 0.2)
         assert record.trim_head == 5
         assert record.trim_tail == 5
-        assert attacked.source_length == 15
-        assert attacked.messages == seq.messages[5:20]
+        assert len(attacked) == 15
+        np.testing.assert_array_equal(attacked.messages, seq.messages[5:20])
         assert record.permutation == {orig: orig - 5 for orig in range(6, 21)}
 
     def test_zero_trim_is_identity(self):
@@ -315,9 +318,11 @@ class TestRecordReconciliation:
         # TamperRecord validates its own arithmetic on construction; check
         # the attacked object against the record's mapping as well.
         assert record.source_length == num_frames
-        assert record.output_length == attacked.source_length
+        assert record.output_length == len(attacked)
         for orig, pos in record.permutation.items():
-            assert attacked.messages[pos - 1] == seq.messages[orig - 1]
+            np.testing.assert_array_equal(
+                attacked.messages[pos - 1], seq.messages[orig - 1]
+            )
 
     def test_record_document_round_trip(self):
         seq = make_sequence(20)
@@ -335,6 +340,56 @@ class TestRecordReconciliation:
     def test_inconsistent_record_rejected(self):
         with pytest.raises(ValueError):
             TamperRecord(source_length=5, output_length=5, dropped=frozenset({1}))
+
+    @given(
+        st.integers(1, 8),
+        st.integers(1, 8),
+        st.frozensets(st.integers(-1, 9), max_size=4),
+        st.frozensets(st.integers(-1, 9), max_size=4),
+        st.dictionaries(st.integers(-1, 9), st.integers(-1, 9), max_size=8),
+        st.integers(0, 8),
+        st.integers(0, 8),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_validation_matches_set_based_rules(
+        self, t, t_r, dropped, inserted, permutation, head, tail
+    ):
+        # The record's rules, stated with explicit index sets.
+        valid = head + tail < t
+        if valid:
+            untrimmed = set(range(head + 1, t - tail + 1))
+            survivors = untrimmed - dropped
+            slots = set(range(1, t_r + 1)) - inserted
+            valid = (
+                dropped <= untrimmed
+                and inserted <= set(range(1, t_r + 1))
+                and t_r == len(survivors) + len(inserted)
+                and set(permutation) == survivors
+                and len(set(permutation.values())) == len(survivors)
+                and set(permutation.values()) == slots
+            )
+        args = dict(
+            source_length=t, output_length=t_r, dropped=dropped, inserted=inserted,
+            permutation=permutation, trim_head=head, trim_tail=tail,
+        )
+        if valid:
+            TamperRecord(**args)
+        else:
+            with pytest.raises(ValueError):
+                TamperRecord(**args)
+
+    def test_huge_lengths_checked_without_enumerating_them(self):
+        huge = 10**18
+        doc = TamperRecord.identity(3).to_doc()
+        with pytest.raises(ValueError, match="reconcile"):
+            TamperRecord.from_doc({**doc, "source_length": huge})
+        with pytest.raises(ValueError, match="reconcile"):
+            TamperRecord.from_doc({**doc, "output_length": huge, "inserted": [huge]})
+        record = TamperRecord.from_doc(
+            {**doc, "source_length": huge, "trim_head": huge - 3,
+             "permutation": [[huge - 2, 1], [huge - 1, 2], [huge, 3]]}
+        )
+        assert record.output_length == 3
 
 
 class TestVideoMessageCommutation:
@@ -356,7 +411,9 @@ class TestVideoMessageCommutation:
         assert record_seq == record_video
         for position, frame in enumerate(attacked_video, start=1):
             original = encoded_index(frame)
-            assert attacked_seq.messages[position - 1] == seq.messages[original - 1]
+            np.testing.assert_array_equal(
+                attacked_seq.messages[position - 1], seq.messages[original - 1]
+            )
 
     def test_video_frames_reindexed_sequentially(self):
         video = make_video(10)

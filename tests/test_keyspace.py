@@ -6,22 +6,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_bits import pack_bits, unpack_bits
 from spdmark.keyspace import (
     BaseSecret,
     FrameMessage,
     KeyConfig,
+    MessageSequence,
     SelectionMask,
     WatermarkKey,
     bits_to_hex,
     derive_frame_messages,
+    extraction_document,
     hex_to_bits,
     key_to_mask,
     mask_to_key,
-    pack_bits,
+    parse_extraction_document,
+    parse_key_document,
     parse_schedule_document,
     random_key,
     schedule_document,
-    unpack_bits,
 )
 
 
@@ -126,23 +129,50 @@ class TestPacking:
     def test_pack_is_msb_first_with_zero_padding(self):
         # 28 bits fill 3.5 bytes; the final nibble must be zero.
         bits = (1,) * 28
-        packed = pack_bits(bits)
-        assert packed == b"\xff\xff\xff\xf0"
-        assert unpack_bits(packed, 28) == bits
+        assert bits_to_hex(bits) == "fffffff0"
+        np.testing.assert_array_equal(hex_to_bits("fffffff0", 28), bits)
 
     def test_single_bit(self):
-        assert pack_bits((1,)) == b"\x80"
-        assert pack_bits((0, 0, 0, 0, 0, 0, 0, 1)) == b"\x01"
+        assert bits_to_hex((1,)) == "80"
+        assert bits_to_hex((0, 0, 0, 0, 0, 0, 0, 1)) == "01"
 
     def test_hex_round_trip(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
-            bits = tuple(int(b) for b in rng.integers(0, 2, 28))
-            assert hex_to_bits(bits_to_hex(bits), 28) == bits
+            bits = rng.integers(0, 2, 28).astype(np.uint8)
+            np.testing.assert_array_equal(hex_to_bits(bits_to_hex(bits), 28), bits)
 
     def test_unpack_rejects_short_input(self):
         with pytest.raises(ValueError):
-            unpack_bits(b"\x00", 9)
+            hex_to_bits("00", 9)
+
+    @given(st.integers(1, 64), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_pure_python_oracle(self, num_bits, data):
+        bits = data.draw(
+            st.lists(st.integers(0, 1), min_size=num_bits, max_size=num_bits)
+        )
+        text = bits_to_hex(bits)
+        assert text == pack_bits(bits).hex()
+        assert tuple(hex_to_bits(text, num_bits).tolist()) == tuple(bits)
+        size = (num_bits + 7) // 8
+        raw = data.draw(st.binary(min_size=size, max_size=size))
+        padding = unpack_bits(raw, 8 * len(raw))[num_bits:]
+        if any(padding):
+            with pytest.raises(ValueError, match="padding"):
+                hex_to_bits(raw.hex(), num_bits)
+        else:
+            assert tuple(hex_to_bits(raw.hex(), num_bits).tolist()) == unpack_bits(
+                raw, num_bits
+            )
+
+    @pytest.mark.parametrize(
+        "text, num_bits",
+        [("9f", 4), ("01", 7), ("fff0", 8), ("ff", 9), ("", 1), ("f", 4), ("zz", 8)],
+    )
+    def test_rejects_wrong_length_padding_and_non_hex(self, text, num_bits):
+        with pytest.raises(ValueError):
+            hex_to_bits(text, num_bits)
 
 
 class TestFrameMessages:
@@ -159,7 +189,7 @@ class TestFrameMessages:
                 + msg.frame_index.to_bytes(8, "big")
             )
             digest = hmac_sha256_reference(self.secret.key_bytes, payload)
-            assert msg.bits == unpack_bits(digest, 28)
+            assert tuple(msg.bits.tolist()) == unpack_bits(digest, 28)
 
     def test_deterministic(self):
         key = random_key(self.cfg, 3)
@@ -169,8 +199,8 @@ class TestFrameMessages:
 
     def test_adjacent_frames_differ(self):
         key = random_key(self.cfg, 4)
-        schedule = derive_frame_messages(self.secret, key, 2)
-        assert schedule[0].bits != schedule[1].bits
+        first, second = derive_frame_messages(self.secret, key, 2)
+        assert not np.array_equal(first.bits, second.bits)
 
     def test_message_length_is_key_length(self):
         key = random_key(self.cfg, 9)
@@ -181,7 +211,7 @@ class TestFrameMessages:
         key = random_key(self.cfg, 21)
         short = derive_frame_messages(self.secret, key, 10)
         long = derive_frame_messages(self.secret, key, 17)
-        assert long[:10] == short
+        np.testing.assert_array_equal(np.asarray(long)[:10], np.asarray(short))
 
     def test_frames_are_one_indexed(self):
         key = random_key(self.cfg, 2)
@@ -200,12 +230,54 @@ class TestFrameMessages:
             secret = BaseSecret(hashlib.sha256(b"secret%d" % seed).digest())
             key = random_key(self.cfg, 10_000 + seed)
             schedule = derive_frame_messages(secret, key, 25)
-            seen = {msg.bits for msg in schedule}
+            seen = np.unique(np.asarray(schedule), axis=0)
             collisions += 25 - len(seen)
         if collisions == 1:
             warnings.warn("one frame-message collision observed (prob ~1e-3)")
         else:
             assert collisions == 0
+
+
+class TestMessageSequence:
+    def test_holds_a_read_only_copy(self):
+        source = np.array([[1, 0, 1], [0, 0, 1]])
+        seq = MessageSequence(source)
+        source[0, 0] = 0
+        assert seq.messages.dtype == np.uint8
+        assert seq.messages.flags.c_contiguous
+        assert seq.messages[0, 0] == 1
+        with pytest.raises(ValueError):
+            seq.messages[0, 0] = 0
+        assert np.asarray(seq) is seq.messages
+        assert len(seq) == 2
+        assert seq.message_bits == 3
+
+    def test_iterates_one_based_frame_messages(self):
+        seq = MessageSequence([[1, 0], [0, 1], [1, 1]])
+        frames = list(seq)
+        assert [frame.frame_index for frame in frames] == [1, 2, 3]
+        assert all(isinstance(frame, FrameMessage) for frame in frames)
+        np.testing.assert_array_equal(frames[1].bits, [0, 1])
+        with pytest.raises(ValueError):
+            frames[1].bits[0] = 1
+
+    def test_value_equality_and_no_hash(self):
+        a = MessageSequence([[1, 0], [0, 1]])
+        assert a == MessageSequence(np.array([[True, False], [False, True]]))
+        assert a != MessageSequence([[1, 0], [1, 1]])
+        assert a != MessageSequence([[1, 0]])
+        assert a != [[1, 0], [0, 1]]
+        with pytest.raises(TypeError):
+            hash(a)
+
+    @pytest.mark.parametrize(
+        "messages",
+        [[], [[]], [1, 0], [[[1]]], [[1, 2]], [[1, -1]], [[0.5, 1]], [[1, 0], [1]],
+         [["1", "0"]], [[None, 1]]],
+    )
+    def test_rejects_what_is_not_a_bit_matrix(self, messages):
+        with pytest.raises(ValueError):
+            MessageSequence(messages)
 
 
 class TestSecret:
@@ -232,8 +304,58 @@ class TestScheduleDocument:
     def test_document_shape(self):
         cfg = KeyConfig.from_layout(2, 4)
         key = WatermarkKey((1, 0, 0, 1))
-        frames = [FrameMessage(1, (1, 0, 0, 1))]
+        frames = MessageSequence([[1, 0, 0, 1]])
         doc = schedule_document(cfg, key, frames)
         assert doc["config"] == {"L": 2, "P": 4, "M": 4}
         assert doc["key_hex"] == "90"
         assert doc["frames"][0] == {"t": 1, "bits_hex": "90"}
+
+    def test_extraction_round_trip(self):
+        seq = MessageSequence(np.random.default_rng(1).integers(0, 2, (6, 11)))
+        doc = extraction_document(seq)
+        assert doc["message_bits"] == 11
+        assert [entry["t"] for entry in doc["frames"]] == list(range(1, 7))
+        assert parse_extraction_document(doc) == seq
+        doc["frames"].reverse()
+        assert parse_extraction_document(doc) == seq
+
+    @pytest.mark.parametrize(
+        "frames",
+        [
+            [{"t": 1, "bits_hex": "90"}, {"t": 1, "bits_hex": "90"}],
+            [{"t": 1, "bits_hex": "90"}, {"t": 3, "bits_hex": "90"}],
+            [{"t": 2, "bits_hex": "90"}],
+            [{"t": 0, "bits_hex": "90"}],
+            [{"t": 1, "bits_hex": "9000"}],
+            [{"t": 1, "bits_hex": "9f"}],
+            [{"t": 1, "bits_hex": ""}],
+            [{"t": 1, "bits_hex": 144}],
+            [{"t": [1], "bits_hex": "90"}],
+            [{"t": 1}],
+            [],
+            {"t": 1, "bits_hex": "90"},
+        ],
+    )
+    def test_frames_must_be_exactly_one_to_t(self, frames):
+        cfg = KeyConfig.from_layout(2, 4)
+        doc = schedule_document(
+            cfg, WatermarkKey((1, 0, 0, 1)), MessageSequence([[1, 0, 0, 1]])
+        )
+        with pytest.raises(ValueError):
+            parse_schedule_document({**doc, "frames": frames})
+        with pytest.raises(ValueError):
+            parse_extraction_document({"message_bits": 4, "frames": frames})
+
+    def test_missing_keys_are_value_errors(self):
+        cfg = KeyConfig.from_layout(2, 4)
+        doc = schedule_document(
+            cfg, WatermarkKey((1, 0, 0, 1)), MessageSequence([[1, 0, 0, 1]])
+        )
+        with pytest.raises(ValueError, match="missing key 'config'"):
+            parse_key_document({})
+        with pytest.raises(ValueError, match="missing key 'key_hex'"):
+            parse_key_document({"config": doc["config"]})
+        with pytest.raises(ValueError, match="missing key 'frames'"):
+            parse_schedule_document({k: v for k, v in doc.items() if k != "frames"})
+        with pytest.raises(ValueError, match="missing key 'message_bits'"):
+            parse_extraction_document({"frames": doc["frames"]})

@@ -110,8 +110,9 @@ class TestBceLogits:
 
     def test_accepts_logit_vector_and_frame_message(self):
         cfg = KeyConfig.from_layout(2, 4)
-        schedule = derive_frame_messages(SECRET, random_key(cfg, 0), 1)
-        assert bce_logits(np.zeros(cfg.message_bits), schedule[0]) == pytest.approx(math.log(2))
+        (message,) = derive_frame_messages(SECRET, random_key(cfg, 0), 1)
+        loss = bce_logits(np.zeros(cfg.message_bits), message.bits)
+        assert loss == pytest.approx(math.log(2))
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -452,7 +453,7 @@ class TestFitExtractor:
 
     def test_tie_at_zero_decodes_to_zero(self):
         extractor = LinearExtractor(np.zeros((4, 12)), np.zeros(4))
-        assert extractor.decode(np.ones((3, 2, 2))) == (0, 0, 0, 0)
+        np.testing.assert_array_equal(extractor.decode(np.ones((3, 2, 2))), [0, 0, 0, 0])
 
 
 class TestSerialization:
@@ -499,6 +500,21 @@ class TestSerialization:
         path.write_bytes(raw)
         with open(path, "rb") as stream, pytest.raises(ValueError, match=message):
             read_extractor(stream)
+
+    @pytest.mark.parametrize("tail", [b"\0", b"\0" * 4, b"\n"])
+    def test_trailing_data_rejected(self, tail, tmp_path):
+        raw = io.BytesIO()
+        write_extractor(raw, LinearExtractor(np.ones((2, 12)), np.zeros(2)))
+        with pytest.raises(ValueError, match="trailing data"):
+            read_extractor(io.BytesIO(raw.getvalue() + tail))
+        path = tmp_path / "extractor.bin"
+        path.write_bytes(raw.getvalue() + tail)
+        with open(path, "rb") as stream, pytest.raises(ValueError, match="trailing data"):
+            read_extractor(stream)
+
+    def test_deeply_nested_header_rejected(self):
+        with pytest.raises(ValueError, match="nested"):
+            read_extractor(io.BytesIO(b"[" * 4000 + b"\n"))
 
     def test_unterminated_long_header_rejected(self, tmp_path):
         path = tmp_path / "extractor.bin"

@@ -11,6 +11,7 @@ from reference_generate import generate_video as reference_generate
 from spdmark.keyspace import (
     BaseSecret,
     KeyConfig,
+    MessageSequence,
     derive_frame_messages,
     key_to_mask,
     random_key,
@@ -20,6 +21,7 @@ from spdmark.spd_core import (
     DEFAULT_RANK,
     BasisShift,
     ToyDecoder,
+    ToyFrame,
     _matmul,
     compose_displacement,
     displaced_layer_forward,
@@ -215,8 +217,9 @@ class TestGenerateVideo:
         sched_a = derive_frame_messages(SECRET, key_a, 5)
         sched_b = derive_frame_messages(SECRET, key_b, 5)
         # Splice frame 3 of schedule b into schedule a.
-        mixed = list(sched_a)
-        mixed[2] = sched_b[2]
+        mixed = np.array(sched_a)
+        mixed[2] = sched_b.messages[2]
+        mixed = MessageSequence(mixed)
         condition = random_condition(16, 0)
         base = video_to_array(generate_video(decoder, dictionary, sched_a, 1, condition))
         spliced = video_to_array(
@@ -324,17 +327,20 @@ class TestBatchedGeneration:
         ]
         seeds = [100 + v for v in range(5)]
         batch = generate_frames(
-            decoder, dictionary, [m for s in schedules for m in s],
-            [seed for seed in seeds for _ in range(7)], condition,
+            decoder, dictionary, np.concatenate(schedules),
+            [(seed, t) for seed in seeds for t in range(1, 8)], condition,
         )
         assert batch.shape == (35, 3, 4, 4)
         rows = iter(batch)
         for schedule, seed in zip(schedules, seeds):
             video = generate_video(decoder, dictionary, schedule, seed, condition)
             for message, frame in zip(schedule, video):
-                single = generate_video(decoder, dictionary, [message], seed, condition)
+                single = generate_frames(
+                    decoder, dictionary, message.bits[None],
+                    [(seed, message.frame_index)], condition,
+                )
                 assert next(rows).tobytes() == frame.pixels.tobytes()
-                assert single[0].pixels.tobytes() == frame.pixels.tobytes()
+                assert single[0].tobytes() == frame.pixels.tobytes()
 
     @pytest.mark.parametrize("alpha, per_frame", [(1.0, 43), (0.0, 15)])
     def test_products_per_frame_at_default_size(self, alpha, per_frame):
@@ -363,10 +369,14 @@ class TestBatchedGeneration:
         schedule = derive_frame_messages(SECRET, random_key(CFG, 1), 3)
         condition = random_condition(16, 1)
         with pytest.raises(ValueError, match="latent seed"):
-            generate_frames(decoder, dictionary, schedule, [0, 1], condition)
-        short = [dataclasses.replace(schedule[0], bits=schedule[0].bits[:-1])]
+            generate_frames(decoder, dictionary, schedule, [(0, 1), (0, 2)], condition)
+        short = schedule.messages[:1, :-1]
         with pytest.raises(ValueError, match="bits"):
-            generate_frames(decoder, dictionary, short, [0], condition)
+            generate_frames(decoder, dictionary, short, [(0, 1)], condition)
+        with pytest.raises(ValueError, match="0 or 1"):
+            generate_frames(
+                decoder, dictionary, 2 * schedule.messages[:1], [(0, 1)], condition
+            )
 
     def test_nan_condition_rejected(self):
         decoder, dictionary = small_setup()
@@ -500,6 +510,17 @@ class TestVideoFile:
         raw = buffer.getvalue()[:-5]
         with pytest.raises(ValueError):
             read_video(io.BytesIO(raw))
+
+    @pytest.mark.parametrize("tail", [b"\0", b"\0" * 4, b"SPDF"])
+    def test_trailing_data_rejected(self, tail, tmp_path):
+        raw = io.BytesIO()
+        write_video(raw, [ToyFrame(np.full((3, 2, 2), 0.5), 1)])
+        with pytest.raises(ValueError, match="trailing data"):
+            read_video(io.BytesIO(raw.getvalue() + tail))
+        path = tmp_path / "video.spdf"
+        path.write_bytes(raw.getvalue() + tail)
+        with open(path, "rb") as stream, pytest.raises(ValueError, match="trailing data"):
+            read_video(stream)
 
     @pytest.mark.parametrize(
         "dims",

@@ -19,7 +19,13 @@ from spdmark.channel_attacks import (
     attack_trim,
     channel_extract,
 )
-from spdmark.keyspace import BaseSecret, KeyConfig, derive_frame_messages, random_key
+from spdmark.keyspace import (
+    BaseSecret,
+    KeyConfig,
+    MessageSequence,
+    derive_frame_messages,
+    random_key,
+)
 from spdmark.verifier import (
     Assignment,
     SimilarityMatrix,
@@ -156,31 +162,20 @@ class TestSimilarityMatrix:
         assert np.allclose(np.diag(sim.values), 1.0)
 
     def test_single_mismatch_arithmetic(self):
-        from spdmark.keyspace import FrameMessage
-        from spdmark.channel_attacks import ExtractedSequence
-
-        expected = [FrameMessage(1, (1, 0, 1, 0))]
-        extracted = ExtractedSequence(((1, 0, 0, 0),))
+        expected = MessageSequence([[1, 0, 1, 0]])
+        extracted = MessageSequence([[1, 0, 0, 0]])
         sim = similarity_matrix(expected, extracted)
         assert sim.values[0, 0] == 0.75
 
     def test_complement_scores_zero(self):
-        from spdmark.keyspace import FrameMessage
-        from spdmark.channel_attacks import ExtractedSequence
-
-        expected = [FrameMessage(1, (1, 0, 1, 0))]
-        extracted = ExtractedSequence(((0, 1, 0, 1),))
+        expected = MessageSequence([[1, 0, 1, 0]])
+        extracted = MessageSequence([[0, 1, 0, 1]])
         sim = similarity_matrix(expected, extracted)
         assert sim.values[0, 0] == 0.0
 
     def test_length_mismatch_rejected(self):
-        from spdmark.keyspace import FrameMessage
-        from spdmark.channel_attacks import ExtractedSequence
-
         with pytest.raises(ValueError):
-            similarity_matrix(
-                [FrameMessage(1, (1, 0))], ExtractedSequence(((1, 0, 1),))
-            )
+            similarity_matrix(MessageSequence([[1, 0]]), MessageSequence([[1, 0, 1]]))
 
 
 def brute_force_value(counts: np.ndarray) -> int:
@@ -371,10 +366,8 @@ class TestVerify:
     def test_random_messages_are_invalid(self):
         schedule = make_schedule(25)
         rng = np.random.default_rng(4)
-        from spdmark.channel_attacks import ExtractedSequence
-
-        fake = ExtractedSequence(
-            tuple(tuple(int(b) for b in rng.integers(0, 2, 28)) for _ in range(25))
+        fake = MessageSequence(
+            np.array([rng.integers(0, 2, 28) for _ in range(25)])
         )
         verdict = verify(schedule, fake)
         assert not verdict.valid
