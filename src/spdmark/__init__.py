@@ -39,16 +39,12 @@ from .objective import (
 from .spd_core import (
     BasisDictionary,
     ToyDecoder,
-    ToyFrame,
-    compose_displacement,
-    displaced_layer_forward,
     generate_video,
     init_dictionary,
     init_toy_decoder,
     random_condition,
     read_video,
     record_products,
-    video_to_array,
     write_video,
 )
 from .verifier import (
@@ -77,16 +73,13 @@ __all__ = [
     "TamperDiagnosis",
     "TamperRecord",
     "ToyDecoder",
-    "ToyFrame",
     "Verdict",
     "WatermarkKey",
     "apply_attack",
     "bit_accuracy",
     "channel_extract",
-    "compose_displacement",
     "derive_frame_messages",
     "diagnose_tampering",
-    "displaced_layer_forward",
     "fit_extractor",
     "frame_threshold",
     "generate_video",
@@ -109,7 +102,6 @@ __all__ = [
     "schedule_document",
     "verify",
     "video_threshold",
-    "video_to_array",
     "write_extractor",
     "write_video",
 ]

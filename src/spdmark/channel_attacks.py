@@ -1,7 +1,8 @@
 """Extraction channels and the attack suite, with ground-truth tamper records.
 
-Attacks operate on either a toy video (a list of frames) or a message
-sequence; the structural edit depends only on (length, parameters,
+Attacks operate on the rows of one array: the frames of a toy video
+(T, 3, H, W) or the messages of a MessageSequence (T, M), and return the
+same kind.  The structural edit depends only on (length, parameters,
 seed), so for the ideal channel every temporal attack commutes with
 extraction.  Each temporal attack returns the attacked object plus a
 TamperRecord that reconciles the original and attacked lengths exactly and
@@ -16,12 +17,11 @@ counts like round(25 * 0.3) = 8 hold exactly.
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
 from .keyspace import MessageSequence
-from .spd_core import ToyFrame
+from .spd_core import _video
 
 __all__ = [
     "TamperRecord",
@@ -181,42 +181,30 @@ def floor_count(total: int, fraction) -> int:
     return math.floor(Fraction(str(fraction)) * total)
 
 
-def _as_items(target) -> list:
+def _rows(target) -> np.ndarray:
+    """The frames of a video or the messages of a MessageSequence."""
     if isinstance(target, MessageSequence):
-        return list(target.messages)
-    items = list(target)
-    if not items:
-        raise ValueError("cannot attack an empty sequence")
-    return items
+        return target.messages
+    return _video(target)
 
 
-def _rewrap(target, items: list):
+def _rebuild(target, rows: np.ndarray):
+    """Rows taken from `target`, as the same kind of object."""
     if isinstance(target, MessageSequence):
-        return MessageSequence(np.stack(items))
-    return [ToyFrame(frame.pixels, position + 1) for position, frame in enumerate(items)]
+        return MessageSequence(rows)
+    return _video(rows)
 
 
-def _noise_item(target, rng: np.random.Generator):
+def _noise_row(target, rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     if isinstance(target, MessageSequence):
-        return rng.integers(0, 2, target.message_bits)
-    shape = target[0].pixels.shape
-    pixels = np.clip(
-        rng.normal(_NOISE_FRAME_MEAN, _NOISE_FRAME_STD, shape), 0.0, 1.0
-    )
-    return ToyFrame(pixels, 1)
-
-
-def _apply_permutation(items: list, record: TamperRecord) -> list:
-    out: list = [None] * record.output_length
-    for original, position in record.permutation.items():
-        out[position - 1] = items[original - 1]
-    return out
+        return rng.integers(0, 2, rows.shape[1])
+    return np.clip(rng.normal(_NOISE_FRAME_MEAN, _NOISE_FRAME_STD, rows.shape[1:]), 0.0, 1.0)
 
 
 def attack_drop(target, fraction: float, seed: int = 0):
     """Delete round(T * fraction) uniformly chosen frames, order preserved."""
-    items = _as_items(target)
-    t = len(items)
+    rows = _rows(target)
+    t = len(rows)
     if not 0.0 <= float(fraction) < 1.0:
         raise ValueError("fraction must lie in [0, 1)")
     count = rounded_count(t, fraction)
@@ -231,13 +219,13 @@ def attack_drop(target, fraction: float, seed: int = 0):
         dropped=dropped,
         permutation={orig: pos + 1 for pos, orig in enumerate(survivors)},
     )
-    return _rewrap(target, [items[i - 1] for i in survivors]), record
+    return _rebuild(target, rows[np.array(survivors) - 1]), record
 
 
 def attack_swap_random(target, seed: int = 0):
     """Apply a uniformly random permutation to all frames."""
-    items = _as_items(target)
-    t = len(items)
+    rows = _rows(target)
+    t = len(rows)
     rng = np.random.default_rng(seed)
     order = rng.permutation(t)
     # Output position p holds original order[p - 1] + 1.
@@ -246,7 +234,7 @@ def attack_swap_random(target, seed: int = 0):
         output_length=t,
         permutation={int(orig) + 1: pos + 1 for pos, orig in enumerate(order)},
     )
-    return _rewrap(target, [items[i] for i in order]), record
+    return _rebuild(target, rows[order]), record
 
 
 def attack_swap_adjacent(
@@ -257,8 +245,8 @@ def attack_swap_adjacent(
     The candidate pairs partition the sequence as (1,2), (3,4), ...; the
     swapped subset is chosen uniformly without replacement.
     """
-    items = _as_items(target)
-    t = len(items)
+    rows = _rows(target)
+    t = len(rows)
     if not 0.0 <= float(pair_fraction) <= 1.0:
         raise ValueError("pair_fraction must lie in [0, 1]")
     num_pairs = t // 2
@@ -267,13 +255,17 @@ def attack_swap_adjacent(
     chosen = (
         rng.choice(num_pairs, size=count, replace=False) if num_pairs else np.array([])
     )
-    permutation = {i: i for i in range(1, t + 1)}
+    # Output position p holds original order[p - 1] + 1.
+    order = np.arange(t)
     for pair in chosen:
-        first = 2 * int(pair) + 1
-        permutation[first] = first + 1
-        permutation[first + 1] = first
-    record = TamperRecord(source_length=t, output_length=t, permutation=permutation)
-    return _rewrap(target, _apply_permutation(items, record)), record
+        first = 2 * int(pair)
+        order[[first, first + 1]] = first + 1, first
+    record = TamperRecord(
+        source_length=t,
+        output_length=t,
+        permutation={int(orig) + 1: pos + 1 for pos, orig in enumerate(order)},
+    )
+    return _rebuild(target, rows[order]), record
 
 
 def attack_insert(target, fraction: float, mode: str = "duplicate", seed: int = 0):
@@ -285,8 +277,8 @@ def attack_insert(target, fraction: float, mode: str = "duplicate", seed: int = 
     """
     if mode not in ("duplicate", "noise"):
         raise ValueError(f"unknown insert mode {mode!r}")
-    items = _as_items(target)
-    t = len(items)
+    rows = _rows(target)
+    t = len(rows)
     if float(fraction) < 0.0:
         raise ValueError("fraction must be >= 0")
     count = rounded_count(t, fraction)
@@ -295,18 +287,12 @@ def attack_insert(target, fraction: float, mode: str = "duplicate", seed: int = 
     positions = sorted(
         int(p) + 1 for p in rng.choice(t_r, size=count, replace=False)
     )
-    inserted_items = []
-    for _ in positions:
-        if mode == "duplicate":
-            inserted_items.append(items[int(rng.integers(0, t))])
-        else:
-            inserted_items.append(_noise_item(target, rng))
+    extra = [
+        rows[int(rng.integers(0, t))] if mode == "duplicate"
+        else _noise_row(target, rows, rng)
+        for _ in positions
+    ]
     inserted = frozenset(positions)
-    out: list = []
-    source = iter(items)
-    pending = iter(inserted_items)
-    for position in range(1, t_r + 1):
-        out.append(next(pending) if position in inserted else next(source))
     survivors = [p for p in range(1, t_r + 1) if p not in inserted]
     record = TamperRecord(
         source_length=t,
@@ -314,13 +300,17 @@ def attack_insert(target, fraction: float, mode: str = "duplicate", seed: int = 
         inserted=inserted,
         permutation={orig + 1: pos for orig, pos in enumerate(survivors)},
     )
-    return _rewrap(target, out), record
+    out = np.empty((t_r, *rows.shape[1:]), dtype=rows.dtype)
+    out[np.array(survivors) - 1] = rows
+    for position, row in zip(positions, extra):
+        out[position - 1] = row
+    return _rebuild(target, out), record
 
 
 def attack_trim(target, head_fraction: float, tail_fraction: float):
     """Remove floor(T * head) leading and floor(T * tail) trailing frames."""
-    items = _as_items(target)
-    t = len(items)
+    rows = _rows(target)
+    t = len(rows)
     if float(head_fraction) < 0.0 or float(tail_fraction) < 0.0:
         raise ValueError("trim fractions must be >= 0")
     head = floor_count(t, head_fraction)
@@ -335,28 +325,20 @@ def attack_trim(target, head_fraction: float, tail_fraction: float):
         trim_head=head,
         trim_tail=tail,
     )
-    return _rewrap(target, [items[i - 1] for i in survivors]), record
+    return _rebuild(target, rows[head:t - tail]), record
 
 
 def attack_pixel_noise(
-    video: Sequence[ToyFrame], sigma: float = DEFAULT_NOISE_SIGMA, seed: int = 0
-) -> list[ToyFrame]:
+    video, sigma: float = DEFAULT_NOISE_SIGMA, seed: int = 0
+) -> np.ndarray:
     """Add seeded Gaussian pixel noise, clamped to [0, 1]."""
     if sigma < 0.0:
         raise ValueError("sigma must be >= 0")
-    frames = list(video)
-    if not frames:
-        raise ValueError("cannot attack an empty video")
+    pixels = _video(video)
     if sigma == 0.0:
-        return frames
+        return pixels
     rng = np.random.default_rng(seed)
-    out = []
-    for frame in frames:
-        noisy = np.clip(
-            frame.pixels + rng.normal(0.0, sigma, frame.pixels.shape), 0.0, 1.0
-        )
-        out.append(ToyFrame(noisy, frame.frame_index))
-    return out
+    return _video(np.clip(pixels + rng.normal(0.0, sigma, pixels.shape), 0.0, 1.0))
 
 
 def _interp_matrix(n_in: int, n_out: int) -> np.ndarray:
@@ -377,26 +359,26 @@ def _interp_matrix(n_in: int, n_out: int) -> np.ndarray:
     return matrix
 
 
-def attack_rescale(video: Sequence[ToyFrame], factor: float) -> list[ToyFrame]:
+def attack_rescale(video, factor: float) -> np.ndarray:
     """Bilinear downscale by the factor and upscale back to the input shape."""
-    frames = list(video)
-    if not frames:
-        raise ValueError("cannot attack an empty video")
+    pixels = _video(video)
     if not 0.0 < float(factor) <= 1.0:
         raise ValueError("factor must lie in (0, 1]")
-    _, height, width = frames[0].pixels.shape
+    _, _, height, width = pixels.shape
     mid_h = max(1, rounded_count(height, factor))
     mid_w = max(1, rounded_count(width, factor))
     down_h = _interp_matrix(height, mid_h)
     down_w = _interp_matrix(width, mid_w)
     up_h = _interp_matrix(mid_h, height)
     up_w = _interp_matrix(mid_w, width)
+    # Frame by frame: one einsum over the whole video gives the same bytes
+    # on numpy 2.4, but that is unchecked at the numpy 1.24 floor.
     out = []
-    for frame in frames:
-        small = np.einsum("hy,cyx,wx->chw", down_h, frame.pixels, down_w)
+    for frame in pixels:
+        small = np.einsum("hy,cyx,wx->chw", down_h, frame, down_w)
         restored = np.einsum("yh,chw,xw->cyx", up_h, small, up_w)
-        out.append(ToyFrame(np.clip(restored, 0.0, 1.0), frame.frame_index))
-    return out
+        out.append(np.clip(restored, 0.0, 1.0))
+    return _video(out)
 
 
 def apply_attack(target, spec: dict):
@@ -407,7 +389,8 @@ def apply_attack(target, spec: dict):
     name = spec.pop("attack")
     seed = int(spec.pop("seed", 0))
     if name == "none":
-        result = target, TamperRecord.identity(len(_as_items(target)))
+        rows = _rows(target)
+        result = _rebuild(target, rows), TamperRecord.identity(len(rows))
     elif name == "drop":
         result = attack_drop(target, float(spec.pop("fraction")), seed)
     elif name == "swap_random":

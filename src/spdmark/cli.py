@@ -18,9 +18,11 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import time
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -61,7 +63,6 @@ from .spd_core import (
     init_toy_decoder,
     random_condition,
     read_video,
-    video_to_array,
     write_video,
 )
 from .verifier import (
@@ -122,6 +123,29 @@ def _stage(name: str, seconds: Optional[dict] = None):
         seconds[name] = time.perf_counter() - begin
 
 
+def _check_type(name: str, kind, value) -> None:
+    """Require `value` to have the field type `kind`: a bool is not a
+    number, a float must be finite, and a list stands for a tuple."""
+    if typing.get_origin(kind) is typing.Union:  # Optional[...]
+        if value is None:
+            return
+        kind = typing.get_args(kind)[0]
+    if kind is float:
+        try:
+            ok = not isinstance(value, bool) and math.isfinite(value)
+        except (TypeError, OverflowError):
+            ok = False
+    elif kind is int:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    elif kind is tuple:
+        ok = isinstance(value, (list, tuple))
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        what = "a finite number" if kind is float else f"of type {kind.__name__}"
+        raise ValueError(f"{name} must be {what}, not {value!r}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     num_layers: int = 14
@@ -156,20 +180,33 @@ class RunConfig:
     out_dir: str = "."
 
     def __post_init__(self) -> None:
-        self.key_config()
-        if self.rank > self.layer_dim:
-            raise ValueError("rank must not exceed layer_dim")
-        for name in ("height", "width", "num_frames", "trials", "calibration_trials",
-                     "train_videos", "train_frames", "holdout_videos"):
-            if int(getattr(self, name)) < 1:
+        for field in dataclasses.fields(self):
+            _check_type(field.name, field.type, getattr(self, field.name))
+        for name in ("num_layers", "bases_per_layer", "layer_dim", "height", "width",
+                     "num_frames", "trials", "calibration_trials", "train_videos",
+                     "train_frames", "holdout_videos"):
+            if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        for name in ("rank", "init_seed", "decoder_seed", "seed", "init_scale",
+                     "latent_scale", "lambda_ps", "lambda_tc", "ridge_lambda"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        if self.condition_seed is not None and self.condition_seed < 0:
+            raise ValueError("condition_seed must be >= 0")
+        for name in ("gamma_f", "gamma_v"):
+            if not 0.0 < getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in (0, 1]")
         if not 0.0 <= self.flip_probability <= 1.0:
             raise ValueError("flip_probability must lie in [0, 1]")
+        self.key_config()
+        if self.message_bits > 256:
+            raise ValueError("message_bits must be <= 256, the length of one SHA-256 digest")
+        if self.rank > self.layer_dim:
+            raise ValueError("rank must not exceed layer_dim")
         for spec in list(self.attacks or ()) + ([self.attack] if self.attack else []):
             if not isinstance(spec, dict) or "attack" not in spec:
                 raise ValueError('each attack spec must be an object with an "attack" name')
-        if self.secret_hex:
-            bytes.fromhex(self.secret_hex)
+        self.secret()
         if self.attacks is not None:
             object.__setattr__(self, "attacks", tuple(self.attacks))
 
@@ -213,9 +250,12 @@ def load_config(path: Optional[str], overrides: dict) -> RunConfig:
         path = os.environ.get("SPDMARK_CONFIG") or None
     if path:
         try:
-            data.update(json.loads(Path(path).read_text(encoding="utf-8")))
-        except (OSError, json.JSONDecodeError) as exc:
+            loaded = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"config {path} must hold a JSON object")
+        data.update(loaded)
     data.update({k: v for k, v in overrides.items() if v is not None})
     known = {field.name for field in dataclasses.fields(RunConfig)}
     unknown = sorted(set(data) - known)
@@ -401,8 +441,8 @@ def _attack(cfg: RunConfig, target) -> tuple:
     return apply_attack(target, spec)
 
 
-def _extract(extractor, frames) -> MessageSequence:
-    return MessageSequence([extractor.decode(frame.pixels) for frame in frames])
+def _extract(extractor, video) -> MessageSequence:
+    return MessageSequence([extractor.decode(frame) for frame in video])
 
 
 def _verify(cfg: RunConfig, schedule, extracted: MessageSequence) -> Verdict:
@@ -629,8 +669,7 @@ def _toy_pipeline(cfg: RunConfig, out: Path) -> int:
     # before they are stored at float32.
     with _stage("losses", seconds):
         losses = loss_report(
-            video_to_array(clean), video_to_array(marked), extractor, schedule,
-            LossWeights(cfg.lambda_ps, cfg.lambda_tc),
+            clean, marked, extractor, schedule, LossWeights(cfg.lambda_ps, cfg.lambda_tc)
         )
     report = {
         "mode": "toy",

@@ -187,24 +187,28 @@ class BaseSecret:
             raise ValueError(f"secret must be at least {MIN_SECRET_BYTES} bytes")
 
 
-def key_to_mask(key: WatermarkKey, cfg: KeyConfig) -> SelectionMask:
-    """Map a key to its per-layer basis selection.
+def _basis_indices(bits: np.ndarray, cfg: KeyConfig) -> np.ndarray:
+    """The (n, L) basis index each row of (n, M) bits selects per layer.
 
-    Chunk ell (1-based) is bits [(ell-1)*log2P, ell*log2P), read MSB first;
-    its value i selects column i + 1 of row ell in 1-based terms.
+    Chunk ell (1-based) of a row is bits [(ell-1)*log2P, ell*log2P), read
+    MSB first; its value i selects basis i + 1 of layer ell in 1-based
+    terms.
     """
-    if len(key.bits) != cfg.message_bits:
+    if bits.shape[1] != cfg.message_bits:
         raise ValueError(
-            f"key has {len(key.bits)} bits, config expects {cfg.message_bits}"
+            f"messages have {bits.shape[1]} bits, config expects {cfg.message_bits}"
         )
     width = cfg.bits_per_layer
+    chunks = bits.astype(np.intp).reshape(len(bits), cfg.num_layers, width)
+    return (chunks << np.arange(width - 1, -1, -1)).sum(axis=2)
+
+
+def key_to_mask(key: WatermarkKey, cfg: KeyConfig) -> SelectionMask:
+    """Map a key to its per-layer basis selection: row ell is the one-hot
+    of the basis the key's chunk ell selects (see _basis_indices)."""
+    index = _basis_indices(np.array([key.bits]), cfg)[0]
     mask = np.zeros((cfg.num_layers, cfg.bases_per_layer), dtype=np.uint8)
-    for layer in range(cfg.num_layers):
-        chunk = key.bits[layer * width : (layer + 1) * width]
-        index = 0
-        for bit in chunk:
-            index = (index << 1) | bit
-        mask[layer, index] = 1
+    mask[np.arange(cfg.num_layers), index] = 1
     return SelectionMask(mask)
 
 

@@ -24,7 +24,7 @@ import numpy as np
 import scipy.linalg
 from scipy.special import expit
 
-from .spd_core import ToyFrame, _read_payload
+from .spd_core import _read_payload, _video
 
 __all__ = [
     "LossWeights",
@@ -105,42 +105,17 @@ class LinearExtractor:
     def num_features(self) -> int:
         return self.weight.shape[1]
 
-    def logits(self, frame: "ToyFrame | np.ndarray") -> np.ndarray:
-        flat = _flat_pixels(frame)
+    def logits(self, frame: np.ndarray) -> np.ndarray:
+        flat = np.asarray(frame, dtype=np.float64).ravel()
         if flat.shape[0] != self.num_features:
             raise ValueError(
                 f"frame has {flat.shape[0]} pixels, extractor expects {self.num_features}"
             )
         return self.weight @ flat + self.bias
 
-    def decode(self, frame: "ToyFrame | np.ndarray") -> np.ndarray:
+    def decode(self, frame: np.ndarray) -> np.ndarray:
         """Decode bits as the sign of each logit; a tie at 0 decodes to 0."""
         return (self.logits(frame) > 0).astype(np.uint8)
-
-
-def _flat_pixels(frame) -> np.ndarray:
-    if isinstance(frame, ToyFrame):
-        frame = frame.pixels
-    pixels = np.asarray(frame, dtype=np.float64)
-    return pixels.ravel()
-
-
-def _as_video(video) -> np.ndarray:
-    """Normalize a video to a (T, 3, H, W) float array."""
-    if isinstance(video, np.ndarray):
-        pixels = np.asarray(video, dtype=np.float64)
-    else:
-        frames = list(video)
-        if not frames:
-            raise ValueError("video has no frames")
-        pixels = np.stack(
-            [f.pixels if isinstance(f, ToyFrame) else np.asarray(f) for f in frames]
-        ).astype(np.float64)
-    if pixels.ndim != 4 or pixels.shape[1] != 3:
-        raise ValueError("video must have shape (T, 3, H, W)")
-    if not np.isfinite(pixels).all():
-        raise ValueError("pixel values must be finite")
-    return pixels
 
 
 def _message_bits(message) -> np.ndarray:
@@ -181,22 +156,21 @@ def bce_logits(logits: np.ndarray, target) -> float:
 def recovery_loss(video, extractor: LinearExtractor, schedule: Sequence) -> float:
     """Mean over frames of the per-frame BCE between extractor logits and the
     scheduled message bits."""
-    pixels = _as_video(video)
+    pixels = _video(video)
     total = 0.0
     for frame, bits in zip(pixels, _schedule_bits(schedule, pixels.shape[0])):
         total += bce_logits(extractor.logits(frame), bits)
     return total / pixels.shape[0]
 
 
-def luminance(frame) -> np.ndarray:
-    """Per-pixel luma 0.299 R + 0.587 G + 0.114 B of a 3-channel frame."""
-    if isinstance(frame, ToyFrame):
-        frame = frame.pixels
-    pixels = np.asarray(frame, dtype=np.float64)
-    if pixels.ndim != 3 or pixels.shape[0] != 3:
-        raise ValueError("frame must have 3 channels")
+def luminance(pixels) -> np.ndarray:
+    """Per-pixel luma 0.299 R + 0.587 G + 0.114 B of a (3, H, W) frame or a
+    (T, 3, H, W) video."""
+    pixels = np.asarray(pixels, dtype=np.float64)
+    if pixels.ndim not in (3, 4) or pixels.shape[-3] != 3:
+        raise ValueError("pixels must be a (3, H, W) frame or a (T, 3, H, W) video")
     r, g, b = LUMA_WEIGHTS
-    return r * pixels[0] + g * pixels[1] + b * pixels[2]
+    return r * pixels[..., 0, :, :] + g * pixels[..., 1, :, :] + b * pixels[..., 2, :, :]
 
 
 def mean_squared_error(a: np.ndarray, b: np.ndarray) -> float:
@@ -208,14 +182,9 @@ def mean_squared_error(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.mean((a - b) ** 2))
 
 
-def _luma_video(pixels: np.ndarray) -> np.ndarray:
-    r, g, b = LUMA_WEIGHTS
-    return r * pixels[:, 0] + g * pixels[:, 1] + b * pixels[:, 2]
-
-
 def _check_pair(clean, marked) -> tuple:
-    clean = _as_video(clean)
-    marked = _as_video(marked)
+    clean = _video(clean)
+    marked = _video(marked)
     if clean.shape != marked.shape:
         raise ValueError("clean and marked videos must have the same shape")
     return clean, marked
@@ -226,8 +195,8 @@ def _perceptual_term(clean: np.ndarray, marked: np.ndarray, distance) -> float:
 
 
 def _temporal_term(clean: np.ndarray, marked: np.ndarray) -> float:
-    delta_clean = np.diff(_luma_video(clean), axis=0)
-    delta_marked = np.diff(_luma_video(marked), axis=0)
+    delta_clean = np.diff(luminance(clean), axis=0)
+    delta_marked = np.diff(luminance(marked), axis=0)
     # Mean per pixel, then mean over the T-1 successive differences.
     return float(np.abs(delta_clean - delta_marked).mean())
 
@@ -294,7 +263,7 @@ def loss_gradients(
 
     # d|delta_y - delta_y~|/dy~ routes +sign into frame t and -sign into t+1,
     # then fans out over channels through the luma coefficients.
-    sign = np.sign(np.diff(_luma_video(clean), axis=0) - np.diff(_luma_video(marked), axis=0))
+    sign = np.sign(np.diff(luminance(clean), axis=0) - np.diff(luminance(marked), axis=0))
     luma_grad = np.zeros(clean.shape[:1] + clean.shape[2:])
     luma_grad[:-1] += sign
     luma_grad[1:] -= sign
@@ -343,7 +312,7 @@ def fit_extractor(
     features = None
     bit_count = None
     for video, schedule in zip(videos, schedules):
-        pixels = _as_video(video)
+        pixels = _video(video)
         bits = _schedule_bits(schedule, pixels.shape[0])
         flat = pixels.reshape(pixels.shape[0], -1)
         if features is None:
@@ -376,7 +345,7 @@ def bit_accuracy(extractor: LinearExtractor, videos: Sequence, schedules: Sequen
     correct = 0
     total = 0
     for video, schedule in zip(videos, schedules):
-        pixels = _as_video(video)
+        pixels = _video(video)
         targets = _schedule_bits(schedule, pixels.shape[0])
         if targets.shape[1] != extractor.message_bits:
             raise ValueError("message length must match the extractor bit count")

@@ -3,11 +3,14 @@
 A basis shift is a low-rank parameter delta stored in factored form (A, B)
 with A of shape d x r and B of shape r x d.  The realized delta A @ B is
 never formed: the displaced forward pass evaluates A @ (B @ h) as two
-rank-r products.  A selection mask picks one shift per decoder layer, and
-the toy generator runs a latent through L displaced affine layers followed
-by a pixel projection.  It runs all frames of a call together as a stack of
-column vectors, which numpy multiplies with one matrix-vector product per
-frame, so each frame is byte-identical to generating it alone.
+rank-r products.  Each frame's message picks one shift per decoder layer,
+and the toy generator runs a latent through L displaced affine layers
+followed by a pixel projection.  It runs all frames of a call together as a
+stack of column vectors, which numpy multiplies with one matrix-vector
+product per frame, so each frame is byte-identical to generating it alone.
+
+A video is one read-only (T, 3, H, W) float64 array of finite pixels,
+checked once when it is made; row t - 1 is frame t.
 
 Dictionary and decoder are immutable after construction (their arrays are
 marked read-only), and generation is a pure function of its seeds, so
@@ -23,16 +26,12 @@ from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
 
-from .keyspace import KeyConfig, MessageSequence, SelectionMask
+from .keyspace import KeyConfig, MessageSequence, _basis_indices
 
 __all__ = [
     "BasisShift",
-    "LayerShift",
     "BasisDictionary",
     "ToyDecoder",
-    "ToyFrame",
-    "compose_displacement",
-    "displaced_layer_forward",
     "generate_frames",
     "generate_video",
     "init_dictionary",
@@ -41,7 +40,6 @@ __all__ = [
     "record_products",
     "write_video",
     "read_video",
-    "video_to_array",
     "DEFAULT_LAYER_DIM",
     "DEFAULT_FRAME_SIDE",
     "DEFAULT_NUM_LAYERS",
@@ -136,25 +134,6 @@ class BasisShift:
 
 
 @dataclass(frozen=True, eq=False)
-class LayerShift:
-    """A composed per-layer shift, also factored; its inner width is the sum
-    of the selected ranks and may be zero (empty selection) or exceed d."""
-
-    factor_a: np.ndarray
-    factor_b: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = _frozen(self.factor_a)
-        b = _frozen(self.factor_b)
-        if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-            raise ValueError("composed factors must pair up")
-        if a.shape[0] != b.shape[1]:
-            raise ValueError("composed shift must be square in the layer dimension")
-        object.__setattr__(self, "factor_a", a)
-        object.__setattr__(self, "factor_b", b)
-
-
-@dataclass(frozen=True, eq=False)
 class BasisDictionary:
     """L x P grid of basis shifts sharing (d, r), plus the global scale alpha."""
 
@@ -235,96 +214,35 @@ class ToyDecoder:
         return self.weights.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
-class ToyFrame:
-    """One generated frame: 3 x H x W pixels nominally in [0, 1], 1-based index."""
-
-    pixels: np.ndarray
-    frame_index: int
-
-    def __post_init__(self) -> None:
-        pix = _frozen(self.pixels)
-        if pix.ndim != 3 or pix.shape[0] != 3:
-            raise ValueError("pixels must be 3 x H x W")
-        if not np.isfinite(pix).all():
-            raise ValueError("pixel values must be finite")
-        if self.frame_index < 1:
-            raise ValueError("frame_index is 1-based and must be >= 1")
-        object.__setattr__(self, "pixels", pix)
-
-
 def _check_finite(values: np.ndarray, what: str) -> None:
     if not np.isfinite(values).all():
         raise ValueError(f"{what} must be finite")
 
 
-def compose_displacement(
-    dictionary: BasisDictionary, mask: "SelectionMask | np.ndarray"
-) -> list[LayerShift]:
-    """Combine the mask-selected basis shifts into one factored shift per layer.
-
-    Row ell yields sum_p b[ell, p] * zeta[ell, p], kept factored by
-    concatenating selected factors along the rank axis; an empty row yields
-    zero-width factors (an exact zero shift).  Key-derived masks are one-hot,
-    but the composition itself accepts any binary matrix, so zero- and
-    multi-hot selections (the pre-key general form) also work.
-    """
-    matrix = mask.mask if isinstance(mask, SelectionMask) else np.asarray(mask)
-    if matrix.ndim != 2 or not np.isin(matrix, (0, 1)).all():
-        raise ValueError("mask must be a binary matrix")
-    if matrix.shape != (dictionary.num_layers, dictionary.bases_per_layer):
-        raise ValueError("mask dimensions do not match dictionary")
-    d = dictionary.layer_dim
-    layers = []
-    for row, shifts in zip(matrix, dictionary.shifts):
-        selected = [shifts[p] for p in np.flatnonzero(row)]
-        if not selected:
-            layers.append(LayerShift(np.zeros((d, 0)), np.zeros((0, d))))
-        elif len(selected) == 1:
-            layers.append(LayerShift(selected[0].factor_a, selected[0].factor_b))
-        else:
-            layers.append(
-                LayerShift(
-                    np.hstack([s.factor_a for s in selected]),
-                    np.vstack([s.factor_b for s in selected]),
-                )
-            )
-    return layers
-
-
-def displaced_layer_forward(
-    weight: np.ndarray,
-    offset: np.ndarray,
-    shift: "BasisShift | LayerShift",
-    alpha: float,
-    h: np.ndarray,
-) -> np.ndarray:
-    """One displaced layer: (W h + c) + alpha * A (B h), factored throughout."""
-    h = np.asarray(h, dtype=np.float64)
-    if h.ndim != 1 or h.shape[0] != weight.shape[1]:
-        raise ValueError("hidden state dimension mismatch")
-    _check_finite(h, "hidden state")
-    base = _matmul(weight, h) + offset
-    if alpha == 0.0 or shift.factor_a.shape[1] == 0:
-        return base
-    return base + alpha * _matmul(shift.factor_a, _matmul(shift.factor_b, h))
+def _video(pixels) -> np.ndarray:
+    """`pixels` as a video: a read-only C-contiguous (T, 3, H, W) float64
+    array with T, H, W >= 1 and every pixel finite.  A C-contiguous float64
+    array whose memory no array can write (a video already made, or rows of
+    one) is taken as it is; anything else is copied, so that the caller's
+    array cannot change the video."""
+    owner = pixels if getattr(pixels, "base", None) is None else pixels.base
+    if not (
+        isinstance(owner, np.ndarray)
+        and not owner.flags.writeable
+        and pixels.dtype == np.float64
+        and pixels.flags.c_contiguous
+    ):
+        pixels = np.array(pixels, dtype=np.float64, order="C")
+    if pixels.ndim != 4 or pixels.shape[1] != 3 or pixels.size == 0:
+        raise ValueError("a video must be a non-empty (T, 3, H, W) array")
+    _check_finite(pixels, "pixel values")
+    pixels.setflags(write=False)
+    return pixels
 
 
 def _frame_latent(latent_seed: int, frame_index: int, dim: int, scale: float):
     rng = np.random.default_rng([latent_seed, frame_index])
     return rng.normal(0.0, scale, dim)
-
-
-def _basis_indices(bits: np.ndarray, cfg: KeyConfig) -> np.ndarray:
-    """The (n, L) basis index each row of (n, M) bits selects per layer:
-    chunk ell of the row read MSB first, as key_to_mask reads a key."""
-    if bits.shape[1] != cfg.message_bits:
-        raise ValueError(
-            f"messages have {bits.shape[1]} bits, config expects {cfg.message_bits}"
-        )
-    width = cfg.bits_per_layer
-    chunks = bits.astype(np.intp).reshape(len(bits), cfg.num_layers, width)
-    return (chunks << np.arange(width - 1, -1, -1)).sum(axis=2)
 
 
 def _forward(
@@ -368,7 +286,7 @@ def generate_frames(
     condition: np.ndarray,
     latent_scale: float = DEFAULT_LATENT_SCALE,
 ) -> np.ndarray:
-    """Pixels (n, 3, H, W) of n frames generated in one batch from the
+    """The (n, 3, H, W) video of n frames generated in one batch from the
     (n, M) bit rows of `messages`; frame_seeds[i] is row i's (latent_seed,
     frame_index), and frame i is frame frame_index of the video with seed
     latent_seed.
@@ -393,7 +311,8 @@ def generate_frames(
         for seed, frame_index in frame_seeds
     ]) + condition
     pixels = _forward(decoder, dictionary, indices, latents)
-    return pixels.reshape(len(bits), *decoder.frame_shape)
+    pixels.setflags(write=False)
+    return _video(pixels.reshape(len(bits), *decoder.frame_shape))
 
 
 def generate_video(
@@ -403,19 +322,18 @@ def generate_video(
     latent_seed: int,
     condition: np.ndarray,
     latent_scale: float = DEFAULT_LATENT_SCALE,
-) -> list[ToyFrame]:
+) -> np.ndarray:
     """Run each frame's seeded latent plus the shared condition through the
-    displaced decoder; frame t uses the selection mask of its own message.
+    displaced decoder; frame t uses the bases its own message selects.
 
     The per-frame latent depends only on (latent_seed, t), so the output is
     per-frame deterministic and frames may be produced in any order.
     """
-    frame_indices = range(1, len(schedule) + 1)
-    pixels = generate_frames(
-        decoder, dictionary, schedule, [(latent_seed, t) for t in frame_indices],
+    return generate_frames(
+        decoder, dictionary, schedule,
+        [(latent_seed, t) for t in range(1, len(schedule) + 1)],
         condition, latent_scale,
     )
-    return [ToyFrame(frame, t) for frame, t in zip(pixels, frame_indices)]
 
 
 def init_dictionary(
@@ -487,25 +405,16 @@ def random_condition(layer_dim: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).normal(0.0, 1.0, layer_dim)
 
 
-def video_to_array(frames: Sequence[ToyFrame]) -> np.ndarray:
-    """Stack frames into a T x 3 x H x W array."""
-    return np.stack([f.pixels for f in frames])
-
-
-def write_video(stream: BinaryIO, frames: Sequence[ToyFrame]) -> None:
-    """Write frames in the toy video format: magic "SPDF", version byte, then
+def write_video(stream: BinaryIO, video) -> None:
+    """Write a video in the toy format: magic "SPDF", version byte, then
     T, H, W, C as 4-byte big-endian unsigned, then frame-major, channel-major,
     row-major float32 little-endian pixels."""
-    if not frames:
-        raise ValueError("cannot write an empty video")
-    channels, height, width = frames[0].pixels.shape
+    video = _video(video)
+    num_frames, channels, height, width = video.shape
     stream.write(_VIDEO_MAGIC)
     stream.write(struct.pack("B", _VIDEO_VERSION))
-    stream.write(struct.pack(">IIII", len(frames), height, width, channels))
-    for frame in frames:
-        if frame.pixels.shape != (channels, height, width):
-            raise ValueError("all frames must share one shape")
-        stream.write(np.ascontiguousarray(frame.pixels, dtype="<f4").tobytes())
+    stream.write(struct.pack(">IIII", num_frames, height, width, channels))
+    stream.write(video.astype("<f4").tobytes())
 
 
 def _read_payload(stream: BinaryIO, size: int, what: str) -> bytes:
@@ -524,7 +433,7 @@ def _read_payload(stream: BinaryIO, size: int, what: str) -> bytes:
     return b"".join(chunks)
 
 
-def read_video(stream: BinaryIO) -> list[ToyFrame]:
+def read_video(stream: BinaryIO) -> np.ndarray:
     header = stream.read(4 + 1 + 16)
     if len(header) != 21 or header[:4] != _VIDEO_MAGIC:
         raise ValueError("not a toy video file")
@@ -537,7 +446,6 @@ def read_video(stream: BinaryIO) -> list[ToyFrame]:
     pixels = np.frombuffer(
         _read_payload(stream, 4 * num_frames * channels * height * width, "video"),
         dtype="<f4",
-    ).astype(np.float64)
-    pixels = pixels.reshape(num_frames, channels, height, width)
-    return [ToyFrame(pixels[t], t + 1) for t in range(num_frames)]
+    )
+    return _video(pixels.reshape(num_frames, channels, height, width))
 

@@ -164,7 +164,7 @@ class Verdict:
                 )
                 for f in doc["frames"]
             )
-            return cls(
+            verdict = cls(
                 valid=bool(doc["valid"]),
                 valid_set=tuple(
                     (f.pi, f.rho, f.matched_bits) for f in frames if f.valid
@@ -188,6 +188,22 @@ class Verdict:
             raise ValueError(f"verdict document is missing key {exc.args[0]!r}") from None
         except (TypeError, OverflowError) as exc:
             raise ValueError(f"malformed verdict document: {exc}") from None
+        # Reject what verify cannot produce: anything but a one-to-one
+        # alignment of min(T, T_r) pairs, sorted by pi as Assignment requires,
+        # with counts in [0, M].
+        t, t_r, m = verdict.num_expected, verdict.num_extracted, verdict.message_bits
+        if min(t, t_r, m) < 1:
+            raise ValueError("verdict lengths and message_bits must be >= 1")
+        if len(frames) != min(t, t_r):
+            raise ValueError(f"verdict must align min(T, T_r) = {min(t, t_r)} frames")
+        Assignment(tuple((f.pi, f.rho) for f in frames), 0.0, 0)
+        for f in frames:
+            if not (1 <= f.pi <= t and 1 <= f.rho <= t_r and 0 <= f.matched_bits <= m):
+                raise ValueError(
+                    f"verdict frame (pi={f.pi}, rho={f.rho}, matched_bits="
+                    f"{f.matched_bits}) lies outside T={t}, T_r={t_r}, M={m}"
+                )
+        return verdict
 
 
 @dataclass(frozen=True)

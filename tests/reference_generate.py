@@ -4,24 +4,102 @@ This is the original `generate_video`, which builds a selection mask and
 composed per-layer shifts for every frame and runs that frame alone through
 the displaced decoder, one matrix-vector product at a time.  The batched
 generator in `spdmark.spd_core` must reproduce its output byte for byte, so
-the differential tests compare the two.  Nothing under `src/` imports this
-module.
+the differential tests compare the two.  The per-frame displacement path
+(`LayerShift`, `compose_displacement`, `displaced_layer_forward`) lives here
+because nothing under `src/` runs it any more; nothing under `src/` imports
+this module.
 """
 
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-from spdmark.keyspace import FrameMessage, WatermarkKey, key_to_mask
+from spdmark.keyspace import MessageSequence, SelectionMask, WatermarkKey, key_to_mask
 from spdmark.spd_core import (
     DEFAULT_LATENT_SCALE,
     BasisDictionary,
+    BasisShift,
     ToyDecoder,
-    ToyFrame,
     _matmul,
-    compose_displacement,
-    displaced_layer_forward,
 )
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    out = np.array(arr, dtype=np.float64)
+    out.setflags(write=False)
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class LayerShift:
+    """A composed per-layer shift, also factored; its inner width is the sum
+    of the selected ranks and may be zero (empty selection) or exceed d."""
+
+    factor_a: np.ndarray
+    factor_b: np.ndarray
+
+    def __post_init__(self) -> None:
+        a = _frozen(self.factor_a)
+        b = _frozen(self.factor_b)
+        if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+            raise ValueError("composed factors must pair up")
+        if a.shape[0] != b.shape[1]:
+            raise ValueError("composed shift must be square in the layer dimension")
+        object.__setattr__(self, "factor_a", a)
+        object.__setattr__(self, "factor_b", b)
+
+
+def compose_displacement(
+    dictionary: BasisDictionary, mask: "SelectionMask | np.ndarray"
+) -> list[LayerShift]:
+    """Combine the mask-selected basis shifts into one factored shift per layer.
+
+    Row ell yields sum_p b[ell, p] * zeta[ell, p], kept factored by
+    concatenating selected factors along the rank axis; an empty row yields
+    zero-width factors (an exact zero shift).  Key-derived masks are one-hot,
+    but the composition itself accepts any binary matrix, so zero- and
+    multi-hot selections (the pre-key general form) also work.
+    """
+    matrix = mask.mask if isinstance(mask, SelectionMask) else np.asarray(mask)
+    if matrix.ndim != 2 or not np.isin(matrix, (0, 1)).all():
+        raise ValueError("mask must be a binary matrix")
+    if matrix.shape != (dictionary.num_layers, dictionary.bases_per_layer):
+        raise ValueError("mask dimensions do not match dictionary")
+    d = dictionary.layer_dim
+    layers = []
+    for row, shifts in zip(matrix, dictionary.shifts):
+        selected = [shifts[p] for p in np.flatnonzero(row)]
+        if not selected:
+            layers.append(LayerShift(np.zeros((d, 0)), np.zeros((0, d))))
+        elif len(selected) == 1:
+            layers.append(LayerShift(selected[0].factor_a, selected[0].factor_b))
+        else:
+            layers.append(
+                LayerShift(
+                    np.hstack([s.factor_a for s in selected]),
+                    np.vstack([s.factor_b for s in selected]),
+                )
+            )
+    return layers
+
+
+def displaced_layer_forward(
+    weight: np.ndarray,
+    offset: np.ndarray,
+    shift: "BasisShift | LayerShift",
+    alpha: float,
+    h: np.ndarray,
+) -> np.ndarray:
+    """One displaced layer: (W h + c) + alpha * A (B h), factored throughout."""
+    h = np.asarray(h, dtype=np.float64)
+    if h.ndim != 1 or h.shape[0] != weight.shape[1]:
+        raise ValueError("hidden state dimension mismatch")
+    if not np.isfinite(h).all():
+        raise ValueError("hidden state must be finite")
+    base = _matmul(weight, h) + offset
+    if alpha == 0.0 or shift.factor_a.shape[1] == 0:
+        return base
+    return base + alpha * _matmul(shift.factor_a, _matmul(shift.factor_b, h))
 
 
 def _frame_latent(latent_seed: int, frame_index: int, dim: int, scale: float):
@@ -32,16 +110,14 @@ def _frame_latent(latent_seed: int, frame_index: int, dim: int, scale: float):
 def generate_video(
     decoder: ToyDecoder,
     dictionary: BasisDictionary,
-    schedule: Sequence[FrameMessage],
+    schedule: MessageSequence,
     latent_seed: int,
     condition: np.ndarray,
     latent_scale: float = DEFAULT_LATENT_SCALE,
-) -> list[ToyFrame]:
+) -> np.ndarray:
     """Run each frame's seeded latent plus the shared condition through the
     displaced decoder; frame t uses the selection mask of its own message.
-
-    The per-frame latent depends only on (latent_seed, t), so the output is
-    per-frame deterministic and frames may be produced in any order.
+    Returns the (T, 3, H, W) video.
     """
     if not schedule:
         raise ValueError("schedule must be non-empty")
@@ -53,7 +129,6 @@ def generate_video(
     if condition.shape != (decoder.layer_dim,):
         raise ValueError("condition must be a layer_dim vector")
     cfg = dictionary.key_config()
-    channels, height, width = decoder.frame_shape
     frames = []
     for msg in schedule:
         mask = key_to_mask(WatermarkKey(msg.bits), cfg)
@@ -71,6 +146,5 @@ def generate_video(
                 h,
             )
         raster = _matmul(decoder.projection, h) + decoder.projection_offset
-        pixels = np.clip(raster, 0.0, 1.0).reshape(channels, height, width)
-        frames.append(ToyFrame(pixels, msg.frame_index))
-    return frames
+        frames.append(np.clip(raster, 0.0, 1.0).reshape(decoder.frame_shape))
+    return np.stack(frames)

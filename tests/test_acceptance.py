@@ -38,7 +38,13 @@ from spdmark.objective import (
     luminance,
     recovery_loss,
 )
-from spdmark.spd_core import LayerShift, displaced_layer_forward, record_products
+from spdmark.spd_core import (
+    BasisDictionary,
+    BasisShift,
+    ToyDecoder,
+    generate_frames,
+    record_products,
+)
 from spdmark.verifier import (
     SimilarityMatrix,
     binomial_tail,
@@ -317,22 +323,84 @@ def test_criterion_8_extractor_learns_watermark():
         )
 
 
+def dense_frames(decoder, factors, alpha, indices, latents):
+    """Oracle: per frame and layer h <- (W_l + alpha * A_p B_p) h + c_l, with
+    the dense A_p B_p formed here, then the projection and the clip."""
+    frames = []
+    for row, h in zip(indices, latents):
+        for layer, basis in enumerate(row):
+            factor_a, factor_b = factors[layer][basis]
+            dense = decoder.weights[layer] + alpha * (factor_a @ factor_b)
+            h = dense @ h + decoder.offsets[layer]
+        raster = decoder.projection @ h + decoder.projection_offset
+        frames.append(np.clip(raster, 0.0, 1.0).reshape(decoder.frame_shape))
+    return np.array(frames)
+
+
 def test_criterion_9_displacement_stays_factored():
     with criterion(9, "factored displacement matches dense, never forms A@B"):
         rng = np.random.default_rng(9)
-        for _ in range(1000):
-            factor_a = rng.normal(size=(64, 32))
-            factor_b = rng.normal(size=(32, 64))
-            weight = rng.normal(size=(64, 64))
-            offset = rng.normal(size=64)
-            h = rng.normal(size=64)
+        for trial in range(200):
+            num_layers = int(rng.integers(1, 15))
+            bases = int(rng.choice([2, 4, 8]))
+            d = int(rng.integers(2, 65))
+            r = int(rng.integers(1, d + 1))
+            height, width = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            num_frames = int(rng.integers(1, 9))
             alpha = float(rng.uniform(0.1, 2.0))
-            shift = LayerShift(factor_a, factor_b)
+            latent_scale = float(rng.uniform(0.01, 1.0))
+            cfg = KeyConfig.from_layout(num_layers, bases)
+            std = 1.0 / math.sqrt(d)
+            decoder = ToyDecoder(
+                weights=rng.normal(0.0, std, (num_layers, d, d)),
+                offsets=rng.normal(0.0, 0.1, (num_layers, d)),
+                projection=rng.normal(0.0, 0.1 * std, (3 * height * width, d)),
+                projection_offset=rng.normal(0.5, 0.1, 3 * height * width),
+                frame_shape=(3, height, width),
+                seed=trial,
+            )
+            factors = [
+                [
+                    (rng.normal(0.0, std, (d, r)), rng.normal(0.0, std, (r, d)))
+                    for _ in range(bases)
+                ]
+                for _ in range(num_layers)
+            ]
+            dictionary = BasisDictionary(
+                shifts=tuple(
+                    tuple(BasisShift(a, b) for a, b in row) for row in factors
+                ),
+                layer_dim=d, rank=r, alpha=alpha, init_seed=trial, init_scale=1.0,
+            )
+            messages = rng.integers(0, 2, (num_frames, cfg.message_bits))
+            frame_seeds = [
+                (int(rng.integers(0, 2**32)), int(t))
+                for t in rng.integers(1, 100, num_frames)
+            ]
+            condition = rng.normal(size=d)
             with record_products() as log:
-                factored = displaced_layer_forward(weight, offset, shift, alpha, h)
-            dense = weight @ h + offset + alpha * ((factor_a @ factor_b) @ h)
+                got = generate_frames(
+                    decoder, dictionary, messages, frame_seeds, condition, latent_scale
+                )
+            # Layer ell reads its chunk of the message MSB first.
+            step = cfg.bits_per_layer
+            indices = [
+                [
+                    int("".join(str(b) for b in row[ell * step:(ell + 1) * step]), 2)
+                    for ell in range(num_layers)
+                ]
+                for row in messages
+            ]
+            latents = [
+                np.random.default_rng([seed, t]).normal(0.0, latent_scale, d) + condition
+                for seed, t in frame_seeds
+            ]
+            dense = dense_frames(decoder, factors, alpha, indices, latents)
             scale = np.linalg.norm(dense)
-            assert np.linalg.norm(factored - dense) <= 1e-10 * max(scale, 1.0)
-            # Structural check: every product on the path is matrix-vector.
-            assert len(log) == 3
+            assert np.linalg.norm(got - dense) <= 1e-10 * max(scale, 1.0)
+            # Structural check on the same call: one W, one B and one A
+            # product per layer and one projection per frame, each with a
+            # vector right-hand side, and never a (d, r) @ (r, d) product.
+            assert len(log) == num_frames * (3 * num_layers + 1)
             assert all(len(rhs) == 1 for _, rhs in log)
+            assert ((d, r), (r, d)) not in log

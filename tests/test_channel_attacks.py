@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_attacks
 from spdmark.channel_attacks import (
     ChannelSpec,
     TamperRecord,
@@ -28,7 +29,6 @@ from spdmark.keyspace import (
     derive_frame_messages,
     random_key,
 )
-from spdmark.spd_core import ToyFrame
 
 CFG = KeyConfig.from_layout(14, 4)
 SECRET = BaseSecret(b"attack-test-secret-0")
@@ -40,19 +40,16 @@ def make_sequence(num_frames: int, seed: int = 0) -> MessageSequence:
     return channel_extract(schedule, ChannelSpec("ideal"))
 
 
-def make_video(num_frames: int) -> list[ToyFrame]:
+def make_video(num_frames: int) -> np.ndarray:
     # Pixel (0, 0, 0) encodes the original frame index so structural edits
     # can be traced through an attack.
-    frames = []
-    for t in range(1, num_frames + 1):
-        pixels = np.full((3, 2, 2), 0.5)
-        pixels[0, 0, 0] = t / 1000.0
-        frames.append(ToyFrame(pixels, t))
-    return frames
+    video = np.full((num_frames, 3, 2, 2), 0.5)
+    video[:, 0, 0, 0] = np.arange(1, num_frames + 1) / 1000.0
+    return video
 
 
-def encoded_index(frame: ToyFrame) -> int:
-    return round(frame.pixels[0, 0, 0] * 1000.0)
+def encoded_index(frame: np.ndarray) -> int:
+    return round(frame[0, 0, 0] * 1000.0)
 
 
 class TestCounts:
@@ -416,17 +413,20 @@ class TestVideoMessageCommutation:
             )
 
     def test_video_frames_reindexed_sequentially(self):
+        # Row p - 1 of the attacked video is output frame p.
         video = make_video(10)
-        attacked, _ = attack_swap_random(video, seed=1)
-        assert [f.frame_index for f in attacked] == list(range(1, 11))
+        attacked, record = attack_swap_random(video, seed=1)
+        assert attacked.shape == video.shape
+        assert not attacked.flags.writeable
+        positions = {encoded_index(frame): p for p, frame in enumerate(attacked, 1)}
+        assert positions == record.permutation
 
 
 class TestPixelNoise:
     def test_zero_sigma_is_identity(self):
         video = make_video(3)
         attacked = attack_pixel_noise(video, 0.0, seed=1)
-        for before, after in zip(video, attacked):
-            np.testing.assert_array_equal(before.pixels, after.pixels)
+        np.testing.assert_array_equal(attacked, video)
 
     def test_default_sigma(self):
         from spdmark.channel_attacks import DEFAULT_NOISE_SIGMA
@@ -436,56 +436,116 @@ class TestPixelNoise:
     def test_empirical_noise_std(self):
         # Mid-gray frames stay far from the clamp, so the sample standard
         # deviation of the perturbation estimates sigma.
-        frames = [ToyFrame(np.full((3, 16, 16), 0.5), t) for t in (1, 2, 3, 4)]
+        frames = np.full((4, 3, 16, 16), 0.5)
         attacked = attack_pixel_noise(frames, 0.05, seed=2)
-        deltas = np.concatenate(
-            [(a.pixels - b.pixels).ravel() for a, b in zip(attacked, frames)]
-        )
+        deltas = (attacked - frames).ravel()
         n = deltas.size
         assert abs(deltas.std() - 0.05) <= 3 * 0.05 / math.sqrt(2 * n)
         assert abs(deltas.std() - 0.05) <= 3 / math.sqrt(n)
 
     def test_output_stays_clamped(self):
-        frames = [ToyFrame(np.ones((3, 4, 4)), 1)]
-        attacked = attack_pixel_noise(frames, 0.5, seed=3)
-        assert attacked[0].pixels.max() <= 1.0
-        assert attacked[0].pixels.min() >= 0.0
+        attacked = attack_pixel_noise(np.ones((1, 3, 4, 4)), 0.5, seed=3)
+        assert attacked.max() <= 1.0
+        assert attacked.min() >= 0.0
 
     def test_deterministic_under_seed(self):
         video = make_video(2)
         a = attack_pixel_noise(video, 0.05, seed=4)
         b = attack_pixel_noise(video, 0.05, seed=4)
-        np.testing.assert_array_equal(a[0].pixels, b[0].pixels)
+        np.testing.assert_array_equal(a, b)
 
 
 class TestRescale:
     def test_identity_factor(self):
         video = make_video(2)
         attacked = attack_rescale(video, 1.0)
-        for before, after in zip(video, attacked):
-            np.testing.assert_allclose(after.pixels, before.pixels, atol=1e-6)
+        np.testing.assert_allclose(attacked, video, atol=1e-6)
 
     def test_constant_frames_preserved(self):
-        frames = [ToyFrame(np.full((3, 8, 8), 0.37), 1)]
-        attacked = attack_rescale(frames, 0.5)
-        np.testing.assert_allclose(attacked[0].pixels, 0.37, atol=1e-6)
+        attacked = attack_rescale(np.full((1, 3, 8, 8), 0.37), 0.5)
+        np.testing.assert_allclose(attacked, 0.37, atol=1e-6)
 
     def test_shape_contract(self):
-        frames = [ToyFrame(np.random.default_rng(0).random((3, 8, 8)), 1)]
+        frames = np.random.default_rng(0).random((1, 3, 8, 8))
         attacked = attack_rescale(frames, 0.5)
-        assert attacked[0].pixels.shape == (3, 8, 8)
+        assert attacked.shape == (1, 3, 8, 8)
 
     def test_half_factor_loses_detail(self):
         rng = np.random.default_rng(1)
-        frames = [ToyFrame(rng.random((3, 8, 8)), 1)]
+        frames = rng.random((1, 3, 8, 8))
         attacked = attack_rescale(frames, 0.5)
-        assert not np.allclose(attacked[0].pixels, frames[0].pixels, atol=1e-3)
+        assert not np.allclose(attacked, frames, atol=1e-3)
 
     def test_invalid_factor_rejected(self):
         with pytest.raises(ValueError):
             attack_rescale(make_video(1), 0.0)
         with pytest.raises(ValueError):
             attack_rescale(make_video(1), 1.5)
+
+
+class TestPhotometricOracle:
+    """The photometric attacks on arrays against the frame-by-frame loops in
+    tests/reference_attacks.py: equal bytes."""
+
+    @given(
+        num_frames=st.integers(1, 12),
+        height=st.integers(1, 9),
+        width=st.integers(1, 9),
+        sigma=st.sampled_from([0.0, 0.01, 0.05, 0.5]),
+        factor=st.sampled_from([0.1, 0.25, 0.5, 0.7, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_frame_by_frame_loops(
+        self, num_frames, height, width, sigma, factor, seed
+    ):
+        video = np.random.default_rng(seed).random((num_frames, 3, height, width))
+        noisy = attack_pixel_noise(video, sigma, seed)
+        want = reference_attacks.attack_pixel_noise(list(video), sigma, seed)
+        assert noisy.tobytes() == np.stack(want).tobytes()
+        rescaled = attack_rescale(video, factor)
+        want = reference_attacks.attack_rescale(list(video), factor)
+        assert rescaled.tobytes() == np.stack(want).tobytes()
+
+
+NON_VIDEOS = [
+    pytest.param(np.full((2, 3, 2, 2), np.nan), id="nan"),
+    pytest.param(np.full((2, 3, 2, 2), np.inf), id="inf"),
+    pytest.param(np.zeros((3, 2, 2)), id="3-d"),
+    pytest.param(np.zeros((2, 4, 2, 2)), id="4-channels"),
+    pytest.param(np.zeros((0, 3, 2, 2)), id="no-frames"),
+    pytest.param(np.zeros((2, 3, 0, 2)), id="no-rows"),
+]
+
+
+class TestVideoInputs:
+    @pytest.mark.parametrize("video", NON_VIDEOS)
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"attack": "none"},
+            {"attack": "drop", "fraction": 0.5},
+            {"attack": "swap_random"},
+            {"attack": "swap_adjacent"},
+            {"attack": "insert", "fraction": 0.5, "mode": "noise"},
+            {"attack": "trim", "head_fraction": 0.0, "tail_fraction": 0.0},
+            {"attack": "pixel_noise", "sigma": 0.0},
+            {"attack": "pixel_noise"},
+            {"attack": "rescale", "factor": 0.5},
+        ],
+    )
+    def test_attacks_reject_non_videos(self, video, spec):
+        with pytest.raises(ValueError):
+            apply_attack(video, spec)
+
+    def test_attacked_video_is_a_read_only_array(self):
+        video = make_video(4)
+        for spec in ({"attack": "insert", "fraction": 0.5, "mode": "noise"},
+                     {"attack": "pixel_noise"}, {"attack": "rescale", "factor": 0.5}):
+            attacked, _ = apply_attack(video, spec)
+            assert attacked.dtype == np.float64
+            assert attacked.flags.c_contiguous
+            assert not attacked.flags.writeable
 
 
 class TestApplyAttack:

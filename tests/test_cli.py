@@ -4,10 +4,16 @@ Commands run in-process through main(argv); files go to tmp_path.  Reports
 must reproduce bit for bit across reruns except under their "runtime" key.
 """
 
+import contextlib
+import dataclasses
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spdmark.cli
 from reference_generate import generate_video as reference_generate
@@ -83,6 +89,93 @@ class TestConfig:
         assert derive_seed(0, "train", 3) == derive_seed(0, "train", 3)
         assert derive_seed(0, "train", 3) != derive_seed(0, "holdout", 3)
         assert 0 <= derive_seed(0) < 2**63
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=10,
+)
+# Values near the edges of the field ranges.
+edge_values = st.sampled_from(
+    [0, 1, -1, 2, 3, 8, 28, 64, 2**70, 10**400, 0.0, 0.5, 1.0, 1.5, -0.5, 1e-300,
+     2.5, True, False, "", "00", "nan", "00" * 16, [], {}, [{"attack": "drop"}]]
+)
+CONFIG_FIELDS = [field.name for field in dataclasses.fields(RunConfig)]
+OVERRIDES = ("gamma_f", "gamma_v", "seed", "trials", "num_frames", "calibration_trials")
+
+
+@st.composite
+def config_documents(draw):
+    """An arbitrary JSON value, or the default config with one field set to
+    an arbitrary or edge value."""
+    if draw(st.booleans()):
+        return draw(json_values)
+    doc = dataclasses.asdict(RunConfig())
+    doc[draw(st.sampled_from(CONFIG_FIELDS))] = draw(json_values | edge_values)
+    return doc
+
+
+def calibrate_exit(path: str, *flags) -> tuple:
+    """main's exit code and its error report for `spdmark calibrate`."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        code = run("calibrate", "--config", path, *flags)
+    return code, stderr.getvalue()
+
+
+class TestConfigFuzz:
+    """Every configuration fault is a ConfigError, and main exits 2 on it."""
+
+    @given(config_documents())
+    @settings(max_examples=300, deadline=None)
+    def test_config_file_loads_or_raises_config_error(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "cfg.json")
+            Path(path).write_text(json.dumps(doc))
+            try:
+                cfg = load_config(path, {})
+            except ConfigError:
+                code, err = calibrate_exit(path)
+                assert code == 2, err
+                assert json.loads(err)["error"]["stage"] == "config"
+            else:
+                assert isinstance(cfg, RunConfig)
+
+    @given(st.sampled_from(OVERRIDES), st.integers() | st.floats() | edge_values)
+    @settings(max_examples=200, deadline=None)
+    def test_overrides_pass_the_same_checks(self, name, value):
+        try:
+            cfg = load_config(None, {name: value})
+        except ConfigError:
+            with pytest.raises(ValueError):
+                RunConfig(**{name: value})
+        else:
+            assert getattr(cfg, name) == value
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[]", '"str"', '{"num_frames": 1e400}', '{"calibration_trials": 1e400}',
+         '{"num_frames": 2.5}', '{"num_frames": true}', '{"gamma_f": "nan"}',
+         '{"gamma_v": 0}', '{"seed": -1}', '{"secret_hex": "00"}', "[" * 100_000],
+    )
+    def test_probed_config_faults_exit_2(self, text, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        code, err = calibrate_exit(str(path), "--trials", "1000")
+        assert code == 2, err
+        assert json.loads(err)["error"]["stage"] == "config"
+
+    @pytest.mark.parametrize(
+        "flags", [("--gamma-f", "nan"), ("--gamma-v", "0"), ("--seed", "-1"), ("--frames", "0")]
+    )
+    def test_flag_faults_exit_2(self, flags, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text("{}")
+        code, err = calibrate_exit(str(path), "--trials", "1000", *flags)
+        assert code == 2, err
+        assert json.loads(err)["error"]["stage"] == "config"
 
 
 class TestExitCodes:
@@ -384,7 +477,7 @@ class TestCorpus:
                 condition, cfg.latent_scale,
             )
             assert video.shape == (5, 3, 8, 8)
-            assert [frame.tobytes() for frame in video] == [f.pixels.tobytes() for f in want]
+            assert video.tobytes() == want.tobytes()
 
     def test_pipeline_builds_components_once(self, tmp_path, capsys, monkeypatch):
         calls = []

@@ -41,12 +41,10 @@ from spdmark.objective import (
     write_extractor,
 )
 from spdmark.spd_core import (
-    ToyFrame,
     generate_video,
     init_dictionary,
     init_toy_decoder,
     random_condition,
-    video_to_array,
 )
 
 SECRET = BaseSecret(b"objective-module-test-secret")
@@ -167,9 +165,10 @@ class TestLuminance:
         frame[1] = 1.0
         np.testing.assert_array_equal(luminance(frame), np.full((2, 2), 0.587))
 
-    def test_accepts_toy_frame(self):
-        frame = ToyFrame(np.ones((3, 2, 2)), 1)
-        np.testing.assert_allclose(luminance(frame), 1.0, atol=1e-12)
+    def test_accepts_a_row_of_a_read_only_video(self):
+        video = np.ones((2, 3, 2, 2))
+        video.setflags(write=False)
+        np.testing.assert_allclose(luminance(video[1]), 1.0, atol=1e-12)
 
     def test_rejects_wrong_channel_count(self):
         with pytest.raises(ValueError):
@@ -524,6 +523,25 @@ class TestSerialization:
 
 
 class TestLossReport:
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            pytest.param(lambda v: np.where(v > 0.5, np.nan, v), id="nan"),
+            pytest.param(lambda v: np.where(v > 0.5, -np.inf, v), id="inf"),
+            pytest.param(lambda v: v[:, :2], id="2-channels"),
+            pytest.param(lambda v: v[0], id="3-d"),
+        ],
+    )
+    def test_rejects_non_videos(self, bad):
+        clean, marked, extractor, schedule, weights = make_instance(19)
+        for args in ((bad(clean), marked), (clean, bad(marked))):
+            with pytest.raises(ValueError):
+                loss_report(*args, extractor, schedule, weights)
+            with pytest.raises(ValueError):
+                loss_gradients(*args, extractor, schedule, weights)
+        with pytest.raises(ValueError):
+            recovery_loss(bad(marked), extractor, schedule)
+
     def test_report_keys_and_total(self):
         clean, marked, extractor, schedule, weights = make_instance(18)
         report = loss_report(clean, marked, extractor, schedule, weights)
@@ -562,7 +580,7 @@ class TestLearnability:
                 latent_seed=offset + index,
                 condition=condition_for(offset + index),
             )
-            videos.append(video_to_array(generated))
+            videos.append(generated)
             schedules.append(schedule)
         return videos, schedules
 

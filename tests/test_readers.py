@@ -10,6 +10,7 @@ import io
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +28,7 @@ from spdmark.keyspace import (
     schedule_document,
 )
 from spdmark.objective import LinearExtractor, read_extractor, write_extractor
-from spdmark.spd_core import ToyFrame, read_video, write_video
+from spdmark.spd_core import read_video, write_video
 from spdmark.verifier import Verdict, verify
 
 CFG = KeyConfig.from_layout(2, 4)
@@ -49,7 +50,7 @@ def _binary(writer, value) -> bytes:
     return buffer.getvalue()
 
 
-VIDEO = _binary(write_video, [ToyFrame(np.full((3, 2, 2), 0.5), t) for t in (1, 2)])
+VIDEO = _binary(write_video, np.full((2, 3, 2, 2), 0.5))
 EXTRACTOR = _binary(write_extractor, LinearExtractor(np.ones((2, 3)), np.zeros(2)))
 
 json_values = st.recursive(
@@ -130,3 +131,60 @@ def test_binary_readers_return_or_raise_value_error(reader_and_valid, data):
 def test_extractor_reader_on_arbitrary_headers(header, payload):
     raw = json.dumps(header).encode("ascii") + b"\n" + payload
     returns_or_value_error(read_extractor, io.BytesIO(raw))
+
+
+VERDICT = DOCUMENTS[Verdict.from_doc]
+
+
+@st.composite
+def verdict_variants(draw):
+    """The valid verdict document with one length, one frame field or the
+    frame list changed to something `verify` never writes, or kept."""
+    doc = json.loads(json.dumps(VERDICT))
+    frames = doc["frames"]
+    choice = draw(st.sampled_from(["length", "field", "drop", "repeat", "none"]))
+    if choice == "length":
+        name = draw(st.sampled_from(["num_expected", "num_extracted", "message_bits"]))
+        doc[name] = draw(st.integers(-3, 40))
+    elif choice == "field":
+        frame = draw(st.sampled_from(frames))
+        frame[draw(st.sampled_from(["pi", "rho", "matched_bits"]))] = draw(st.integers(-3, 40))
+    elif choice == "drop":
+        del frames[draw(st.integers(0, len(frames) - 1))]
+    elif choice == "repeat":
+        frames.append(dict(draw(st.sampled_from(frames))))
+    return doc
+
+
+@given(verdict_variants() | mutated(VERDICT))
+@settings(max_examples=500, deadline=None)
+def test_parsed_verdicts_are_alignments(doc):
+    """A verdict read back is one `verify` could have written: a one-to-one
+    alignment of min(T, T_r) frames with counts in [0, M]."""
+    try:
+        verdict = Verdict.from_doc(doc)
+    except ValueError:
+        return
+    t, t_r, m = verdict.num_expected, verdict.num_extracted, verdict.message_bits
+    assert min(t, t_r, m) >= 1
+    assert len(verdict.frames) == min(t, t_r)
+    assert len({f.pi for f in verdict.frames}) == len(verdict.frames)
+    assert len({f.rho for f in verdict.frames}) == len(verdict.frames)
+    for f in verdict.frames:
+        assert 1 <= f.pi <= t and 1 <= f.rho <= t_r and 0 <= f.matched_bits <= m
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        pytest.param({"frames": [{"pi": 99, "rho": -4, "matched_bits": 500, "valid": True}]
+                      + VERDICT["frames"][1:]}, id="frame-out-of-range"),
+        pytest.param({"message_bits": 0}, id="no-message-bits"),
+        pytest.param({"num_expected": -3}, id="negative-length"),
+        pytest.param({"frames": [], "num_expected": 4_000_000, "num_extracted": 4_000_000},
+                     id="no-frames-for-huge-lengths"),
+    ],
+)
+def test_impossible_verdicts_rejected(change):
+    with pytest.raises(ValueError):
+        Verdict.from_doc({**VERDICT, **change})

@@ -6,8 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_generate import generate_video as reference_generate
+from reference_generate import (
+    compose_displacement,
+    displaced_layer_forward,
+    generate_video as reference_generate,
+)
 
+from spdmark.channel_attacks import apply_attack
 from spdmark.keyspace import (
     BaseSecret,
     KeyConfig,
@@ -21,10 +26,7 @@ from spdmark.spd_core import (
     DEFAULT_RANK,
     BasisShift,
     ToyDecoder,
-    ToyFrame,
     _matmul,
-    compose_displacement,
-    displaced_layer_forward,
     generate_frames,
     generate_video,
     init_dictionary,
@@ -32,7 +34,6 @@ from spdmark.spd_core import (
     random_condition,
     read_video,
     record_products,
-    video_to_array,
     write_video,
 )
 
@@ -195,7 +196,7 @@ class TestGenerateVideo:
         condition = random_condition(16, 9)
         a = generate_video(decoder, dictionary, schedule, 5, condition)
         b = generate_video(decoder, dictionary, schedule, 5, condition)
-        np.testing.assert_array_equal(video_to_array(a), video_to_array(b))
+        np.testing.assert_array_equal(a, b)
 
     def test_watermark_changes_at_least_one_pixel(self):
         for trial in range(100):
@@ -208,7 +209,7 @@ class TestGenerateVideo:
             condition = random_condition(16, trial + 1000)
             marked = generate_video(decoder, dictionary, schedule, trial, condition)
             clean = generate_video(decoder, plain, schedule, trial, condition)
-            assert np.any(marked[0].pixels != clean[0].pixels)
+            assert np.any(marked[0] != clean[0])
 
     def test_frames_are_independent(self):
         decoder, dictionary = small_setup()
@@ -221,10 +222,8 @@ class TestGenerateVideo:
         mixed[2] = sched_b.messages[2]
         mixed = MessageSequence(mixed)
         condition = random_condition(16, 0)
-        base = video_to_array(generate_video(decoder, dictionary, sched_a, 1, condition))
-        spliced = video_to_array(
-            generate_video(decoder, dictionary, mixed, 1, condition)
-        )
+        base = generate_video(decoder, dictionary, sched_a, 1, condition)
+        spliced = generate_video(decoder, dictionary, mixed, 1, condition)
         changed = [
             t for t in range(5) if not np.array_equal(base[t], spliced[t])
         ]
@@ -238,16 +237,12 @@ class TestGenerateVideo:
         for seed in (1, 2):
             key = random_key(CFG, seed)
             schedule = derive_frame_messages(SECRET, key, 2)
-            outputs[seed] = video_to_array(
-                generate_video(decoder, dictionary, schedule, 3, condition)
-            )
+            outputs[seed] = generate_video(decoder, dictionary, schedule, 3, condition)
         np.testing.assert_array_equal(decoder.weights, weights_before)
         # Re-running the first key after the second gives the same output.
         key = random_key(CFG, 1)
         schedule = derive_frame_messages(SECRET, key, 2)
-        again = video_to_array(
-            generate_video(decoder, dictionary, schedule, 3, condition)
-        )
+        again = generate_video(decoder, dictionary, schedule, 3, condition)
         np.testing.assert_array_equal(again, outputs[1])
 
     def test_pixels_clamped_to_unit_interval(self):
@@ -255,9 +250,8 @@ class TestGenerateVideo:
         key = random_key(CFG, 6)
         schedule = derive_frame_messages(SECRET, key, 3)
         video = generate_video(decoder, dictionary, schedule, 6, random_condition(16, 6))
-        stacked = video_to_array(video)
-        assert stacked.min() >= 0.0
-        assert stacked.max() <= 1.0
+        assert video.min() >= 0.0
+        assert video.max() <= 1.0
 
     def test_no_product_materialization_end_to_end(self):
         decoder, dictionary = small_setup()
@@ -268,6 +262,27 @@ class TestGenerateVideo:
         assert products
         for _, rhs_shape in products:
             assert len(rhs_shape) == 1
+
+    def test_video_is_one_read_only_array(self):
+        decoder, dictionary = small_setup()
+        schedule = derive_frame_messages(SECRET, random_key(CFG, 5), 3)
+        video = generate_video(decoder, dictionary, schedule, 0, random_condition(16, 1))
+        buffer = io.BytesIO()
+        write_video(buffer, video)
+        buffer.seek(0)
+        for array in (video, read_video(buffer)):
+            assert array.shape == (3, 3, 4, 4)
+            assert array.dtype == np.float64
+            assert array.flags.c_contiguous
+            assert not array.flags.writeable
+
+    def test_caller_cannot_change_a_video(self):
+        source = np.full((2, 3, 2, 2), 0.5)
+        view = source[:]
+        view.setflags(write=False)
+        attacked, _ = apply_attack(view, {"attack": "none"})
+        source[...] = 0.25
+        assert (attacked == 0.5).all()
 
     def test_empty_schedule_rejected(self):
         decoder, dictionary = small_setup()
@@ -281,10 +296,6 @@ class TestGenerateVideo:
         schedule = derive_frame_messages(SECRET, key, 1)
         with pytest.raises(ValueError):
             generate_video(decoder, other, schedule, 0, random_condition(32, 0))
-
-
-def frame_bytes(frames) -> list:
-    return [frame.pixels.tobytes() for frame in frames]
 
 
 class TestBatchedGeneration:
@@ -316,8 +327,8 @@ class TestBatchedGeneration:
         condition = random_condition(layer_dim, seed + 1)
         got = generate_video(decoder, dictionary, schedule, seed, condition)
         want = reference_generate(decoder, dictionary, schedule, seed, condition)
-        assert [f.frame_index for f in got] == [f.frame_index for f in want]
-        assert frame_bytes(got) == frame_bytes(want)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     def test_batch_equals_per_video_and_single_frame_calls(self):
         decoder, dictionary = small_setup()
@@ -339,8 +350,8 @@ class TestBatchedGeneration:
                     decoder, dictionary, message.bits[None],
                     [(seed, message.frame_index)], condition,
                 )
-                assert next(rows).tobytes() == frame.pixels.tobytes()
-                assert single[0].tobytes() == frame.pixels.tobytes()
+                assert next(rows).tobytes() == frame.tobytes()
+                assert single[0].tobytes() == frame.tobytes()
 
     @pytest.mark.parametrize("alpha, per_frame", [(1.0, 43), (0.0, 15)])
     def test_products_per_frame_at_default_size(self, alpha, per_frame):
@@ -439,8 +450,8 @@ class TestInitDictionary:
         schedule = derive_frame_messages(SECRET, key, 3)
         condition = random_condition(16, 8)
         np.testing.assert_array_equal(
-            video_to_array(generate_video(decoder, zero, schedule, 2, condition)),
-            video_to_array(generate_video(decoder, plain, schedule, 2, condition)),
+            generate_video(decoder, zero, schedule, 2, condition),
+            generate_video(decoder, plain, schedule, 2, condition),
         )
 
     def test_rank_above_dim_rejected(self):
@@ -473,19 +484,12 @@ class TestVideoFile:
         buffer.seek(0)
         loaded = read_video(buffer)
         assert len(loaded) == 4
-        np.testing.assert_allclose(
-            video_to_array(loaded),
-            video_to_array(video).astype(np.float32),
-            rtol=0,
-            atol=0,
-        )
+        np.testing.assert_allclose(loaded, video.astype(np.float32), rtol=0, atol=0)
 
     def test_header_layout(self):
         frame = np.zeros((3, 2, 5))
         buffer = io.BytesIO()
-        from spdmark.spd_core import ToyFrame
-
-        write_video(buffer, [ToyFrame(frame, 1)])
+        write_video(buffer, frame[None])
         raw = buffer.getvalue()
         assert raw[:4] == b"SPDF"
         assert raw[4] == 1
@@ -497,6 +501,35 @@ class TestVideoFile:
         )
         assert len(raw) == 21 + 4 * 3 * 2 * 5
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_rejected(self, value, tmp_path):
+        raw = io.BytesIO()
+        write_video(raw, np.full((2, 3, 2, 2), 0.5))
+        data = raw.getvalue()[:-4] + np.array([value], dtype="<f4").tobytes()
+        with pytest.raises(ValueError, match="finite"):
+            read_video(io.BytesIO(data))
+        path = tmp_path / "video.spdf"
+        path.write_bytes(data)
+        with open(path, "rb") as stream, pytest.raises(ValueError, match="finite"):
+            read_video(stream)
+
+    @pytest.mark.parametrize(
+        "video",
+        [
+            np.full((2, 3, 2, 2), np.nan),
+            np.full((2, 3, 2, 2), -np.inf),
+            np.zeros((3, 2, 2)),
+            np.zeros((2, 1, 2, 2)),
+            np.zeros((0, 3, 2, 2)),
+            np.zeros((2, 3, 2, 0)),
+        ],
+    )
+    def test_write_rejects_non_videos(self, video):
+        buffer = io.BytesIO()
+        with pytest.raises(ValueError):
+            write_video(buffer, video)
+        assert buffer.getvalue() == b""
+
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError):
             read_video(io.BytesIO(b"JUNK" + b"\x00" * 40))
@@ -504,9 +537,7 @@ class TestVideoFile:
     def test_truncated_payload_rejected(self):
         frame = np.zeros((3, 2, 2))
         buffer = io.BytesIO()
-        from spdmark.spd_core import ToyFrame
-
-        write_video(buffer, [ToyFrame(frame, 1)])
+        write_video(buffer, frame[None])
         raw = buffer.getvalue()[:-5]
         with pytest.raises(ValueError):
             read_video(io.BytesIO(raw))
@@ -514,7 +545,7 @@ class TestVideoFile:
     @pytest.mark.parametrize("tail", [b"\0", b"\0" * 4, b"SPDF"])
     def test_trailing_data_rejected(self, tail, tmp_path):
         raw = io.BytesIO()
-        write_video(raw, [ToyFrame(np.full((3, 2, 2), 0.5), 1)])
+        write_video(raw, np.full((1, 3, 2, 2), 0.5))
         with pytest.raises(ValueError, match="trailing data"):
             read_video(io.BytesIO(raw.getvalue() + tail))
         path = tmp_path / "video.spdf"
