@@ -4,9 +4,11 @@ Attacks operate on the rows of one array: the frames of a toy video
 (T, 3, H, W) or the messages of a MessageSequence (T, M), and return the
 same kind.  The structural edit depends only on (length, parameters,
 seed), so for the ideal channel every temporal attack commutes with
-extraction.  Each temporal attack returns the attacked object plus a
-TamperRecord that reconciles the original and attacked lengths exactly and
-is the ground truth for forensics scoring.
+extraction.  A temporal attack only computes its source map, the original
+row shown at each output position or -1 for an inserted one; one routine
+turns the map into the attacked object plus a TamperRecord that reconciles
+the original and attacked lengths exactly and is the ground truth for
+forensics scoring.
 
 Fractional frame counts are rounded from the exact decimal value of the
 given fraction (round-half-to-even for drop/insert/rescale, floor for trim
@@ -35,6 +37,7 @@ __all__ = [
     "attack_pixel_noise",
     "attack_rescale",
     "apply_attack",
+    "parse_attack_spec",
     "rounded_count",
     "floor_count",
 ]
@@ -91,14 +94,6 @@ class TamperRecord:
         ):
             raise ValueError("permutation values must fill the non-inserted slots")
 
-    @classmethod
-    def identity(cls, length: int) -> "TamperRecord":
-        return cls(
-            source_length=length,
-            output_length=length,
-            permutation={i: i for i in range(1, length + 1)},
-        )
-
     @property
     def trimmed(self) -> set[int]:
         t = self.source_length
@@ -149,23 +144,21 @@ class TamperRecord:
 
 @dataclass(frozen=True)
 class ChannelSpec:
-    """Extraction channel: exact copy, or independent per-bit flips."""
+    """Extraction channel: independent per-bit flips with the given
+    probability; at 0.0 an exact copy."""
 
-    kind: str = "ideal"
     flip_probability: float = 0.0
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("ideal", "bitflip"):
-            raise ValueError(f"unknown channel kind {self.kind!r}")
         if not 0.0 <= self.flip_probability <= 1.0:
             raise ValueError("flip_probability must lie in [0, 1]")
 
 
 def channel_extract(messages: MessageSequence, spec: ChannelSpec) -> MessageSequence:
-    """Pass messages through the channel; bitflip flips each bit i.i.d."""
+    """Pass messages through the channel, flipping each bit i.i.d."""
     bits = messages.messages
-    if spec.kind == "bitflip" and spec.flip_probability > 0.0:
+    if spec.flip_probability > 0.0:
         rng = np.random.default_rng(spec.seed)
         flips = rng.random(bits.shape) < spec.flip_probability
         bits = bits ^ flips
@@ -201,6 +194,30 @@ def _noise_row(target, rows: np.ndarray, rng: np.random.Generator) -> np.ndarray
     return np.clip(rng.normal(_NOISE_FRAME_MEAN, _NOISE_FRAME_STD, rows.shape[1:]), 0.0, 1.0)
 
 
+def _structural(target, rows: np.ndarray, sources: list, extra: list = (),
+                trim_head: int = 0, trim_tail: int = 0):
+    """The attacked object and its TamperRecord from a source map: output
+    position p shows original sources[p] (both 0-based), or, where
+    sources[p] is -1, the next of the `extra` rows."""
+    t = len(rows)
+    index = np.array(sources)
+    out = rows[index]
+    if extra:
+        out[index < 0] = extra
+    permutation = {s + 1: p for p, s in enumerate(sources, 1) if s >= 0}
+    dropped = frozenset(range(trim_head + 1, t - trim_tail + 1)).difference(permutation)
+    inserted = frozenset(p for p, s in enumerate(sources, 1) if s < 0)
+    record = TamperRecord(
+        t, len(sources), dropped, inserted, permutation, trim_head, trim_tail
+    )
+    return _rebuild(target, out), record
+
+
+def _attack_none(target):
+    rows = _rows(target)
+    return _structural(target, rows, list(range(len(rows))))
+
+
 def attack_drop(target, fraction: float, seed: int = 0):
     """Delete round(T * fraction) uniformly chosen frames, order preserved."""
     rows = _rows(target)
@@ -211,30 +228,15 @@ def attack_drop(target, fraction: float, seed: int = 0):
     if count >= t:
         raise ValueError("drop would remove every frame")
     rng = np.random.default_rng(seed)
-    dropped = frozenset(int(i) + 1 for i in rng.choice(t, size=count, replace=False))
-    survivors = [i for i in range(1, t + 1) if i not in dropped]
-    record = TamperRecord(
-        source_length=t,
-        output_length=t - count,
-        dropped=dropped,
-        permutation={orig: pos + 1 for pos, orig in enumerate(survivors)},
-    )
-    return _rebuild(target, rows[np.array(survivors) - 1]), record
+    dropped = set(rng.choice(t, size=count, replace=False).tolist())
+    return _structural(target, rows, [i for i in range(t) if i not in dropped])
 
 
 def attack_swap_random(target, seed: int = 0):
     """Apply a uniformly random permutation to all frames."""
     rows = _rows(target)
-    t = len(rows)
     rng = np.random.default_rng(seed)
-    order = rng.permutation(t)
-    # Output position p holds original order[p - 1] + 1.
-    record = TamperRecord(
-        source_length=t,
-        output_length=t,
-        permutation={int(orig) + 1: pos + 1 for pos, orig in enumerate(order)},
-    )
-    return _rebuild(target, rows[order]), record
+    return _structural(target, rows, rng.permutation(len(rows)).tolist())
 
 
 def attack_swap_adjacent(
@@ -252,20 +254,11 @@ def attack_swap_adjacent(
     num_pairs = t // 2
     count = floor_count(num_pairs, pair_fraction)
     rng = np.random.default_rng(seed)
-    chosen = (
-        rng.choice(num_pairs, size=count, replace=False) if num_pairs else np.array([])
-    )
-    # Output position p holds original order[p - 1] + 1.
-    order = np.arange(t)
+    chosen = rng.choice(num_pairs, size=count, replace=False).tolist() if num_pairs else []
+    sources = list(range(t))
     for pair in chosen:
-        first = 2 * int(pair)
-        order[[first, first + 1]] = first + 1, first
-    record = TamperRecord(
-        source_length=t,
-        output_length=t,
-        permutation={int(orig) + 1: pos + 1 for pos, orig in enumerate(order)},
-    )
-    return _rebuild(target, rows[order]), record
+        sources[2 * pair], sources[2 * pair + 1] = 2 * pair + 1, 2 * pair
+    return _structural(target, rows, sources)
 
 
 def attack_insert(target, fraction: float, mode: str = "duplicate", seed: int = 0):
@@ -282,29 +275,17 @@ def attack_insert(target, fraction: float, mode: str = "duplicate", seed: int = 
     if float(fraction) < 0.0:
         raise ValueError("fraction must be >= 0")
     count = rounded_count(t, fraction)
-    t_r = t + count
     rng = np.random.default_rng(seed)
-    positions = sorted(
-        int(p) + 1 for p in rng.choice(t_r, size=count, replace=False)
-    )
+    inserted = set(rng.choice(t + count, size=count, replace=False).tolist())
+    # One row per inserted position, drawn in position order.
     extra = [
         rows[int(rng.integers(0, t))] if mode == "duplicate"
         else _noise_row(target, rows, rng)
-        for _ in positions
+        for _ in range(count)
     ]
-    inserted = frozenset(positions)
-    survivors = [p for p in range(1, t_r + 1) if p not in inserted]
-    record = TamperRecord(
-        source_length=t,
-        output_length=t_r,
-        inserted=inserted,
-        permutation={orig + 1: pos for orig, pos in enumerate(survivors)},
-    )
-    out = np.empty((t_r, *rows.shape[1:]), dtype=rows.dtype)
-    out[np.array(survivors) - 1] = rows
-    for position, row in zip(positions, extra):
-        out[position - 1] = row
-    return _rebuild(target, out), record
+    originals = iter(range(t))
+    sources = [-1 if p in inserted else next(originals) for p in range(t + count)]
+    return _structural(target, rows, sources, extra)
 
 
 def attack_trim(target, head_fraction: float, tail_fraction: float):
@@ -317,15 +298,7 @@ def attack_trim(target, head_fraction: float, tail_fraction: float):
     tail = floor_count(t, tail_fraction)
     if head + tail >= t:
         raise ValueError("trim would remove every frame")
-    survivors = list(range(head + 1, t - tail + 1))
-    record = TamperRecord(
-        source_length=t,
-        output_length=len(survivors),
-        permutation={orig: pos + 1 for pos, orig in enumerate(survivors)},
-        trim_head=head,
-        trim_tail=tail,
-    )
-    return _rebuild(target, rows[head:t - tail]), record
+    return _structural(target, rows, list(range(head, t - tail)), (), head, tail)
 
 
 def attack_pixel_noise(
@@ -381,43 +354,52 @@ def attack_rescale(video, factor: float) -> np.ndarray:
     return _video(out)
 
 
+# Every attack an attack-spec document can name: the attack, whether it
+# takes the spec's "seed", and its other parameters in call order as
+# (name, conversion) or (name, conversion, default).
+_ATTACKS = {
+    "none": (_attack_none, False, ()),
+    "drop": (attack_drop, True, (("fraction", float),)),
+    "swap_random": (attack_swap_random, True, ()),
+    "swap_adjacent": (
+        attack_swap_adjacent, True, (("pair_fraction", float, DEFAULT_PAIR_FRACTION),)
+    ),
+    "insert": (attack_insert, True, (("fraction", float), ("mode", str, "duplicate"))),
+    "trim": (attack_trim, False, (("head_fraction", float), ("tail_fraction", float))),
+    "pixel_noise": (attack_pixel_noise, True, (("sigma", float, DEFAULT_NOISE_SIGMA),)),
+    "rescale": (attack_rescale, False, (("factor", float),)),
+}
+
+
+def parse_attack_spec(spec) -> tuple:
+    """The attack an attack-spec document names and its arguments after the
+    target.  Raises ValueError on an unknown attack and on a missing,
+    unexpected or unconvertible parameter; the values themselves are
+    checked by the attack, against the target."""
+    if not isinstance(spec, dict) or "attack" not in spec:
+        raise ValueError('an attack spec must be an object with an "attack" name')
+    params = dict(spec)
+    name = params.pop("attack")
+    if not isinstance(name, str) or name not in _ATTACKS:
+        raise ValueError(f"unknown attack {name!r}")
+    attack, seeded, parameters = _ATTACKS[name]
+    try:
+        seed = int(params.pop("seed", 0))
+        args = [convert(params.pop(key, *default)) for key, convert, *default in parameters]
+    except KeyError as exc:
+        raise ValueError(f"attack {name!r} needs {exc.args[0]!r}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"attack {name!r} has a malformed parameter: {exc}") from None
+    if params:
+        raise ValueError(f"unexpected attack parameters {sorted(params)}")
+    return attack, (args + [seed] if seeded else args)
+
+
 def apply_attack(target, spec: dict):
     """Dispatch an attack-spec document, e.g. {"attack": "drop",
     "fraction": 0.5, "seed": 7}.  Returns (attacked, TamperRecord or None);
-    photometric attacks and "none" carry no structural record."""
-    spec = dict(spec)
-    name = spec.pop("attack")
-    seed = int(spec.pop("seed", 0))
-    if name == "none":
-        rows = _rows(target)
-        result = _rebuild(target, rows), TamperRecord.identity(len(rows))
-    elif name == "drop":
-        result = attack_drop(target, float(spec.pop("fraction")), seed)
-    elif name == "swap_random":
-        result = attack_swap_random(target, seed)
-    elif name == "swap_adjacent":
-        result = attack_swap_adjacent(
-            target, float(spec.pop("pair_fraction", DEFAULT_PAIR_FRACTION)), seed
-        )
-    elif name == "insert":
-        result = attack_insert(
-            target, float(spec.pop("fraction")), str(spec.pop("mode", "duplicate")), seed
-        )
-    elif name == "trim":
-        result = attack_trim(
-            target, float(spec.pop("head_fraction")), float(spec.pop("tail_fraction"))
-        )
-    elif name == "pixel_noise":
-        result = (
-            attack_pixel_noise(
-                target, float(spec.pop("sigma", DEFAULT_NOISE_SIGMA)), seed
-            ),
-            None,
-        )
-    elif name == "rescale":
-        result = attack_rescale(target, float(spec.pop("factor"))), None
-    else:
-        raise ValueError(f"unknown attack {name!r}")
-    if spec:
-        raise ValueError(f"unexpected attack parameters {sorted(spec)}")
-    return result
+    photometric attacks carry no structural record."""
+    attack, args = parse_attack_spec(spec)
+    attacked = attack(target, *args)
+    # Structural attacks return (attacked, record), photometric ones a video.
+    return attacked if isinstance(attacked, tuple) else (attacked, None)

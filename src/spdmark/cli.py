@@ -34,6 +34,7 @@ from .channel_attacks import (
     TamperRecord,
     apply_attack,
     channel_extract,
+    parse_attack_spec,
 )
 from .keyspace import (
     BaseSecret,
@@ -204,8 +205,7 @@ class RunConfig:
         if self.rank > self.layer_dim:
             raise ValueError("rank must not exceed layer_dim")
         for spec in list(self.attacks or ()) + ([self.attack] if self.attack else []):
-            if not isinstance(spec, dict) or "attack" not in spec:
-                raise ValueError('each attack spec must be an object with an "attack" name')
+            parse_attack_spec(spec)
         self.secret()
         if self.attacks is not None:
             object.__setattr__(self, "attacks", tuple(self.attacks))
@@ -279,19 +279,14 @@ def _emit(doc: dict, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _channel(cfg: RunConfig, seed: int) -> ChannelSpec:
-    kind = "bitflip" if cfg.flip_probability > 0 else "ideal"
-    return ChannelSpec(kind, cfg.flip_probability, seed)
-
-
-def toy_components(cfg: RunConfig, alpha: Optional[float] = None):
+def toy_components(cfg: RunConfig):
     """Dictionary, decoder, and the corpus-wide condition vector."""
     key_cfg = cfg.key_config()
     dictionary = init_dictionary(
         key_cfg,
         layer_dim=cfg.layer_dim,
         rank=cfg.rank,
-        alpha=cfg.alpha if alpha is None else alpha,
+        alpha=cfg.alpha,
         init_seed=cfg.init_seed,
         init_scale=cfg.init_scale,
     )
@@ -369,12 +364,11 @@ def forensics_table(cfg: RunConfig) -> list:
                     "table needs structural attacks"
                 )
             received = channel_extract(
-                attacked, _channel(cfg, derive_seed(row_seed, trial, "channel"))
+                attacked,
+                ChannelSpec(cfg.flip_probability, derive_seed(row_seed, trial, "channel")),
             )
             verdict = verify(schedule, received, cfg.gamma_f, cfg.gamma_v)
-            diagnosis = diagnose_tampering(
-                verdict, cfg.num_frames, len(received), record
-            )
+            diagnosis = diagnose_tampering(verdict, record)
             sums["bit_acc"] += verdict.bit_acc
             sums["order_acc"] += verdict.order_acc
             sums["f1_drop"] += diagnosis.scores["drop"]["f1"]
@@ -447,13 +441,6 @@ def _extract(extractor, video) -> MessageSequence:
 
 def _verify(cfg: RunConfig, schedule, extracted: MessageSequence) -> Verdict:
     return verify(schedule, extracted, cfg.gamma_f, cfg.gamma_v)
-
-
-def _diagnose(verdict: Verdict, record: Optional[TamperRecord]):
-    """Localize edits; a missing record (photometric attacks) scores nothing."""
-    return diagnose_tampering(
-        verdict, verdict.num_expected, verdict.num_extracted, record
-    )
 
 
 def _read_schedule(path: str) -> MessageSequence:
@@ -557,7 +544,7 @@ def cmd_extract(cfg: RunConfig, args) -> int:
         elif args.schedule:
             sequence = channel_extract(
                 _read_schedule(args.schedule),
-                _channel(cfg, derive_seed(cfg.seed, "channel")),
+                ChannelSpec(cfg.flip_probability, derive_seed(cfg.seed, "channel")),
             )
         else:
             raise ConfigError("extract needs --video with --extractor, or --schedule")
@@ -604,13 +591,12 @@ def cmd_diagnose(cfg: RunConfig, args) -> int:
     with _stage("diagnose"):
         verdict = Verdict.from_doc(_read_json(args.verdict))
         record = _read_record(args.tamper) if args.tamper else None
-        _emit(_diagnose(verdict, record).to_doc(), args.out)
+        _emit(diagnose_tampering(verdict, record).to_doc(), args.out)
     return 0
 
 
 def cmd_calibrate(cfg: RunConfig, args) -> int:
-    # --trials addresses this command's own trial count.
-    trials = args.trials if args.trials is not None else cfg.calibration_trials
+    trials = cfg.calibration_trials
     if trials < 1000:
         raise ConfigError("calibration needs at least 1000 trials")
     if cfg.gamma_v < 10 / trials:
@@ -664,7 +650,7 @@ def _toy_pipeline(cfg: RunConfig, out: Path) -> int:
         verdict = _verify(cfg, schedule, extracted)
         _emit(verdict.to_doc(_record_doc(record)), str(out / "verdict.json"))
     with _stage("diagnose", seconds):
-        _emit(_diagnose(verdict, record).to_doc(), str(out / "diagnosis.json"))
+        _emit(diagnose_tampering(verdict, record).to_doc(), str(out / "diagnosis.json"))
     # The losses compare the videos and extractor as generated and fitted,
     # before they are stored at float32.
     with _stage("losses", seconds):
@@ -786,7 +772,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", parents=[common],
                        help="measure null-hypothesis behaviour of the verifier")
     p.add_argument("--frames", dest="num_frames", type=int)
-    p.add_argument("--calibration-trials", dest="calibration_trials", type=int)
     p.set_defaults(handler=cmd_calibrate)
 
     p = sub.add_parser("run-pipeline", parents=[common],
@@ -799,8 +784,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides(args) -> dict:
-    keys = ("gamma_f", "gamma_v", "seed", "trials", "num_frames", "calibration_trials")
+    keys = ("gamma_f", "gamma_v", "seed", "trials", "num_frames")
     overrides = {key: getattr(args, key, None) for key in keys}
+    if args.command == "calibrate":
+        # calibrate's --trials is its own trial count, not the forensics one.
+        overrides["calibration_trials"] = overrides.pop("trials")
     if getattr(args, "attack", None):
         try:
             overrides["attack"] = json.loads(args.attack)

@@ -118,7 +118,6 @@ class FrameEntry:
 @dataclass(frozen=True)
 class Verdict:
     valid: bool
-    valid_set: tuple[tuple[int, int, int], ...]
     thresholds: Thresholds
     frames: tuple[FrameEntry, ...]
     bit_acc: float
@@ -127,6 +126,11 @@ class Verdict:
     num_expected: int
     num_extracted: int
     message_bits: int
+
+    @property
+    def valid_set(self) -> tuple[tuple[int, int, int], ...]:
+        """(pi, rho, matched_bits) of the frames that pass tau_f."""
+        return tuple((f.pi, f.rho, f.matched_bits) for f in self.frames if f.valid)
 
     def to_doc(self, tamper: Optional[dict] = None) -> dict:
         return {
@@ -157,52 +161,44 @@ class Verdict:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "Verdict":
+        """The verdict `verify` wrote as `doc`.  Only the alignment, its
+        counts, the lengths and the gammas are read; every other field is
+        recomputed from them and must equal the document's."""
         try:
-            frames = tuple(
-                FrameEntry(
-                    int(f["pi"]), int(f["rho"]), int(f["matched_bits"]), bool(f["valid"])
-                )
-                for f in doc["frames"]
+            pairs = tuple((int(f["pi"]), int(f["rho"])) for f in doc["frames"])
+            matched = tuple(int(f["matched_bits"]) for f in doc["frames"])
+            t, t_r, m = (
+                int(doc[key]) for key in ("num_expected", "num_extracted", "message_bits")
             )
-            verdict = cls(
-                valid=bool(doc["valid"]),
-                valid_set=tuple(
-                    (f.pi, f.rho, f.matched_bits) for f in frames if f.valid
-                ),
-                thresholds=Thresholds(
-                    tau_f=int(doc["tau_f"]),
-                    p_f=float(doc["p_f"]),
-                    tau_v=int(doc["tau_v"]),
-                    gamma_f=float(doc["gamma_f"]),
-                    gamma_v=float(doc["gamma_v"]),
-                ),
-                frames=frames,
-                bit_acc=float(doc["bit_acc"]),
-                order_acc=float(doc["order_acc"]),
-                video_p_value=float(doc["video_p_value"]),
-                num_expected=int(doc["num_expected"]),
-                num_extracted=int(doc["num_extracted"]),
-                message_bits=int(doc["message_bits"]),
-            )
+            gamma_f, gamma_v = float(doc["gamma_f"]), float(doc["gamma_v"])
+            tamper = doc["tamper"]
         except KeyError as exc:
             raise ValueError(f"verdict document is missing key {exc.args[0]!r}") from None
         except (TypeError, OverflowError) as exc:
             raise ValueError(f"malformed verdict document: {exc}") from None
         # Reject what verify cannot produce: anything but a one-to-one
         # alignment of min(T, T_r) pairs, sorted by pi as Assignment requires,
-        # with counts in [0, M].
-        t, t_r, m = verdict.num_expected, verdict.num_extracted, verdict.message_bits
+        # with counts in [0, M], and M beyond one SHA-256 digest.
         if min(t, t_r, m) < 1:
             raise ValueError("verdict lengths and message_bits must be >= 1")
-        if len(frames) != min(t, t_r):
+        if m > 256:
+            raise ValueError("verdict message_bits must be <= 256")
+        if len(pairs) != min(t, t_r):
             raise ValueError(f"verdict must align min(T, T_r) = {min(t, t_r)} frames")
-        Assignment(tuple((f.pi, f.rho) for f in frames), 0.0, 0)
-        for f in frames:
-            if not (1 <= f.pi <= t and 1 <= f.rho <= t_r and 0 <= f.matched_bits <= m):
+        Assignment(pairs, 0.0, 0)
+        for (pi, rho), count in zip(pairs, matched):
+            if not (1 <= pi <= t and 1 <= rho <= t_r and 0 <= count <= m):
                 raise ValueError(
-                    f"verdict frame (pi={f.pi}, rho={f.rho}, matched_bits="
-                    f"{f.matched_bits}) lies outside T={t}, T_r={t_r}, M={m}"
+                    f"verdict frame (pi={pi}, rho={rho}, matched_bits={count}) "
+                    f"lies outside T={t}, T_r={t_r}, M={m}"
                 )
+        verdict = _verdict(pairs, matched, (t, t_r, m), gamma_f, gamma_v)
+        recomputed = verdict.to_doc(tamper)
+        missing = [key for key in recomputed if key not in doc]
+        if missing:
+            raise ValueError(f"verdict document is missing key {missing[0]!r}")
+        if recomputed != doc:
+            raise ValueError("verdict document disagrees with its own alignment")
         return verdict
 
 
@@ -432,37 +428,31 @@ def order_accuracy(pairs: Sequence[tuple[int, int]]) -> float:
     return ascents / (len(ordered) - 1)
 
 
-def _verdict_from_matrix(
-    sim: SimilarityMatrix, gamma_f: float, gamma_v: float
-) -> Verdict:
-    tau_f, p_f = frame_threshold(sim.message_bits, gamma_f)
-    assignment = hungarian_match(sim)
-    tau_v = video_threshold(len(assignment.pairs), p_f, gamma_v)
-    frames = []
-    valid_set = []
-    for pi, rho in assignment.pairs:
-        matched = int(sim.matched_bits[pi - 1, rho - 1])
-        passed = matched >= tau_f
-        frames.append(FrameEntry(pi, rho, matched, passed))
-        if passed:
-            valid_set.append((pi, rho, matched))
-    num_valid = len(valid_set)
+def _verdict(pairs: Sequence[tuple[int, int]], matched: Sequence[int],
+             lengths: tuple[int, int, int], gamma_f: float, gamma_v: float) -> Verdict:
+    # The verdict on an alignment: `matched` holds the matched-bit count of
+    # each pair, `lengths` is (T, T_r, M).
+    num_expected, num_extracted, message_bits = lengths
+    tau_f, p_f = frame_threshold(message_bits, gamma_f)
+    tau_v = video_threshold(len(pairs), p_f, gamma_v)
+    frames = tuple(
+        FrameEntry(pi, rho, count, count >= tau_f)
+        for (pi, rho), count in zip(pairs, matched)
+    )
+    valid = [f for f in frames if f.valid]
     bit_acc = (
-        sum(matched for _, _, matched in valid_set) / (num_valid * sim.message_bits)
-        if num_valid
-        else 0.0
+        sum(f.matched_bits for f in valid) / (len(valid) * message_bits) if valid else 0.0
     )
     return Verdict(
-        valid=num_valid >= tau_v,
-        valid_set=tuple(valid_set),
+        valid=len(valid) >= tau_v,
         thresholds=Thresholds(tau_f, p_f, tau_v, gamma_f, gamma_v),
-        frames=tuple(frames),
+        frames=frames,
         bit_acc=bit_acc,
-        order_acc=order_accuracy([(pi, rho) for pi, rho, _ in valid_set]),
-        video_p_value=_binomial_tail(len(assignment.pairs), num_valid, p_f),
-        num_expected=sim.shape[0],
-        num_extracted=sim.shape[1],
-        message_bits=sim.message_bits,
+        order_acc=order_accuracy([(f.pi, f.rho) for f in valid]),
+        video_p_value=_binomial_tail(len(pairs), len(valid), p_f),
+        num_expected=num_expected,
+        num_extracted=num_extracted,
+        message_bits=message_bits,
     )
 
 
@@ -478,7 +468,10 @@ def verify(
     when the valid set is empty); order accuracy is the ascent fraction of
     the valid set sorted by expected index.
     """
-    return _verdict_from_matrix(similarity_matrix(expected, extracted), gamma_f, gamma_v)
+    sim = similarity_matrix(expected, extracted)
+    pairs = hungarian_match(sim).pairs
+    matched = [int(sim.matched_bits[pi - 1, rho - 1]) for pi, rho in pairs]
+    return _verdict(pairs, matched, (*sim.shape, sim.message_bits), gamma_f, gamma_v)
 
 
 def _f1_scores(predicted: set[int], truth: set[int]) -> dict:
@@ -496,10 +489,7 @@ def _f1_scores(predicted: set[int], truth: set[int]) -> dict:
 
 
 def diagnose_tampering(
-    verdict: Verdict,
-    num_expected: int,
-    num_extracted: int,
-    ground_truth: Optional[TamperRecord] = None,
+    verdict: Verdict, ground_truth: Optional[TamperRecord] = None
 ) -> TamperDiagnosis:
     """Localize temporal edits from the valid set.
 
@@ -510,17 +500,16 @@ def diagnose_tampering(
     as precision/recall/F1; both sets empty scores 1, exactly one empty
     scores 0.
     """
-    if num_expected != verdict.num_expected or num_extracted != verdict.num_extracted:
-        raise ValueError("verdict was computed for different sequence lengths")
-    matched_pi = {pi for pi, _, _ in verdict.valid_set}
-    matched_rho = {rho for _, rho, _ in verdict.valid_set}
+    valid = [(f.pi, f.rho) for f in verdict.frames if f.valid]
+    matched_pi = {pi for pi, _ in valid}
+    matched_rho = {rho for _, rho in valid}
     predicted_dropped = tuple(
-        i for i in range(1, num_expected + 1) if i not in matched_pi
+        i for i in range(1, verdict.num_expected + 1) if i not in matched_pi
     )
     predicted_inserted = tuple(
-        n for n in range(1, num_extracted + 1) if n not in matched_rho
+        n for n in range(1, verdict.num_extracted + 1) if n not in matched_rho
     )
-    ordered = sorted((pi, rho) for pi, rho, _ in verdict.valid_set)
+    ordered = sorted(valid)
     predicted_inversions = tuple(
         (a_pi, b_pi)
         for (a_pi, a_rho), (b_pi, b_rho) in zip(ordered, ordered[1:])
@@ -529,8 +518,8 @@ def diagnose_tampering(
     scores = None
     if ground_truth is not None:
         if (
-            ground_truth.source_length != num_expected
-            or ground_truth.output_length != num_extracted
+            ground_truth.source_length != verdict.num_expected
+            or ground_truth.output_length != verdict.num_extracted
         ):
             raise ValueError("ground truth does not match sequence lengths")
         scores = {
@@ -595,13 +584,15 @@ def null_calibration(
         rng = np.random.default_rng([seed, trial])
         expected = rng.integers(0, 2, (num_frames, message_bits), dtype=np.uint8)
         extracted = rng.integers(0, 2, (num_frames, message_bits), dtype=np.uint8)
-        identity_counts = message_bits - (expected != extracted).sum(axis=1)
-        identity_q = int((identity_counts >= tau_f).sum())
+        sim = _similarity(expected, extracted)
+        passed = sim.matched_bits >= tau_f
+        identity_q = int(passed.diagonal().sum())
         identity_passes += identity_q
         identity_valid += identity_q >= tau_v
-        verdict = _verdict_from_matrix(_similarity(expected, extracted), gamma_f, gamma_v)
-        matched_passes += len(verdict.valid_set)
-        matched_valid += verdict.valid
+        index = np.array(hungarian_match(sim).pairs) - 1
+        matched_q = int(passed[index[:, 0], index[:, 1]].sum())
+        matched_passes += matched_q
+        matched_valid += matched_q >= tau_v
     pair_trials = trials * num_frames
     identity_rate = identity_passes / pair_trials
     matched_rate = matched_passes / pair_trials

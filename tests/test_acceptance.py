@@ -9,6 +9,7 @@ rather than imported from the modules under test.
 """
 
 import contextlib
+import dataclasses
 import itertools
 import math
 import time
@@ -154,7 +155,7 @@ def test_criterion_4_ideal_channel_verifies():
             secret = BaseSecret(sha256(b"acceptance-ideal-%d" % seed).digest())
             key = random_key(cfg, seed)
             schedule = derive_frame_messages(secret, key, 25)
-            extracted = channel_extract(schedule, ChannelSpec("ideal", 0.0, seed))
+            extracted = channel_extract(schedule, ChannelSpec(0.0, seed))
             verdict = verify(schedule, extracted, gamma_f=1e-3, gamma_v=1e-6)
             assert verdict.valid
             assert verdict.bit_acc == 1.0
@@ -303,7 +304,7 @@ def test_criterion_8_extractor_learns_watermark():
         assert marked_acc >= 0.95
         # Same pipeline with displacement disabled: nothing to learn, so the
         # fit must collapse to chance.  This separates signal from leakage.
-        plain, _, _ = toy_components(cfg, alpha=0.0)
+        plain = dataclasses.replace(dictionary, alpha=0.0)
         train0 = build_corpus(
             cfg, "train", cfg.train_videos, cfg.train_frames, plain, decoder,
             condition,

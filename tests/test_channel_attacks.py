@@ -37,7 +37,7 @@ SECRET = BaseSecret(b"attack-test-secret-0")
 def make_sequence(num_frames: int, seed: int = 0) -> MessageSequence:
     key = random_key(CFG, seed)
     schedule = derive_frame_messages(SECRET, key, num_frames)
-    return channel_extract(schedule, ChannelSpec("ideal"))
+    return channel_extract(schedule, ChannelSpec())
 
 
 def make_video(num_frames: int) -> np.ndarray:
@@ -72,22 +72,22 @@ class TestChannelExtract:
     def test_ideal_is_exact_copy(self):
         key = random_key(CFG, 1)
         schedule = derive_frame_messages(SECRET, key, 10)
-        extracted = channel_extract(schedule, ChannelSpec("ideal"))
+        extracted = channel_extract(schedule, ChannelSpec())
         np.testing.assert_array_equal(extracted.messages, schedule.messages)
 
     def test_zero_flip_probability_equals_ideal(self):
         key = random_key(CFG, 2)
         schedule = derive_frame_messages(SECRET, key, 10)
-        ideal = channel_extract(schedule, ChannelSpec("ideal"))
-        flipped = channel_extract(schedule, ChannelSpec("bitflip", 0.0, seed=3))
+        ideal = channel_extract(schedule, ChannelSpec())
+        flipped = channel_extract(schedule, ChannelSpec(0.0, seed=3))
         assert ideal == flipped
 
     def test_bitflip_deterministic_under_seed(self):
         key = random_key(CFG, 3)
         schedule = derive_frame_messages(SECRET, key, 20)
-        a = channel_extract(schedule, ChannelSpec("bitflip", 0.1, seed=5))
-        b = channel_extract(schedule, ChannelSpec("bitflip", 0.1, seed=5))
-        c = channel_extract(schedule, ChannelSpec("bitflip", 0.1, seed=6))
+        a = channel_extract(schedule, ChannelSpec(0.1, seed=5))
+        b = channel_extract(schedule, ChannelSpec(0.1, seed=5))
+        c = channel_extract(schedule, ChannelSpec(0.1, seed=6))
         assert a == b
         assert a != c
 
@@ -99,7 +99,7 @@ class TestChannelExtract:
         key = random_key(CFG, 4)
         expected = derive_frame_messages(SECRET, key, 1).messages[0]
         schedule = MessageSequence(np.tile(expected, (num, 1)))
-        extracted = channel_extract(schedule, ChannelSpec("bitflip", 0.5, seed=11))
+        extracted = channel_extract(schedule, ChannelSpec(0.5, seed=11))
         got = extracted.messages
         matched = (got == expected).sum(axis=1)
         counts = np.bincount(matched, minlength=29)
@@ -112,9 +112,9 @@ class TestChannelExtract:
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ValueError):
-            ChannelSpec("fancy")
+            ChannelSpec(1.5)
         with pytest.raises(ValueError):
-            ChannelSpec("bitflip", 1.5)
+            ChannelSpec(-0.1)
 
 
 class TestDrop:
@@ -329,7 +329,7 @@ class TestRecordReconciliation:
     def test_record_document_missing_key_rejected(self):
         with pytest.raises(ValueError, match="'source_length'"):
             TamperRecord.from_doc({})
-        doc = TamperRecord.identity(4).to_doc()
+        doc = apply_attack(make_sequence(4), {"attack": "none"})[1].to_doc()
         del doc["permutation"]
         with pytest.raises(ValueError, match="'permutation'"):
             TamperRecord.from_doc(doc)
@@ -377,7 +377,7 @@ class TestRecordReconciliation:
 
     def test_huge_lengths_checked_without_enumerating_them(self):
         huge = 10**18
-        doc = TamperRecord.identity(3).to_doc()
+        doc = apply_attack(make_sequence(3), {"attack": "none"})[1].to_doc()
         with pytest.raises(ValueError, match="reconcile"):
             TamperRecord.from_doc({**doc, "source_length": huge})
         with pytest.raises(ValueError, match="reconcile"):
@@ -506,6 +506,62 @@ class TestPhotometricOracle:
         rescaled = attack_rescale(video, factor)
         want = reference_attacks.attack_rescale(list(video), factor)
         assert rescaled.tobytes() == np.stack(want).tobytes()
+
+
+fractions = st.sampled_from([0.0, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.95, 1.0, 1.5])
+
+
+@st.composite
+def structural_attacks(draw):
+    """(name, arguments after the target) for one of the five structural
+    attacks, fractions and seed drawn; some arguments are out of range."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    name = draw(st.sampled_from(
+        ["drop", "swap_random", "swap_adjacent", "insert", "trim"]
+    ))
+    if name == "drop":
+        return name, (draw(fractions), seed)
+    if name == "swap_random":
+        return name, (seed,)
+    if name == "swap_adjacent":
+        return name, (draw(fractions), seed)
+    if name == "insert":
+        return name, (draw(fractions), draw(st.sampled_from(["duplicate", "noise"])), seed)
+    return name, (draw(fractions), draw(fractions))
+
+
+class TestStructuralOracle:
+    """The source-map attacks against the structural attacks as they were
+    written before, in tests/reference_attacks.py: equal row bytes and
+    equal tamper records, or a ValueError from both."""
+
+    @given(
+        num_frames=st.integers(1, 40),
+        video=st.booleans(),
+        attack=structural_attacks(),
+        data_seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, num_frames, video, attack, data_seed):
+        rng = np.random.default_rng(data_seed)
+        if video:
+            target = rng.random((num_frames, 3, 2, 3))
+        else:
+            target = MessageSequence(rng.integers(0, 2, (num_frames, 12)))
+        name, args = attack
+        ours = globals()[f"attack_{name}"]
+        theirs = getattr(reference_attacks, f"attack_{name}")
+        try:
+            want, want_record = theirs(target, *args)
+        except ValueError:
+            with pytest.raises(ValueError):
+                ours(target, *args)
+            return
+        got, record = ours(target, *args)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert np.asarray(got).shape == np.asarray(want).shape
+        assert record == want_record
 
 
 NON_VIDEOS = [

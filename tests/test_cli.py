@@ -163,7 +163,7 @@ class TestConfigFuzz:
     def test_probed_config_faults_exit_2(self, text, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(text)
-        code, err = calibrate_exit(str(path), "--trials", "1000")
+        code, err = calibrate_exit(str(path))
         assert code == 2, err
         assert json.loads(err)["error"]["stage"] == "config"
 
@@ -204,6 +204,24 @@ class TestExitCodes:
     def test_calibrate_rejects_small_trial_count(self, capsys):
         assert run("calibrate", "--trials", "500") == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "spec",
+        ['{"attack": "melt"}', '{"attack": "drop"}', '{"attack": "trim", "head_fraction": 0.1}',
+         '{"attack": "drop", "fraction": 0.5, "fracton": 1}',
+         '{"attack": "insert", "fraction": [0.5]}', '{"attack": ["drop"]}'],
+    )
+    def test_attack_spec_faults_exit_2(self, spec, tmp_path, capsys):
+        """Attack specs are checked when the config loads, against the
+        table apply_attack dispatches from, before any stage runs."""
+        assert run("run-pipeline", "--attack", spec, "--out", str(tmp_path / "run")) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["stage"] == "config"
+        assert not (tmp_path / "run").exists()
+        path = tmp_path / "cfg.json"
+        write_json(path, {"attacks": [{"attack": "swap_random"}, json.loads(spec)]})
+        assert run("run-pipeline", "--mode", "channel", "--config", str(path),
+                   "--out", str(tmp_path / "channel")) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["stage"] == "config"
 
 
 class TestKeygen:
@@ -567,6 +585,21 @@ class TestCalibrateCommand:
         assert doc["trials"] == 1000
         assert doc["identity_valid_count"] == 0
         assert 0.0 <= doc["matched_pass_rate"] <= 1.0
+
+    def test_trials_flag_sets_calibration_trials(self, tmp_path, capsys):
+        """calibrate --trials N writes the report, config_hash included, of a
+        config that sets calibration_trials to N."""
+        by_flag = tmp_path / "flag.json"
+        assert run("calibrate", "--trials", "1000", "--frames", "10", "--seed", "2",
+                   "--out", str(by_flag)) == 0
+        cfg = tmp_path / "cfg.json"
+        write_json(cfg, {"calibration_trials": 1000, "num_frames": 10, "seed": 2})
+        by_config = tmp_path / "config.json"
+        assert run("calibrate", "--config", str(cfg), "--out", str(by_config)) == 0
+        capsys.readouterr()
+        assert by_flag.read_bytes() == by_config.read_bytes()
+        assert run("calibrate", "--calibration-trials", "1000") == 2
+        capsys.readouterr()
 
     def test_no_warning_when_resolvable(self, tmp_path, capsys):
         out = tmp_path / "calibration.json"

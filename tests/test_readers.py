@@ -183,6 +183,13 @@ def test_parsed_verdicts_are_alignments(doc):
         pytest.param({"num_expected": -3}, id="negative-length"),
         pytest.param({"frames": [], "num_expected": 4_000_000, "num_extracted": 4_000_000},
                      id="no-frames-for-huge-lengths"),
+        # At M = 28 and gamma_f = 1e-3 a pair needs 23 matched bits; a frame
+        # with 15 claims to pass, and the video claims validity with it.
+        pytest.param({"message_bits": 28, "tau_f": 23, "valid": True, "bit_acc": 7.5,
+                      "frames": [{**frame, "matched_bits": 15, "valid": True}
+                                 for frame in VERDICT["frames"]]},
+                     id="forged-valid-flags"),
+        pytest.param({"message_bits": 300}, id="message-bits-beyond-one-digest"),
     ],
 )
 def test_impossible_verdicts_rejected(change):

@@ -11,8 +11,10 @@ from scipy.optimize import linear_sum_assignment
 
 import spdmark.verifier
 from reference_match import hungarian_match as reference_match
+from reference_verdict import _verdict_from_matrix as reference_verdict
 from spdmark.channel_attacks import (
     ChannelSpec,
+    apply_attack,
     attack_drop,
     attack_insert,
     attack_swap_random,
@@ -29,6 +31,7 @@ from spdmark.keyspace import (
 from spdmark.verifier import (
     Assignment,
     SimilarityMatrix,
+    Verdict,
     binomial_tail,
     diagnose_tampering,
     frame_threshold,
@@ -50,7 +53,7 @@ def make_schedule(num_frames: int, seed: int = 0):
 
 
 def ideal(schedule):
-    return channel_extract(schedule, ChannelSpec("ideal"))
+    return channel_extract(schedule, ChannelSpec())
 
 
 def exact_tail(n: int, k: int) -> Fraction:
@@ -419,13 +422,46 @@ class TestVerify:
         assert verdict.video_p_value <= 1e-20
 
 
+@st.composite
+def verify_inputs(draw):
+    """Expected and extracted messages with T != T_r allowed: each extracted
+    row is a noisy copy of a random expected row, or random bits."""
+    t = draw(st.integers(1, 12))
+    t_r = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    expected = rng.integers(0, 2, (t, m))
+    extracted = rng.integers(0, 2, (t_r, m))
+    flip = draw(st.sampled_from([0.0, 0.02, 0.1]))
+    for row in range(t_r):
+        if rng.random() < 0.7:
+            extracted[row] = expected[rng.integers(t)] ^ (rng.random(m) < flip)
+    gamma_f = draw(st.sampled_from([1e-3, 0.05, 0.5, 1.0]))
+    gamma_v = draw(st.sampled_from([1e-6, 1e-2, 0.5, 1.0]))
+    return MessageSequence(expected), MessageSequence(extracted), gamma_f, gamma_v
+
+
+class TestVerdictOracle:
+    """Verdicts built by the one verdict routine against the old assembly in
+    tests/reference_verdict.py: equal documents, and each document read
+    back as the same verdict."""
+
+    @given(verify_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, inputs):
+        expected, extracted, gamma_f, gamma_v = inputs
+        doc = verify(expected, extracted, gamma_f, gamma_v).to_doc()
+        sim = similarity_matrix(expected, extracted)
+        assert doc == reference_verdict(sim, gamma_f, gamma_v)
+        assert Verdict.from_doc(doc).to_doc() == doc
+
+
 class TestDiagnoseTampering:
     def test_clean_video_has_empty_predictions(self):
         schedule = make_schedule(10)
         verdict = verify(schedule, ideal(schedule))
-        from spdmark.channel_attacks import TamperRecord
-
-        diagnosis = diagnose_tampering(verdict, 10, 10, TamperRecord.identity(10))
+        _, record = apply_attack(schedule, {"attack": "none"})
+        diagnosis = diagnose_tampering(verdict, record)
         assert diagnosis.predicted_dropped == ()
         assert diagnosis.predicted_inserted == ()
         assert diagnosis.predicted_inversions == ()
@@ -438,7 +474,7 @@ class TestDiagnoseTampering:
         schedule = make_schedule(25)
         attacked, record = attack_drop(ideal(schedule), 0.5, seed=6)
         verdict = verify(schedule, attacked)
-        diagnosis = diagnose_tampering(verdict, 25, record.output_length, record)
+        diagnosis = diagnose_tampering(verdict, record)
         assert set(diagnosis.predicted_dropped) == set(record.dropped)
         assert diagnosis.scores["drop"] == {
             "precision": 1.0,
@@ -450,7 +486,7 @@ class TestDiagnoseTampering:
         schedule = make_schedule(25)
         attacked, record = attack_insert(ideal(schedule), 0.2, "noise", seed=6)
         verdict = verify(schedule, attacked)
-        diagnosis = diagnose_tampering(verdict, 25, record.output_length, record)
+        diagnosis = diagnose_tampering(verdict, record)
         assert set(diagnosis.predicted_inserted) == set(record.inserted)
         assert diagnosis.scores["insert"]["f1"] == 1.0
 
@@ -458,7 +494,7 @@ class TestDiagnoseTampering:
         schedule = make_schedule(25)
         attacked, record = attack_trim(ideal(schedule), 0.2, 0.2)
         verdict = verify(schedule, attacked)
-        diagnosis = diagnose_tampering(verdict, 25, record.output_length, record)
+        diagnosis = diagnose_tampering(verdict, record)
         assert set(diagnosis.predicted_dropped) == set(record.removed_indices)
         assert diagnosis.scores["drop"]["f1"] == 1.0
 
@@ -475,14 +511,15 @@ class TestDiagnoseTampering:
 
         attacked, record = attack_swap_adjacent(ideal(schedule), 1.0, seed=1)
         verdict = verify(schedule, attacked)
-        diagnosis = diagnose_tampering(verdict, 8, 8, record)
+        diagnosis = diagnose_tampering(verdict, record)
         assert diagnosis.predicted_inversions == ((1, 2), (3, 4), (5, 6), (7, 8))
 
     def test_inconsistent_lengths_rejected(self):
         schedule = make_schedule(10)
         verdict = verify(schedule, ideal(schedule))
+        _, record = apply_attack(make_schedule(11), {"attack": "none"})
         with pytest.raises(ValueError):
-            diagnose_tampering(verdict, 11, 10, None)
+            diagnose_tampering(verdict, record)
 
 
 class TestWilsonInterval:
