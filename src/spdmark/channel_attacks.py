@@ -355,25 +355,35 @@ def attack_rescale(video, factor: float) -> np.ndarray:
 
 
 # Every attack an attack-spec document can name: the attack, whether it
-# takes the spec's "seed", and its other parameters in call order as
-# (name, conversion) or (name, conversion, default).
+# takes the spec's "seed", whether it is structural (edits the frame
+# sequence and returns a TamperRecord) rather than photometric (edits
+# pixels), and its other parameters in call order as (name, conversion) or
+# (name, conversion, default).
 _ATTACKS = {
-    "none": (_attack_none, False, ()),
-    "drop": (attack_drop, True, (("fraction", float),)),
-    "swap_random": (attack_swap_random, True, ()),
+    "none": (_attack_none, False, True, ()),
+    "drop": (attack_drop, True, True, (("fraction", float),)),
+    "swap_random": (attack_swap_random, True, True, ()),
     "swap_adjacent": (
-        attack_swap_adjacent, True, (("pair_fraction", float, DEFAULT_PAIR_FRACTION),)
+        attack_swap_adjacent, True, True,
+        (("pair_fraction", float, DEFAULT_PAIR_FRACTION),),
     ),
-    "insert": (attack_insert, True, (("fraction", float), ("mode", str, "duplicate"))),
-    "trim": (attack_trim, False, (("head_fraction", float), ("tail_fraction", float))),
-    "pixel_noise": (attack_pixel_noise, True, (("sigma", float, DEFAULT_NOISE_SIGMA),)),
-    "rescale": (attack_rescale, False, (("factor", float),)),
+    "insert": (
+        attack_insert, True, True, (("fraction", float), ("mode", str, "duplicate"))
+    ),
+    "trim": (
+        attack_trim, False, True, (("head_fraction", float), ("tail_fraction", float))
+    ),
+    "pixel_noise": (
+        attack_pixel_noise, True, False, (("sigma", float, DEFAULT_NOISE_SIGMA),)
+    ),
+    "rescale": (attack_rescale, False, False, (("factor", float),)),
 }
 
 
-def parse_attack_spec(spec) -> tuple:
+def parse_attack_spec(spec, structural: bool = False) -> tuple:
     """The attack an attack-spec document names and its arguments after the
-    target.  Raises ValueError on an unknown attack and on a missing,
+    target.  Raises ValueError on an unknown attack, on a photometric one
+    where `structural` asks for a structural attack, and on a missing,
     unexpected or unconvertible parameter; the values themselves are
     checked by the attack, against the target."""
     if not isinstance(spec, dict) or "attack" not in spec:
@@ -382,7 +392,12 @@ def parse_attack_spec(spec) -> tuple:
     name = params.pop("attack")
     if not isinstance(name, str) or name not in _ATTACKS:
         raise ValueError(f"unknown attack {name!r}")
-    attack, seeded, parameters = _ATTACKS[name]
+    attack, seeded, is_structural, parameters = _ATTACKS[name]
+    if structural and not is_structural:
+        raise ValueError(
+            f"attack {name!r} is photometric and leaves no tamper record; "
+            "only structural attacks can be scored"
+        )
     try:
         seed = int(params.pop("seed", 0))
         args = [convert(params.pop(key, *default)) for key, convert, *default in parameters]

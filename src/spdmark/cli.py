@@ -47,6 +47,7 @@ from .keyspace import (
     parse_key_document,
     parse_schedule_document,
     random_key,
+    random_keys,
     schedule_document,
 )
 from .objective import (
@@ -194,6 +195,9 @@ class RunConfig:
                 raise ValueError(f"{name} must be >= 0")
         if self.condition_seed is not None and self.condition_seed < 0:
             raise ValueError("condition_seed must be >= 0")
+        if self.seed >= 1 << 64:
+            # keygen draws the key from the seed's own counter-based stream.
+            raise ValueError("seed must be < 2**64")
         for name in ("gamma_f", "gamma_v"):
             if not 0.0 < getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in (0, 1]")
@@ -204,8 +208,10 @@ class RunConfig:
             raise ValueError("message_bits must be <= 256, the length of one SHA-256 digest")
         if self.rank > self.layer_dim:
             raise ValueError("rank must not exceed layer_dim")
-        for spec in list(self.attacks or ()) + ([self.attack] if self.attack else []):
-            parse_attack_spec(spec)
+        for spec in self.attacks or ():
+            parse_attack_spec(spec, structural=True)
+        if self.attack:
+            parse_attack_spec(self.attack)
         self.secret()
         if self.attacks is not None:
             object.__setattr__(self, "attacks", tuple(self.attacks))
@@ -310,19 +316,15 @@ def build_corpus(cfg: RunConfig, role: str, count: int, frames_per_video: int,
     has a fixed signal direction to learn only when the condition is fixed.
     Sharing it also lets the whole corpus be generated in one batch.
     """
-    key_cfg = cfg.key_config()
+    keys = random_keys(
+        cfg.key_config(),
+        [derive_seed(cfg.seed, role, index, "key") for index in range(count)],
+    )
     secret = cfg.secret()
-    schedules = [
-        derive_frame_messages(
-            secret, random_key(key_cfg, derive_seed(cfg.seed, role, index, "key")),
-            frames_per_video,
-        )
-        for index in range(count)
-    ]
+    schedules = [derive_frame_messages(secret, key, frames_per_video) for key in keys]
+    latent_seeds = [derive_seed(cfg.seed, role, index, "latent") for index in range(count)]
     frame_seeds = [
-        (derive_seed(cfg.seed, role, index, "latent"), t)
-        for index in range(count)
-        for t in range(1, frames_per_video + 1)
+        (seed, t) for seed in latent_seeds for t in range(1, frames_per_video + 1)
     ]
     pixels = generate_frames(
         decoder, dictionary, np.concatenate(schedules),
@@ -358,11 +360,6 @@ def forensics_table(cfg: RunConfig) -> list:
                 schedule,
                 {**spec, "seed": derive_seed(row_seed, trial, "attack")},
             )
-            if record is None:
-                raise ValueError(
-                    f"attack {name!r} produces no tamper record; the forensics "
-                    "table needs structural attacks"
-                )
             received = channel_extract(
                 attacked,
                 ChannelSpec(cfg.flip_probability, derive_seed(row_seed, trial, "channel")),

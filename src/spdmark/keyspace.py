@@ -23,6 +23,8 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from .counter import KEY_TAG, counter_array, stream_words
+
 __all__ = [
     "KeyConfig",
     "WatermarkKey",
@@ -34,6 +36,7 @@ __all__ = [
     "mask_to_key",
     "derive_frame_messages",
     "random_key",
+    "random_keys",
     "bits_to_hex",
     "hex_to_bits",
     "key_document",
@@ -274,10 +277,18 @@ def derive_frame_messages(
     return MessageSequence(bits[:, :m])
 
 
+def random_keys(cfg: KeyConfig, seeds: Sequence[int]) -> list[WatermarkKey]:
+    """One uniform key per seed, each an int in [0, 2**64): bit j of key i
+    is the top bit of word j of the key stream of seeds[i]."""
+    counters = counter_array(seeds, "key seeds")[:, None]
+    bits = stream_words(KEY_TAG, counters, cfg.message_bits) >> np.uint64(63)
+    return [WatermarkKey(tuple(row)) for row in bits.tolist()]
+
+
 def random_key(cfg: KeyConfig, seed: int) -> WatermarkKey:
-    """Draw a uniform key, deterministic under the seed."""
-    rng = np.random.default_rng(seed)
-    return WatermarkKey(tuple(int(b) for b in rng.integers(0, 2, cfg.message_bits)))
+    """Draw a uniform key, deterministic under the seed: random_keys for
+    one seed."""
+    return random_keys(cfg, [seed])[0]
 
 
 def key_document(cfg: KeyConfig, key: WatermarkKey) -> dict:

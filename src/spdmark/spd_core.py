@@ -19,6 +19,7 @@ concurrent use over disjoint frames matches sequential output exactly.
 
 import contextlib
 import contextvars
+import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -26,6 +27,7 @@ from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
 
+from .counter import LATENT_TAG, counter_array, normals, stream_words
 from .keyspace import KeyConfig, MessageSequence, _basis_indices
 
 __all__ = [
@@ -240,9 +242,15 @@ def _video(pixels) -> np.ndarray:
     return pixels
 
 
-def _frame_latent(latent_seed: int, frame_index: int, dim: int, scale: float):
-    rng = np.random.default_rng([latent_seed, frame_index])
-    return rng.normal(0.0, scale, dim)
+def _frame_latents(frame_seeds: Sequence[tuple[int, int]], dim: int, scale: float):
+    """The (n, dim) latents of n frames: entry j of row i is scale times
+    the normal of word j of the latent stream of frame_seeds[i] =
+    (latent_seed, frame_index), so a frame's latent depends on its own
+    seeds alone."""
+    counters = counter_array(
+        itertools.chain.from_iterable(frame_seeds), "latent seeds and frame indices"
+    ).reshape(len(frame_seeds), 2)
+    return normals(stream_words(LATENT_TAG, counters, dim)) * scale
 
 
 def _forward(
@@ -306,10 +314,7 @@ def generate_frames(
     if condition.shape != (decoder.layer_dim,):
         raise ValueError("condition must be a layer_dim vector")
     indices = _basis_indices(bits, dictionary.key_config())
-    latents = np.stack([
-        _frame_latent(seed, frame_index, decoder.layer_dim, latent_scale)
-        for seed, frame_index in frame_seeds
-    ]) + condition
+    latents = _frame_latents(frame_seeds, decoder.layer_dim, latent_scale) + condition
     pixels = _forward(decoder, dictionary, indices, latents)
     pixels.setflags(write=False)
     return _video(pixels.reshape(len(bits), *decoder.frame_shape))

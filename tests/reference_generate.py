@@ -6,7 +6,8 @@ the displaced decoder, one matrix-vector product at a time.  The batched
 generator in `spdmark.spd_core` must reproduce its output byte for byte, so
 the differential tests compare the two.  The per-frame displacement path
 (`LayerShift`, `compose_displacement`, `displaced_layer_forward`) lives here
-because nothing under `src/` runs it any more; nothing under `src/` imports
+because nothing under `src/` runs it any more.  Latents come from the
+scalar oracle in tests/reference_latent.py.  Nothing under `src/` imports
 this module.
 """
 
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from reference_latent import latent
 from spdmark.keyspace import MessageSequence, SelectionMask, WatermarkKey, key_to_mask
 from spdmark.spd_core import (
     DEFAULT_LATENT_SCALE,
@@ -102,11 +104,6 @@ def displaced_layer_forward(
     return base + alpha * _matmul(shift.factor_a, _matmul(shift.factor_b, h))
 
 
-def _frame_latent(latent_seed: int, frame_index: int, dim: int, scale: float):
-    rng = np.random.default_rng([latent_seed, frame_index])
-    return rng.normal(0.0, scale, dim)
-
-
 def generate_video(
     decoder: ToyDecoder,
     dictionary: BasisDictionary,
@@ -134,7 +131,7 @@ def generate_video(
         mask = key_to_mask(WatermarkKey(msg.bits), cfg)
         shifts = compose_displacement(dictionary, mask)
         h = (
-            _frame_latent(latent_seed, msg.frame_index, decoder.layer_dim, latent_scale)
+            np.array(latent(latent_seed, msg.frame_index, decoder.layer_dim, latent_scale))
             + condition
         )
         for layer in range(decoder.num_layers):

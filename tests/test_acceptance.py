@@ -18,6 +18,7 @@ from hashlib import sha256
 
 import numpy as np
 
+from reference_latent import latent
 from spdmark.channel_attacks import ChannelSpec, channel_extract
 from spdmark.cli import RunConfig, build_corpus, forensics_table, toy_components
 from spdmark.keyspace import (
@@ -393,7 +394,7 @@ def test_criterion_9_displacement_stays_factored():
                 for row in messages
             ]
             latents = [
-                np.random.default_rng([seed, t]).normal(0.0, latent_scale, d) + condition
+                np.array(latent(seed, t, d, latent_scale)) + condition
                 for seed, t in frame_seeds
             ]
             dense = dense_frames(decoder, factors, alpha, indices, latents)

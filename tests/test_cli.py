@@ -158,7 +158,8 @@ class TestConfigFuzz:
         "text",
         ["[]", '"str"', '{"num_frames": 1e400}', '{"calibration_trials": 1e400}',
          '{"num_frames": 2.5}', '{"num_frames": true}', '{"gamma_f": "nan"}',
-         '{"gamma_v": 0}', '{"seed": -1}', '{"secret_hex": "00"}', "[" * 100_000],
+         '{"gamma_v": 0}', '{"seed": -1}', '{"secret_hex": "00"}', "[" * 100_000,
+         '{"seed": 18446744073709551616}'],
     )
     def test_probed_config_faults_exit_2(self, text, tmp_path):
         path = tmp_path / "cfg.json"
@@ -168,7 +169,9 @@ class TestConfigFuzz:
         assert json.loads(err)["error"]["stage"] == "config"
 
     @pytest.mark.parametrize(
-        "flags", [("--gamma-f", "nan"), ("--gamma-v", "0"), ("--seed", "-1"), ("--frames", "0")]
+        "flags",
+        [("--gamma-f", "nan"), ("--gamma-v", "0"), ("--seed", "-1"), ("--frames", "0"),
+         ("--seed", str(2**64))],
     )
     def test_flag_faults_exit_2(self, flags, tmp_path):
         path = tmp_path / "cfg.json"
@@ -222,6 +225,25 @@ class TestExitCodes:
         assert run("run-pipeline", "--mode", "channel", "--config", str(path),
                    "--out", str(tmp_path / "channel")) == 2
         assert json.loads(capsys.readouterr().err)["error"]["stage"] == "config"
+
+    @pytest.mark.parametrize(
+        "spec",
+        [{"attack": "pixel_noise", "sigma": 0.01}, {"attack": "rescale", "factor": 0.5}],
+        ids=["pixel_noise", "rescale"],
+    )
+    def test_photometric_attack_in_attacks_exits_2(self, spec, tmp_path, capsys):
+        """The forensics table scores tamper records, which photometric
+        attacks do not leave; the singular toy attack takes them."""
+        path = tmp_path / "cfg.json"
+        write_json(path, {"attacks": [{"attack": "swap_random"}, spec]})
+        assert run("run-pipeline", "--mode", "channel", "--config", str(path),
+                   "--out", str(tmp_path / "channel")) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["stage"] == "config"
+        assert repr(spec["attack"]) in error["message"]
+        assert "photometric" in error["message"]
+        assert not (tmp_path / "channel").exists()
+        assert RunConfig(attack=spec).attack == spec
 
 
 class TestKeygen:
@@ -472,13 +494,17 @@ class TestToyVideoFlow:
                 "--tamper", path("tamper.json"), "--out", path("diagnosis.json")),
         ]
         pipeline = tmp_path / "run"
-        assert run("run-pipeline", "--config", cfg, "--out", str(pipeline)) == 0
+        code = run("run-pipeline", "--config", cfg, "--out", str(pipeline))
         capsys.readouterr()
-        assert codes == [0] * 8
         shared = sorted(p.name for p in chain.iterdir())
         assert len(shared) == 10
         for name in shared:
             assert (chain / name).read_bytes() == (pipeline / name).read_bytes(), name
+        # Whether the attacked video still verifies depends on the seed;
+        # verify and run-pipeline exit 0 on a valid verdict and 3 otherwise.
+        want = 0 if read_json(pipeline / "verdict.json")["valid"] else 3
+        assert code == want
+        assert codes == [0] * 6 + [want, 0]
 
 
 class TestCorpus:
