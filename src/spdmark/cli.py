@@ -41,6 +41,7 @@ from .keyspace import (
     KeyConfig,
     MessageSequence,
     derive_frame_messages,
+    derive_schedules,
     extraction_document,
     key_document,
     parse_extraction_document,
@@ -320,8 +321,7 @@ def build_corpus(cfg: RunConfig, role: str, count: int, frames_per_video: int,
         cfg.key_config(),
         [derive_seed(cfg.seed, role, index, "key") for index in range(count)],
     )
-    secret = cfg.secret()
-    schedules = [derive_frame_messages(secret, key, frames_per_video) for key in keys]
+    schedules = derive_schedules(cfg.secret(), keys, frames_per_video)
     latent_seeds = [derive_seed(cfg.seed, role, index, "latent") for index in range(count)]
     frame_seeds = [
         (seed, t) for seed in latent_seeds for t in range(1, frames_per_video + 1)

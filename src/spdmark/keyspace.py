@@ -35,6 +35,7 @@ __all__ = [
     "key_to_mask",
     "mask_to_key",
     "derive_frame_messages",
+    "derive_schedules",
     "random_key",
     "random_keys",
     "bits_to_hex",
@@ -252,29 +253,63 @@ def hex_to_bits(text: str, num_bits: int) -> np.ndarray:
     return bits[:num_bits]
 
 
+def _stacked_schedules(
+    secret: BaseSecret, keys: Sequence[WatermarkKey], num_frames: int
+) -> MessageSequence:
+    """The schedules of derive_schedules in one sequence, key after key."""
+    if num_frames < 1:
+        raise ValueError("num_frames must be >= 1")
+    if not keys:
+        raise ValueError("need at least one key")
+    widths = {len(key.bits) for key in keys}
+    if len(widths) != 1:
+        raise ValueError("keys must all have the same number of bits")
+    (m,) = widths
+    if m > 256:
+        raise ValueError("a message is cut from one 256-bit HMAC-SHA256 digest")
+    indices = [t.to_bytes(_FRAME_INDEX_BYTES, "big") for t in range(1, num_frames + 1)]
+    digests = []
+    for key in keys:
+        # One keyed state per key, fed the shared prefix once and copied
+        # for each frame index, in place of a fresh HMAC per message.
+        keyed = hmac.new(secret.key_bytes, _pack(key.bits) + _HASH_SEPARATOR, "sha256")
+        for index in indices:
+            frame = keyed.copy()
+            frame.update(index)
+            digests.append(frame.digest())
+    bits = np.unpackbits(
+        np.frombuffer(b"".join(digests), dtype=np.uint8).reshape(len(digests), -1),
+        axis=1,
+    )
+    return MessageSequence(bits[:, :m])
+
+
+def derive_schedules(
+    secret: BaseSecret, keys: Sequence[WatermarkKey], num_frames: int
+) -> list[MessageSequence]:
+    """Derive the deterministic per-frame message schedule of each key.
+
+    Message t of key k is the first M bits of HMAC-SHA256(secret, msg_t)
+    with msg_t = pack(k) || 0x7C || t as an 8-byte big-endian unsigned
+    integer, for t = 1..num_frames.  The keys must share one width M.
+    """
+    stacked = _stacked_schedules(secret, keys, num_frames).messages
+    schedules = []
+    # Each run of num_frames rows is a read-only C-ordered view of a matrix
+    # MessageSequence has checked, so it is wrapped without a second check.
+    for rows in stacked.reshape(len(keys), num_frames, -1):
+        schedule = object.__new__(MessageSequence)
+        object.__setattr__(schedule, "messages", rows)
+        schedules.append(schedule)
+    return schedules
+
+
 def derive_frame_messages(
     secret: BaseSecret, key: WatermarkKey, num_frames: int
 ) -> MessageSequence:
-    """Derive the deterministic per-frame message schedule.
-
-    Message t is the first M bits of HMAC-SHA256(secret, msg_t) with
-    msg_t = pack(key) || 0x7C || t as an 8-byte big-endian unsigned integer,
-    for t = 1..num_frames.
-    """
-    if num_frames < 1:
-        raise ValueError("num_frames must be >= 1")
-    m = len(key.bits)
-    if m > 256:
-        raise ValueError("a message is cut from one 256-bit HMAC-SHA256 digest")
-    prefix = _pack(key.bits) + _HASH_SEPARATOR
-    digests = b"".join(
-        hmac.digest(secret.key_bytes, prefix + t.to_bytes(_FRAME_INDEX_BYTES, "big"),
-                    "sha256")
-        for t in range(1, num_frames + 1)
-    )
-    bits = np.unpackbits(np.frombuffer(digests, dtype=np.uint8).reshape(num_frames, -1),
-                         axis=1)
-    return MessageSequence(bits[:, :m])
+    """Derive the deterministic per-frame message schedule of one key:
+    derive_schedules for one key."""
+    return _stacked_schedules(secret, [key], num_frames)
 
 
 def random_keys(cfg: KeyConfig, seeds: Sequence[int]) -> list[WatermarkKey]:

@@ -9,8 +9,9 @@ reductions are means so the weights stay scale-free across resolutions.
 The extractor is a ridge-regression linear map from flattened frames to one
 logit per message bit, the closed-form stand-in for a learned extractor
 network.  Bits decode as the sign of the logit, with ties at zero decoding
-to 0.  The Gram matrix is accumulated in a single fixed-order product, so
-the fit is bit-for-bit deterministic.
+to 0.  The Gram matrix is accumulated in a single product and solved in
+numpy's LAPACK, so the fit is bit-for-bit deterministic on one BLAS build at
+one thread count; another build or thread count may move its last bits.
 
 All loss evaluations are pure.  The gradient of the absolute value at zero
 is taken to be 0.
@@ -21,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import BinaryIO, Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 from scipy.special import expit
 
 from .spd_core import _read_payload, _video
@@ -332,7 +332,10 @@ def fit_extractor(
     else:
         gram = design.T @ design
         gram[np.arange(features), np.arange(features)] += ridge_lambda
-        solution = scipy.linalg.solve(gram, design.T @ bipolar, assume_a="pos")
+        # numpy's LAPACK, not scipy's: the Gram product above ran in numpy's
+        # OpenBLAS thread pool, and handing the solve to scipy's separately
+        # bundled OpenBLAS made the two pools contend for the cores.
+        solution = np.linalg.solve(gram, design.T @ bipolar)
     return LinearExtractor(
         weight=solution[:features].T, bias=solution[features], ridge_lambda=ridge_lambda
     )

@@ -506,6 +506,24 @@ class TestToyVideoFlow:
         assert code == want
         assert codes == [0] * 6 + [want, 0]
 
+    def test_toy_path_runs_without_scipy_linalg(self, tmp_path, capsys, monkeypatch):
+        # The toy path does its dense linear algebra in numpy's OpenBLAS; a
+        # call into scipy's separately bundled one starts a second thread
+        # pool that contends with numpy's.
+        import scipy.linalg
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("scipy.linalg called on the toy path")
+
+        for name in ("solve", "cho_factor", "cho_solve", "cholesky", "lstsq",
+                     "lu_factor", "solve_triangular"):
+            monkeypatch.setattr(scipy.linalg, name, refuse)
+        cfg = str(fast_toy_config(tmp_path))
+        assert run("run-pipeline", "--config", cfg, "--out", str(tmp_path / "run")) == 0
+        assert run("fit-extractor", "--config", cfg,
+                   "--out", str(tmp_path / "extractor.bin")) == 0
+        capsys.readouterr()
+
 
 class TestCorpus:
     def test_one_batch_equals_per_video_generation(self):

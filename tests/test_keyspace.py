@@ -16,6 +16,7 @@ from spdmark.keyspace import (
     WatermarkKey,
     bits_to_hex,
     derive_frame_messages,
+    derive_schedules,
     extraction_document,
     hex_to_bits,
     key_to_mask,
@@ -237,6 +238,53 @@ class TestFrameMessages:
         else:
             assert collisions == 0
 
+
+class TestSchedules:
+    secret = BaseSecret(b"0123456789abcdef")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        num_keys=st.integers(1, 50),
+        num_frames=st.integers(1, 40),
+        width=st.integers(1, 256),
+        secret=st.binary(min_size=16, max_size=80),
+    )
+    def test_equals_per_key_derivation_and_hmac_reference(
+        self, data, num_keys, num_frames, width, secret
+    ):
+        size = (width + 7) // 8
+        keys = [
+            WatermarkKey(unpack_bits(raw, width))
+            for raw in data.draw(
+                st.lists(st.binary(min_size=size, max_size=size),
+                         min_size=num_keys, max_size=num_keys)
+            )
+        ]
+        secret = BaseSecret(secret)
+        schedules = derive_schedules(secret, keys, num_frames)
+        assert len(schedules) == num_keys
+        for key, schedule in zip(keys, schedules):
+            one = derive_frame_messages(secret, key, num_frames)
+            assert schedule.messages.tobytes() == one.messages.tobytes()
+            assert schedule.messages.shape == one.messages.shape == (num_frames, width)
+            assert schedule.messages.dtype == np.uint8
+            assert schedule.messages.flags.c_contiguous
+            assert not schedule.messages.flags.writeable
+            for msg in schedule:
+                payload = pack_bits(key.bits) + b"\x7c" + msg.frame_index.to_bytes(8, "big")
+                digest = hmac_sha256_reference(secret.key_bytes, payload)
+                assert tuple(msg.bits.tolist()) == unpack_bits(digest, width)
+
+    def test_rejects_no_keys_mixed_widths_and_no_frames(self):
+        with pytest.raises(ValueError):
+            derive_schedules(self.secret, [], 3)
+        with pytest.raises(ValueError):
+            derive_schedules(self.secret, [WatermarkKey((1, 0)), WatermarkKey((1,))], 3)
+        with pytest.raises(ValueError):
+            derive_schedules(self.secret, [WatermarkKey((1, 0))], 0)
+        with pytest.raises(ValueError):
+            derive_schedules(self.secret, [WatermarkKey((1,) * 257)], 1)
 
 class TestMessageSequence:
     def test_holds_a_read_only_copy(self):

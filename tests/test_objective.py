@@ -4,7 +4,9 @@ Oracles: a high-precision evaluation of the textbook cross-entropy form
 (mpmath, 60 digits) for the numerically stable BCE; central finite
 differences for every analytic gradient, sampled away from the absolute
 value's kink; a hand-rolled conjugate-gradient solver for the ridge normal
-equations; and direct double-loop evaluations of the loss reductions.
+equations; the earlier scipy Cholesky solve of the same equations
+(tests/reference_fit.py); and direct double-loop evaluations of the loss
+reductions.
 """
 
 import io
@@ -17,6 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_fit
+from spdmark.cli import RunConfig, build_corpus, toy_components
 from spdmark.keyspace import (
     BaseSecret,
     KeyConfig,
@@ -604,3 +608,27 @@ class TestLearnability:
         held = self._corpus(dictionary, decoder, fresh, 16, 6, 10_000)
         extractor = fit_extractor(*train)
         assert bit_accuracy(extractor, *held) <= 0.65
+
+
+class TestFitAgainstScipySolve:
+    """The numpy solve against the earlier scipy Cholesky solve, on the
+    default toy corpus: their last bits differ (the Gram matrix's condition
+    number is about 3e9), but both solve the normal equations and decode
+    the holdout corpus alike."""
+
+    @pytest.mark.parametrize("seed", [1, 3, 5])
+    def test_default_toy_corpus(self, seed):
+        cfg = RunConfig(seed=seed)
+        components = toy_components(cfg)
+        train = build_corpus(cfg, "train", cfg.train_videos, cfg.train_frames, *components)
+        held = build_corpus(cfg, "holdout", cfg.holdout_videos, cfg.train_frames, *components)
+        fitted = fit_extractor(*train, ridge_lambda=cfg.ridge_lambda)
+        oracle = reference_fit.fit_extractor(*train, ridge_lambda=cfg.ridge_lambda)
+        gram, rhs = reference_fit.normal_equations(*train, ridge_lambda=cfg.ridge_lambda)
+        for extractor in (fitted, oracle):
+            residual = gram @ reference_fit.solution(extractor) - rhs
+            assert np.linalg.norm(residual) / np.linalg.norm(rhs) < 1e-10
+        want = reference_fit.solution(oracle)
+        got = reference_fit.solution(fitted)
+        assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+        assert bit_accuracy(fitted, *held) == bit_accuracy(oracle, *held)
