@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .keyspace import MessageSequence
+from .keyspace import MessageSequence, _unchecked_sequence
 from .spd_core import _video
 
 __all__ = [
@@ -162,7 +162,7 @@ def channel_extract(messages: MessageSequence, spec: ChannelSpec) -> MessageSequ
         rng = np.random.default_rng(spec.seed)
         flips = rng.random(bits.shape) < spec.flip_probability
         bits = bits ^ flips
-    return MessageSequence(bits)
+    return _unchecked_sequence(bits)
 
 
 def rounded_count(total: int, fraction) -> int:
@@ -182,9 +182,10 @@ def _rows(target) -> np.ndarray:
 
 
 def _rebuild(target, rows: np.ndarray):
-    """Rows taken from `target`, as the same kind of object."""
+    """Rows taken from `target`, as the same kind of object.  Message rows
+    are a fresh uint8 copy of checked rows or 0/1 noise rows."""
     if isinstance(target, MessageSequence):
-        return MessageSequence(rows)
+        return _unchecked_sequence(rows)
     return _video(rows)
 
 

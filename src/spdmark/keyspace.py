@@ -154,6 +154,17 @@ class MessageSequence:
     __hash__ = None
 
 
+def _unchecked_sequence(bits: np.ndarray) -> MessageSequence:
+    """`bits` as a MessageSequence without a second check: the caller
+    guarantees a non-empty C-contiguous (T, M) uint8 matrix of 0/1 values,
+    taken from a checked sequence or made of bits.  It is made read-only
+    in place."""
+    bits.setflags(write=False)
+    sequence = object.__new__(MessageSequence)
+    object.__setattr__(sequence, "messages", bits)
+    return sequence
+
+
 @dataclass(frozen=True, eq=False)
 class SelectionMask:
     """L x P binary matrix with exactly one selected basis per row."""
@@ -294,14 +305,10 @@ def derive_schedules(
     integer, for t = 1..num_frames.  The keys must share one width M.
     """
     stacked = _stacked_schedules(secret, keys, num_frames).messages
-    schedules = []
-    # Each run of num_frames rows is a read-only C-ordered view of a matrix
-    # MessageSequence has checked, so it is wrapped without a second check.
-    for rows in stacked.reshape(len(keys), num_frames, -1):
-        schedule = object.__new__(MessageSequence)
-        object.__setattr__(schedule, "messages", rows)
-        schedules.append(schedule)
-    return schedules
+    # Each run of num_frames rows is a C-ordered view of a matrix
+    # MessageSequence has checked.
+    runs = stacked.reshape(len(keys), num_frames, -1)
+    return [_unchecked_sequence(rows) for rows in runs]
 
 
 def derive_frame_messages(

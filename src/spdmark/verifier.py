@@ -230,10 +230,15 @@ def similarity_matrix(
 
 
 def _similarity(expected: np.ndarray, extracted: np.ndarray) -> SimilarityMatrix:
-    # Matched-bit counts of (T, M) and (T_r, M) uint8 bit arrays.
+    # Matched-bit counts of (T, M) and (T_r, M) uint8 bit arrays, from one
+    # product of their +-1 forms: each term of S_E S_X^T is +1 for a match
+    # and -1 for a mismatch, so matched = (M + S_E S_X^T) / 2.  Every
+    # partial sum is an integer of magnitude <= M < 2^53, so float64 holds
+    # it exactly and the product does not depend on the BLAS kernel, its
+    # thread count or its summation order.
     m = expected.shape[1]
-    mismatches = (expected[:, None, :] != extracted[None, :, :]).sum(axis=2)
-    return SimilarityMatrix(m - mismatches, m)
+    agreement = (2.0 * expected - 1.0) @ (2.0 * extracted - 1.0).T
+    return SimilarityMatrix(((m + agreement) / 2).astype(np.int64), m)
 
 
 def _row_potentials(weights: np.ndarray, assigned: np.ndarray) -> np.ndarray:
@@ -276,40 +281,56 @@ def _rows_reaching(
     return successor
 
 
+def _bitsets(matrix: np.ndarray) -> list[int]:
+    # Row r of a boolean matrix as a Python int whose bit j is matrix[r, j].
+    packed = np.packbits(matrix, axis=1, bitorder="little")
+    data, width = packed.tobytes(), packed.shape[1]
+    return [
+        int.from_bytes(data[start : start + width], "little")
+        for start in range(0, len(data), width)
+    ]
+
+
 def _smallest_tight_matching(
     tight: np.ndarray, assigned: list[int], num_rows: int
 ) -> list[int]:
     # Fixes rows in order; each takes its smallest tight column whose holder
-    # can reach it, and the matching is rotated along that cycle.  Row sets
-    # are Python-int bitsets: bit a of rows_at[j] is set when row a is tight
-    # at column j.
+    # can reach it, and the matching is rotated along that cycle.  Row and
+    # column sets are Python-int bitsets: bit a of rows_at[j] is set when
+    # row a is tight at column j, and bit j of tight_cols[a] when row a is
+    # tight at column j.  A rotation only permutes columns among the current
+    # row and the free rows, so the columns of fixed rows never move again:
+    # fixed_cols holds exactly them, and a column left of the current row's
+    # is held by a free row exactly when it is not in fixed_cols.
     n = len(assigned)
-    packed = np.packbits(tight.T, axis=1, bitorder="little")
-    rows_at = [int.from_bytes(bits.tobytes(), "little") for bits in packed]
+    rows_at = _bitsets(tight.T)
+    tight_cols = _bitsets(tight[:num_rows])
     holder = [0] * n
     for row, col in enumerate(assigned):
         holder[col] = row
     free = (1 << n) - 1
+    fixed_cols = 0
     for row in range(num_rows):
         free ^= 1 << row
-        earlier = [
-            col
-            for col in np.flatnonzero(tight[row, : assigned[row]]).tolist()
-            if free >> holder[col] & 1
-        ]
-        if not earlier:
-            continue
-        successor = _rows_reaching(rows_at, assigned, free, row, holder[earlier[0]])
-        for col in earlier:
-            if holder[col] in successor:
-                cycle = [holder[col]]
-                while cycle[-1] != row:
-                    cycle.append(successor[cycle[-1]])
-                cols = [assigned[k] for k in cycle]
-                for k, c in zip(cycle, cols[1:] + cols[:1]):
-                    assigned[k] = c
-                    holder[c] = k
-                break
+        # Candidate columns, read lowest bit first.
+        earlier = tight_cols[row] & ((1 << assigned[row]) - 1) & ~fixed_cols
+        if earlier:
+            first = (earlier & -earlier).bit_length() - 1
+            successor = _rows_reaching(rows_at, assigned, free, row, holder[first])
+            while earlier:
+                low = earlier & -earlier
+                col = low.bit_length() - 1
+                if holder[col] in successor:
+                    cycle = [holder[col]]
+                    while cycle[-1] != row:
+                        cycle.append(successor[cycle[-1]])
+                    cols = [assigned[k] for k in cycle]
+                    for k, c in zip(cycle, cols[1:] + cols[:1]):
+                        assigned[k] = c
+                        holder[c] = k
+                    break
+                earlier ^= low
+        fixed_cols |= 1 << assigned[row]
     return assigned
 
 
@@ -368,6 +389,7 @@ def _log_tail(n: int, k: int, p: float) -> float:
     return float(logsumexp(log_binom + j * math.log(p) + (n - j) * math.log1p(-p)))
 
 
+@lru_cache(maxsize=None)
 def _binomial_tail(n: int, k: int, p: float) -> float:
     if not 0 <= k <= n + 1:
         raise ValueError("k must lie in [0, n + 1]")

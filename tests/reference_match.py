@@ -1,16 +1,26 @@
-"""Test-only oracle: the re-solving lexicographic assignment.
+"""Test-only oracles: the broadcast similarity count and the re-solving
+lexicographic assignment.
 
-This is the original `hungarian_match`, which finds the lexicographically
-smallest maximum-similarity assignment by re-solving a reduced assignment
-for every candidate column of every row.  It is slow but obviously
-correct, so the differential tests compare the one-solve implementation in
-`spdmark.verifier` against it.  Nothing under `src/` imports this module.
+`_similarity` is the original matched-bit count, one elementwise compare of
+every message pair; `spdmark.verifier` computes it as one +-1 product.
+`hungarian_match` is the original assignment, which finds the
+lexicographically smallest maximum-similarity assignment by re-solving a
+reduced assignment for every candidate column of every row.  Both are slow
+but obviously correct, so the differential tests compare the implementations
+in `spdmark.verifier` against them.  Nothing under `src/` imports this module.
 """
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from spdmark.verifier import Assignment, SimilarityMatrix
+
+
+def _similarity(expected: np.ndarray, extracted: np.ndarray) -> SimilarityMatrix:
+    """Matched-bit counts of (T, M) and (T_r, M) bit arrays."""
+    m = expected.shape[1]
+    mismatches = (expected[:, None, :] != extracted[None, :, :]).sum(axis=2)
+    return SimilarityMatrix(m - mismatches, m)
 
 
 def _assignment_value(counts: np.ndarray) -> int:

@@ -564,6 +564,52 @@ class TestStructuralOracle:
         assert record == want_record
 
 
+class TestMessageOutputs:
+    """Attacked and extracted messages are wrapped without a second check,
+    so each must already be what MessageSequence would have built."""
+
+    @staticmethod
+    def assert_checked(result):
+        bits = result.messages
+        assert type(result) is MessageSequence
+        assert bits.dtype == np.uint8
+        assert bits.flags.c_contiguous
+        assert not bits.flags.writeable
+        checked = MessageSequence(np.asarray(result))
+        assert result == checked
+        assert bits.shape == checked.messages.shape
+        assert bits.tobytes() == checked.messages.tobytes()
+
+    @given(
+        num_frames=st.integers(1, 40),
+        attack=structural_attacks(),
+        data_seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_structural_attacks(self, num_frames, attack, data_seed):
+        rng = np.random.default_rng(data_seed)
+        target = MessageSequence(rng.integers(0, 2, (num_frames, 12)))
+        name, args = attack
+        try:
+            attacked, _ = globals()[f"attack_{name}"](target, *args)
+        except ValueError:
+            return
+        self.assert_checked(attacked)
+        self.assert_checked(apply_attack(target, {"attack": "none"})[0])
+
+    @given(
+        num_frames=st.integers(1, 40),
+        flip=st.sampled_from([0.0, 0.02, 0.5, 1.0]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_channel(self, num_frames, flip, seed):
+        source = MessageSequence(
+            np.random.default_rng(seed).integers(0, 2, (num_frames, 12))
+        )
+        self.assert_checked(channel_extract(source, ChannelSpec(flip, seed)))
+
+
 NON_VIDEOS = [
     pytest.param(np.full((2, 3, 2, 2), np.nan), id="nan"),
     pytest.param(np.full((2, 3, 2, 2), np.inf), id="inf"),

@@ -1,6 +1,11 @@
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +15,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment
 
 import spdmark.verifier
+from reference_match import _similarity as reference_similarity
 from reference_match import hungarian_match as reference_match
 from reference_verdict import _verdict_from_matrix as reference_verdict
 from spdmark.channel_attacks import (
@@ -92,6 +98,35 @@ class TestBinomialTail:
             binomial_tail(10, -1)
         with pytest.raises(ValueError):
             binomial_tail(10, 12)
+
+
+class TestBinomialTailCache:
+    def test_invalid_calls_raise_every_time(self):
+        # Exceptions are not cached: each repeat is checked again.
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                spdmark.verifier._binomial_tail(10, 12, 0.5)
+            with pytest.raises(ValueError):
+                spdmark.verifier._binomial_tail(10, 3, 1.5)
+
+    def test_cached_values_equal_uncached_on_the_criterion_1_grid(self):
+        tail = spdmark.verifier._binomial_tail
+        for n in range(0, 65):
+            for k in range(0, n + 2):
+                want = tail.__wrapped__(n, k, 0.5)
+                assert tail(n, k, 0.5) == want
+                assert tail(n, k, 0.5) == want
+                assert binomial_tail(n, k) == want
+
+    def test_verdict_document_round_trips_the_p_value(self):
+        schedule = make_schedule(12)
+        rows = np.array(ideal(schedule).messages)
+        rows[::2] = np.random.default_rng(5).integers(0, 2, rows[::2].shape)
+        doc = verify(schedule, MessageSequence(rows)).to_doc()
+        assert 0.0 < doc["video_p_value"] < 1.0
+        spdmark.verifier._binomial_tail.cache_clear()
+        assert Verdict.from_doc(doc).video_p_value == doc["video_p_value"]
+        assert Verdict.from_doc(doc).video_p_value == doc["video_p_value"]
 
 
 class TestFrameThreshold:
@@ -179,6 +214,58 @@ class TestSimilarityMatrix:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             similarity_matrix(MessageSequence([[1, 0]]), MessageSequence([[1, 0, 1]]))
+
+
+class TestSimilarityOracle:
+    """The +-1 product against the broadcast compare it replaced, in
+    tests/reference_match.py: equal int64 counts."""
+
+    @given(
+        t=st.integers(1, 40),
+        t_r=st.integers(1, 40),
+        m=st.sampled_from([1, 2, 3, 28, 64, 256]),
+        flip=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_broadcast_compare(self, t, t_r, m, flip, seed):
+        # Extracted rows are copies of expected rows with each bit flipped
+        # at rate `flip`, so counts of 0 and M occur as well as random ones.
+        rng = np.random.default_rng(seed)
+        expected = rng.integers(0, 2, (t, m), dtype=np.uint8)
+        flips = (rng.random((t_r, m)) < flip).astype(np.uint8)
+        extracted = expected[rng.integers(0, t, t_r)] ^ flips
+        want = reference_similarity(expected, extracted).matched_bits
+        got = similarity_matrix(
+            MessageSequence(expected), MessageSequence(extracted)
+        ).matched_bits
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
+
+    def test_null_calibration_does_not_depend_on_blas_threads(self):
+        # The similarity product runs in BLAS; its counts, and so the whole
+        # calibration report, must not change with the thread count or the
+        # kernel that BLAS picks.
+        script = (
+            "import json; from spdmark.verifier import null_calibration; "
+            "print(json.dumps(null_calibration(28, 100, 1e-3, 1e-6, 50, seed=1)))"
+        )
+        src = str(Path(spdmark.verifier.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if not k.startswith("OPENBLAS_")}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        reports = [
+            subprocess.run(
+                [sys.executable, "-c", script], env={**env, **setting},
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for setting in (
+                {"OPENBLAS_NUM_THREADS": "1"},
+                {"OPENBLAS_NUM_THREADS": "2"},
+                {"OPENBLAS_CORETYPE": "Prescott"},
+            )
+        ]
+        here = json.dumps(null_calibration(28, 100, 1e-3, 1e-6, 50, seed=1))
+        assert reports == [here + "\n"] * 3
 
 
 def brute_force_value(counts: np.ndarray) -> int:
@@ -283,6 +370,40 @@ class TestHungarianMatch:
         got, want = hungarian_match(sim), reference_match(sim)
         assert got.pairs == want.pairs
         assert got.total_matched == want.total_matched
+
+    @pytest.mark.parametrize("message_bits", [1, 2])
+    @pytest.mark.parametrize("shape", [(100, 100), (100, 60), (60, 100)])
+    def test_matches_reference_oracle_on_ties_at_scale(self, shape, message_bits):
+        # With one or two message bits nearly every entry ties, and the
+        # rectangular shapes add dummy rows or columns to the square solve.
+        for seed in range(10):
+            rng = np.random.default_rng([*shape, message_bits, seed])
+            expected = rng.integers(0, 2, (shape[0], message_bits), dtype=np.uint8)
+            extracted = rng.integers(0, 2, (shape[1], message_bits), dtype=np.uint8)
+            sim = reference_similarity(expected, extracted)
+            got, want = hungarian_match(sim), reference_match(sim)
+            assert got.pairs == want.pairs
+            assert got.total_matched == want.total_matched
+
+    def test_walk_searches_only_toward_free_rows(self, monkeypatch):
+        # A candidate column is never one held by a fixed row, so every
+        # search for a rotation starts toward a row that is still free.
+        walk = spdmark.verifier._rows_reaching
+        goals = []
+
+        def checked(rows_at, assigned, free, row, goal):
+            assert free >> goal & 1 and not free >> row & 1
+            goals.append(goal)
+            return walk(rows_at, assigned, free, row, goal)
+
+        monkeypatch.setattr(spdmark.verifier, "_rows_reaching", checked)
+        for shape in [(100, 100), (100, 60), (60, 100)]:
+            rng = np.random.default_rng(shape)
+            expected = rng.integers(0, 2, (shape[0], 1), dtype=np.uint8)
+            extracted = rng.integers(0, 2, (shape[1], 1), dtype=np.uint8)
+            sim = reference_similarity(expected, extracted)
+            assert hungarian_match(sim).pairs == reference_match(sim).pairs
+        assert goals
 
     def test_long_video_reaches_the_optimum(self):
         rng = np.random.default_rng(1000)
