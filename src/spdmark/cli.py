@@ -27,8 +27,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
 from .channel_attacks import (
     ChannelSpec,
     TamperRecord,
@@ -310,7 +308,10 @@ def toy_components(cfg: RunConfig):
 
 def build_corpus(cfg: RunConfig, role: str, count: int, frames_per_video: int,
                  dictionary, decoder, condition):
-    """Generate `count` watermarked videos, each under its own random key.
+    """Generate `count` watermarked videos, each under its own random key, as
+    one read-only (count, frames_per_video, 3, H, W) stack and the
+    MessageSequence of their count * frames_per_video messages, video after
+    video.
 
     The condition vector is shared across the corpus: the displacement a
     mask adds is linear in the hidden state, so a single linear extractor
@@ -321,17 +322,15 @@ def build_corpus(cfg: RunConfig, role: str, count: int, frames_per_video: int,
         cfg.key_config(),
         [derive_seed(cfg.seed, role, index, "key") for index in range(count)],
     )
-    schedules = derive_schedules(cfg.secret(), keys, frames_per_video)
+    schedule = derive_schedules(cfg.secret(), keys, frames_per_video)
     latent_seeds = [derive_seed(cfg.seed, role, index, "latent") for index in range(count)]
     frame_seeds = [
         (seed, t) for seed in latent_seeds for t in range(1, frames_per_video + 1)
     ]
     pixels = generate_frames(
-        decoder, dictionary, np.concatenate(schedules),
-        frame_seeds, condition, cfg.latent_scale,
+        decoder, dictionary, schedule, frame_seeds, condition, cfg.latent_scale
     )
-    videos = list(pixels.reshape(count, frames_per_video, *pixels.shape[1:]))
-    return videos, schedules
+    return pixels.reshape(count, frames_per_video, *pixels.shape[1:]), schedule
 
 
 def forensics_table(cfg: RunConfig) -> list:
@@ -389,10 +388,10 @@ def forensics_table(cfg: RunConfig) -> list:
     return rows
 
 
-# One function per toy pipeline stage, on in-memory objects.  The
-# subcommands read their inputs from files, run the stage and write its
-# artifact; run-pipeline --mode toy runs the same stages in order and writes
-# through the same writers.
+# One function per pipeline stage, on in-memory objects.  The subcommands
+# read their inputs from files, run the stage and write its artifact;
+# run-pipeline runs the same stages in order and writes through the same
+# writers.
 
 
 def _keygen(cfg: RunConfig):
@@ -438,6 +437,13 @@ def _extract(extractor, video) -> MessageSequence:
 
 def _verify(cfg: RunConfig, schedule, extracted: MessageSequence) -> Verdict:
     return verify(schedule, extracted, cfg.gamma_f, cfg.gamma_v)
+
+
+def _calibrate(cfg: RunConfig) -> dict:
+    return null_calibration(
+        cfg.message_bits, cfg.num_frames, cfg.gamma_f, cfg.gamma_v,
+        cfg.calibration_trials, derive_seed(cfg.seed, "calibrate"),
+    )
 
 
 def _read_schedule(path: str) -> MessageSequence:
@@ -604,14 +610,7 @@ def cmd_calibrate(cfg: RunConfig, args) -> int:
             file=sys.stderr,
         )
     with _stage("calibrate"):
-        report = null_calibration(
-            cfg.message_bits,
-            cfg.num_frames,
-            cfg.gamma_f,
-            cfg.gamma_v,
-            trials,
-            derive_seed(cfg.seed, "calibrate"),
-        )
+        report = _calibrate(cfg)
         report["config_hash"] = config_hash(cfg)
         _emit(report, args.out)
     return 0
@@ -678,10 +677,7 @@ def _channel_pipeline(cfg: RunConfig, out: Path) -> int:
     with _stage("forensics"):
         rows = forensics_table(cfg)
     with _stage("calibrate"):
-        calibration = null_calibration(
-            cfg.message_bits, cfg.num_frames, cfg.gamma_f, cfg.gamma_v,
-            cfg.calibration_trials, derive_seed(cfg.seed, "calibrate"),
-        )
+        calibration = _calibrate(cfg)
     report = {
         "mode": "channel",
         "config_hash": config_hash(cfg),

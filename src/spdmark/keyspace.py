@@ -82,8 +82,6 @@ class KeyConfig:
 
     @classmethod
     def from_layout(cls, num_layers: int, bases_per_layer: int) -> "KeyConfig":
-        if bases_per_layer < 2 or bases_per_layer & (bases_per_layer - 1) != 0:
-            raise ValueError("bases_per_layer must be a power of two >= 2")
         bits = bases_per_layer.bit_length() - 1
         return cls(num_layers, bases_per_layer, num_layers * bits)
 
@@ -264,10 +262,17 @@ def hex_to_bits(text: str, num_bits: int) -> np.ndarray:
     return bits[:num_bits]
 
 
-def _stacked_schedules(
+def derive_schedules(
     secret: BaseSecret, keys: Sequence[WatermarkKey], num_frames: int
 ) -> MessageSequence:
-    """The schedules of derive_schedules in one sequence, key after key."""
+    """Derive the deterministic per-frame message schedules of many keys as
+    one sequence, key after key: rows k*num_frames .. (k+1)*num_frames - 1
+    are the schedule of keys[k].
+
+    Message t of key k is the first M bits of HMAC-SHA256(secret, msg_t)
+    with msg_t = pack(k) || 0x7C || t as an 8-byte big-endian unsigned
+    integer, for t = 1..num_frames.  The keys must share one width M.
+    """
     if num_frames < 1:
         raise ValueError("num_frames must be >= 1")
     if not keys:
@@ -295,28 +300,12 @@ def _stacked_schedules(
     return MessageSequence(bits[:, :m])
 
 
-def derive_schedules(
-    secret: BaseSecret, keys: Sequence[WatermarkKey], num_frames: int
-) -> list[MessageSequence]:
-    """Derive the deterministic per-frame message schedule of each key.
-
-    Message t of key k is the first M bits of HMAC-SHA256(secret, msg_t)
-    with msg_t = pack(k) || 0x7C || t as an 8-byte big-endian unsigned
-    integer, for t = 1..num_frames.  The keys must share one width M.
-    """
-    stacked = _stacked_schedules(secret, keys, num_frames).messages
-    # Each run of num_frames rows is a C-ordered view of a matrix
-    # MessageSequence has checked.
-    runs = stacked.reshape(len(keys), num_frames, -1)
-    return [_unchecked_sequence(rows) for rows in runs]
-
-
 def derive_frame_messages(
     secret: BaseSecret, key: WatermarkKey, num_frames: int
 ) -> MessageSequence:
     """Derive the deterministic per-frame message schedule of one key:
     derive_schedules for one key."""
-    return _stacked_schedules(secret, [key], num_frames)
+    return derive_schedules(secret, [key], num_frames)
 
 
 def random_keys(cfg: KeyConfig, seeds: Sequence[int]) -> list[WatermarkKey]:

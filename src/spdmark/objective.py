@@ -2,16 +2,20 @@
 
 The message-recovery loss is binary cross entropy with logits, averaged over
 bits and frames.  The imperceptibility loss combines a perceptual-distance
-proxy (mean squared pixel error by default, pluggable) with a temporal
-consistency term on luminance differences between successive frames; both
-reductions are means so the weights stay scale-free across resolutions.
+proxy (mean squared pixel error) with a temporal consistency term on
+luminance differences between successive frames; both reductions are means
+so the weights stay scale-free across resolutions.  Schedules are
+MessageSequences with one row per frame.
 
 The extractor is a ridge-regression linear map from flattened frames to one
 logit per message bit, the closed-form stand-in for a learned extractor
-network.  Bits decode as the sign of the logit, with ties at zero decoding
-to 0.  The Gram matrix is accumulated in a single product and solved in
-numpy's LAPACK, so the fit is bit-for-bit deterministic on one BLAS build at
-one thread count; another build or thread count may move its last bits.
+network.  It is fitted on a corpus of N videos of T frames given as one
+(N, T, 3, H, W) video stack and one MessageSequence of N*T rows, video
+after video.  Bits decode as the sign of the logit, with ties at zero
+decoding to 0.  The Gram matrix is accumulated in a single product and
+solved in numpy's LAPACK, so the fit is bit-for-bit deterministic on one
+BLAS build at one thread count; another build or thread count may move its
+last bits.
 
 All loss evaluations are pure.  The gradient of the absolute value at zero
 is taken to be 0.
@@ -19,11 +23,12 @@ is taken to be 0.
 
 import json
 from dataclasses import dataclass, field
-from typing import BinaryIO, Callable, Sequence
+from typing import BinaryIO
 
 import numpy as np
 from scipy.special import expit
 
+from .keyspace import MessageSequence
 from .spd_core import _read_payload, _video
 
 __all__ = [
@@ -125,15 +130,26 @@ def _message_bits(message) -> np.ndarray:
     return bits
 
 
-def _schedule_bits(schedule, num_frames: int) -> np.ndarray:
-    """A schedule (a MessageSequence, or a sequence of 0/1 rows) as one
-    (T, M) float matrix with T == num_frames."""
-    bits = np.asarray(schedule, dtype=np.float64)
-    if bits.ndim != 2 or not np.isin(bits, (0.0, 1.0)).all():
-        raise ValueError("schedule must be a (T, M) matrix of 0/1 bits")
-    if len(bits) != num_frames:
-        raise ValueError("schedule length must equal the frame count")
-    return bits
+def _frame_messages(schedule: MessageSequence, num_frames: int) -> np.ndarray:
+    """The (T, M) uint8 bits of `schedule`, a MessageSequence with one row
+    per frame: T == num_frames."""
+    if not isinstance(schedule, MessageSequence):
+        raise ValueError("schedule must be a MessageSequence")
+    if len(schedule) != num_frames:
+        raise ValueError(
+            f"schedule has {len(schedule)} messages for {num_frames} frames"
+        )
+    return schedule.messages
+
+
+def _corpus(videos, schedule: MessageSequence) -> tuple[np.ndarray, np.ndarray]:
+    """The frames of an (N, T, 3, H, W) video stack as one (N*T, 3, H, W)
+    video, and the bits of `schedule`, one row per frame in the same order."""
+    stack = np.asarray(videos)
+    if stack.ndim != 5:
+        raise ValueError("videos must be an (N, T, 3, H, W) stack")
+    frames = _video(stack.reshape(stack.shape[0] * stack.shape[1], *stack.shape[2:]))
+    return frames, _frame_messages(schedule, len(frames))
 
 
 def bce_logits(logits: np.ndarray, target) -> float:
@@ -153,12 +169,12 @@ def bce_logits(logits: np.ndarray, target) -> float:
     return float(loss.mean())
 
 
-def recovery_loss(video, extractor: LinearExtractor, schedule: Sequence) -> float:
+def recovery_loss(video, extractor: LinearExtractor, schedule: MessageSequence) -> float:
     """Mean over frames of the per-frame BCE between extractor logits and the
     scheduled message bits."""
     pixels = _video(video)
     total = 0.0
-    for frame, bits in zip(pixels, _schedule_bits(schedule, pixels.shape[0])):
+    for frame, bits in zip(pixels, _frame_messages(schedule, pixels.shape[0])):
         total += bce_logits(extractor.logits(frame), bits)
     return total / pixels.shape[0]
 
@@ -174,7 +190,7 @@ def luminance(pixels) -> np.ndarray:
 
 
 def mean_squared_error(a: np.ndarray, b: np.ndarray) -> float:
-    """Default perceptual-distance proxy between two frames."""
+    """The perceptual-distance proxy between two frames."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
@@ -190,10 +206,6 @@ def _check_pair(clean, marked) -> tuple:
     return clean, marked
 
 
-def _perceptual_term(clean: np.ndarray, marked: np.ndarray, distance) -> float:
-    return float(np.mean([distance(c, m) for c, m in zip(clean, marked)]))
-
-
 def _temporal_term(clean: np.ndarray, marked: np.ndarray) -> float:
     delta_clean = np.diff(luminance(clean), axis=0)
     delta_marked = np.diff(luminance(marked), axis=0)
@@ -201,28 +213,24 @@ def _temporal_term(clean: np.ndarray, marked: np.ndarray) -> float:
     return float(np.abs(delta_clean - delta_marked).mean())
 
 
-def _weighted_terms(clean, marked, weights: LossWeights, distance) -> tuple[float, float]:
+def _weighted_terms(clean, marked, weights: LossWeights) -> tuple[float, float]:
     """The weighted perceptual and temporal-consistency terms (ps, tc)."""
     clean, marked = _check_pair(clean, marked)
     if clean.shape[0] < 2:
         raise ValueError("temporal consistency needs at least 2 frames")
-    ps = weights.lambda_ps * _perceptual_term(clean, marked, distance)
-    tc = weights.lambda_tc * _temporal_term(clean, marked)
-    return ps, tc
+    # Mean per frame, then over frames: one mean over every pixel would sum
+    # in another order and could move the last bits of reported losses.
+    ps = float(np.mean([mean_squared_error(c, m) for c, m in zip(clean, marked)]))
+    return weights.lambda_ps * ps, weights.lambda_tc * _temporal_term(clean, marked)
 
 
-def imperceptibility_loss(
-    clean,
-    marked,
-    weights: LossWeights = LossWeights(),
-    distance: "Callable[[np.ndarray, np.ndarray], float] | None" = None,
-) -> float:
+def imperceptibility_loss(clean, marked, weights: LossWeights = LossWeights()) -> float:
     """Weighted perceptual + temporal-consistency loss between two videos.
 
     The temporal term compares luminance differences of successive frames, so
     it needs at least two frames; a static pixel offset leaves it at zero.
     """
-    ps, tc = _weighted_terms(clean, marked, weights, distance or mean_squared_error)
+    ps, tc = _weighted_terms(clean, marked, weights)
     return ps + tc
 
 
@@ -230,11 +238,11 @@ def loss_report(
     clean,
     marked,
     extractor: LinearExtractor,
-    schedule: Sequence,
+    schedule: MessageSequence,
     weights: LossWeights = LossWeights(),
 ) -> dict:
     """Weighted loss terms as {ps, tc, rec, total} with total = ps + tc + rec."""
-    ps, tc = _weighted_terms(clean, marked, weights, mean_squared_error)
+    ps, tc = _weighted_terms(clean, marked, weights)
     rec = recovery_loss(marked, extractor, schedule)
     return {"ps": ps, "tc": tc, "rec": rec, "total": ps + tc + rec}
 
@@ -243,20 +251,19 @@ def loss_gradients(
     clean,
     marked,
     extractor: LinearExtractor,
-    schedule: Sequence,
+    schedule: MessageSequence,
     weights: LossWeights = LossWeights(),
 ) -> dict:
     """Analytic gradients of the loss terms w.r.t. every marked pixel.
 
     Returns {ps, tc, rec, total}, each shaped like the video (T, 3, H, W).
-    The closed forms assume the default squared-error perceptual proxy; the
-    absolute value in the temporal term uses subgradient 0 at its kink.
+    The absolute value in the temporal term uses subgradient 0 at its kink.
     """
     clean, marked = _check_pair(clean, marked)
     num_frames = clean.shape[0]
     if num_frames < 2:
         raise ValueError("temporal consistency needs at least 2 frames")
-    targets = _schedule_bits(schedule, num_frames)
+    targets = _frame_messages(schedule, num_frames)
     pixels_per_frame = clean[0].size
 
     ps_grad = weights.lambda_ps * 2.0 * (marked - clean) / (num_frames * pixels_per_frame)
@@ -275,7 +282,7 @@ def loss_gradients(
 
     rec_grad = np.zeros_like(marked)
     bit_count = extractor.message_bits
-    if targets.shape[1] != bit_count:
+    if schedule.message_bits != bit_count:
         raise ValueError("message length must match the extractor bit count")
     for index, bits in enumerate(targets):
         residual = expit(extractor.logits(marked[index])) - bits
@@ -291,42 +298,24 @@ def loss_gradients(
 
 
 def fit_extractor(
-    videos: Sequence,
-    schedules: Sequence,
+    videos: np.ndarray,
+    schedule: MessageSequence,
     ridge_lambda: float = DEFAULT_RIDGE_LAMBDA,
 ) -> LinearExtractor:
     """Closed-form ridge regression of flattened frames onto bipolar targets.
 
-    Solves (X'X + lambda*I) W = X'Y on an intercept-augmented design; the
-    intercept column is not penalized.  Targets are 2*bit - 1.
+    `videos` is an (N, T, 3, H, W) stack and `schedule` its N*T messages,
+    video after video.  Solves (X'X + lambda*I) W = X'Y on an
+    intercept-augmented design; the intercept column is not penalized.
+    Targets are 2*bit - 1.
     """
     if not np.isfinite(ridge_lambda) or ridge_lambda < 0:
         raise ValueError("ridge_lambda must be finite and >= 0")
-    if len(videos) == 0:
-        raise ValueError("need at least one training video")
-    if len(videos) != len(schedules):
-        raise ValueError("videos and schedules must pair up")
-
-    rows = []
-    targets = []
-    features = None
-    bit_count = None
-    for video, schedule in zip(videos, schedules):
-        pixels = _video(video)
-        bits = _schedule_bits(schedule, pixels.shape[0])
-        flat = pixels.reshape(pixels.shape[0], -1)
-        if features is None:
-            features, bit_count = flat.shape[1], bits.shape[1]
-        elif flat.shape[1] != features or bits.shape[1] != bit_count:
-            raise ValueError("inconsistent frame or message dimensions")
-        rows.append(flat)
-        targets.append(2.0 * bits - 1.0)
-    frames = np.vstack(rows)
-    if len(frames) == 0 or features == 0 or bit_count == 0:
-        raise ValueError("degenerate frame or message dimensions")
-
-    design = np.hstack([frames, np.ones((len(frames), 1))])
-    bipolar = np.vstack(targets)
+    frames, bits = _corpus(videos, schedule)
+    flat = frames.reshape(len(frames), -1)
+    features = flat.shape[1]
+    design = np.hstack([flat, np.ones((len(flat), 1))])
+    bipolar = 2.0 * bits - 1.0
     if ridge_lambda == 0.0:
         solution, *_ = np.linalg.lstsq(design, bipolar, rcond=None)
     else:
@@ -341,23 +330,18 @@ def fit_extractor(
     )
 
 
-def bit_accuracy(extractor: LinearExtractor, videos: Sequence, schedules: Sequence) -> float:
-    """Fraction of scheduled bits the extractor decodes correctly."""
-    if len(videos) != len(schedules):
-        raise ValueError("videos and schedules must pair up")
+def bit_accuracy(
+    extractor: LinearExtractor, videos: np.ndarray, schedule: MessageSequence
+) -> float:
+    """Fraction of scheduled bits the extractor decodes correctly, on an
+    (N, T, 3, H, W) video stack and its N*T messages."""
+    frames, bits = _corpus(videos, schedule)
+    if schedule.message_bits != extractor.message_bits:
+        raise ValueError("message length must match the extractor bit count")
     correct = 0
-    total = 0
-    for video, schedule in zip(videos, schedules):
-        pixels = _video(video)
-        targets = _schedule_bits(schedule, pixels.shape[0])
-        if targets.shape[1] != extractor.message_bits:
-            raise ValueError("message length must match the extractor bit count")
-        for frame, bits in zip(pixels, targets):
-            correct += int((extractor.decode(frame) == bits).sum())
-            total += len(bits)
-    if total == 0:
-        raise ValueError("no frames to score")
-    return correct / total
+    for frame, row in zip(frames, bits):
+        correct += int((extractor.decode(frame) == row).sum())
+    return correct / bits.size
 
 
 def write_extractor(stream: BinaryIO, extractor: LinearExtractor) -> None:

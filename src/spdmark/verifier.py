@@ -51,8 +51,8 @@ __all__ = [
 class SimilarityMatrix:
     """Pairwise similarity between expected and extracted messages.
 
-    Stored as exact matched-bit counts; values are matched_bits / M, i.e.
-    1 - hamming/M.
+    Stored as exact matched-bit counts; the similarity of a pair is
+    matched_bits / M, i.e. 1 - hamming/M.
     """
 
     matched_bits: np.ndarray
@@ -70,10 +70,6 @@ class SimilarityMatrix:
         object.__setattr__(self, "matched_bits", counts)
 
     @property
-    def values(self) -> np.ndarray:
-        return self.matched_bits / self.message_bits
-
-    @property
     def shape(self) -> tuple[int, int]:
         return self.matched_bits.shape
 
@@ -84,7 +80,6 @@ class Assignment:
     sorted by expected index."""
 
     pairs: tuple[tuple[int, int], ...]
-    total_similarity: float
     total_matched: int
 
     def __post_init__(self) -> None:
@@ -185,7 +180,7 @@ class Verdict:
             raise ValueError("verdict message_bits must be <= 256")
         if len(pairs) != min(t, t_r):
             raise ValueError(f"verdict must align min(T, T_r) = {min(t, t_r)} frames")
-        Assignment(pairs, 0.0, 0)
+        Assignment(pairs, 0)
         for (pi, rho), count in zip(pairs, matched):
             if not (1 <= pi <= t and 1 <= rho <= t_r and 0 <= count <= m):
                 raise ValueError(
@@ -375,11 +370,7 @@ def hungarian_match(sim: SimilarityMatrix) -> Assignment:
     achieved = sum(int(counts[pi - 1, rho - 1]) for pi, rho in pairs)
     if len(pairs) != min(num_rows, num_cols) or achieved != best:
         raise RuntimeError("assignment refinement lost optimality")
-    return Assignment(
-        pairs=pairs,
-        total_similarity=best / sim.message_bits,
-        total_matched=best,
-    )
+    return Assignment(pairs=pairs, total_matched=best)
 
 
 def _log_tail(n: int, k: int, p: float) -> float:

@@ -12,11 +12,12 @@ import scipy.linalg
 from spdmark.objective import DEFAULT_RIDGE_LAMBDA, LinearExtractor
 
 
-def normal_equations(videos, schedules, ridge_lambda: float = DEFAULT_RIDGE_LAMBDA):
-    """The Gram matrix G and right-hand side B of the ridge fit, with G W = B
-    for the (features + 1, M) solution W whose last row is the bias."""
-    frames = np.vstack([np.asarray(video).reshape(len(video), -1) for video in videos])
-    bits = np.vstack([np.asarray(schedule, dtype=np.float64) for schedule in schedules])
+def normal_equations(videos, schedule, ridge_lambda: float = DEFAULT_RIDGE_LAMBDA):
+    """The Gram matrix G and right-hand side B of the ridge fit on an
+    (N, T, 3, H, W) video stack and its N*T messages, with G W = B for the
+    (features + 1, M) solution W whose last row is the bias."""
+    bits = np.asarray(schedule, dtype=np.float64)
+    frames = np.asarray(videos).reshape(len(bits), -1)
     features = frames.shape[1]
     design = np.hstack([frames, np.ones((len(frames), 1))])
     gram = design.T @ design
@@ -25,9 +26,9 @@ def normal_equations(videos, schedules, ridge_lambda: float = DEFAULT_RIDGE_LAMB
 
 
 def fit_extractor(
-    videos, schedules, ridge_lambda: float = DEFAULT_RIDGE_LAMBDA
+    videos, schedule, ridge_lambda: float = DEFAULT_RIDGE_LAMBDA
 ) -> LinearExtractor:
-    gram, rhs = normal_equations(videos, schedules, ridge_lambda)
+    gram, rhs = normal_equations(videos, schedule, ridge_lambda)
     solution = scipy.linalg.solve(gram, rhs, assume_a="pos")
     features = gram.shape[0] - 1
     return LinearExtractor(

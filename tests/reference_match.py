@@ -74,8 +74,4 @@ def hungarian_match(sim: SimilarityMatrix) -> Assignment:
         del cols[position]
     if len(pairs) != total_pairs or achieved != best:
         raise RuntimeError("assignment refinement lost optimality")
-    return Assignment(
-        pairs=tuple(pairs),
-        total_similarity=best / sim.message_bits,
-        total_matched=best,
-    )
+    return Assignment(pairs=tuple(pairs), total_matched=best)

@@ -24,6 +24,7 @@ from spdmark.cli import RunConfig, build_corpus, forensics_table, toy_components
 from spdmark.keyspace import (
     BaseSecret,
     KeyConfig,
+    MessageSequence,
     WatermarkKey,
     derive_frame_messages,
     key_to_mask,
@@ -249,7 +250,7 @@ def gradient_instance(seed, frames=3, side=4, bits=6):
     extractor = LinearExtractor(
         rng.normal(0, 0.2, (bits, 3 * side * side)), rng.normal(0, 0.2, bits)
     )
-    schedule = [rng.integers(0, 2, bits).astype(float) for _ in range(frames)]
+    schedule = MessageSequence([rng.integers(0, 2, bits) for _ in range(frames)])
     weights = LossWeights(float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.2, 2.0)))
     return clean, marked, extractor, schedule, weights
 

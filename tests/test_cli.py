@@ -29,7 +29,7 @@ from spdmark.cli import (
     main,
     toy_components,
 )
-from spdmark.keyspace import KeyConfig, bits_to_hex, random_key
+from spdmark.keyspace import KeyConfig, MessageSequence, bits_to_hex, random_key
 
 
 def run(*argv) -> int:
@@ -529,16 +529,19 @@ class TestCorpus:
     def test_one_batch_equals_per_video_generation(self):
         cfg = RunConfig(seed=3, train_videos=12, train_frames=5)
         dictionary, decoder, condition = toy_components(cfg)
-        videos, schedules = build_corpus(
+        videos, schedule = build_corpus(
             cfg, "train", cfg.train_videos, cfg.train_frames, dictionary, decoder, condition
         )
-        assert len(videos) == len(schedules) == 12
-        for index, (video, schedule) in enumerate(zip(videos, schedules)):
+        assert videos.shape == (12, 5, 3, 8, 8)
+        assert not videos.flags.writeable
+        assert isinstance(schedule, MessageSequence)
+        assert len(schedule) == 60
+        runs = schedule.messages.reshape(12, 5, -1)
+        for index, (video, bits) in enumerate(zip(videos, runs)):
             want = reference_generate(
-                decoder, dictionary, schedule, derive_seed(cfg.seed, "train", index, "latent"),
-                condition, cfg.latent_scale,
+                decoder, dictionary, MessageSequence(bits),
+                derive_seed(cfg.seed, "train", index, "latent"), condition, cfg.latent_scale,
             )
-            assert video.shape == (5, 3, 8, 8)
             assert video.tobytes() == want.tobytes()
 
     def test_pipeline_builds_components_once(self, tmp_path, capsys, monkeypatch):

@@ -62,10 +62,9 @@ class TestKeyConfig:
             KeyConfig(num_layers=14, bases_per_layer=4, message_bits=27)
 
     def test_rejects_non_power_of_two_bases(self):
-        with pytest.raises(ValueError):
-            KeyConfig.from_layout(4, 3)
-        with pytest.raises(ValueError):
-            KeyConfig.from_layout(4, 1)
+        for bases in (3, 1, 0, -4):
+            with pytest.raises(ValueError, match="power of two"):
+                KeyConfig.from_layout(4, bases)
 
 
 class TestKeyToMask:
@@ -262,19 +261,20 @@ class TestSchedules:
             )
         ]
         secret = BaseSecret(secret)
-        schedules = derive_schedules(secret, keys, num_frames)
-        assert len(schedules) == num_keys
-        for key, schedule in zip(keys, schedules):
+        stacked = derive_schedules(secret, keys, num_frames)
+        assert isinstance(stacked, MessageSequence)
+        assert stacked.messages.shape == (num_keys * num_frames, width)
+        assert stacked.messages.dtype == np.uint8
+        assert stacked.messages.flags.c_contiguous
+        assert not stacked.messages.flags.writeable
+        runs = stacked.messages.reshape(num_keys, num_frames, width)
+        for key, rows in zip(keys, runs):
             one = derive_frame_messages(secret, key, num_frames)
-            assert schedule.messages.tobytes() == one.messages.tobytes()
-            assert schedule.messages.shape == one.messages.shape == (num_frames, width)
-            assert schedule.messages.dtype == np.uint8
-            assert schedule.messages.flags.c_contiguous
-            assert not schedule.messages.flags.writeable
-            for msg in schedule:
-                payload = pack_bits(key.bits) + b"\x7c" + msg.frame_index.to_bytes(8, "big")
+            assert rows.tobytes() == one.messages.tobytes()
+            for t, row in enumerate(rows, 1):
+                payload = pack_bits(key.bits) + b"\x7c" + t.to_bytes(8, "big")
                 digest = hmac_sha256_reference(secret.key_bytes, payload)
-                assert tuple(msg.bits.tolist()) == unpack_bits(digest, width)
+                assert tuple(row.tolist()) == unpack_bits(digest, width)
 
     def test_rejects_no_keys_mixed_widths_and_no_frames(self):
         with pytest.raises(ValueError):

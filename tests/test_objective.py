@@ -24,6 +24,7 @@ from spdmark.cli import RunConfig, build_corpus, toy_components
 from spdmark.keyspace import (
     BaseSecret,
     KeyConfig,
+    MessageSequence,
     derive_frame_messages,
     random_key,
 )
@@ -131,28 +132,30 @@ class TestRecoveryLoss:
     def test_zero_extractor_gives_log_two(self):
         extractor = LinearExtractor(np.zeros((6, 48)), np.zeros(6))
         video = np.random.default_rng(2).uniform(0, 1, (4, 3, 4, 4))
-        schedule = [np.random.default_rng(t).integers(0, 2, 6) for t in range(4)]
+        schedule = MessageSequence(
+            [np.random.default_rng(t).integers(0, 2, 6) for t in range(4)]
+        )
         assert recovery_loss(video, extractor, schedule) == pytest.approx(math.log(2))
 
     def test_saturated_extractor_drives_loss_to_zero(self):
         bits = np.array([1, 0, 1, 1, 0, 0], dtype=float)
         extractor = LinearExtractor(np.zeros((6, 48)), 40.0 * (2 * bits - 1))
         video = np.zeros((3, 3, 4, 4))
-        assert recovery_loss(video, extractor, [bits] * 3) < 1e-8
+        assert recovery_loss(video, extractor, MessageSequence([bits] * 3)) < 1e-8
 
     def test_nonnegative(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             extractor = LinearExtractor(rng.normal(0, 1, (5, 48)), rng.normal(0, 1, 5))
             video = rng.uniform(0, 1, (2, 3, 4, 4))
-            schedule = [rng.integers(0, 2, 5) for _ in range(2)]
+            schedule = MessageSequence([rng.integers(0, 2, 5) for _ in range(2)])
             assert recovery_loss(video, extractor, schedule) >= 0.0
 
     def test_length_mismatch_rejected(self):
         extractor = LinearExtractor(np.zeros((6, 48)), np.zeros(6))
         video = np.zeros((3, 3, 4, 4))
         with pytest.raises(ValueError):
-            recovery_loss(video, extractor, [np.zeros(6)] * 2)
+            recovery_loss(video, extractor, MessageSequence(np.zeros((2, 6))))
 
 
 class TestLuminance:
@@ -240,14 +243,6 @@ class TestImperceptibility:
         shifted = imperceptibility_loss(clean + raster, marked + raster, weights)
         assert shifted == pytest.approx(base, abs=1e-12)
 
-    def test_custom_distance_is_used(self):
-        rng = np.random.default_rng(10)
-        clean = random_video(rng)
-        marked = random_video(rng)
-        tc_only = imperceptibility_loss(clean, marked, LossWeights(1.0, 1.0), distance=lambda a, b: 0.0)
-        reference = imperceptibility_loss(clean, marked, LossWeights(0.0, 1.0))
-        assert tc_only == pytest.approx(reference, rel=1e-14)
-
     def test_shape_and_length_validation(self):
         video = random_video(np.random.default_rng(11))
         with pytest.raises(ValueError):
@@ -275,7 +270,7 @@ def make_instance(seed, frames=3, side=4, bits=6):
     extractor = LinearExtractor(
         rng.normal(0, 0.2, (bits, features)), rng.normal(0, 0.2, bits)
     )
-    schedule = [rng.integers(0, 2, bits).astype(float) for _ in range(frames)]
+    schedule = MessageSequence([rng.integers(0, 2, bits) for _ in range(frames)])
     weights = LossWeights(float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.2, 2.0)))
     return clean, marked, extractor, schedule, weights
 
@@ -294,7 +289,7 @@ class TestLossGradients:
     def test_zero_at_joint_minimum(self):
         video = random_video(np.random.default_rng(12))
         extractor = LinearExtractor(np.zeros((6, 48)), np.zeros(6))
-        schedule = [np.zeros(6) for _ in range(3)]
+        schedule = MessageSequence(np.zeros((3, 6)))
         grads = loss_gradients(video, video.copy(), extractor, schedule)
         assert np.abs(grads["ps"]).max() == 0.0
         assert np.abs(grads["tc"]).max() == 0.0
@@ -340,7 +335,7 @@ class TestLossGradients:
         for t in range(frames):
             logits = extractor.logits(marked[t])
             sigma = 1 / (1 + np.exp(-logits))
-            expected = extractor.weight.T @ (sigma - schedule[t]) / (bits * frames)
+            expected = extractor.weight.T @ (sigma - schedule.messages[t]) / (bits * frames)
             np.testing.assert_allclose(
                 grads["rec"][t].ravel(), expected, rtol=1e-12, atol=1e-15
             )
@@ -357,7 +352,9 @@ class TestLossGradients:
         with pytest.raises(ValueError):
             loss_gradients(clean[:2], marked, extractor, schedule, weights)
         with pytest.raises(ValueError):
-            loss_gradients(clean, marked, extractor, schedule[:-1], weights)
+            loss_gradients(
+                clean, marked, extractor, MessageSequence(schedule.messages[:-1]), weights
+            )
         short = LinearExtractor(np.zeros((3, 48)), np.zeros(3))
         with pytest.raises(ValueError):
             loss_gradients(clean, marked, short, schedule, weights)
@@ -385,34 +382,28 @@ class TestFitExtractor:
     def test_identity_recoverable_design(self):
         rng = np.random.default_rng(13)
         bits = 8
-        videos, schedules = [], []
-        for _ in range(2):
-            schedule = [rng.integers(0, 2, bits).astype(float) for _ in range(10)]
-            video = np.zeros((10, 3, 4, 4))
-            for t, message in enumerate(schedule):
-                video[t].ravel()[:bits] = 2 * message - 1
-            videos.append(video)
-            schedules.append(schedule)
-        extractor = fit_extractor(videos, schedules, ridge_lambda=1e-9)
-        assert bit_accuracy(extractor, videos, schedules) == 1.0
+        schedule = MessageSequence(rng.integers(0, 2, (20, bits)))
+        videos = np.zeros((2, 10, 3, 4, 4))
+        frames = videos.reshape(20, -1)
+        frames[:, :bits] = 2.0 * schedule.messages - 1
+        extractor = fit_extractor(videos, schedule, ridge_lambda=1e-9)
+        assert bit_accuracy(extractor, videos, schedule) == 1.0
 
     def test_huge_ridge_collapses_to_chance(self):
         rng = np.random.default_rng(14)
-        videos = [rng.uniform(0, 1, (40, 3, 4, 4)) for _ in range(10)]
-        schedules = [
-            [rng.integers(0, 2, 8).astype(float) for _ in range(40)] for _ in range(10)
-        ]
-        extractor = fit_extractor(videos, schedules, ridge_lambda=1e9)
+        videos = rng.uniform(0, 1, (10, 40, 3, 4, 4))
+        schedule = MessageSequence([rng.integers(0, 2, 8) for _ in range(400)])
+        extractor = fit_extractor(videos, schedule, ridge_lambda=1e9)
         assert np.abs(extractor.weight).max() < 1e-5
-        accuracy = bit_accuracy(extractor, videos, schedules)
+        accuracy = bit_accuracy(extractor, videos, schedule)
         assert 0.4 <= accuracy <= 0.62
 
     def test_matches_conjugate_gradient_solver(self):
         rng = np.random.default_rng(15)
         video = rng.normal(0.5, 0.3, (40, 3, 2, 2))
-        schedule = [rng.integers(0, 2, 5).astype(float) for _ in range(40)]
+        schedule = MessageSequence([rng.integers(0, 2, 5) for _ in range(40)])
         ridge = 0.5
-        extractor = fit_extractor([video], [schedule], ridge_lambda=ridge)
+        extractor = fit_extractor(video[None], schedule, ridge_lambda=ridge)
 
         features = 12
         design = np.hstack(
@@ -420,7 +411,7 @@ class TestFitExtractor:
         )
         gram = design.T @ design
         gram[np.arange(features), np.arange(features)] += ridge
-        targets = 2 * np.stack(schedule) - 1
+        targets = 2.0 * schedule.messages - 1
         for bit in range(5):
             solution = conjugate_gradient(gram, design.T @ targets[:, bit])
             np.testing.assert_allclose(
@@ -430,29 +421,56 @@ class TestFitExtractor:
 
     def test_deterministic(self):
         rng = np.random.default_rng(16)
-        videos = [rng.uniform(0, 1, (6, 3, 4, 4)) for _ in range(3)]
-        schedules = [
-            [rng.integers(0, 2, 6).astype(float) for _ in range(6)] for _ in range(3)
-        ]
-        first = fit_extractor(videos, schedules)
-        second = fit_extractor(videos, schedules)
+        videos = rng.uniform(0, 1, (3, 6, 3, 4, 4))
+        schedule = MessageSequence(rng.integers(0, 2, (18, 6)))
+        first = fit_extractor(videos, schedule)
+        second = fit_extractor(videos, schedule)
         np.testing.assert_array_equal(first.weight, second.weight)
         np.testing.assert_array_equal(first.bias, second.bias)
 
     def test_degenerate_inputs_rejected(self):
+        schedule = MessageSequence(np.zeros((2, 4)))
         with pytest.raises(ValueError):
-            fit_extractor([], [])
+            fit_extractor(np.zeros((0, 2, 3, 4, 4)), schedule)
         video = np.zeros((2, 3, 4, 4))
-        schedule = [np.zeros(4), np.zeros(4)]
+        with pytest.raises(ValueError, match="stack"):
+            fit_extractor(video, schedule)
         with pytest.raises(ValueError):
-            fit_extractor([video], [schedule, schedule])
-        with pytest.raises(ValueError):
-            fit_extractor([video], [schedule[:1]])
-        other = np.zeros((2, 3, 2, 2))
-        with pytest.raises(ValueError):
-            fit_extractor([video, other], [schedule, schedule])
-        with pytest.raises(ValueError):
-            fit_extractor([video], [schedule], ridge_lambda=-1.0)
+            fit_extractor(video[None], schedule, ridge_lambda=-1.0)
+
+    @pytest.mark.parametrize(
+        "schedule, message",
+        [
+            pytest.param([[0, 1, 1, 0]] * 6, "MessageSequence", id="list-of-rows"),
+            pytest.param(np.zeros((6, 4), dtype=np.uint8), "MessageSequence", id="array"),
+            pytest.param(MessageSequence(np.zeros((5, 4))), "5 messages for 6 frames",
+                         id="too-few-rows"),
+            pytest.param(MessageSequence(np.zeros((12, 4))), "12 messages for 6 frames",
+                         id="too-many-rows"),
+        ],
+    )
+    def test_schedule_must_be_one_message_sequence_row_per_frame(self, schedule, message):
+        rng = np.random.default_rng(20)
+        videos = rng.uniform(0, 1, (2, 3, 3, 2, 2))
+        extractor = LinearExtractor(np.zeros((4, 12)), np.zeros(4))
+        clean, marked = videos.reshape(6, 3, 2, 2), rng.uniform(0, 1, (6, 3, 2, 2))
+        with pytest.raises(ValueError, match=message):
+            fit_extractor(videos, schedule)
+        with pytest.raises(ValueError, match=message):
+            bit_accuracy(extractor, videos, schedule)
+        with pytest.raises(ValueError, match=message):
+            recovery_loss(marked, extractor, schedule)
+        with pytest.raises(ValueError, match=message):
+            loss_report(clean, marked, extractor, schedule)
+        with pytest.raises(ValueError, match=message):
+            loss_gradients(clean, marked, extractor, schedule)
+
+    def test_message_width_must_match_the_extractor(self):
+        videos = np.zeros((1, 3, 3, 2, 2))
+        schedule = MessageSequence(np.zeros((3, 5)))
+        extractor = LinearExtractor(np.zeros((4, 12)), np.zeros(4))
+        with pytest.raises(ValueError, match="extractor bit count"):
+            bit_accuracy(extractor, videos, schedule)
 
     def test_tie_at_zero_decodes_to_zero(self):
         extractor = LinearExtractor(np.zeros((4, 12)), np.zeros(4))
@@ -572,6 +590,7 @@ class TestLearnability:
     """
 
     def _corpus(self, dictionary, decoder, condition_for, count, frames, offset):
+        """The (count, frames, 3, H, W) video stack and its schedule."""
         cfg = dictionary.key_config()
         videos, schedules = [], []
         for index in range(count):
@@ -586,7 +605,7 @@ class TestLearnability:
             )
             videos.append(generated)
             schedules.append(schedule)
-        return videos, schedules
+        return np.stack(videos), MessageSequence(np.concatenate(schedules))
 
     def test_holdout_accuracy_shared_condition_corpus(self):
         cfg = KeyConfig.from_layout(14, 4)

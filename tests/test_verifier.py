@@ -197,19 +197,19 @@ class TestSimilarityMatrix:
     def test_identical_messages_score_one(self):
         schedule = make_schedule(5)
         sim = similarity_matrix(schedule, ideal(schedule))
-        assert np.allclose(np.diag(sim.values), 1.0)
+        assert np.allclose(np.diag(sim.matched_bits / sim.message_bits), 1.0)
 
     def test_single_mismatch_arithmetic(self):
         expected = MessageSequence([[1, 0, 1, 0]])
         extracted = MessageSequence([[1, 0, 0, 0]])
         sim = similarity_matrix(expected, extracted)
-        assert sim.values[0, 0] == 0.75
+        assert sim.matched_bits[0, 0] / sim.message_bits == 0.75
 
     def test_complement_scores_zero(self):
         expected = MessageSequence([[1, 0, 1, 0]])
         extracted = MessageSequence([[0, 1, 0, 1]])
         sim = similarity_matrix(expected, extracted)
-        assert sim.values[0, 0] == 0.0
+        assert sim.matched_bits[0, 0] / sim.message_bits == 0.0
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -312,7 +312,6 @@ class TestHungarianMatch:
         assignment = hungarian_match(sim)
         assert assignment.pairs == ((1, 1), (2, 2))
         assert assignment.total_matched == 17
-        assert math.isclose(assignment.total_similarity, 1.7)
 
     def test_identity_matrix_gives_identity_assignment(self):
         counts = np.full((6, 6), 3)
@@ -455,7 +454,7 @@ class TestHungarianMatch:
 
     def test_unsorted_assignment_rejected(self):
         with pytest.raises(ValueError):
-            Assignment(pairs=((2, 1), (1, 2)), total_similarity=1.0, total_matched=8)
+            Assignment(pairs=((2, 1), (1, 2)), total_matched=8)
 
 
 class TestOrderAccuracy:
