@@ -243,8 +243,11 @@ def derive_seed(*parts) -> int:
 
 def config_hash(cfg: RunConfig) -> str:
     """Hash of every semantic config field; artifact placement is excluded."""
-    doc = dataclasses.asdict(cfg)
-    doc.pop("out_dir")
+    doc = {
+        field.name: getattr(cfg, field.name)
+        for field in dataclasses.fields(cfg)
+        if field.name != "out_dir"
+    }
     canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 

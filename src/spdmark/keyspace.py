@@ -17,7 +17,7 @@ coordination.
 """
 
 import contextlib
-import hmac
+import hashlib
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
@@ -53,6 +53,12 @@ MIN_SECRET_BYTES = 16
 # Separator between the packed key and the frame index in the HMAC input.
 _HASH_SEPARATOR = b"\x7c"
 _FRAME_INDEX_BYTES = 8
+
+# HMAC-SHA256 (RFC 2104): the block size and the inner and outer pads, as
+# byte tables that XOR a padded key with 0x36 and 0x5c.
+_SHA256_BLOCK = 64
+_INNER_PAD = bytes(b ^ 0x36 for b in range(256))
+_OUTER_PAD = bytes(b ^ 0x5C for b in range(256))
 
 
 @dataclass(frozen=True)
@@ -103,6 +109,14 @@ class WatermarkKey:
         object.__setattr__(self, "bits", _validate_bits(self.bits, "key bits"))
         if not self.bits:
             raise ValueError("key must contain at least one bit")
+
+
+def _unchecked_key(bits: tuple[int, ...]) -> WatermarkKey:
+    """`bits` as a WatermarkKey without the check: the caller guarantees a
+    non-empty tuple of the Python ints 0 and 1."""
+    key = object.__new__(WatermarkKey)
+    object.__setattr__(key, "bits", bits)
+    return key
 
 
 class FrameMessage(NamedTuple):
@@ -284,20 +298,32 @@ def derive_schedules(
     if m > 256:
         raise ValueError("a message is cut from one 256-bit HMAC-SHA256 digest")
     indices = [t.to_bytes(_FRAME_INDEX_BYTES, "big") for t in range(1, num_frames + 1)]
+    # HMAC(K, x) = sha256((K ^ opad) || sha256((K ^ ipad) || x)), K the
+    # secret (hashed first when longer than a block) zero-padded to one
+    # block.  The two padded-key states are hashed once; each key's inner
+    # state is fed its shared prefix once and copied per frame index.
+    padded = secret.key_bytes
+    if len(padded) > _SHA256_BLOCK:
+        padded = hashlib.sha256(padded).digest()
+    padded = padded.ljust(_SHA256_BLOCK, b"\x00")
+    inner = hashlib.sha256(padded.translate(_INNER_PAD))
+    outer = hashlib.sha256(padded.translate(_OUTER_PAD))
     digests = []
     for key in keys:
-        # One keyed state per key, fed the shared prefix once and copied
-        # for each frame index, in place of a fresh HMAC per message.
-        keyed = hmac.new(secret.key_bytes, _pack(key.bits) + _HASH_SEPARATOR, "sha256")
+        keyed = inner.copy()
+        keyed.update(_pack(key.bits) + _HASH_SEPARATOR)
         for index in indices:
             frame = keyed.copy()
             frame.update(index)
-            digests.append(frame.digest())
+            message = outer.copy()
+            message.update(frame.digest())
+            digests.append(message.digest())
     bits = np.unpackbits(
         np.frombuffer(b"".join(digests), dtype=np.uint8).reshape(len(digests), -1),
         axis=1,
     )
-    return MessageSequence(bits[:, :m])
+    # unpackbits makes 0/1 bits, so the rows need no second check.
+    return _unchecked_sequence(np.ascontiguousarray(bits[:, :m]))
 
 
 def derive_frame_messages(
@@ -313,7 +339,9 @@ def random_keys(cfg: KeyConfig, seeds: Sequence[int]) -> list[WatermarkKey]:
     is the top bit of word j of the key stream of seeds[i]."""
     counters = counter_array(seeds, "key seeds")[:, None]
     bits = stream_words(KEY_TAG, counters, cfg.message_bits) >> np.uint64(63)
-    return [WatermarkKey(tuple(row)) for row in bits.tolist()]
+    # Each bit is a Python int 0 or 1 by construction, so the keys skip
+    # WatermarkKey's per-bit check.
+    return [_unchecked_key(tuple(row)) for row in bits.tolist()]
 
 
 def random_key(cfg: KeyConfig, seed: int) -> WatermarkKey:

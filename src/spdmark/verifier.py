@@ -287,19 +287,25 @@ def _bitsets(matrix: np.ndarray) -> list[int]:
 
 
 def _smallest_tight_matching(
-    tight: np.ndarray, assigned: list[int], num_rows: int
+    tight: np.ndarray, assigned: list[int], shape: tuple[int, int]
 ) -> list[int]:
-    # Fixes rows in order; each takes its smallest tight column whose holder
-    # can reach it, and the matching is rotated along that cycle.  Row and
-    # column sets are Python-int bitsets: bit a of rows_at[j] is set when
-    # row a is tight at column j, and bit j of tight_cols[a] when row a is
-    # tight at column j.  A rotation only permutes columns among the current
-    # row and the free rows, so the columns of fixed rows never move again:
-    # fixed_cols holds exactly them, and a column left of the current row's
-    # is held by a free row exactly when it is not in fixed_cols.
+    # Fixes the num_rows real rows in order; each takes its smallest tight
+    # real column whose holder can reach it, and the matching is rotated
+    # along that cycle.  Row and column sets are Python-int bitsets: bit a
+    # of rows_at[j] is set when row a is tight at column j, and bit j of
+    # tight_cols[a] when row a is tight at real column j.  A rotation only
+    # permutes columns among the current row and the free rows, so the
+    # columns of fixed rows never move again: fixed_cols holds exactly
+    # them, and a column left of the current row's is held by a free row
+    # exactly when it is not in fixed_cols.  The padding columns (j >=
+    # num_cols, when T > T_r) are all-zero and so interchangeable: the rows
+    # holding them share one potential, so the columns are tight at the
+    # same rows, and moving a row from one to a smaller one never changes
+    # a pair.  They are therefore never candidates.
+    num_rows, num_cols = shape
     n = len(assigned)
     rows_at = _bitsets(tight.T)
-    tight_cols = _bitsets(tight[:num_rows])
+    tight_cols = _bitsets(tight[:num_rows, :num_cols])
     holder = [0] * n
     for row, col in enumerate(assigned):
         holder[col] = row
@@ -336,19 +342,34 @@ def hungarian_match(sim: SimilarityMatrix) -> Assignment:
     sequence is returned; a row is left unmatched only when no maximizing
     assignment that agrees with the earlier rows gives it a column.
 
-    The counts are zero-padded to a square matrix, dummy rows or columns
-    indexed after the real ones, and solved once.  Exact integer dual
-    potentials for that solution make the maximizing assignments exactly
-    the perfect matchings of the tight edges (u_i + v_j == w_ij).  Rows are
-    then fixed in expected-index order: each takes its smallest tight column
-    whose holder can pass a column back to it along an alternating path of
-    unfixed rows, and the matching is rotated along that cycle.  Dummy
-    columns sort after real ones, so a row takes one only when no real
-    column remains possible.  Raises RuntimeError if the solve was not
-    optimal.
+    No solve happens when the input leaves no choice: if every row reaches
+    its maximum at exactly one column and those columns are pairwise
+    distinct (so T <= T_r), pairing each row with its maximum is returned
+    as it is.  Every other assignment scores below the sum of the row
+    maxima, so this one is the only maximizing assignment and there is no
+    tie to break.
+
+    Otherwise the counts are zero-padded to a square matrix, dummy rows or
+    columns indexed after the real ones, and solved once.  Exact integer
+    dual potentials for that solution make the maximizing assignments
+    exactly the perfect matchings of the tight edges (u_i + v_j == w_ij).
+    Rows are then fixed in expected-index order: each takes its smallest
+    tight real column whose holder can pass a column back to it along an
+    alternating path of unfixed rows, and the matching is rotated along
+    that cycle.  Dummy columns are never searched: they are
+    interchangeable, so a row left on one stays unmatched whichever it
+    holds.  Raises RuntimeError if the solve was not optimal.
     """
     counts = sim.matched_bits
     num_rows, num_cols = counts.shape
+    # Distinct argmax columns first: the test fails at once under H0 and
+    # whenever T > T_r, before the ties are counted.
+    best = counts.argmax(axis=1)
+    if np.bincount(best).max() == 1:
+        maxima = counts[np.arange(num_rows), best]
+        if np.count_nonzero(counts == maxima[:, None]) == num_rows:
+            pairs = tuple(zip(range(1, num_rows + 1), (best + 1).tolist()))
+            return Assignment(pairs=pairs, total_matched=int(maxima.sum()))
     n = max(num_rows, num_cols)
     weights = np.zeros((n, n), dtype=np.int64)
     weights[:num_rows, :num_cols] = counts
@@ -360,7 +381,7 @@ def hungarian_match(sim: SimilarityMatrix) -> Assignment:
     v = np.empty(n, dtype=np.int64)
     v[solved] = held - u
     tight = u[:, None] + v[None, :] == weights
-    assigned = _smallest_tight_matching(tight, solved.tolist(), num_rows)
+    assigned = _smallest_tight_matching(tight, solved.tolist(), counts.shape)
 
     pairs = tuple(
         (row + 1, col + 1)

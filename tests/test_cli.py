@@ -6,6 +6,7 @@ must reproduce bit for bit across reruns except under their "runtime" key.
 
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import tempfile
@@ -84,6 +85,21 @@ class TestConfig:
         base = RunConfig()
         assert config_hash(base) == config_hash(RunConfig(out_dir="/elsewhere"))
         assert config_hash(base) != config_hash(RunConfig(seed=1))
+
+    @pytest.mark.parametrize("fields", [
+        {},
+        {"attack": {"attack": "drop", "fraction": 0.25, "seed": 4}},
+        {"attacks": [{"attack": "insert", "fraction": 0.2, "mode": "noise"},
+                     {"attack": "swap_random"}],
+         "attack": {"attack": "pixel_noise", "sigma": 0.01},
+         "secret_hex": "00" * 16, "condition_seed": 9},
+    ])
+    def test_hash_equals_the_asdict_document(self, fields):
+        cfg = RunConfig(**fields)
+        doc = dataclasses.asdict(cfg)
+        doc.pop("out_dir")
+        canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        assert config_hash(cfg) == hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
     def test_derive_seed_stable_and_labelled(self):
         assert derive_seed(0, "train", 3) == derive_seed(0, "train", 3)

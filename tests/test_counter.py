@@ -13,7 +13,7 @@ from scipy import stats
 
 import reference_latent as ref
 from spdmark import counter
-from spdmark.keyspace import KeyConfig, random_key, random_keys
+from spdmark.keyspace import KeyConfig, WatermarkKey, random_key, random_keys
 from spdmark.spd_core import (
     _frame_latents,
     generate_frames,
@@ -117,6 +117,17 @@ class TestVectorMatchesOracle:
         keys = random_keys(cfg, seeds)
         assert [key.bits for key in keys] == [ref.key_bits(s, layers) for s in seeds]
         assert keys == [random_key(cfg, seed) for seed in seeds]
+
+    @given(seeds=st.lists(U64, min_size=1, max_size=8), layers=st.integers(1, 64))
+    @settings(max_examples=50, deadline=None)
+    def test_unchecked_keys_equal_checked_ones(self, seeds, layers):
+        # random_keys skips WatermarkKey's check; its keys are the checked
+        # keys of the same bits, held as Python ints.
+        cfg = KeyConfig.from_layout(layers, 2)
+        for key in random_keys(cfg, seeds):
+            assert key == WatermarkKey(tuple(key.bits))
+            assert isinstance(key.bits, tuple)
+            assert all(type(bit) is int and bit in (0, 1) for bit in key.bits)
 
 
 class TestDistribution:

@@ -1,4 +1,5 @@
 import hashlib
+import hmac
 import warnings
 
 import numpy as np
@@ -30,7 +31,7 @@ from spdmark.keyspace import (
 
 
 def hmac_sha256_reference(key: bytes, message: bytes) -> bytes:
-    # Independent ipad/opad construction, used to cross-check the hmac module.
+    # Independent ipad/opad construction, used to cross-check derive_schedules.
     block = 64
     if len(key) > block:
         key = hashlib.sha256(key).digest()
@@ -275,6 +276,21 @@ class TestSchedules:
                 payload = pack_bits(key.bits) + b"\x7c" + t.to_bytes(8, "big")
                 digest = hmac_sha256_reference(secret.key_bytes, payload)
                 assert tuple(row.tolist()) == unpack_bits(digest, width)
+
+    @pytest.mark.parametrize("length", [16, 63, 64, 65, 200])
+    def test_secret_lengths_around_one_block(self, length):
+        # A secret of one SHA-256 block (64 bytes) is padded; a longer one
+        # is hashed first.  Each schedule equals both the reference and the
+        # standard library's HMAC.
+        secret = BaseSecret(bytes((7 * i + length) % 256 for i in range(length)))
+        keys = [WatermarkKey(unpack_bits(bytes([k, 255 - k, 3 * k % 256]), 20)) for k in range(3)]
+        runs = derive_schedules(secret, keys, 9).messages.reshape(3, 9, 20)
+        for key, rows in zip(keys, runs):
+            for t, row in enumerate(rows, 1):
+                payload = pack_bits(key.bits) + b"\x7c" + t.to_bytes(8, "big")
+                digest = hmac_sha256_reference(secret.key_bytes, payload)
+                assert digest == hmac.digest(secret.key_bytes, payload, "sha256")
+                assert tuple(row.tolist()) == unpack_bits(digest, 20)
 
     def test_rejects_no_keys_mixed_widths_and_no_frames(self):
         with pytest.raises(ValueError):

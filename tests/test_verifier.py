@@ -422,6 +422,8 @@ class TestHungarianMatch:
     def test_suboptimal_solve_is_rejected(self, monkeypatch):
         counts = np.full((6, 6), 3)
         np.fill_diagonal(counts, 10)
+        # A tied row maximum, so that the input needs the solve.
+        counts[0, 1] = 10
 
         def reversed_assignment(weights, maximize=False):
             n = len(weights)
@@ -434,10 +436,11 @@ class TestHungarianMatch:
     def test_non_optimal_refinement_is_rejected(self, monkeypatch):
         counts = np.full((6, 6), 3)
         np.fill_diagonal(counts, 10)
+        counts[0, 1] = 10
         monkeypatch.setattr(
             spdmark.verifier,
             "_smallest_tight_matching",
-            lambda tight, assigned, num_rows: assigned[::-1],
+            lambda tight, assigned, shape: assigned[::-1],
         )
         with pytest.raises(RuntimeError, match="lost optimality"):
             hungarian_match(SimilarityMatrix(counts, 10))
@@ -455,6 +458,100 @@ class TestHungarianMatch:
     def test_unsorted_assignment_rejected(self):
         with pytest.raises(ValueError):
             Assignment(pairs=((2, 1), (1, 2)), total_matched=8)
+
+
+def watermark_like(rng, num_expected, num_noise, message_bits, flip_fraction):
+    """Counts of expected rows against a permutation of them, each copy with
+    at most `flip_fraction` of its bits flipped, mixed with `num_noise`
+    random rows; also returns the extracted position of each expected row."""
+    expected = rng.integers(0, 2, (num_expected, message_bits), dtype=np.uint8)
+    num_extracted = num_expected + num_noise
+    extracted = rng.integers(0, 2, (num_extracted, message_bits), dtype=np.uint8)
+    position = rng.permutation(num_extracted)[:num_expected]
+    max_flips = int(flip_fraction * message_bits)
+    for row, rho in enumerate(position):
+        copy = expected[row].copy()
+        flips = rng.choice(message_bits, int(rng.integers(0, max_flips + 1)), replace=False)
+        copy[flips] ^= 1
+        extracted[rho] = copy
+    return reference_similarity(expected, extracted), position
+
+
+class TestNoChoiceShortcut:
+    """Inputs whose every row has one maximum, in a column of its own, are
+    answered without a solve; every other input is solved."""
+
+    def test_watermark_like_inputs_need_no_solve(self, monkeypatch):
+        def no_solve(weights, maximize=False):
+            raise AssertionError("the input left no choice, yet it was solved")
+
+        monkeypatch.setattr(spdmark.verifier, "linear_sum_assignment", no_solve)
+        rng = np.random.default_rng(13)
+        for _ in range(300):
+            num_expected = int(rng.integers(1, 30))
+            message_bits = int(rng.choice([28, 64]))
+            flip_fraction = float(rng.uniform(0.0, 0.1))
+            sim, position = watermark_like(
+                rng, num_expected, int(rng.integers(0, 11)), message_bits, flip_fraction
+            )
+            got, want = hungarian_match(sim), reference_match(sim)
+            assert got == want
+            assert got.pairs == tuple(
+                (pi, int(rho) + 1) for pi, rho in enumerate(position, 1)
+            )
+
+    @pytest.mark.parametrize("fault", ["tied_row", "shared_argmax"])
+    def test_one_tie_or_shared_argmax_is_solved(self, monkeypatch, fault):
+        calls = []
+
+        def solve(weights, maximize=False):
+            calls.append(weights.shape)
+            return linear_sum_assignment(weights, maximize=maximize)
+
+        monkeypatch.setattr(spdmark.verifier, "linear_sum_assignment", solve)
+        rng = np.random.default_rng([17, len(fault)])
+        for trial in range(100):
+            num_expected = int(rng.integers(2, 30))
+            sim, position = watermark_like(rng, num_expected, int(rng.integers(0, 11)), 28, 0.1)
+            counts = sim.matched_bits.copy()
+            best = counts.argmax(axis=1)
+            row, other = rng.choice(num_expected, 2, replace=False)
+            if fault == "tied_row":
+                # A second column of the row reaches the row's maximum.
+                col = int(rng.choice(np.flatnonzero(np.arange(counts.shape[1]) != best[row])))
+                counts[row, col] = counts[row, best[row]]
+            else:
+                # Another row's maximum moves to the row's column.
+                counts[other, best[row]] = counts[other, best[other]] + 1
+            sim = SimilarityMatrix(np.minimum(counts, 28), 28)
+            assert len(calls) == trial
+            got, want = hungarian_match(sim), reference_match(sim)
+            assert len(calls) == trial + 1
+            assert got == want
+
+    @pytest.mark.parametrize("shape", [(25, 12), (100, 60)])
+    @pytest.mark.parametrize("message_bits", [1, 2, 28])
+    def test_padding_columns_are_never_searched(self, monkeypatch, shape, message_bits):
+        # With T > T_r the square solve pads with all-zero columns; every
+        # search for a rotation starts toward a row holding a real column.
+        walk = spdmark.verifier._rows_reaching
+        num_cols = shape[1]
+        goals = []
+
+        def checked(rows_at, assigned, free, row, goal):
+            assert assigned[goal] < num_cols
+            goals.append(goal)
+            return walk(rows_at, assigned, free, row, goal)
+
+        monkeypatch.setattr(spdmark.verifier, "_rows_reaching", checked)
+        for seed in range(5):
+            rng = np.random.default_rng([*shape, message_bits, seed])
+            expected = rng.integers(0, 2, (shape[0], message_bits), dtype=np.uint8)
+            extracted = rng.integers(0, 2, (shape[1], message_bits), dtype=np.uint8)
+            sim = reference_similarity(expected, extracted)
+            got, want = hungarian_match(sim), reference_match(sim)
+            assert got == want
+        assert goals
 
 
 class TestOrderAccuracy:
