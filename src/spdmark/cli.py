@@ -58,6 +58,7 @@ from .objective import (
     write_extractor,
 )
 from .spd_core import (
+    MAX_SHIFT_TERMS,
     generate_frames,
     generate_video,
     init_dictionary,
@@ -207,6 +208,9 @@ class RunConfig:
             raise ValueError("message_bits must be <= 256, the length of one SHA-256 digest")
         if self.rank > self.layer_dim:
             raise ValueError("rank must not exceed layer_dim")
+        if self.layer_dim * self.rank > MAX_SHIFT_TERMS:
+            # Beyond it the decoder's displacement products are not exact.
+            raise ValueError(f"layer_dim * rank must be <= {MAX_SHIFT_TERMS}")
         for spec in self.attacks or ():
             parse_attack_spec(spec, structural=True)
         if self.attack:

@@ -5,9 +5,20 @@ with A of shape d x r and B of shape r x d.  The realized delta A @ B is
 never formed: the displaced forward pass evaluates A @ (B @ h) as two
 rank-r products.  Each frame's message picks one shift per decoder layer,
 and the toy generator runs a latent through L displaced affine layers
-followed by a pixel projection.  It runs all frames of a call together as a
-stack of column vectors, which numpy multiplies with one matrix-vector
-product per frame, so each frame is byte-identical to generating it alone.
+followed by a pixel projection.
+
+Every product on that path is exact, in the manner of integer-arithmetic
+inference (Jacob et al., CVPR 2018) and of reproducible summation (Demmel
+and Nguyen, IEEE TC 2015).  Generation reads each parameter matrix (a
+layer's weight, a shift's A and B, the projection) rounded to 13 bits
+below the exponent of its largest entry, and each frame's hidden state
+rounded to 15 bits below the exponent of that frame's largest entry, at the
+input of every layer and of the projection.  A product's terms are then
+integer multiples of one power of two and its partial sums stay within 2**53
+of them, so every sum is exact in any order.  All frames of a call run
+together, one matrix-matrix product per layer and basis, and each frame's
+pixels are the same bytes whatever the batch, the summation order, the BLAS
+kernel or its thread count.
 
 A video is one read-only (T, 3, H, W) float64 array of finite pixels,
 checked once when it is made; row t - 1 is frame t.
@@ -22,7 +33,7 @@ import contextvars
 import itertools
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
@@ -50,6 +61,7 @@ __all__ = [
     "DEFAULT_ALPHA",
     "DEFAULT_INIT_SCALE",
     "DEFAULT_LATENT_SCALE",
+    "MAX_SHIFT_TERMS",
 ]
 
 DEFAULT_LAYER_DIM = 64
@@ -65,6 +77,22 @@ DEFAULT_LATENT_SCALE = 0.05
 _OFFSET_SCALE = 0.05
 _PROJECTION_SCALE = 0.15
 _PROJECTION_OFFSET = 0.5
+
+# Exact products.  Generation reads a parameter matrix rounded to
+# _PARAM_BITS bits below the exponent e_p of its largest entry, and a
+# frame's state rounded to _STATE_BITS bits below the exponent e_x of its
+# largest entry (np.frexp exponents, so every |entry| <= 2**e).  A product's
+# terms are then integer multiples of 2**(e_p - _PARAM_BITS + e_x -
+# _STATE_BITS), each at most 2**(_PARAM_BITS + _STATE_BITS) of them, so a
+# sum of d <= 2**25 terms (any d x d weight that fits in memory) is exact in
+# any order.  A (B h), with B h not rounded, sums d * r terms of up to
+# d * 2**(2 * _PARAM_BITS + _STATE_BITS) multiples each, which bounds d * r
+# by MAX_SHIFT_TERMS.
+_PARAM_BITS = 13
+_STATE_BITS = 15
+MAX_SHIFT_TERMS = 1 << (53 - 2 * _PARAM_BITS - _STATE_BITS)
+
+_LATENT_BLOCK = 256
 
 _VIDEO_MAGIC = b"SPDF"
 _VIDEO_VERSION = 1
@@ -87,17 +115,73 @@ def record_products() -> Iterator[list]:
         _product_log.reset(token)
 
 
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b, logged when record_products is active.  A right-hand side
-    stacked as column vectors (..., k, 1) runs as one gemv per vector, so it
-    is logged as one (a.shape, (k,)) record per vector."""
+def _matmul(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """a @ b, logged when record_products is active, into `out` if given.
+    A right-hand side stacked as column vectors (..., k, 1) is logged as one
+    (a.shape, (k,)) record per vector and runs as one matrix-matrix product
+    over the stack; the decoder's products are exact, so that gives the
+    bytes of one matrix-vector product per vector."""
     log = _product_log.get()
-    if log is not None:
-        if b.ndim > 1 and b.shape[-1] == 1:
+    if b.ndim > 1 and b.shape[-1] == 1:
+        if log is not None:
             log.extend([(a.shape, b.shape[-2:-1])] * math.prod(b.shape[:-2]))
-        else:
-            log.append((a.shape, b.shape))
-    return a @ b
+        rows = None if out is None else out[..., 0]
+        return np.matmul(b[..., 0], a.T, out=rows)[..., None]
+    if log is not None:
+        log.append((a.shape, b.shape))
+    return np.matmul(a, b, out=out)
+
+
+def _round_to_grid(values: np.ndarray, bits: int, axis, what: str, out=None):
+    """`values` rounded, ties to even, to multiples of 2**(e - bits), where
+    e is the exponent of the largest magnitude over `axis` as np.frexp gives
+    it: 2**(e - 1) <= peak < 2**e, and e = 0 for a zero peak.  Returns the
+    rounded array, written to `out` if given (which must not be `values`),
+    and e, with the reduced axes kept.
+
+    Raises ValueError when a peak is not finite, which is exactly when its
+    values are not, or when a grid 2**(e - bits) is not a normal float.
+    """
+    # Non-negative floats order as their bits do, NaN above infinity, and
+    # numpy reduces int64 faster than float64.
+    magnitude = np.abs(values, out=out).view(np.int64)
+    peak = np.max(magnitude, axis=axis, keepdims=True, initial=0).view(np.float64)
+    if not np.isfinite(peak).all():
+        raise ValueError(f"{what} must be finite")
+    exponent = np.frexp(peak)[1]
+    if exponent.min() < bits - 1022:
+        raise ValueError(f"{what} is too small to round on a normal grid")
+    rounded = np.multiply(values, np.ldexp(1.0, bits - exponent), out=out)
+    np.rint(rounded, out=rounded)
+    rounded *= np.ldexp(1.0, exponent - bits)
+    return rounded, exponent
+
+
+def _images(stack: np.ndarray, what: str):
+    """Each matrix of the (..., rows, cols) `stack` rounded to _PARAM_BITS
+    bits below the exponent of its largest entry, read-only, and those
+    exponents as a list."""
+    images, exponents = _round_to_grid(stack, _PARAM_BITS, (-2, -1), what)
+    images.setflags(write=False)
+    return images, exponents.ravel().tolist()
+
+
+def _state_range(exponents, bits: int, terms: int) -> tuple[int, int]:
+    """The state exponents e (as _round_to_grid gives them) at which a
+    product is exact and finite, for any of the parameter exponent sums in
+    `exponents`, parameters rounded to `bits` bits in all, and `terms` terms
+    in each sum: the terms' grid 2**(p - bits + e - _STATE_BITS) must not
+    underflow 2**-1074, and the bound terms * 2**(p + e) on every partial
+    sum must stay below 2**1024."""
+    return (
+        bits + _STATE_BITS - 1074 - min(exponents),
+        1023 - (terms - 1).bit_length() - max(exponents),
+    )
+
+
+def _intersect(*ranges) -> tuple[int, int]:
+    lows, highs = zip(*ranges)
+    return max(lows), min(highs)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -145,6 +229,10 @@ class BasisDictionary:
     alpha: float
     init_seed: int
     init_scale: float
+    # Per layer, the (P, d, r) A and (P, r, d) B factors rounded for exact
+    # products, and the state exponents at which its shifts are exact.
+    _factor_images: tuple = field(init=False, repr=False)
+    _state_ranges: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.shifts or not self.shifts[0]:
@@ -155,6 +243,26 @@ class BasisDictionary:
             for shift in row:
                 if shift.layer_dim != self.layer_dim or shift.rank != self.rank:
                     raise ValueError("all shifts must share (layer_dim, rank)")
+        d, r = self.layer_dim, self.rank
+        if d * r > MAX_SHIFT_TERMS:
+            raise ValueError(
+                f"layer_dim * rank must be <= {MAX_SHIFT_TERMS} for exact "
+                f"displacement products, not {d * r}"
+            )
+        images, ranges = [], []
+        for row in self.shifts:
+            factor_a, a_exponents = _images(np.array([s.factor_a for s in row]), "basis factors")
+            factor_b, b_exponents = _images(np.array([s.factor_b for s in row]), "basis factors")
+            images.append((factor_a, factor_b))
+            ranges.append(_intersect(
+                _state_range(b_exponents, _PARAM_BITS, d),
+                _state_range(
+                    [e_a + e_b for e_a, e_b in zip(a_exponents, b_exponents)],
+                    2 * _PARAM_BITS, d * r,
+                ),
+            ))
+        object.__setattr__(self, "_factor_images", tuple(images))
+        object.__setattr__(self, "_state_ranges", tuple(ranges))
 
     @property
     def num_layers(self) -> int:
@@ -178,6 +286,12 @@ class ToyDecoder:
     projection_offset: np.ndarray
     frame_shape: tuple[int, int, int]
     seed: int
+    # Each layer's weight and the projection rounded for exact products, and
+    # for each layer, then the projection, the state exponents at which
+    # those products are exact.
+    _weight_images: np.ndarray = field(init=False, repr=False)
+    _projection_image: np.ndarray = field(init=False, repr=False)
+    _state_ranges: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         w = _frozen(self.weights)
@@ -195,17 +309,20 @@ class ToyDecoder:
             raise ValueError("projection shape does not match frame shape")
         if proj_off.shape != (proj.shape[0],):
             raise ValueError("projection offset length mismatch")
-        if not (
-            np.isfinite(w).all()
-            and np.isfinite(c).all()
-            and np.isfinite(proj).all()
-            and np.isfinite(proj_off).all()
-        ):
+        if not (np.isfinite(c).all() and np.isfinite(proj_off).all()):
             raise ValueError("decoder parameters must be finite")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "offsets", c)
         object.__setattr__(self, "projection", proj)
         object.__setattr__(self, "projection_offset", proj_off)
+        weight_images, exponents = _images(w, "decoder parameters")
+        projection_image, projection_exponent = _images(proj, "decoder parameters")
+        object.__setattr__(self, "_weight_images", weight_images)
+        object.__setattr__(self, "_projection_image", projection_image)
+        object.__setattr__(self, "_state_ranges", tuple(
+            _state_range([e], _PARAM_BITS, w.shape[1])
+            for e in exponents + projection_exponent
+        ))
 
     @property
     def num_layers(self) -> int:
@@ -250,7 +367,26 @@ def _frame_latents(frame_seeds: Sequence[tuple[int, int]], dim: int, scale: floa
     counters = counter_array(
         itertools.chain.from_iterable(frame_seeds), "latent seeds and frame indices"
     ).reshape(len(frame_seeds), 2)
-    return normals(stream_words(LATENT_TAG, counters, dim)) * scale
+    latents = np.empty((len(counters), dim))
+    # The normal transform holds about ten temporaries of its input's size,
+    # so a corpus is drawn in blocks of rows.
+    for start in range(0, len(counters), _LATENT_BLOCK):
+        block = slice(start, start + _LATENT_BLOCK)
+        latents[block] = normals(stream_words(LATENT_TAG, counters[block], dim))
+    latents *= scale
+    return latents
+
+
+def _round_states(h: np.ndarray, state_range: tuple[int, int], out: np.ndarray) -> None:
+    """Write the (n, d) hidden states h, rounded frame by frame, to `out`,
+    and require their exponents to lie in `state_range`, where the products
+    that read them are exact and finite (see _state_range)."""
+    exponent = _round_to_grid(h, _STATE_BITS, 1, "hidden state", out)[1]
+    low, high = state_range
+    if exponent.min() < low or exponent.max() > high:
+        raise ValueError(
+            "hidden state lies outside the range where its products are exact and finite"
+        )
 
 
 def _forward(
@@ -260,30 +396,53 @@ def _forward(
     latents: np.ndarray,
 ) -> np.ndarray:
     """Pixel rows (n, 3*H*W) for n latents, frame i displaced at layer ell by
-    basis indices[i, ell].
+    basis indices[i, ell]; `latents` is used as scratch space.
 
-    Hidden states are an (n, d, 1) stack of column vectors, so each product
-    runs as one gemv per frame and every row is bit-identical to the
-    frame-by-frame forward, whatever the other frames in the batch.
+    Hidden states are (n, d) rows, rounded frame by frame.  Each product runs
+    over all rows, or over the rows of one basis, as one matrix-matrix
+    product of a stack of column vectors.  The products are exact, so every
+    row is bit-identical to the frame-by-frame forward, whatever the other
+    frames in the batch.
     """
-    h = latents[:, :, None]
     displaced = dictionary.alpha != 0.0 and dictionary.rank > 0
+    # Two buffers take turns holding the rounded states and the layer output.
+    # Before a displaced layer the states are sorted by their basis, so that
+    # each basis reads one contiguous block; row j holds frame frames[j].
+    frames = np.arange(len(latents))
+    h = out = latents
+    state = np.empty_like(latents)
     for layer in range(decoder.num_layers):
-        _check_finite(h, "hidden state")
-        out = _matmul(decoder.weights[layer], h) + decoder.offsets[layer][:, None]
+        state_range = decoder._state_ranges[layer]
         if displaced:
-            column = indices[:, layer]
-            for basis in np.unique(column):
-                rows = np.flatnonzero(column == basis)
-                shift = dictionary.shifts[layer][basis]
-                out[rows] += dictionary.alpha * _matmul(
-                    shift.factor_a, _matmul(shift.factor_b, h[rows])
-                )
+            state_range = _intersect(state_range, dictionary._state_ranges[layer])
+        _round_states(h, state_range, state)
+        if displaced:
+            column = indices[frames, layer]
+            order = np.argsort(column, kind="stable")
+            frames = frames[order]
+            # mode="clip" lets take write to `out` without a buffer.
+            np.take(state, order, axis=0, out=out, mode="clip")
+            state, out = out, state
+        _matmul(decoder._weight_images[layer], state[:, :, None], out[:, :, None])
+        out += decoder.offsets[layer]
+        if displaced:
+            factor_a, factor_b = dictionary._factor_images[layer]
+            stops = np.cumsum(np.bincount(column, minlength=len(factor_a)))
+            for basis, (start, stop) in enumerate(zip([0, *stops[:-1]], stops)):
+                if start < stop:
+                    low_rank = _matmul(factor_b[basis], state[start:stop, :, None])
+                    displacement = _matmul(factor_a[basis], low_rank)[:, :, 0]
+                    displacement *= dictionary.alpha
+                    out[start:stop] += displacement
         h = out
-    _check_finite(h, "hidden state")
-    raster = _matmul(decoder.projection, h)[:, :, 0] + decoder.projection_offset
+    _round_states(h, decoder._state_ranges[-1], state)
+    if displaced:
+        out[frames] = state
+        state = out
+    raster = _matmul(decoder._projection_image, state[:, :, None])[:, :, 0]
+    raster += decoder.projection_offset
     _check_finite(raster, "pixel values")
-    return np.clip(raster, 0.0, 1.0)
+    return np.clip(raster, 0.0, 1.0, out=raster)
 
 
 def generate_frames(
@@ -314,7 +473,8 @@ def generate_frames(
     if condition.shape != (decoder.layer_dim,):
         raise ValueError("condition must be a layer_dim vector")
     indices = _basis_indices(bits, dictionary.key_config())
-    latents = _frame_latents(frame_seeds, decoder.layer_dim, latent_scale) + condition
+    latents = _frame_latents(frame_seeds, decoder.layer_dim, latent_scale)
+    latents += condition
     pixels = _forward(decoder, dictionary, indices, latents)
     pixels.setflags(write=False)
     return _video(pixels.reshape(len(bits), *decoder.frame_shape))

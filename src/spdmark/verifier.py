@@ -18,7 +18,7 @@ configured target.  null_calibration measures both effects.
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -100,9 +100,10 @@ class Thresholds:
     gamma_v: float
 
 
-@dataclass(frozen=True)
-class FrameEntry:
-    """One aligned pair: expected index pi, extracted position rho."""
+class FrameEntry(NamedTuple):
+    """One aligned pair: expected index pi, extracted position rho.  A named
+    tuple, since a verdict builds one per pair, and a tuple builds at about
+    half the cost of a frozen dataclass."""
 
     pi: int
     rho: int

@@ -9,8 +9,13 @@ the differential tests compare the two.  The per-frame displacement path
 because nothing under `src/` runs it any more.  Latents come from the
 scalar oracle in tests/reference_latent.py.  Nothing under `src/` imports
 this module.
+
+Generation reads every parameter matrix and every hidden state rounded to a
+grid below the exponent of its largest entry, which makes its products
+exact; `round_to_grid` is this module's own version of that rounding.
 """
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +29,22 @@ from spdmark.spd_core import (
     ToyDecoder,
     _matmul,
 )
+
+
+# Bits kept below the exponent of the largest entry: of each parameter
+# matrix (a layer's weight, a shift's A or B, the projection), and of each
+# frame's hidden state at the input of every layer and of the projection.
+PARAM_BITS = 13
+STATE_BITS = 15
+
+
+def round_to_grid(values, bits: int) -> np.ndarray:
+    """`values` rounded, ties to even, to multiples of 2**(e - bits), e the
+    np.frexp exponent of its largest magnitude (0 for all zeros)."""
+    values = np.asarray(values, dtype=np.float64)
+    peak = np.abs(values).max(initial=0.0)
+    exponent = np.frexp(peak)[1]
+    return np.ldexp(np.rint(np.ldexp(values, bits - exponent)), exponent - bits)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -126,22 +147,34 @@ def generate_video(
     if condition.shape != (decoder.layer_dim,):
         raise ValueError("condition must be a layer_dim vector")
     cfg = dictionary.key_config()
+    weights = [round_to_grid(weight, PARAM_BITS) for weight in decoder.weights]
+    projection = round_to_grid(decoder.projection, PARAM_BITS)
+    rounded = dataclasses.replace(dictionary, shifts=tuple(
+        tuple(
+            BasisShift(
+                round_to_grid(shift.factor_a, PARAM_BITS),
+                round_to_grid(shift.factor_b, PARAM_BITS),
+            )
+            for shift in row
+        )
+        for row in dictionary.shifts
+    ))
     frames = []
     for msg in schedule:
         mask = key_to_mask(WatermarkKey(msg.bits), cfg)
-        shifts = compose_displacement(dictionary, mask)
+        shifts = compose_displacement(rounded, mask)
         h = (
             np.array(latent(latent_seed, msg.frame_index, decoder.layer_dim, latent_scale))
             + condition
         )
         for layer in range(decoder.num_layers):
             h = displaced_layer_forward(
-                decoder.weights[layer],
+                weights[layer],
                 decoder.offsets[layer],
                 shifts[layer],
                 dictionary.alpha,
-                h,
+                round_to_grid(h, STATE_BITS),
             )
-        raster = _matmul(decoder.projection, h) + decoder.projection_offset
+        raster = _matmul(projection, round_to_grid(h, STATE_BITS)) + decoder.projection_offset
         frames.append(np.clip(raster, 0.0, 1.0).reshape(decoder.frame_shape))
     return np.stack(frames)

@@ -18,6 +18,7 @@ from hashlib import sha256
 
 import numpy as np
 
+from reference_generate import PARAM_BITS, STATE_BITS, round_to_grid
 from reference_latent import latent
 from spdmark.channel_attacks import ChannelSpec, channel_extract
 from spdmark.cli import RunConfig, build_corpus, forensics_table, toy_components
@@ -328,14 +329,24 @@ def test_criterion_8_extractor_learns_watermark():
 
 def dense_frames(decoder, factors, alpha, indices, latents):
     """Oracle: per frame and layer h <- (W_l + alpha * A_p B_p) h + c_l, with
-    the dense A_p B_p formed here, then the projection and the clip."""
+    the dense A_p B_p formed here, then the projection and the clip.  As in
+    generation, W_l, A_p, B_p and the projection are read rounded to
+    PARAM_BITS bits below the exponent of their largest entry, and h to
+    STATE_BITS bits below the exponent of its own, wherever a product reads
+    it."""
+    weights = [round_to_grid(weight, PARAM_BITS) for weight in decoder.weights]
+    factors = [
+        [tuple(round_to_grid(f, PARAM_BITS) for f in pair) for pair in row]
+        for row in factors
+    ]
+    projection = round_to_grid(decoder.projection, PARAM_BITS)
     frames = []
     for row, h in zip(indices, latents):
         for layer, basis in enumerate(row):
             factor_a, factor_b = factors[layer][basis]
-            dense = decoder.weights[layer] + alpha * (factor_a @ factor_b)
-            h = dense @ h + decoder.offsets[layer]
-        raster = decoder.projection @ h + decoder.projection_offset
+            dense = weights[layer] + alpha * (factor_a @ factor_b)
+            h = dense @ round_to_grid(h, STATE_BITS) + decoder.offsets[layer]
+        raster = projection @ round_to_grid(h, STATE_BITS) + decoder.projection_offset
         frames.append(np.clip(raster, 0.0, 1.0).reshape(decoder.frame_shape))
     return np.array(frames)
 

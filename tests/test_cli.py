@@ -80,6 +80,10 @@ class TestConfig:
             load_config(None, {"message_bits": 27})
         with pytest.raises(ConfigError):
             load_config(None, {"rank": 100, "layer_dim": 64})
+        # layer_dim * rank above MAX_SHIFT_TERMS: products would not be exact.
+        with pytest.raises(ConfigError):
+            load_config(None, {"layer_dim": 128, "rank": 64})
+        assert load_config(None, {"layer_dim": 64, "rank": 64}).rank == 64
 
     def test_hash_covers_semantics_not_paths(self):
         base = RunConfig()
@@ -175,7 +179,7 @@ class TestConfigFuzz:
         ["[]", '"str"', '{"num_frames": 1e400}', '{"calibration_trials": 1e400}',
          '{"num_frames": 2.5}', '{"num_frames": true}', '{"gamma_f": "nan"}',
          '{"gamma_v": 0}', '{"seed": -1}', '{"secret_hex": "00"}', "[" * 100_000,
-         '{"seed": 18446744073709551616}'],
+         '{"seed": 18446744073709551616}', '{"layer_dim": 128, "rank": 64}'],
     )
     def test_probed_config_faults_exit_2(self, text, tmp_path):
         path = tmp_path / "cfg.json"

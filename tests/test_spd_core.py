@@ -1,5 +1,13 @@
 import dataclasses
+import hashlib
 import io
+import math
+import os
+import platform
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +18,7 @@ from reference_generate import (
     compose_displacement,
     displaced_layer_forward,
     generate_video as reference_generate,
+    round_to_grid as reference_round,
 )
 
 from spdmark.channel_attacks import apply_attack
@@ -21,12 +30,18 @@ from spdmark.keyspace import (
     key_to_mask,
     random_key,
 )
+import spdmark.spd_core
+from spdmark.cli import RunConfig, build_corpus, toy_components
 from spdmark.spd_core import (
     DEFAULT_LAYER_DIM,
     DEFAULT_RANK,
+    MAX_SHIFT_TERMS,
+    BasisDictionary,
     BasisShift,
     ToyDecoder,
+    _forward,
     _matmul,
+    _round_to_grid,
     generate_frames,
     generate_video,
     init_dictionary,
@@ -427,6 +442,148 @@ class TestBatchedGeneration:
         schedule = derive_frame_messages(SECRET, random_key(cfg, 0), 1)
         with pytest.raises(ValueError, match="finite"):
             generate_video(decoder, dictionary, schedule, 0, np.zeros(dim))
+
+
+def fraction_round(row, bits):
+    """Oracle: `row` rounded, ties to even, to multiples of 2**(e - bits),
+    with e the exponent of its largest magnitude (2**(e-1) <= peak < 2**e),
+    in exact rationals."""
+    peak = max((abs(Fraction(x)) for x in row), default=Fraction(0))
+    exponent = 0
+    if peak:
+        exponent = math.floor(math.log2(peak)) + 1
+        while Fraction(2) ** (exponent - 1) > peak:
+            exponent -= 1
+        while Fraction(2) ** exponent <= peak:
+            exponent += 1
+    grid = Fraction(2) ** (exponent - bits)
+    return [float(round(Fraction(x) / grid) * grid) for x in row], exponent
+
+
+class TestExactProducts:
+    """Generation reads parameters and hidden states rounded to a grid below
+    the exponent of their largest entry, which makes every product exact, so
+    a frame's bytes depend on nothing else in its batch and on no BLAS
+    kernel or thread count."""
+
+    ROWS = [
+        # Ties at 2**-15 under a peak of 1 (grid 2**-14) go to even.
+        [1.0, 2.0**-15, 3 * 2.0**-15, 5 * 2.0**-15, -(2.0**-15), -3 * 2.0**-15],
+        [-0.75, 0.1, -0.3, 1e-9, -1e-9, 0.0],
+        [0.0, 0.0, 0.0, -0.0],
+        [1e308, -1e308, 3.0, 1.5e307],
+        [-(2.0**-500), 2.0**-520, 3.0 * 2.0**-516],
+    ]
+
+    @pytest.mark.parametrize("bits", [13, 15])
+    @pytest.mark.parametrize("helper", ["spd_core", "reference"])
+    def test_rounding_matches_fraction_oracle(self, bits, helper):
+        rng = np.random.default_rng(bits)
+        rows = self.ROWS + [
+            list(rng.normal(size=7) * 10.0 ** rng.integers(-30, 30)) for _ in range(200)
+        ]
+        for row in rows:
+            want, exponent = fraction_round(row, bits)
+            values = np.array(row)
+            if helper == "spd_core":
+                got, got_exponent = _round_to_grid(values[None], bits, 1, "row")
+                assert got_exponent.ravel().tolist() == [exponent]
+                got = got[0]
+            else:
+                got = reference_round(values, bits)
+            assert np.isfinite(got).all()
+            # Exact equality; a zero may keep the sign of the value it rounds.
+            assert got.tolist() == want, row
+
+    def test_rounding_rows_and_matrices_apart(self):
+        values = np.array([[1.0, 2.0**-15], [2.0**-40, 3.0 * 2.0**-56]])
+        rows, exponents = _round_to_grid(values, 15, 1, "rows")
+        assert exponents.ravel().tolist() == [1, -39]
+        assert rows.tolist() == [[1.0, 0.0], [2.0**-40, 4.0 * 2.0**-56]]
+        whole, exponent = _round_to_grid(values, 15, None, "matrix")
+        assert exponent.item() == 1
+        assert whole.tolist() == [[1.0, 0.0], [0.0, 0.0]]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rounding_rejects_non_finite_rows(self, bad):
+        values = np.array([[1.0, 2.0], [3.0, bad]])
+        with pytest.raises(ValueError, match="must be finite"):
+            _round_to_grid(values, 15, 1, "hidden state")
+
+    def test_empty_rank_zero_factors(self):
+        images, exponent = _round_to_grid(np.zeros((2, 4, 0)), 13, (-2, -1), "factors")
+        assert images.shape == (2, 4, 0)
+        assert exponent.ravel().tolist() == [0, 0]
+        factor_a, factor_b = init_dictionary(CFG, layer_dim=4, rank=0)._factor_images[0]
+        assert factor_a.shape == (4, 4, 0) and factor_b.shape == (4, 0, 4)
+
+    def test_frames_far_apart_in_scale_share_a_batch(self):
+        # With a per-batch exponent the small frames would round to zero.
+        decoder, dictionary = small_setup(seed=3)
+        decoder = dataclasses.replace(decoder, offsets=np.zeros_like(decoder.offsets))
+        rng = np.random.default_rng(3)
+        latents = rng.normal(size=(8, 16)) * np.array([1.0, 1e-8] * 4)[:, None]
+        indices = rng.integers(0, 4, (8, 4))
+        batch = _forward(decoder, dictionary, indices, latents.copy())
+        for i in range(8):
+            single = _forward(decoder, dictionary, indices[i:i + 1], latents[i:i + 1].copy())
+            assert single.tobytes() == batch[i].tobytes()
+        # The small frames' pixels still carry their states.
+        assert (batch[1::2] != 0.5).any()
+
+    def test_shift_budget(self):
+        assert MAX_SHIFT_TERMS == 4096
+        init_dictionary(CFG, layer_dim=64, rank=64)
+        with pytest.raises(ValueError, match="layer_dim \\* rank"):
+            init_dictionary(CFG, layer_dim=128, rank=33)
+        shift = BasisShift(np.zeros((65, 64)), np.zeros((64, 65)))
+        with pytest.raises(ValueError, match="layer_dim \\* rank"):
+            BasisDictionary(((shift, shift),), 65, 64, 1.0, 0, 1.0)
+
+    def test_grids_below_the_normal_range_rejected(self):
+        decoder, dictionary = small_setup()
+        with pytest.raises(ValueError, match="too small"):
+            dataclasses.replace(decoder, weights=decoder.weights * 1e-305)
+        indices = np.zeros((2, 4), dtype=np.int64)
+        with pytest.raises(ValueError, match="too small"):
+            _forward(decoder, dictionary, indices, np.full((2, 16), 1e-310))
+        # A state the rounding takes, whose products' terms would underflow.
+        faint = init_dictionary(CFG, layer_dim=16, rank=8, init_scale=1e-200)
+        with pytest.raises(ValueError, match="exact and finite"):
+            _forward(decoder, faint, indices, np.full((2, 16), 1e-290))
+
+    @pytest.mark.skipif(
+        platform.machine().lower() not in ("x86_64", "amd64"),
+        reason="OPENBLAS_CORETYPE names x86-64 kernels",
+    )
+    def test_corpus_does_not_depend_on_blas_kernel_or_threads(self):
+        script = (
+            "import hashlib; "
+            "from spdmark.cli import RunConfig, build_corpus, toy_components; "
+            "cfg = RunConfig(seed=3); "
+            "videos, _ = build_corpus(cfg, 'train', cfg.train_videos, "
+            "cfg.train_frames, *toy_components(cfg)); "
+            "print(hashlib.sha256(videos.tobytes()).hexdigest())"
+        )
+        src = str(Path(spdmark.spd_core.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if not k.startswith("OPENBLAS_")}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        digests = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**env, **kernel, "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for kernel in ({}, {"OPENBLAS_CORETYPE": "Haswell"},
+                           {"OPENBLAS_CORETYPE": "Prescott"})
+            for threads in ("1", "2")
+        ]
+        cfg = RunConfig(seed=3)
+        videos, _ = build_corpus(
+            cfg, "train", cfg.train_videos, cfg.train_frames, *toy_components(cfg)
+        )
+        here = hashlib.sha256(videos.tobytes()).hexdigest()
+        assert digests == [here + "\n"] * 6
 
 
 class TestInitDictionary:
