@@ -15,6 +15,7 @@ report on stderr names the stage).
 import argparse
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -59,6 +60,7 @@ from .objective import (
 )
 from .spd_core import (
     MAX_SHIFT_TERMS,
+    _clean_twin,
     generate_frames,
     generate_video,
     init_dictionary,
@@ -291,23 +293,49 @@ def _emit(doc: dict, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def toy_components(cfg: RunConfig):
-    """Dictionary, decoder, and the corpus-wide condition vector."""
-    key_cfg = cfg.key_config()
+# Distinct model configs whose dictionary and decoder stay built in one
+# process; one model holds about 4.8 MB at the defaults.
+_MODEL_CACHE_SIZE = 4
+
+
+@functools.lru_cache(maxsize=_MODEL_CACHE_SIZE)
+def _toy_model(num_layers, bases_per_layer, message_bits, layer_dim, rank, alpha,
+               init_seed, init_scale, height, width, decoder_seed):
+    """The dictionary and decoder of one model config, built on first use.
+    Both are frozen and their arrays read-only, so every run shares them."""
     dictionary = init_dictionary(
-        key_cfg,
-        layer_dim=cfg.layer_dim,
-        rank=cfg.rank,
-        alpha=cfg.alpha,
-        init_seed=cfg.init_seed,
-        init_scale=cfg.init_scale,
+        KeyConfig(num_layers=num_layers, bases_per_layer=bases_per_layer,
+                  message_bits=message_bits),
+        layer_dim=layer_dim,
+        rank=rank,
+        alpha=alpha,
+        init_seed=init_seed,
+        init_scale=init_scale,
     )
     decoder = init_toy_decoder(
-        layer_dim=cfg.layer_dim,
-        height=cfg.height,
-        width=cfg.width,
-        num_layers=cfg.num_layers,
-        seed=cfg.decoder_seed,
+        layer_dim=layer_dim,
+        height=height,
+        width=width,
+        num_layers=num_layers,
+        seed=decoder_seed,
+    )
+    return dictionary, decoder
+
+
+def toy_components(cfg: RunConfig):
+    """Dictionary, decoder, and the corpus-wide condition vector.
+
+    The dictionary and decoder come from a per-process memo of the last
+    _MODEL_CACHE_SIZE model configs, keyed on exactly the fields they read
+    (num_layers, bases_per_layer, message_bits, layer_dim, rank, alpha,
+    init_seed, init_scale, height, width, decoder_seed), so runs that differ
+    only in per-run fields such as seed, attack or num_frames share one
+    model.  The condition vector depends on the seed and is drawn per call.
+    """
+    dictionary, decoder = _toy_model(
+        cfg.num_layers, cfg.bases_per_layer, cfg.message_bits, cfg.layer_dim,
+        cfg.rank, cfg.alpha, cfg.init_seed, cfg.init_scale, cfg.height,
+        cfg.width, cfg.decoder_seed,
     )
     condition = random_condition(cfg.layer_dim, cfg.resolved_condition_seed())
     return dictionary, decoder, condition
@@ -411,7 +439,11 @@ def _schedule(cfg: RunConfig, key) -> MessageSequence:
 
 def _embed(cfg: RunConfig, components, schedule, with_clean: bool) -> tuple:
     """The watermarked video and, if asked, the unwatermarked one (alpha 0)
-    from the same latents; `components` is what toy_components returns."""
+    from the same latents; `components` is what toy_components returns.
+
+    The clean video's dictionary is the shared dictionary's alpha-0 twin,
+    which reuses its shifts and rounded images; only the latent seed and
+    the videos are made per run."""
     dictionary, decoder, condition = components
     latent_seed = derive_seed(cfg.seed, "latent")
     marked = generate_video(
@@ -420,7 +452,7 @@ def _embed(cfg: RunConfig, components, schedule, with_clean: bool) -> tuple:
     clean = None
     if with_clean:
         clean = generate_video(
-            decoder, dataclasses.replace(dictionary, alpha=0.0), schedule, latent_seed,
+            decoder, _clean_twin(dictionary), schedule, latent_seed,
             condition, cfg.latent_scale,
         )
     return marked, clean
@@ -797,10 +829,16 @@ def _overrides(args) -> dict:
     return overrides
 
 
+@functools.lru_cache(maxsize=1)
+def _main_parser() -> argparse.ArgumentParser:
+    """The parser main() uses, built on its first call; parsing leaves it
+    unchanged, so one serves every call in the process."""
+    return build_parser()
+
+
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _main_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

@@ -30,6 +30,7 @@ concurrent use over disjoint frames matches sequential output exactly.
 
 import contextlib
 import contextvars
+import copy
 import itertools
 import math
 import struct
@@ -274,6 +275,17 @@ class BasisDictionary:
 
     def key_config(self) -> KeyConfig:
         return KeyConfig.from_layout(self.num_layers, self.bases_per_layer)
+
+
+def _clean_twin(dictionary: BasisDictionary) -> BasisDictionary:
+    """`dictionary` with alpha 0, which generates the unwatermarked video
+    from the same latents.  It shares the shifts, their rounded images and
+    their state ranges, which depend on the shifts alone, where
+    dataclasses.replace would round every factor again for a forward that
+    reads none of them."""
+    twin = copy.copy(dictionary)
+    object.__setattr__(twin, "alpha", 0.0)
+    return twin
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,6 +9,9 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -31,6 +34,7 @@ from spdmark.cli import (
     toy_components,
 )
 from spdmark.keyspace import KeyConfig, MessageSequence, bits_to_hex, random_key
+from spdmark.spd_core import init_dictionary, init_toy_decoder
 
 
 def run(*argv) -> int:
@@ -576,6 +580,116 @@ class TestCorpus:
         assert run("run-pipeline", "--config", str(cfg), "--out", str(tmp_path / "run")) == 0
         capsys.readouterr()
         assert len(calls) == 1
+
+
+def model_bytes(dictionary, decoder) -> tuple:
+    """Everything a dictionary and a decoder hold, as bytes and values."""
+    factors = [
+        array.tobytes()
+        for row in dictionary.shifts for shift in row
+        for array in (shift.factor_a, shift.factor_b)
+    ]
+    scalars = (dictionary.layer_dim, dictionary.rank, dictionary.alpha,
+               dictionary.init_seed, dictionary.init_scale,
+               decoder.frame_shape, decoder.seed)
+    arrays = (decoder.weights, decoder.offsets, decoder.projection,
+              decoder.projection_offset)
+    return scalars, factors, [array.tobytes() for array in arrays]
+
+
+def model_arrays(dictionary, decoder) -> list:
+    arrays = [decoder.weights, decoder.offsets, decoder.projection,
+              decoder.projection_offset, decoder._weight_images,
+              decoder._projection_image]
+    for row in dictionary.shifts:
+        arrays += [array for shift in row for array in (shift.factor_a, shift.factor_b)]
+    for images in dictionary._factor_images:
+        arrays += images
+    return arrays
+
+
+class TestModelMemo:
+    def test_per_run_fields_share_one_model(self):
+        base = toy_components(RunConfig(seed=3))
+        other = toy_components(RunConfig(
+            seed=5, attack={"attack": "drop", "fraction": 0.5}, num_frames=10,
+            condition_seed=7, out_dir="elsewhere",
+        ))
+        assert other[0] is base[0]
+        assert other[1] is base[1]
+        assert other[2].tobytes() != base[2].tobytes()
+
+    @pytest.mark.parametrize("fields", [
+        {"num_layers": 7, "message_bits": 14},
+        {"bases_per_layer": 2, "message_bits": 14},
+        {"layer_dim": 32},
+        {"rank": 16},
+        {"alpha": 0.5},
+        {"init_seed": 1},
+        {"init_scale": 0.2},
+        {"height": 4},
+        {"width": 4},
+        {"decoder_seed": 1},
+    ], ids=lambda fields: next(iter(fields)))
+    def test_each_model_field_gives_a_fresh_model(self, fields):
+        base = toy_components(RunConfig(seed=3))
+        cfg = RunConfig(seed=3, **fields)
+        dictionary, decoder, _ = toy_components(cfg)
+        assert dictionary is not base[0] and decoder is not base[1]
+        fresh_dictionary = init_dictionary(
+            cfg.key_config(), layer_dim=cfg.layer_dim, rank=cfg.rank, alpha=cfg.alpha,
+            init_seed=cfg.init_seed, init_scale=cfg.init_scale,
+        )
+        fresh_decoder = init_toy_decoder(
+            layer_dim=cfg.layer_dim, height=cfg.height, width=cfg.width,
+            num_layers=cfg.num_layers, seed=cfg.decoder_seed,
+        )
+        assert model_bytes(dictionary, decoder) == model_bytes(fresh_dictionary, fresh_decoder)
+        assert model_bytes(dictionary, decoder) != model_bytes(*base[:2])
+
+    def test_memo_is_bounded(self):
+        size = spdmark.cli._MODEL_CACHE_SIZE
+        first = toy_components(RunConfig(init_seed=1000))
+        for init_seed in range(1001, 1001 + size):
+            toy_components(RunConfig(init_seed=init_seed))
+        assert spdmark.cli._toy_model.cache_info().currsize == size
+        assert toy_components(RunConfig(init_seed=1000))[0] is not first[0]
+
+    def test_shared_model_is_read_only(self):
+        dictionary, decoder, _ = toy_components(RunConfig())
+        for array in model_arrays(dictionary, decoder):
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = 0.0
+
+    def test_runs_do_not_depend_on_earlier_runs(self, tmp_path, capsys):
+        cfg = str(fast_toy_config(tmp_path))
+        other = tmp_path / "other.json"
+        write_json(other, {**read_json(Path(cfg)), "init_seed": 1, "alpha": 0.5})
+        runs = [("3", cfg, "first"), ("3", str(other), "other"), ("5", cfg, "five"),
+                ("3", cfg, "again")]
+        for seed, config, name in runs:
+            code = run("run-pipeline", "--config", config, "--seed", seed,
+                       "--out", str(tmp_path / name))
+            assert code in (0, 3)
+        src = str(Path(spdmark.cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run(
+            [sys.executable, "-c", "import sys; from spdmark.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", "run-pipeline", "--config", cfg,
+             "--seed", "5", "--out", str(tmp_path / "fresh")],
+            env=env, check=True, capture_output=True,
+        )
+        capsys.readouterr()
+        for left, right in (("first", "again"), ("five", "fresh")):
+            names = sorted(path.name for path in (tmp_path / left).iterdir())
+            assert names == sorted(path.name for path in (tmp_path / right).iterdir())
+            for name in names:
+                a, b = tmp_path / left / name, tmp_path / right / name
+                if name == "report.json":
+                    assert strip_runtime(read_json(a)) == strip_runtime(read_json(b))
+                else:
+                    assert a.read_bytes() == b.read_bytes(), (left, name)
 
 
 class TestChannelPipeline:

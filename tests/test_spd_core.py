@@ -39,6 +39,7 @@ from spdmark.spd_core import (
     BasisDictionary,
     BasisShift,
     ToyDecoder,
+    _clean_twin,
     _forward,
     _matmul,
     _round_to_grid,
@@ -614,6 +615,22 @@ class TestInitDictionary:
     def test_rank_above_dim_rejected(self):
         with pytest.raises(ValueError):
             init_dictionary(CFG, layer_dim=8, rank=9)
+
+
+class TestCleanTwin:
+    def test_shares_the_images_and_generates_the_unmarked_video(self):
+        cfg = RunConfig(seed=3)
+        dictionary, decoder, condition = toy_components(cfg)
+        twin = _clean_twin(dictionary)
+        assert twin.alpha == 0.0
+        assert dictionary.alpha == cfg.alpha
+        for name in ("shifts", "_factor_images", "_state_ranges"):
+            assert getattr(twin, name) is getattr(dictionary, name)
+        schedule = derive_frame_messages(SECRET, random_key(dictionary.key_config(), 6), 5)
+        video = generate_video(decoder, twin, schedule, 4, condition).tobytes()
+        plain = dataclasses.replace(dictionary, alpha=0.0)
+        assert video == generate_video(decoder, plain, schedule, 4, condition).tobytes()
+        assert video == reference_generate(decoder, plain, schedule, 4, condition).tobytes()
 
 
 class TestInitToyDecoder:
