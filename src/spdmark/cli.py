@@ -293,9 +293,10 @@ def _emit(doc: dict, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-# Distinct model configs whose dictionary and decoder stay built in one
-# process; one model holds about 4.8 MB at the defaults.
-_MODEL_CACHE_SIZE = 4
+# Model configs whose dictionary and decoder stay built in one process: the
+# last one, since runs in a process use one config (about 4.8 MB at the
+# defaults).
+_MODEL_CACHE_SIZE = 1
 
 
 @functools.lru_cache(maxsize=_MODEL_CACHE_SIZE)
@@ -327,10 +328,9 @@ def toy_components(cfg: RunConfig):
 
     The dictionary and decoder come from a per-process memo of the last
     _MODEL_CACHE_SIZE model configs, keyed on exactly the fields they read
-    (num_layers, bases_per_layer, message_bits, layer_dim, rank, alpha,
-    init_seed, init_scale, height, width, decoder_seed), so runs that differ
-    only in per-run fields such as seed, attack or num_frames share one
-    model.  The condition vector depends on the seed and is drawn per call.
+    (the parameters of _toy_model), so runs that differ only in per-run
+    fields such as seed, attack or num_frames share one model.  The
+    condition vector depends on the seed and is drawn per call.
     """
     dictionary, decoder = _toy_model(
         cfg.num_layers, cfg.bases_per_layer, cfg.message_bits, cfg.layer_dim,
@@ -742,7 +742,10 @@ def cmd_run_pipeline(cfg: RunConfig, args) -> int:
     return _channel_pipeline(cfg, out)
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use; parsing leaves it
+    unchanged, so one serves every call in the process."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to a JSON config file")
     common.add_argument("--gamma-f", dest="gamma_f", type=float)
@@ -829,16 +832,9 @@ def _overrides(args) -> dict:
     return overrides
 
 
-@functools.lru_cache(maxsize=1)
-def _main_parser() -> argparse.ArgumentParser:
-    """The parser main() uses, built on its first call; parsing leaves it
-    unchanged, so one serves every call in the process."""
-    return build_parser()
-
-
 def main(argv: Optional[list] = None) -> int:
     try:
-        args = _main_parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
