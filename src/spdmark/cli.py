@@ -185,7 +185,11 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         for field in dataclasses.fields(self):
-            _check_type(field.name, field.type, getattr(self, field.name))
+            value = getattr(self, field.name)
+            _check_type(field.name, field.type, value)
+            if field.type is float:
+                # 1 and 1.0 are one config: one hash, one config.json.
+                object.__setattr__(self, field.name, float(value))
         for name in ("num_layers", "bases_per_layer", "layer_dim", "height", "width",
                      "num_frames", "trials", "calibration_trials", "train_videos",
                      "train_frames", "holdout_videos"):
@@ -442,8 +446,8 @@ def _embed(cfg: RunConfig, components, schedule, with_clean: bool) -> tuple:
     from the same latents; `components` is what toy_components returns.
 
     The clean video's dictionary is the shared dictionary's alpha-0 twin,
-    which reuses its shifts and rounded images; only the latent seed and
-    the videos are made per run."""
+    which reuses its factor_a and factor_b stacks and their rounded images;
+    only the latent seed and the videos are made per run."""
     dictionary, decoder, condition = components
     latent_seed = derive_seed(cfg.seed, "latent")
     marked = generate_video(

@@ -1,11 +1,13 @@
 """Basis-shift dictionary, key-conditioned displacement, and the toy generator.
 
 A basis shift is a low-rank parameter delta stored in factored form (A, B)
-with A of shape d x r and B of shape r x d.  The realized delta A @ B is
-never formed: the displaced forward pass evaluates A @ (B @ h) as two
-rank-r products.  Each frame's message picks one shift per decoder layer,
-and the toy generator runs a latent through L displaced affine layers
-followed by a pixel projection.
+with A of shape d x r and B of shape r x d.  The dictionary holds its L x P
+shifts as two stacks, A as one (L, P, d, r) array and B as one (L, P, r, d)
+array, as the decoder holds its L weights as one (L, d, d) array.  The
+realized delta A @ B is never formed: the displaced forward pass evaluates
+A @ (B @ h) as two rank-r products.  Each frame's message picks one shift
+per decoder layer, and the toy generator runs a latent through L displaced
+affine layers followed by a pixel projection.
 
 Every product on that path is exact, in the manner of integer-arithmetic
 inference (Jacob et al., CVPR 2018) and of reproducible summation (Demmel
@@ -43,7 +45,6 @@ from .counter import LATENT_TAG, counter_array, normals, stream_words
 from .keyspace import KeyConfig, MessageSequence, _basis_indices
 
 __all__ = [
-    "BasisShift",
     "BasisDictionary",
     "ToyDecoder",
     "generate_frames",
@@ -192,41 +193,14 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class BasisShift:
-    """One low-rank shift in factored form: factor_a (d x r), factor_b (r x d)."""
+class BasisDictionary:
+    """L x P grid of low-rank basis shifts in factored form, stacked as
+    factor_a (L, P, d, r) and factor_b (L, P, r, d), so that shift p of
+    layer ell is factor_a[ell, p] @ factor_b[ell, p]; plus the global scale
+    alpha.  The factors are read-only float64 copies of the arrays given."""
 
     factor_a: np.ndarray
     factor_b: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = _frozen(self.factor_a)
-        b = _frozen(self.factor_b)
-        if a.ndim != 2 or b.ndim != 2:
-            raise ValueError("factors must be 2-D")
-        d, r = a.shape
-        if b.shape != (r, d):
-            raise ValueError(f"factor shapes {a.shape} and {b.shape} do not pair up")
-        if r > d:
-            raise ValueError("rank must not exceed the layer dimension")
-        object.__setattr__(self, "factor_a", a)
-        object.__setattr__(self, "factor_b", b)
-
-    @property
-    def layer_dim(self) -> int:
-        return self.factor_a.shape[0]
-
-    @property
-    def rank(self) -> int:
-        return self.factor_a.shape[1]
-
-
-@dataclass(frozen=True, eq=False)
-class BasisDictionary:
-    """L x P grid of basis shifts sharing (d, r), plus the global scale alpha."""
-
-    shifts: tuple[tuple[BasisShift, ...], ...]
-    layer_dim: int
-    rank: int
     alpha: float
     init_seed: int
     init_scale: float
@@ -236,24 +210,26 @@ class BasisDictionary:
     _state_ranges: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not self.shifts or not self.shifts[0]:
-            raise ValueError("dictionary must contain at least one shift")
-        for row in self.shifts:
-            if len(row) != len(self.shifts[0]):
-                raise ValueError("dictionary grid must be rectangular")
-            for shift in row:
-                if shift.layer_dim != self.layer_dim or shift.rank != self.rank:
-                    raise ValueError("all shifts must share (layer_dim, rank)")
-        d, r = self.layer_dim, self.rank
+        a = _frozen(self.factor_a)
+        b = _frozen(self.factor_b)
+        if a.ndim != 4 or min(a.shape[:3]) < 1:
+            raise ValueError("factor_a must be an L x P x d x r stack with L, P, d >= 1")
+        num_layers, bases, d, r = a.shape
+        if b.shape != (num_layers, bases, r, d):
+            raise ValueError(f"factor shapes {a.shape} and {b.shape} do not pair up")
+        if r > d:
+            raise ValueError("rank must not exceed the layer dimension")
         if d * r > MAX_SHIFT_TERMS:
             raise ValueError(
                 f"layer_dim * rank must be <= {MAX_SHIFT_TERMS} for exact "
                 f"displacement products, not {d * r}"
             )
+        object.__setattr__(self, "factor_a", a)
+        object.__setattr__(self, "factor_b", b)
         images, ranges = [], []
-        for row in self.shifts:
-            factor_a, a_exponents = _images(np.array([s.factor_a for s in row]), "basis factors")
-            factor_b, b_exponents = _images(np.array([s.factor_b for s in row]), "basis factors")
+        for layer_a, layer_b in zip(a, b):
+            factor_a, a_exponents = _images(layer_a, "basis factors")
+            factor_b, b_exponents = _images(layer_b, "basis factors")
             images.append((factor_a, factor_b))
             ranges.append(_intersect(
                 _state_range(b_exponents, _PARAM_BITS, d),
@@ -267,11 +243,19 @@ class BasisDictionary:
 
     @property
     def num_layers(self) -> int:
-        return len(self.shifts)
+        return self.factor_a.shape[0]
 
     @property
     def bases_per_layer(self) -> int:
-        return len(self.shifts[0])
+        return self.factor_a.shape[1]
+
+    @property
+    def layer_dim(self) -> int:
+        return self.factor_a.shape[2]
+
+    @property
+    def rank(self) -> int:
+        return self.factor_a.shape[3]
 
     def key_config(self) -> KeyConfig:
         return KeyConfig.from_layout(self.num_layers, self.bases_per_layer)
@@ -279,8 +263,8 @@ class BasisDictionary:
 
 def _clean_twin(dictionary: BasisDictionary) -> BasisDictionary:
     """`dictionary` with alpha 0, which generates the unwatermarked video
-    from the same latents.  It shares the shifts, their rounded images and
-    their state ranges, which depend on the shifts alone, where
+    from the same latents.  It shares the factors, their rounded images and
+    their state ranges, which depend on the factors alone, where
     dataclasses.replace would round every factor again for a forward that
     reads none of them."""
     twin = copy.copy(dictionary)
@@ -521,23 +505,19 @@ def init_dictionary(
     init_seed: int = 0,
     init_scale: float = DEFAULT_INIT_SCALE,
 ) -> BasisDictionary:
-    """Draw factors i.i.d. Gaussian(0, init_scale^2 / layer_dim), seeded."""
-    if rank > layer_dim:
-        raise ValueError("rank must not exceed layer_dim")
+    """Draw factors i.i.d. Gaussian(0, init_scale^2 / layer_dim) from one
+    generator seeded with init_seed: layer by layer, basis by basis, A
+    (d x r) and then B (r x d)."""
     rng = np.random.default_rng(init_seed)
     std = init_scale / np.sqrt(layer_dim)
-    rows = []
-    for _ in range(cfg.num_layers):
-        row = []
-        for _ in range(cfg.bases_per_layer):
-            factor_a = rng.normal(0.0, std, (layer_dim, rank))
-            factor_b = rng.normal(0.0, std, (rank, layer_dim))
-            row.append(BasisShift(factor_a, factor_b))
-        rows.append(tuple(row))
+    factor_a = np.empty((cfg.num_layers, cfg.bases_per_layer, layer_dim, rank))
+    factor_b = np.empty((cfg.num_layers, cfg.bases_per_layer, rank, layer_dim))
+    for layer, basis in np.ndindex(cfg.num_layers, cfg.bases_per_layer):
+        factor_a[layer, basis] = rng.normal(0.0, std, (layer_dim, rank))
+        factor_b[layer, basis] = rng.normal(0.0, std, (rank, layer_dim))
     return BasisDictionary(
-        shifts=tuple(rows),
-        layer_dim=layer_dim,
-        rank=rank,
+        factor_a=factor_a,
+        factor_b=factor_b,
         alpha=alpha,
         init_seed=init_seed,
         init_scale=init_scale,

@@ -420,7 +420,10 @@ def _binomial_tail(n: int, k: int, p: float) -> float:
 
 
 def binomial_tail(n: int, k: int) -> float:
-    """Pr(X >= k) for X ~ Binomial(n, 1/2), exact in log space."""
+    """Pr(X >= k) for X ~ Binomial(n, 1/2), from a float log-space sum:
+    within 1e-12 relative of the exact rational tail (acceptance criterion
+    1 checks it against big-integer tails), not equal to it.  Exact integer
+    tails are ROADMAP open item 4."""
     return _binomial_tail(n, k, 0.5)
 
 

@@ -25,7 +25,6 @@ from spdmark.keyspace import MessageSequence, SelectionMask, WatermarkKey, key_t
 from spdmark.spd_core import (
     DEFAULT_LATENT_SCALE,
     BasisDictionary,
-    BasisShift,
     ToyDecoder,
     _matmul,
 )
@@ -90,8 +89,8 @@ def compose_displacement(
         raise ValueError("mask dimensions do not match dictionary")
     d = dictionary.layer_dim
     layers = []
-    for row, shifts in zip(matrix, dictionary.shifts):
-        selected = [shifts[p] for p in np.flatnonzero(row)]
+    for row, factor_a, factor_b in zip(matrix, dictionary.factor_a, dictionary.factor_b):
+        selected = [LayerShift(factor_a[p], factor_b[p]) for p in np.flatnonzero(row)]
         if not selected:
             layers.append(LayerShift(np.zeros((d, 0)), np.zeros((0, d))))
         elif len(selected) == 1:
@@ -109,7 +108,7 @@ def compose_displacement(
 def displaced_layer_forward(
     weight: np.ndarray,
     offset: np.ndarray,
-    shift: "BasisShift | LayerShift",
+    shift: LayerShift,
     alpha: float,
     h: np.ndarray,
 ) -> np.ndarray:
@@ -149,16 +148,11 @@ def generate_video(
     cfg = dictionary.key_config()
     weights = [round_to_grid(weight, PARAM_BITS) for weight in decoder.weights]
     projection = round_to_grid(decoder.projection, PARAM_BITS)
-    rounded = dataclasses.replace(dictionary, shifts=tuple(
-        tuple(
-            BasisShift(
-                round_to_grid(shift.factor_a, PARAM_BITS),
-                round_to_grid(shift.factor_b, PARAM_BITS),
-            )
-            for shift in row
-        )
-        for row in dictionary.shifts
-    ))
+    rounded = dataclasses.replace(
+        dictionary,
+        factor_a=[[round_to_grid(a, PARAM_BITS) for a in row] for row in dictionary.factor_a],
+        factor_b=[[round_to_grid(b, PARAM_BITS) for b in row] for row in dictionary.factor_b],
+    )
     frames = []
     for msg in schedule:
         mask = key_to_mask(WatermarkKey(msg.bits), cfg)

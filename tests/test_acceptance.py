@@ -44,7 +44,6 @@ from spdmark.objective import (
 )
 from spdmark.spd_core import (
     BasisDictionary,
-    BasisShift,
     ToyDecoder,
     generate_frames,
     record_products,
@@ -381,10 +380,9 @@ def test_criterion_9_displacement_stays_factored():
                 for _ in range(num_layers)
             ]
             dictionary = BasisDictionary(
-                shifts=tuple(
-                    tuple(BasisShift(a, b) for a, b in row) for row in factors
-                ),
-                layer_dim=d, rank=r, alpha=alpha, init_seed=trial, init_scale=1.0,
+                factor_a=[[a for a, _ in row] for row in factors],
+                factor_b=[[b for _, b in row] for row in factors],
+                alpha=alpha, init_seed=trial, init_scale=1.0,
             )
             messages = rng.integers(0, 2, (num_frames, cfg.message_bits))
             frame_seeds = [

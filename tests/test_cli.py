@@ -109,6 +109,23 @@ class TestConfig:
         canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         assert config_hash(cfg) == hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
+    def test_float_fields_hash_as_floats(self, tmp_path):
+        assert config_hash(RunConfig()) == "2d6954d2dad10472"
+        assert config_hash(RunConfig(alpha=1)) == config_hash(RunConfig(alpha=1.0))
+        ints = {field.name: 1 for field in dataclasses.fields(RunConfig)
+                if field.type is float}
+        cfg = RunConfig(**ints)
+        assert all(type(getattr(cfg, name)) is float for name in ints)
+        assert config_hash(cfg) == config_hash(RunConfig(**dict.fromkeys(ints, 1.0)))
+        out = tmp_path / "run"
+        assert run("run-pipeline", "--config", str(fast_toy_config(tmp_path, alpha=1)),
+                   "--out", str(out)) == 0
+        assert '"alpha": 1.0,' in (out / "config.json").read_text()
+        written = read_json(out / "config.json")
+        assert written["config_hash"] == config_hash(load_config(
+            str(fast_toy_config(tmp_path, alpha=1.0)), {}
+        ))
+
     def test_derive_seed_stable_and_labelled(self):
         assert derive_seed(0, "train", 3) == derive_seed(0, "train", 3)
         assert derive_seed(0, "train", 3) != derive_seed(0, "holdout", 3)
@@ -584,11 +601,7 @@ class TestCorpus:
 
 def model_bytes(dictionary, decoder) -> tuple:
     """Everything a dictionary and a decoder hold, as bytes and values."""
-    factors = [
-        array.tobytes()
-        for row in dictionary.shifts for shift in row
-        for array in (shift.factor_a, shift.factor_b)
-    ]
+    factors = [dictionary.factor_a.tobytes(), dictionary.factor_b.tobytes()]
     scalars = (dictionary.layer_dim, dictionary.rank, dictionary.alpha,
                dictionary.init_seed, dictionary.init_scale,
                decoder.frame_shape, decoder.seed)
@@ -601,8 +614,7 @@ def model_arrays(dictionary, decoder) -> list:
     arrays = [decoder.weights, decoder.offsets, decoder.projection,
               decoder.projection_offset, decoder._weight_images,
               decoder._projection_image]
-    for row in dictionary.shifts:
-        arrays += [array for shift in row for array in (shift.factor_a, shift.factor_b)]
+    arrays += [dictionary.factor_a, dictionary.factor_b]
     for images in dictionary._factor_images:
         arrays += images
     return arrays

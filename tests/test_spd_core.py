@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_generate import (
+    LayerShift,
     compose_displacement,
     displaced_layer_forward,
     generate_video as reference_generate,
@@ -37,7 +38,6 @@ from spdmark.spd_core import (
     DEFAULT_RANK,
     MAX_SHIFT_TERMS,
     BasisDictionary,
-    BasisShift,
     ToyDecoder,
     _clean_twin,
     _forward,
@@ -72,27 +72,65 @@ def dense_shift(shift) -> np.ndarray:
     return shift.factor_a @ shift.factor_b
 
 
-class TestBasisShift:
+def stacked(factor_a, factor_b) -> BasisDictionary:
+    return BasisDictionary(factor_a, factor_b, alpha=1.0, init_seed=0, init_scale=1.0)
+
+
+class TestBasisDictionary:
     def test_rank_exceeding_dim_rejected(self):
-        with pytest.raises(ValueError):
-            BasisShift(np.zeros((4, 5)), np.zeros((5, 4)))
+        with pytest.raises(ValueError, match="rank must not exceed"):
+            stacked(np.zeros((1, 2, 4, 5)), np.zeros((1, 2, 5, 4)))
 
     def test_mismatched_factors_rejected(self):
-        with pytest.raises(ValueError):
-            BasisShift(np.zeros((4, 2)), np.zeros((3, 4)))
+        for shape in [(1, 2, 3, 4), (1, 2, 2, 5), (1, 3, 2, 4), (2, 2, 2, 4), (2, 2, 4)]:
+            with pytest.raises(ValueError, match="do not pair up"):
+                stacked(np.zeros((1, 2, 4, 2)), np.zeros(shape))
+
+    def test_stacks_must_be_4d_and_non_empty(self):
+        for shape in [(2, 4, 2), (2, 1, 2, 4, 2), (0, 2, 4, 2), (1, 0, 4, 2), (1, 2, 0, 0)]:
+            with pytest.raises(ValueError, match="L x P x d x r"):
+                stacked(np.zeros(shape), np.zeros(shape[:-2] + shape[:-3:-1]))
+
+    def test_layout_is_read_from_the_shapes(self):
+        dictionary = stacked(np.zeros((3, 2, 5, 4)), np.zeros((3, 2, 4, 5)))
+        assert (dictionary.num_layers, dictionary.bases_per_layer) == (3, 2)
+        assert (dictionary.layer_dim, dictionary.rank) == (5, 4)
+        assert dictionary.key_config() == KeyConfig.from_layout(3, 2)
+
+    def test_rank_zero_accepted(self):
+        dictionary = stacked(np.zeros((2, 4, 3, 0)), np.zeros((2, 4, 0, 3)))
+        assert dictionary.rank == 0 and dictionary.layer_dim == 3
+        factor_a, factor_b = dictionary._factor_images[1]
+        assert factor_a.shape == (4, 3, 0) and factor_b.shape == (4, 0, 3)
 
     def test_numerical_rank_bounded(self):
         rng = np.random.default_rng(7)
-        for _ in range(20):
-            d, r = 16, 5
-            shift = BasisShift(rng.normal(size=(d, r)), rng.normal(size=(r, d)))
-            singular = np.linalg.svd(dense_shift(shift), compute_uv=False)
+        d, r = 16, 5
+        dictionary = stacked(rng.normal(size=(4, 5, d, r)), rng.normal(size=(4, 5, r, d)))
+        for layer, basis in np.ndindex(4, 5):
+            dense = dictionary.factor_a[layer, basis] @ dictionary.factor_b[layer, basis]
+            singular = np.linalg.svd(dense, compute_uv=False)
             assert (singular > 1e-8 * singular[0]).sum() <= r
 
     def test_factors_are_read_only(self):
-        shift = BasisShift(np.zeros((4, 2)), np.zeros((2, 4)))
-        with pytest.raises(ValueError):
-            shift.factor_a[0, 0] = 1.0
+        dictionary = stacked(np.zeros((1, 2, 4, 2)), np.zeros((1, 2, 2, 4)))
+        for factor in (dictionary.factor_a, dictionary.factor_b):
+            assert factor.dtype == np.float64
+            with pytest.raises(ValueError):
+                factor[0, 0, 0, 0] = 1.0
+
+    def test_caller_arrays_do_not_reach_the_dictionary(self):
+        rng = np.random.default_rng(8)
+        factor_a, factor_b = rng.normal(size=(2, 2, 6, 3)), rng.normal(size=(2, 2, 3, 6))
+        dictionary = stacked(factor_a, factor_b)
+        before = [array.tobytes() for array in (
+            dictionary.factor_a, dictionary.factor_b, *dictionary._factor_images[0]
+        )]
+        factor_a[...] = 0.0
+        factor_b[...] = np.nan
+        assert before == [array.tobytes() for array in (
+            dictionary.factor_a, dictionary.factor_b, *dictionary._factor_images[0]
+        )]
 
 
 class TestComposeDisplacement:
@@ -110,9 +148,8 @@ class TestComposeDisplacement:
         mask = key_to_mask(key, CFG)
         shifts = compose_displacement(dictionary, mask)
         for layer, column in enumerate(mask.mask.argmax(axis=1)):
-            expected = dictionary.shifts[layer][column]
-            assert np.array_equal(shifts[layer].factor_a, expected.factor_a)
-            assert np.array_equal(shifts[layer].factor_b, expected.factor_b)
+            assert np.array_equal(shifts[layer].factor_a, dictionary.factor_a[layer, column])
+            assert np.array_equal(shifts[layer].factor_b, dictionary.factor_b[layer, column])
 
     def test_two_hot_matches_dense_sum_oracle(self):
         _, dictionary = small_setup()
@@ -121,8 +158,8 @@ class TestComposeDisplacement:
         mask[:, 3] = 1
         shifts = compose_displacement(dictionary, mask)
         for layer in range(4):
-            oracle = dense_shift(dictionary.shifts[layer][1]) + dense_shift(
-                dictionary.shifts[layer][3]
+            oracle = sum(
+                dictionary.factor_a[layer, p] @ dictionary.factor_b[layer, p] for p in (1, 3)
             )
             np.testing.assert_allclose(dense_shift(shifts[layer]), oracle, rtol=1e-12)
 
@@ -141,7 +178,7 @@ class TestDisplacedLayerForward:
         for _ in range(100):
             weight = rng.normal(size=(d, d))
             offset = rng.normal(size=d)
-            shift = BasisShift(rng.normal(size=(d, r)), rng.normal(size=(r, d)))
+            shift = LayerShift(rng.normal(size=(d, r)), rng.normal(size=(r, d)))
             h = rng.normal(size=d)
             got = displaced_layer_forward(weight, offset, shift, 1.0, h)
             want = weight @ h + offset + dense_shift(shift) @ h
@@ -152,7 +189,7 @@ class TestDisplacedLayerForward:
         d, r = 8, 3
         weight = rng.normal(size=(d, d))
         offset = rng.normal(size=d)
-        shift = BasisShift(rng.normal(size=(d, r)), rng.normal(size=(r, d)))
+        shift = LayerShift(rng.normal(size=(d, r)), rng.normal(size=(r, d)))
         h = rng.normal(size=d)
         np.testing.assert_array_equal(
             displaced_layer_forward(weight, offset, shift, 0.0, h), weight @ h + offset
@@ -163,7 +200,7 @@ class TestDisplacedLayerForward:
         d = 8
         weight = rng.normal(size=(d, d))
         offset = rng.normal(size=d)
-        shift = BasisShift(np.zeros((d, 4)), rng.normal(size=(4, d)))
+        shift = LayerShift(np.zeros((d, 4)), rng.normal(size=(4, d)))
         h = rng.normal(size=d)
         np.testing.assert_array_equal(
             displaced_layer_forward(weight, offset, shift, 1.0, h), weight @ h + offset
@@ -174,7 +211,7 @@ class TestDisplacedLayerForward:
         d, r = 12, 4
         weight = rng.normal(size=(d, d))
         offset = rng.normal(size=d)
-        shift = BasisShift(rng.normal(size=(d, r)), rng.normal(size=(r, d)))
+        shift = LayerShift(rng.normal(size=(d, r)), rng.normal(size=(r, d)))
         h = rng.normal(size=d)
 
         def delta(x):
@@ -185,7 +222,7 @@ class TestDisplacedLayerForward:
         np.testing.assert_allclose(delta(2.5 * h), 2.5 * delta(h), rtol=1e-12)
 
     def test_non_finite_input_rejected(self):
-        shift = BasisShift(np.zeros((4, 2)), np.zeros((2, 4)))
+        shift = LayerShift(np.zeros((4, 2)), np.zeros((2, 4)))
         with pytest.raises(ValueError):
             displaced_layer_forward(
                 np.eye(4), np.zeros(4), shift, 1.0, np.array([1.0, np.nan, 0.0, 0.0])
@@ -196,7 +233,7 @@ class TestDisplacedLayerForward:
         d, r = 64, 32
         weight = rng.normal(size=(d, d))
         offset = rng.normal(size=d)
-        shift = BasisShift(rng.normal(size=(d, r)), rng.normal(size=(r, d)))
+        shift = LayerShift(rng.normal(size=(d, r)), rng.normal(size=(r, d)))
         with record_products() as products:
             displaced_layer_forward(weight, offset, shift, 1.0, rng.normal(size=d))
         assert len(products) == 3
@@ -537,9 +574,8 @@ class TestExactProducts:
         init_dictionary(CFG, layer_dim=64, rank=64)
         with pytest.raises(ValueError, match="layer_dim \\* rank"):
             init_dictionary(CFG, layer_dim=128, rank=33)
-        shift = BasisShift(np.zeros((65, 64)), np.zeros((64, 65)))
         with pytest.raises(ValueError, match="layer_dim \\* rank"):
-            BasisDictionary(((shift, shift),), 65, 64, 1.0, 0, 1.0)
+            stacked(np.zeros((1, 2, 65, 64)), np.zeros((1, 2, 64, 65)))
 
     def test_grids_below_the_normal_range_rejected(self):
         decoder, dictionary = small_setup()
@@ -595,10 +631,21 @@ class TestInitDictionary:
     def test_seeded_determinism(self):
         a = init_dictionary(CFG, layer_dim=16, rank=8, init_seed=42)
         b = init_dictionary(CFG, layer_dim=16, rank=8, init_seed=42)
-        for row_a, row_b in zip(a.shifts, b.shifts):
-            for shift_a, shift_b in zip(row_a, row_b):
-                np.testing.assert_array_equal(shift_a.factor_a, shift_b.factor_a)
-                np.testing.assert_array_equal(shift_a.factor_b, shift_b.factor_b)
+        np.testing.assert_array_equal(a.factor_a, b.factor_a)
+        np.testing.assert_array_equal(a.factor_b, b.factor_b)
+
+    def test_stacks_follow_the_documented_draw_order(self):
+        # One generator, layer by layer, basis by basis, A and then B.
+        dictionary = init_dictionary(CFG, layer_dim=6, rank=3, init_scale=0.4, init_seed=11)
+        rng = np.random.default_rng(11)
+        std = 0.4 / math.sqrt(6)
+        assert dictionary.factor_a.shape == (4, 4, 6, 3)
+        assert dictionary.factor_b.shape == (4, 4, 3, 6)
+        for layer, basis in np.ndindex(4, 4):
+            factor_a = rng.normal(0.0, std, (6, 3))
+            factor_b = rng.normal(0.0, std, (3, 6))
+            assert dictionary.factor_a[layer, basis].tobytes() == factor_a.tobytes()
+            assert dictionary.factor_b[layer, basis].tobytes() == factor_b.tobytes()
 
     def test_zero_scale_matches_undisplaced_output(self):
         decoder, _ = small_setup()
@@ -624,7 +671,7 @@ class TestCleanTwin:
         twin = _clean_twin(dictionary)
         assert twin.alpha == 0.0
         assert dictionary.alpha == cfg.alpha
-        for name in ("shifts", "_factor_images", "_state_ranges"):
+        for name in ("factor_a", "factor_b", "_factor_images", "_state_ranges"):
             assert getattr(twin, name) is getattr(dictionary, name)
         schedule = derive_frame_messages(SECRET, random_key(dictionary.key_config(), 6), 5)
         video = generate_video(decoder, twin, schedule, 4, condition).tobytes()
