@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import BinaryIO
 
 import numpy as np
-from scipy.special import expit
 
 from .keyspace import MessageSequence
 from .spd_core import _read_payload, _video
@@ -285,7 +284,8 @@ def loss_gradients(
     if schedule.message_bits != bit_count:
         raise ValueError("message length must match the extractor bit count")
     for index, bits in enumerate(targets):
-        residual = expit(extractor.logits(marked[index])) - bits
+        # The logistic of the logits, without overflow at any magnitude.
+        residual = np.exp(-np.logaddexp(0.0, -extractor.logits(marked[index]))) - bits
         flat = extractor.weight.T @ residual / (bit_count * num_frames)
         rec_grad[index] = flat.reshape(marked[index].shape)
 

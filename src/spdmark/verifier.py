@@ -22,7 +22,6 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-from scipy.special import gammaln, logsumexp
 
 from .channel_attacks import TamperRecord
 from .keyspace import MessageSequence
@@ -395,35 +394,38 @@ def hungarian_match(sim: SimilarityMatrix) -> Assignment:
     return Assignment(pairs=pairs, total_matched=best)
 
 
-def _log_tail(n: int, k: int, p: float) -> float:
-    # log Pr(X >= k) for X ~ Binomial(n, p), exact summation in log space.
-    j = np.arange(k, n + 1)
-    log_binom = gammaln(n + 1) - gammaln(j + 1) - gammaln(n - j + 1)
-    return float(logsumexp(log_binom + j * math.log(p) + (n - j) * math.log1p(-p)))
-
-
 @lru_cache(maxsize=None)
+def _tails(n: int, p: float) -> tuple[float, ...]:
+    # Pr(X >= k) for X ~ Binomial(n, p), k = 0..n+1.  A float p is c/s, s a
+    # power of two, so s^n Pr(X >= k) = sum_{j >= k} C(n, j) c^j (s - c)^(n - j).
+    # One pass subtracts each term from s^n, stepping terms by their exact
+    # integer ratio, and int / int rounds each tail once to the nearest float.
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must lie in [0, 1]")
+    c, s = p.as_integer_ratio()
+    if c == s:
+        return (1.0,) * (n + 1) + (0.0,)
+    total = left = s**n
+    term = (s - c) ** n
+    tails = []
+    for j in range(n + 1):
+        tails.append(left / total)
+        left -= term
+        term = term * (n - j) * c // ((j + 1) * (s - c))
+    return (*tails, 0.0)
+
+
 def _binomial_tail(n: int, k: int, p: float) -> float:
     if not 0 <= k <= n + 1:
         raise ValueError("k must lie in [0, n + 1]")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    if k <= 0:
-        return 1.0
-    if k > n:
-        return 0.0
-    if p == 0.0:
-        return 0.0
-    if p == 1.0:
-        return 1.0
-    return min(1.0, math.exp(_log_tail(n, k, p)))
+    return _tails(n, p)[k]
 
 
 def binomial_tail(n: int, k: int) -> float:
-    """Pr(X >= k) for X ~ Binomial(n, 1/2), from a float log-space sum:
-    within 1e-12 relative of the exact rational tail (acceptance criterion
-    1 checks it against big-integer tails), not equal to it.  Exact integer
-    tails are ROADMAP open item 4."""
+    """Pr(X >= k) for X ~ Binomial(n, 1/2): the exact rational
+    sum_{j >= k} C(n, j) / 2^n, correctly rounded to the nearest float."""
     return _binomial_tail(n, k, 0.5)
 
 
@@ -433,11 +435,9 @@ def frame_threshold(message_bits: int, gamma_f: float) -> tuple[int, float]:
     that tail probability itself."""
     if not 0.0 < gamma_f <= 1.0:
         raise ValueError("gamma_f must lie in (0, 1]")
-    for tau in range(message_bits + 2):
-        tail = binomial_tail(message_bits, tau)
-        if tail <= gamma_f:
-            return tau, tail
-    raise AssertionError("unreachable: tail(n + 1) is 0")
+    tails = _tails(message_bits, 0.5)
+    tau = next(k for k, tail in enumerate(tails) if tail <= gamma_f)
+    return tau, tails[tau]
 
 
 @lru_cache(maxsize=None)
@@ -448,10 +448,7 @@ def video_threshold(num_pairs: int, p_f: float, gamma_v: float) -> int:
         raise ValueError("gamma_v must lie in (0, 1]")
     if num_pairs < 0:
         raise ValueError("num_pairs must be >= 0")
-    for tau in range(num_pairs + 2):
-        if _binomial_tail(num_pairs, tau, p_f) <= gamma_v:
-            return tau
-    raise AssertionError("unreachable: tail(n + 1) is 0")
+    return next(k for k, tail in enumerate(_tails(num_pairs, p_f)) if tail <= gamma_v)
 
 
 def order_accuracy(pairs: Sequence[tuple[int, int]]) -> float:
@@ -635,6 +632,8 @@ def null_calibration(
     identity_rate = identity_passes / pair_trials
     matched_rate = matched_passes / pair_trials
     standard_error = math.sqrt(p_f * (1.0 - p_f) / pair_trials)
+    # p_f is 0 when gamma_f < 2^-M and 1 at gamma_f = 1; every rate is then p_f.
+    z = (identity_rate - p_f) / standard_error if standard_error else None
     return {
         "message_bits": message_bits,
         "num_frames": num_frames,
@@ -647,12 +646,12 @@ def null_calibration(
         "identity_pass_rate": identity_rate,
         "identity_pass_interval": wilson_interval(identity_passes, pair_trials),
         "identity_pass_standard_error": standard_error,
-        "identity_pass_z": (identity_rate - p_f) / standard_error,
+        "identity_pass_z": z,
         "identity_valid_count": identity_valid,
         "identity_valid_rate": identity_valid / trials,
         "matched_pass_rate": matched_rate,
         "matched_pass_interval": wilson_interval(matched_passes, pair_trials),
-        "matched_pass_inflation": matched_rate / p_f if p_f else float("inf"),
+        "matched_pass_inflation": matched_rate / p_f if p_f else None,
         "matched_valid_count": matched_valid,
         "matched_valid_rate": matched_valid / trials,
         "matched_valid_interval": wilson_interval(matched_valid, trials),

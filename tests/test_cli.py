@@ -801,3 +801,31 @@ class TestCalibrateCommand:
         captured = capsys.readouterr()
         assert code == 0
         assert "warning" not in captured.err
+
+    def test_unreachable_frame_threshold_writes_strict_json(self, tmp_path, capsys):
+        """gamma_f below 2^-M gives p_f = 0; the reports must still be written,
+        as JSON with no NaN or Infinity."""
+
+        def strict(path: Path) -> dict:
+            def reject(name):
+                raise ValueError(f"non-standard JSON constant {name}")
+
+            return json.loads(path.read_text(), parse_constant=reject)
+
+        out = tmp_path / "calibration.json"
+        assert run("calibrate", "--trials", "1000", "--frames", "10",
+                   "--gamma-f", "1e-9", "--out", str(out)) == 0
+        doc = strict(out)
+        assert (doc["tau_f"], doc["p_f"]) == (29, 0.0)
+        assert doc["identity_pass_z"] is None
+        assert doc["matched_pass_inflation"] is None
+        cfg = tmp_path / "cfg.json"
+        write_json(cfg, {"seed": 4, "num_frames": 10, "trials": 2,
+                         "calibration_trials": 1000, "gamma_f": 1e-9,
+                         "attacks": [{"attack": "none"}]})
+        assert run("run-pipeline", "--config", str(cfg), "--mode", "channel",
+                   "--out", str(tmp_path / "channel")) == 0
+        capsys.readouterr()
+        report = strict(tmp_path / "channel" / "report.json")
+        assert report["calibration"]["matched_pass_inflation"] is None
+        assert report["rows"][0]["valid_rate"] == 0.0

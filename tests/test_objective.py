@@ -340,6 +340,31 @@ class TestLossGradients:
                 grads["rec"][t].ravel(), expected, rtol=1e-12, atol=1e-15
             )
 
+    def test_recovery_gradient_at_extreme_logits_matches_expit(self):
+        # scipy's logistic is the oracle; the recovery gradient computes its
+        # own and must neither overflow nor lose relative accuracy where
+        # 1 / (1 + e^-s) is as small as e^-700.
+        from scipy.special import expit
+
+        clean, marked, _, schedule, weights = make_instance(5)
+        weight = np.random.default_rng(5).normal(0, 0.01, (6, 48))
+        frames, bits = len(schedule), 6
+        cases = (
+            ([800, -800, 700, -700, 30, -30], schedule),
+            # Every residual is the logistic itself, about e^-700.
+            ([-700] * 6, MessageSequence(np.zeros((frames, bits)))),
+        )
+        for bias, messages in cases:
+            extractor = LinearExtractor(weight, np.array(bias, dtype=np.float64))
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                rec = loss_gradients(clean, marked, extractor, messages, weights)["rec"]
+            assert np.isfinite(rec).all()
+            for t in range(frames):
+                residual = expit(extractor.logits(marked[t])) - messages.messages[t]
+                expected = weight.T @ residual / (bits * frames)
+                assert np.abs(expected).max() > 0.0
+                np.testing.assert_allclose(rec[t].ravel(), expected, rtol=1e-12, atol=0)
+
     def test_components_sum_to_total(self):
         clean, marked, extractor, schedule, weights = make_instance(21)
         grads = loss_gradients(clean, marked, extractor, schedule, weights)

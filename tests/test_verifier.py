@@ -79,19 +79,12 @@ class TestBinomialTail:
         assert binomial_tail(2, 2) == 0.25
 
     def test_worked_tail_at_threshold(self):
-        assert math.isclose(
-            binomial_tail(28, 23), 122438 / 2**28, rel_tol=1e-12
-        )
+        assert binomial_tail(28, 23) == 122438 / 2**28
 
     def test_matches_big_integer_oracle_up_to_64(self):
         for n in range(1, 65):
             for k in range(n + 2):
-                want = float(exact_tail(n, k))
-                got = binomial_tail(n, k)
-                if want == 0.0:
-                    assert got == 0.0
-                else:
-                    assert abs(got - want) <= 1e-12 * want
+                assert binomial_tail(n, k) == float(exact_tail(n, k))
 
     def test_invalid_range_rejected(self):
         with pytest.raises(ValueError):
@@ -101,6 +94,9 @@ class TestBinomialTail:
 
 
 class TestBinomialTailCache:
+    """The memoised tails `_tails(n, p)` that every tail, threshold and
+    p-value reads."""
+
     def test_invalid_calls_raise_every_time(self):
         # Exceptions are not cached: each repeat is checked again.
         for _ in range(3):
@@ -108,15 +104,19 @@ class TestBinomialTailCache:
                 spdmark.verifier._binomial_tail(10, 12, 0.5)
             with pytest.raises(ValueError):
                 spdmark.verifier._binomial_tail(10, 3, 1.5)
+            for n, p in ((10, 1.5), (10, -0.5), (10, math.nan), (-1, 0.5)):
+                with pytest.raises(ValueError):
+                    spdmark.verifier._tails(n, p)
 
     def test_cached_values_equal_uncached_on_the_criterion_1_grid(self):
-        tail = spdmark.verifier._binomial_tail
+        tails = spdmark.verifier._tails
         for n in range(0, 65):
+            want = tails.__wrapped__(n, 0.5)
+            assert len(want) == n + 2
+            assert tails(n, 0.5) == want
+            assert tails(n, 0.5) == want
             for k in range(0, n + 2):
-                want = tail.__wrapped__(n, k, 0.5)
-                assert tail(n, k, 0.5) == want
-                assert tail(n, k, 0.5) == want
-                assert binomial_tail(n, k) == want
+                assert binomial_tail(n, k) == want[k]
 
     def test_verdict_document_round_trips_the_p_value(self):
         schedule = make_schedule(12)
@@ -124,7 +124,7 @@ class TestBinomialTailCache:
         rows[::2] = np.random.default_rng(5).integers(0, 2, rows[::2].shape)
         doc = verify(schedule, MessageSequence(rows)).to_doc()
         assert 0.0 < doc["video_p_value"] < 1.0
-        spdmark.verifier._binomial_tail.cache_clear()
+        spdmark.verifier._tails.cache_clear()
         assert Verdict.from_doc(doc).video_p_value == doc["video_p_value"]
         assert Verdict.from_doc(doc).video_p_value == doc["video_p_value"]
 
@@ -133,7 +133,7 @@ class TestFrameThreshold:
     def test_default_design_point(self):
         tau, p_f = frame_threshold(28, 1e-3)
         assert tau == 23
-        assert math.isclose(p_f, float(exact_tail(28, 23)), rel_tol=1e-12)
+        assert p_f == float(exact_tail(28, 23)) == 122438 / 2**28
         # Minimality: one step down exceeds the target.
         assert float(exact_tail(28, 22)) > 1e-3 >= float(exact_tail(28, 23))
 
@@ -186,11 +186,28 @@ class TestVideoThreshold:
             want = float(exact_tail_p(n, k, p))
             from spdmark.verifier import _binomial_tail
 
-            got = _binomial_tail(n, k, float(p))
-            if want == 0.0:
-                assert got <= 1e-300
-            else:
-                assert abs(got - want) <= 1e-11 * want
+            assert _binomial_tail(n, k, float(p)) == want
+
+    @pytest.mark.parametrize("num_pairs", [25, 100, 200, 1000])
+    def test_thresholds_and_tails_match_integer_sums_up_to_1000(self, num_pairs):
+        # Each oracle tail is its own sum of math.comb terms over j >= k,
+        # not the one-pass recurrence, divided once by s^T.
+        _, p_f = frame_threshold(28, 1e-3)
+        c, s = p_f.as_integer_ratio()
+        terms = [
+            math.comb(num_pairs, j) * c**j * (s - c) ** (num_pairs - j)
+            for j in range(num_pairs + 1)
+        ]
+
+        def oracle(k: int) -> float:
+            return sum(terms[k:]) / s**num_pairs
+
+        for gamma_v in (1e-2, 1e-6, 1e-9):
+            tau = video_threshold(num_pairs, p_f, gamma_v)
+            assert 1 <= tau <= num_pairs
+            assert oracle(tau) <= gamma_v < oracle(tau - 1)
+            for k in {0, 1, tau - 1, tau, tau + 1, num_pairs, num_pairs + 1}:
+                assert spdmark.verifier._binomial_tail(num_pairs, k, p_f) == oracle(k)
 
 
 class TestSimilarityMatrix:
@@ -770,3 +787,20 @@ class TestNullCalibration:
         a = null_calibration(28, 10, 1e-3, 1e-6, trials=50, seed=3)
         b = null_calibration(28, 10, 1e-3, 1e-6, trials=50, seed=3)
         assert a == b
+
+    def test_degenerate_pass_probabilities_report_none(self):
+        # gamma_f < 2^-28 leaves tau_f = 29 and p_f = 0: no pair can pass.
+        # gamma_f = 1 leaves tau_f = 0 and p_f = 1: every pair passes.  The
+        # z-score, and at p_f = 0 the inflation, would divide by zero.
+        never = null_calibration(28, 10, 1e-9, 1e-6, trials=20, seed=3)
+        assert (never["tau_f"], never["p_f"], never["tau_v"]) == (29, 0.0, 1)
+        assert never["identity_pass_rate"] == never["matched_pass_rate"] == 0.0
+        assert never["identity_pass_z"] is None
+        assert never["matched_pass_inflation"] is None
+        always = null_calibration(28, 10, 1.0, 1e-6, trials=20, seed=3)
+        assert (always["tau_f"], always["p_f"]) == (0, 1.0)
+        assert always["identity_pass_rate"] == always["matched_pass_rate"] == 1.0
+        assert always["identity_pass_z"] is None
+        assert always["matched_pass_inflation"] == 1.0
+        for report in (never, always):
+            json.dumps(report, allow_nan=False)
