@@ -17,7 +17,6 @@ import contextlib
 import dataclasses
 import functools
 import hashlib
-import io
 import json
 import math
 import os
@@ -505,15 +504,9 @@ def _read_record(path: str) -> Optional[TamperRecord]:
     return None if doc is None else TamperRecord.from_doc(doc)
 
 
-def _write_binary(path, writer, reader, value):
-    """Write `value` to `path` with `writer` and return it as `reader` reads
-    those bytes back, so later stages see the stored (float32) precision
-    whether or not they run in the same process."""
-    buffer = io.BytesIO()
-    writer(buffer, value)
-    Path(path).write_bytes(buffer.getvalue())
-    buffer.seek(0)
-    return reader(buffer)
+def _write_binary(path, writer, value) -> None:
+    with open(path, "wb") as stream:
+        writer(stream, value)
 
 
 def _key_file(cfg: RunConfig, key) -> dict:
@@ -550,9 +543,9 @@ def cmd_embed(cfg: RunConfig, args) -> int:
         marked, clean = _embed(
             cfg, toy_components(cfg), _read_schedule(args.schedule), bool(args.clean_out)
         )
-        _write_binary(args.out, write_video, read_video, marked)
+        _write_binary(args.out, write_video, marked)
         if clean is not None:
-            _write_binary(args.clean_out, write_video, read_video, clean)
+            _write_binary(args.clean_out, write_video, clean)
     return 0
 
 
@@ -572,7 +565,7 @@ def cmd_attack(cfg: RunConfig, args) -> int:
         else:
             if not args.out:
                 raise ConfigError("attacking a video writes binary output and needs --out")
-            _write_binary(args.out, write_video, read_video, attacked)
+            _write_binary(args.out, write_video, attacked)
         if args.record:
             _emit(_record_doc(record), args.record)
     return 0
@@ -603,7 +596,7 @@ def cmd_fit_extractor(cfg: RunConfig, args) -> int:
         components = toy_components(cfg)
         extractor, train = _fit_extractor(cfg, components)
         out_path = args.out or str(Path(cfg.out_dir) / "extractor.bin")
-        _write_binary(out_path, write_extractor, read_extractor, extractor)
+        _write_binary(out_path, write_extractor, extractor)
         held = build_corpus(
             cfg, "holdout", cfg.holdout_videos, cfg.train_frames, *components
         )
@@ -671,27 +664,23 @@ def _toy_pipeline(cfg: RunConfig, out: Path) -> int:
     with _stage("embed", seconds):
         components = toy_components(cfg)
         marked, clean = _embed(cfg, components, schedule, with_clean=True)
-        stored_marked = _write_binary(out / "marked.spdf", write_video, read_video, marked)
-        _write_binary(out / "clean.spdf", write_video, read_video, clean)
+        _write_binary(out / "marked.spdf", write_video, marked)
+        _write_binary(out / "clean.spdf", write_video, clean)
     with _stage("fit-extractor", seconds):
         extractor, _ = _fit_extractor(cfg, components)
-        stored_extractor = _write_binary(
-            out / "extractor.bin", write_extractor, read_extractor, extractor
-        )
+        _write_binary(out / "extractor.bin", write_extractor, extractor)
     with _stage("attack", seconds):
-        attacked, record = _attack(cfg, stored_marked)
-        attacked = _write_binary(out / "attacked.spdf", write_video, read_video, attacked)
+        attacked, record = _attack(cfg, marked)
+        _write_binary(out / "attacked.spdf", write_video, attacked)
         _emit(_record_doc(record), str(out / "tamper.json"))
     with _stage("extract", seconds):
-        extracted = _extract(stored_extractor, attacked)
+        extracted = _extract(extractor, attacked)
         _emit(extraction_document(extracted), str(out / "extraction.json"))
     with _stage("verify", seconds):
         verdict = _verify(cfg, schedule, extracted)
         _emit(verdict.to_doc(_record_doc(record)), str(out / "verdict.json"))
     with _stage("diagnose", seconds):
         _emit(diagnose_tampering(verdict, record).to_doc(), str(out / "diagnosis.json"))
-    # The losses compare the videos and extractor as generated and fitted,
-    # before they are stored at float32.
     with _stage("losses", seconds):
         losses = loss_report(
             clean, marked, extractor, schedule, LossWeights(cfg.lambda_ps, cfg.lambda_tc)

@@ -28,7 +28,7 @@ from typing import BinaryIO
 import numpy as np
 
 from .keyspace import MessageSequence
-from .spd_core import _read_payload, _video
+from .spd_core import _frozen, _read_payload, _video
 
 __all__ = [
     "LossWeights",
@@ -55,6 +55,7 @@ DEFAULT_RIDGE_LAMBDA = 1e-3
 
 # The extractor header is one short JSON line; anything longer is not one.
 _MAX_HEADER_BYTES = 4096
+_EXTRACTOR_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -84,8 +85,8 @@ class LinearExtractor:
     ridge_lambda: float = DEFAULT_RIDGE_LAMBDA
 
     def __post_init__(self) -> None:
-        weight = np.asarray(self.weight, dtype=np.float64)
-        bias = np.asarray(self.bias, dtype=np.float64)
+        weight = _frozen(self.weight)
+        bias = _frozen(self.bias)
         if weight.ndim != 2:
             raise ValueError("weight must be a 2-D matrix")
         if bias.ndim != 1 or bias.shape[0] != weight.shape[0]:
@@ -94,10 +95,6 @@ class LinearExtractor:
             raise ValueError("extractor parameters must be finite")
         if not np.isfinite(self.ridge_lambda) or self.ridge_lambda < 0:
             raise ValueError("ridge_lambda must be finite and >= 0")
-        weight = weight.copy()
-        bias = bias.copy()
-        weight.setflags(write=False)
-        bias.setflags(write=False)
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "bias", bias)
 
@@ -345,34 +342,31 @@ def bit_accuracy(
 
 
 def write_extractor(stream: BinaryIO, extractor: LinearExtractor) -> None:
-    """Serialize as a JSON header line followed by float32 little-endian
-    weight and bias blobs."""
+    """Serialize as a JSON header line with "version": 2, then float64
+    little-endian weight and bias blobs, which read back bit for bit."""
     header = {
+        "version": _EXTRACTOR_VERSION,
         "message_bits": extractor.message_bits,
         "features": extractor.num_features,
         "ridge_lambda": extractor.ridge_lambda,
     }
     stream.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
-    stream.write(extractor.weight.astype("<f4").tobytes())
-    stream.write(extractor.bias.astype("<f4").tobytes())
+    stream.write(extractor.weight.astype("<f8", copy=False).tobytes())
+    stream.write(extractor.bias.astype("<f8", copy=False).tobytes())
 
 
 def read_extractor(stream: BinaryIO) -> LinearExtractor:
-    header_line = bytearray()
-    while True:
-        byte = stream.read(1)
-        if not byte:
-            raise ValueError("truncated extractor header")
-        if byte == b"\n":
-            break
-        if len(header_line) == _MAX_HEADER_BYTES:
+    header_line = stream.readline(_MAX_HEADER_BYTES + 1)
+    if not header_line.endswith(b"\n"):
+        if len(header_line) > _MAX_HEADER_BYTES:
             raise ValueError(f"extractor header exceeds {_MAX_HEADER_BYTES} bytes")
-        header_line += byte
+        raise ValueError("truncated extractor header")
     try:
         header = json.loads(header_line.decode("ascii"))
     except RecursionError:
         raise ValueError("extractor header is nested too deeply") from None
     try:
+        version = header["version"]
         bits = int(header["message_bits"])
         features = int(header["features"])
         ridge_lambda = float(header["ridge_lambda"])
@@ -380,16 +374,18 @@ def read_extractor(stream: BinaryIO) -> LinearExtractor:
         raise ValueError(f"extractor header is missing key {exc.args[0]!r}") from None
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"malformed extractor header: {exc}") from None
+    if type(version) is not int or version != _EXTRACTOR_VERSION:
+        raise ValueError(f"unsupported extractor format version {version!r}")
     if bits < 1 or features < 1:
         raise ValueError(
             f"extractor header declares {bits} bits x {features} features; "
             "both must be positive"
         )
     payload = np.frombuffer(
-        _read_payload(stream, 4 * bits * (features + 1), "extractor"), dtype="<f4"
+        _read_payload(stream, 8 * bits * (features + 1), "extractor"), dtype="<f8"
     )
     return LinearExtractor(
-        weight=payload[: bits * features].reshape(bits, features).astype(np.float64),
-        bias=payload[bits * features :].astype(np.float64),
+        weight=payload[: bits * features].reshape(bits, features),
+        bias=payload[bits * features :],
         ridge_lambda=ridge_lambda,
     )

@@ -97,7 +97,7 @@ MAX_SHIFT_TERMS = 1 << (53 - 2 * _PARAM_BITS - _STATE_BITS)
 _LATENT_BLOCK = 256
 
 _VIDEO_MAGIC = b"SPDF"
-_VIDEO_VERSION = 1
+_VIDEO_VERSION = 2
 _READ_CHUNK_BYTES = 1 << 20
 
 _product_log: contextvars.ContextVar = contextvars.ContextVar(
@@ -187,7 +187,7 @@ def _intersect(*ranges) -> tuple[int, int]:
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=np.float64)
+    out = np.array(arr, dtype=np.float64, order="C")
     out.setflags(write=False)
     return out
 
@@ -392,7 +392,8 @@ def _forward(
     latents: np.ndarray,
 ) -> np.ndarray:
     """Pixel rows (n, 3*H*W) for n latents, frame i displaced at layer ell by
-    basis indices[i, ell]; `latents` is used as scratch space.
+    basis indices[i, ell], in an array of their own; `latents` is used as
+    scratch space.
 
     Hidden states are (n, d) rows, rounded frame by frame.  Each product runs
     over all rows, or over the rows of one basis, as one matrix-matrix
@@ -435,7 +436,8 @@ def _forward(
     if displaced:
         out[frames] = state
         state = out
-    raster = _matmul(decoder._projection_image, state[:, :, None])[:, :, 0]
+    raster = np.empty((len(state), len(decoder.projection_offset)))
+    _matmul(decoder._projection_image, state[:, :, None], raster[:, :, None])
     raster += decoder.projection_offset
     _check_finite(raster, "pixel values")
     return np.clip(raster, 0.0, 1.0, out=raster)
@@ -472,6 +474,7 @@ def generate_frames(
     latents = _frame_latents(frame_seeds, decoder.layer_dim, latent_scale)
     latents += condition
     pixels = _forward(decoder, dictionary, indices, latents)
+    # Read-only rows that _forward owns become the video without a copy.
     pixels.setflags(write=False)
     return _video(pixels.reshape(len(bits), *decoder.frame_shape))
 
@@ -563,15 +566,15 @@ def random_condition(layer_dim: int, seed: int) -> np.ndarray:
 
 
 def write_video(stream: BinaryIO, video) -> None:
-    """Write a video in the toy format: magic "SPDF", version byte, then
+    """Write a video in the toy format: magic "SPDF", version byte 2, then
     T, H, W, C as 4-byte big-endian unsigned, then frame-major, channel-major,
-    row-major float32 little-endian pixels."""
+    row-major float64 little-endian pixels, which read back bit for bit."""
     video = _video(video)
     num_frames, channels, height, width = video.shape
     stream.write(_VIDEO_MAGIC)
     stream.write(struct.pack("B", _VIDEO_VERSION))
     stream.write(struct.pack(">IIII", num_frames, height, width, channels))
-    stream.write(video.astype("<f4").tobytes())
+    stream.write(video.astype("<f8", copy=False).tobytes())
 
 
 def _read_payload(stream: BinaryIO, size: int, what: str) -> bytes:
@@ -601,8 +604,8 @@ def read_video(stream: BinaryIO) -> np.ndarray:
     if min(num_frames, height, width, channels) < 1:
         raise ValueError("video header declares an empty dimension")
     pixels = np.frombuffer(
-        _read_payload(stream, 4 * num_frames * channels * height * width, "video"),
-        dtype="<f4",
+        _read_payload(stream, 8 * num_frames * channels * height * width, "video"),
+        dtype="<f8",
     )
     return _video(pixels.reshape(num_frames, channels, height, width))
 

@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import reference_attacks
 from spdmark.channel_attacks import (
+    MAX_FRAMES,
     ChannelSpec,
     TamperRecord,
     apply_attack,
@@ -32,6 +34,10 @@ from spdmark.keyspace import (
 
 CFG = KeyConfig.from_layout(14, 4)
 SECRET = BaseSecret(b"attack-test-secret-0")
+
+
+# The message of a record whose lengths break the frame bound.
+OUT_OF_BOUND = re.escape(f"[1, {MAX_FRAMES}]")
 
 
 def make_sequence(num_frames: int, seed: int = 0) -> MessageSequence:
@@ -378,15 +384,27 @@ class TestRecordReconciliation:
     def test_huge_lengths_checked_without_enumerating_them(self):
         huge = 10**18
         doc = apply_attack(make_sequence(3), {"attack": "none"})[1].to_doc()
-        with pytest.raises(ValueError, match="reconcile"):
+        with pytest.raises(ValueError, match=OUT_OF_BOUND):
             TamperRecord.from_doc({**doc, "source_length": huge})
-        with pytest.raises(ValueError, match="reconcile"):
+        with pytest.raises(ValueError, match=OUT_OF_BOUND):
             TamperRecord.from_doc({**doc, "output_length": huge, "inserted": [huge]})
+        with pytest.raises(ValueError, match="reconcile"):
+            TamperRecord.from_doc({**doc, "source_length": MAX_FRAMES})
+        last = MAX_FRAMES
         record = TamperRecord.from_doc(
-            {**doc, "source_length": huge, "trim_head": huge - 3,
-             "permutation": [[huge - 2, 1], [huge - 1, 2], [huge, 3]]}
+            {**doc, "source_length": last, "trim_head": last - 3,
+             "permutation": [[last - 2, 1], [last - 1, 2], [last, 3]]}
         )
         assert record.output_length == 3
+
+    def test_attacks_share_the_frame_bound(self):
+        bits = np.zeros((MAX_FRAMES + 1, 4), dtype=np.uint8)
+        _, record = apply_attack(MessageSequence(bits[:-1]), {"attack": "none"})
+        assert record.source_length == MAX_FRAMES
+        with pytest.raises(ValueError, match=OUT_OF_BOUND):
+            apply_attack(MessageSequence(bits), {"attack": "none"})
+        with pytest.raises(ValueError, match=OUT_OF_BOUND):
+            attack_insert(MessageSequence(bits[:-1]), 0.5, "noise", seed=1)
 
 
 class TestVideoMessageCommutation:

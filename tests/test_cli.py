@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -33,8 +34,11 @@ from spdmark.cli import (
     main,
     toy_components,
 )
+from spdmark.channel_attacks import MAX_FRAMES
 from spdmark.keyspace import KeyConfig, MessageSequence, bits_to_hex, random_key
-from spdmark.spd_core import init_dictionary, init_toy_decoder
+from spdmark.objective import read_extractor
+from spdmark.spd_core import init_dictionary, init_toy_decoder, read_video
+from spdmark.verifier import verify
 
 
 def run(*argv) -> int:
@@ -420,6 +424,22 @@ class TestAttackDiagnoseFlow:
         assert err["stage"] == "diagnose"
         assert "missing key 'frames'" in err["message"]
 
+    def test_verdict_claiming_a_huge_length_exits_4_at_once(self, tmp_path, capsys):
+        # One frame, consistent in every recomputed field, that claims 10**12
+        # extracted frames: diagnosing it would walk all of them.
+        one = MessageSequence([[1, 0] * 14])
+        doc = verify(one, one).to_doc()
+        doc["num_extracted"] = 10**12
+        verdict = tmp_path / "verdict.json"
+        verdict.write_text(json.dumps(doc))
+        assert verdict.stat().st_size < 400
+        started = time.perf_counter()
+        assert run("diagnose", "--verdict", str(verdict)) == 4
+        assert time.perf_counter() - started < 1.0
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["stage"] == "diagnose"
+        assert f"[1, {MAX_FRAMES}]" in err["message"]
+
     def test_empty_tamper_record_names_the_missing_key(self, schedule_files, capsys):
         tmp_path, _, schedule = schedule_files
         extraction = tmp_path / "extraction.json"
@@ -546,6 +566,49 @@ class TestToyVideoFlow:
         want = 0 if read_json(pipeline / "verdict.json")["valid"] else 3
         assert code == want
         assert codes == [0] * 6 + [want, 0]
+
+    @pytest.mark.parametrize(
+        "attack",
+        [{"attack": "drop", "fraction": 0.3}, {"attack": "pixel_noise"}],
+        ids=["drop", "pixel_noise"],
+    )
+    def test_binary_artifacts_read_back_as_produced(self, tmp_path, capsys, monkeypatch,
+                                                    attack):
+        # Each binary artifact reads back bit for bit as the array its stage
+        # produced, and later stages take those arrays, not a read-back copy.
+        written, extracted_with = {}, []
+        write_binary, extract = spdmark.cli._write_binary, spdmark.cli._extract
+
+        def record_write(path, writer, value):
+            written[Path(path).name] = value
+            write_binary(path, writer, value)
+
+        def record_extract(extractor, video):
+            extracted_with.extend((extractor, video))
+            return extract(extractor, video)
+
+        monkeypatch.setattr(spdmark.cli, "_write_binary", record_write)
+        monkeypatch.setattr(spdmark.cli, "_extract", record_extract)
+        out = tmp_path / "run"
+        cfg = str(fast_toy_config(tmp_path, attack=attack))
+        assert run("run-pipeline", "--config", cfg, "--out", str(out)) in (0, 3)
+        capsys.readouterr()
+        assert sorted(written) == [
+            "attacked.spdf", "clean.spdf", "extractor.bin", "marked.spdf"
+        ]
+        for name in ("attacked.spdf", "clean.spdf", "marked.spdf"):
+            with open(out / name, "rb") as stream:
+                video = read_video(stream)
+            assert video.shape == written[name].shape, name
+            assert video.tobytes() == written[name].tobytes(), name
+        with open(out / "extractor.bin", "rb") as stream:
+            extractor = read_extractor(stream)
+        produced = written["extractor.bin"]
+        assert extractor.weight.tobytes() == produced.weight.tobytes()
+        assert extractor.bias.tobytes() == produced.bias.tobytes()
+        assert extractor.ridge_lambda == produced.ridge_lambda
+        assert extracted_with[0] is produced
+        assert extracted_with[1] is written["attacked.spdf"]
 
     def test_toy_path_runs_without_scipy_linalg(self, tmp_path, capsys, monkeypatch):
         # The toy path does its dense linear algebra in numpy's OpenBLAS; a

@@ -518,6 +518,50 @@ class TestSerialization:
         np.testing.assert_allclose(loaded.weight, extractor.weight, atol=1e-6)
         np.testing.assert_allclose(loaded.bias, extractor.bias, atol=1e-6)
 
+    def test_round_trip_is_bitwise_exact(self):
+        rng = np.random.default_rng(23)
+        # fit_extractor passes its weight as a transposed view; the extractor
+        # holds a C-contiguous copy, so its products and the blob agree.
+        extractor = LinearExtractor(
+            rng.normal(0, 1, (48, 6)).T / 3, rng.normal(0, 1, 6) / 7, ridge_lambda=1e-3
+        )
+        assert extractor.weight.flags.c_contiguous
+        buffer = io.BytesIO()
+        write_extractor(buffer, extractor)
+        raw = buffer.getvalue()
+        header, payload = raw.split(b"\n", 1)
+        assert json.loads(header)["version"] == 2
+        weight_blob = extractor.weight.astype("<f8").tobytes()
+        assert payload == weight_blob + extractor.bias.astype("<f8").tobytes()
+        loaded = read_extractor(io.BytesIO(raw))
+        assert loaded.weight.tobytes() == extractor.weight.tobytes()
+        assert loaded.bias.tobytes() == extractor.bias.tobytes()
+        assert loaded.ridge_lambda == extractor.ridge_lambda
+
+    @pytest.mark.parametrize(
+        "version, message",
+        [
+            (None, "missing key 'version'"),
+            (1, "version 1$"),
+            (3, "version 3$"),
+            ("2", "version '2'$"),
+            (2.0, "version 2.0$"),
+            (True, "version True$"),
+        ],
+    )
+    def test_other_versions_rejected(self, version, message):
+        buffer = io.BytesIO()
+        write_extractor(buffer, LinearExtractor(np.ones((2, 3)), np.zeros(2)))
+        header, payload = buffer.getvalue().split(b"\n", 1)
+        doc = json.loads(header)
+        if version is None:
+            del doc["version"]
+        else:
+            doc["version"] = version
+        raw = json.dumps(doc).encode() + b"\n" + payload
+        with pytest.raises(ValueError, match=message):
+            read_extractor(io.BytesIO(raw))
+
     def test_truncated_stream_rejected(self):
         extractor = LinearExtractor(np.zeros((2, 12)), np.zeros(2))
         buffer = io.BytesIO()
@@ -539,7 +583,10 @@ class TestSerialization:
         ],
     )
     def test_malformed_header_rejected(self, header, message, tmp_path):
-        raw = json.dumps({"ridge_lambda": 0.001, **header}).encode() + b"\n" + b"\0" * 64
+        raw = (
+            json.dumps({"version": 2, "ridge_lambda": 0.001, **header}).encode()
+            + b"\n" + b"\0" * 64
+        )
         with pytest.raises(ValueError, match=message):
             read_extractor(io.BytesIO(raw))
         path = tmp_path / "extractor.bin"

@@ -383,6 +383,25 @@ class TestBatchedGeneration:
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
+    def test_video_is_the_raster_forward_wrote(self, monkeypatch):
+        # The pixels _forward projects are read-only and owned by it, so
+        # the video is made of them without a copy.
+        rasters = []
+
+        def recorded(*args):
+            rasters.append(_forward(*args))
+            return rasters[-1]
+
+        monkeypatch.setattr(spdmark.spd_core, "_forward", recorded)
+        decoder, dictionary = small_setup()
+        schedule = derive_frame_messages(SECRET, random_key(CFG, 5), 6)
+        video = generate_video(decoder, dictionary, schedule, 7, random_condition(16, 2))
+        (raster,) = rasters
+        assert not raster.flags.writeable and raster.base is None
+        assert np.shares_memory(video, raster)
+        assert not video.flags.writeable
+        assert video.tobytes() == raster.tobytes()
+
     def test_batch_equals_per_video_and_single_frame_calls(self):
         decoder, dictionary = small_setup()
         condition = random_condition(16, 4)
@@ -704,29 +723,32 @@ class TestVideoFile:
         write_video(buffer, video)
         buffer.seek(0)
         loaded = read_video(buffer)
-        assert len(loaded) == 4
-        np.testing.assert_allclose(loaded, video.astype(np.float32), rtol=0, atol=0)
+        assert loaded.dtype == np.float64
+        assert loaded.shape == video.shape == (4, 3, 4, 4)
+        assert not loaded.flags.writeable
+        assert loaded.tobytes() == video.tobytes()
 
     def test_header_layout(self):
-        frame = np.zeros((3, 2, 5))
+        frame = np.arange(30, dtype=np.float64).reshape(3, 2, 5) / 7
         buffer = io.BytesIO()
         write_video(buffer, frame[None])
         raw = buffer.getvalue()
         assert raw[:4] == b"SPDF"
-        assert raw[4] == 1
+        assert raw[4] == 2
         assert raw[5:21] == (
             (1).to_bytes(4, "big")
             + (2).to_bytes(4, "big")
             + (5).to_bytes(4, "big")
             + (3).to_bytes(4, "big")
         )
-        assert len(raw) == 21 + 4 * 3 * 2 * 5
+        assert len(raw) == 21 + 8 * 3 * 2 * 5
+        assert raw[21:] == frame.astype("<f8").tobytes()
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_payload_rejected(self, value, tmp_path):
         raw = io.BytesIO()
         write_video(raw, np.full((2, 3, 2, 2), 0.5))
-        data = raw.getvalue()[:-4] + np.array([value], dtype="<f4").tobytes()
+        data = raw.getvalue()[:-8] + np.array([value], dtype="<f8").tobytes()
         with pytest.raises(ValueError, match="finite"):
             read_video(io.BytesIO(data))
         path = tmp_path / "video.spdf"
@@ -750,6 +772,16 @@ class TestVideoFile:
         with pytest.raises(ValueError):
             write_video(buffer, video)
         assert buffer.getvalue() == b""
+
+    @pytest.mark.parametrize("version", [0, 1, 3, 255])
+    def test_other_versions_rejected(self, version):
+        # The version-1 layout, float32 pixels, under each version byte but 2.
+        raw = io.BytesIO()
+        write_video(raw, np.full((1, 3, 2, 2), 0.5))
+        header = raw.getvalue()[:21]
+        data = header[:4] + bytes([version]) + header[5:] + np.full(12, 0.5, "<f4").tobytes()
+        with pytest.raises(ValueError, match=f"version {version}$"):
+            read_video(io.BytesIO(data))
 
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError):
@@ -784,7 +816,7 @@ class TestVideoFile:
         ],
     )
     def test_malformed_header_rejected(self, dims, tmp_path):
-        raw = b"SPDF\x01" + b"".join(d.to_bytes(4, "big") for d in dims) + b"\x00" * 48
+        raw = b"SPDF\x02" + b"".join(d.to_bytes(4, "big") for d in dims) + b"\x00" * 48
         with pytest.raises(ValueError):
             read_video(io.BytesIO(raw))
         path = tmp_path / "bad.spdf"

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -19,6 +20,7 @@ from reference_match import _similarity as reference_similarity
 from reference_match import hungarian_match as reference_match
 from reference_verdict import _verdict_from_matrix as reference_verdict
 from spdmark.channel_attacks import (
+    MAX_FRAMES,
     ChannelSpec,
     apply_attack,
     attack_drop,
@@ -649,6 +651,33 @@ class TestVerify:
         del doc["tau_v"]
         with pytest.raises(ValueError, match="'tau_v'"):
             Verdict.from_doc(doc)
+
+    def test_lengths_beyond_the_bound_rejected_before_matching(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("similarity computed for an over-long sequence")
+
+        monkeypatch.setattr(spdmark.verifier, "similarity_matrix", refuse)
+        long = MessageSequence(np.zeros((MAX_FRAMES + 1, 28), dtype=np.uint8))
+        short = make_schedule(3)
+        for expected, extracted in ((long, short), (short, long)):
+            with pytest.raises(ValueError, match=f"at most {MAX_FRAMES} frames"):
+                verify(expected, extracted)
+
+    @pytest.mark.parametrize("key", ["num_expected", "num_extracted"])
+    def test_verdict_lengths_beyond_the_bound_rejected(self, key, monkeypatch):
+        schedule = make_schedule(1)
+        doc = verify(schedule, ideal(schedule)).to_doc()
+        # One frame against MAX_FRAMES is still a verdict verify can write.
+        at_bound = Verdict.from_doc({**doc, key: MAX_FRAMES})
+        assert getattr(at_bound, key) == MAX_FRAMES
+
+        def refuse(*args):
+            raise AssertionError("verdict rebuilt for over-long lengths")
+
+        monkeypatch.setattr(spdmark.verifier, "_verdict", refuse)
+        for length in (MAX_FRAMES + 1, 10**12):
+            with pytest.raises(ValueError, match=re.escape(f"[1, {MAX_FRAMES}]")):
+                Verdict.from_doc({**doc, key: length})
 
     def test_video_p_value_extremes(self):
         schedule = make_schedule(10)
