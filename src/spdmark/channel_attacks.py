@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .keyspace import MessageSequence, _unchecked_sequence
+from .keyspace import MessageSequence, _document, _unchecked_sequence
 from .spd_core import _video
 
 __all__ = [
@@ -112,13 +112,6 @@ class TamperRecord:
         """All originals absent from the output: dropped plus trimmed."""
         return frozenset(self.dropped | self.trimmed)
 
-    def is_identity(self) -> bool:
-        return (
-            not self.removed_indices
-            and not self.inserted
-            and all(k == v for k, v in self.permutation.items())
-        )
-
     def to_doc(self) -> dict:
         return {
             "source_length": self.source_length,
@@ -132,7 +125,7 @@ class TamperRecord:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "TamperRecord":
-        try:
+        with _document("tamper record"):
             return cls(
                 source_length=int(doc["source_length"]),
                 output_length=int(doc["output_length"]),
@@ -142,10 +135,6 @@ class TamperRecord:
                 trim_head=int(doc["trim_head"]),
                 trim_tail=int(doc["trim_tail"]),
             )
-        except KeyError as exc:
-            raise ValueError(f"tamper record is missing key {exc.args[0]!r}") from None
-        except (TypeError, OverflowError) as exc:
-            raise ValueError(f"malformed tamper record: {exc}") from None
 
 
 @dataclass(frozen=True)

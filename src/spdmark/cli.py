@@ -28,6 +28,7 @@ from pathlib import Path
 from typing import Optional
 
 from .channel_attacks import (
+    MAX_FRAMES,
     ChannelSpec,
     TamperRecord,
     apply_attack,
@@ -35,6 +36,7 @@ from .channel_attacks import (
     parse_attack_spec,
 )
 from .keyspace import (
+    MAX_MESSAGE_BITS,
     BaseSecret,
     KeyConfig,
     MessageSequence,
@@ -194,6 +196,8 @@ class RunConfig:
                      "train_frames", "holdout_videos"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.num_frames > MAX_FRAMES:
+            raise ValueError(f"num_frames must be <= {MAX_FRAMES}, the verifier's bound")
         for name in ("rank", "init_seed", "decoder_seed", "seed", "init_scale",
                      "latent_scale", "lambda_ps", "lambda_tc", "ridge_lambda"):
             if getattr(self, name) < 0:
@@ -209,8 +213,10 @@ class RunConfig:
         if not 0.0 <= self.flip_probability <= 1.0:
             raise ValueError("flip_probability must lie in [0, 1]")
         self.key_config()
-        if self.message_bits > 256:
-            raise ValueError("message_bits must be <= 256, the length of one SHA-256 digest")
+        if self.message_bits > MAX_MESSAGE_BITS:
+            raise ValueError(
+                f"message_bits must be <= {MAX_MESSAGE_BITS}, the length of one SHA-256 digest"
+            )
         if self.rank > self.layer_dim:
             raise ValueError("rank must not exceed layer_dim")
         if self.layer_dim * self.rank > MAX_SHIFT_TERMS:

@@ -30,6 +30,7 @@ __all__ = [
     "WatermarkKey",
     "FrameMessage",
     "MessageSequence",
+    "MAX_MESSAGE_BITS",
     "SelectionMask",
     "BaseSecret",
     "key_to_mask",
@@ -59,6 +60,8 @@ _FRAME_INDEX_BYTES = 8
 _SHA256_BLOCK = 64
 _INNER_PAD = bytes(b ^ 0x36 for b in range(256))
 _OUTER_PAD = bytes(b ^ 0x5C for b in range(256))
+# A frame message is cut from one 256-bit HMAC-SHA256 digest.
+MAX_MESSAGE_BITS = 256
 
 
 @dataclass(frozen=True)
@@ -295,8 +298,8 @@ def derive_schedules(
     if len(widths) != 1:
         raise ValueError("keys must all have the same number of bits")
     (m,) = widths
-    if m > 256:
-        raise ValueError("a message is cut from one 256-bit HMAC-SHA256 digest")
+    if m > MAX_MESSAGE_BITS:
+        raise ValueError(f"a message is cut from one {MAX_MESSAGE_BITS}-bit HMAC-SHA256 digest")
     indices = [t.to_bytes(_FRAME_INDEX_BYTES, "big") for t in range(1, num_frames + 1)]
     # HMAC(K, x) = sha256((K ^ opad) || sha256((K ^ ipad) || x)), K the
     # secret (hashed first when longer than a block) zero-padded to one
@@ -364,14 +367,16 @@ def key_document(cfg: KeyConfig, key: WatermarkKey) -> dict:
 
 @contextlib.contextmanager
 def _document(what: str):
-    """Report a missing key or a value of the wrong type in a JSON document
-    as ValueError."""
+    """Report a missing key, a value of the wrong type or too deep a
+    nesting in a JSON document as ValueError."""
     try:
         yield
     except KeyError as exc:
         raise ValueError(f"{what} is missing key {exc.args[0]!r}") from None
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"malformed {what}: {exc}") from None
+    except RecursionError:
+        raise ValueError(f"{what} is nested too deeply") from None
 
 
 def parse_key_document(doc: dict) -> tuple[KeyConfig, WatermarkKey]:

@@ -27,7 +27,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .keyspace import MessageSequence
+from .keyspace import MessageSequence, _document
 from .spd_core import _frozen, _read_payload, _video
 
 __all__ = [
@@ -361,19 +361,12 @@ def read_extractor(stream: BinaryIO) -> LinearExtractor:
         if len(header_line) > _MAX_HEADER_BYTES:
             raise ValueError(f"extractor header exceeds {_MAX_HEADER_BYTES} bytes")
         raise ValueError("truncated extractor header")
-    try:
+    with _document("extractor header"):
         header = json.loads(header_line.decode("ascii"))
-    except RecursionError:
-        raise ValueError("extractor header is nested too deeply") from None
-    try:
         version = header["version"]
         bits = int(header["message_bits"])
         features = int(header["features"])
         ridge_lambda = float(header["ridge_lambda"])
-    except KeyError as exc:
-        raise ValueError(f"extractor header is missing key {exc.args[0]!r}") from None
-    except (TypeError, OverflowError) as exc:
-        raise ValueError(f"malformed extractor header: {exc}") from None
     if type(version) is not int or version != _EXTRACTOR_VERSION:
         raise ValueError(f"unsupported extractor format version {version!r}")
     if bits < 1 or features < 1:

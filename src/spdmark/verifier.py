@@ -21,10 +21,9 @@ from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .channel_attacks import MAX_FRAMES, TamperRecord
-from .keyspace import MessageSequence
+from .keyspace import MAX_MESSAGE_BITS, MessageSequence, _document
 
 __all__ = [
     "SimilarityMatrix",
@@ -44,6 +43,15 @@ __all__ = [
     "null_calibration",
     "wilson_interval",
 ]
+
+
+def linear_sum_assignment(cost_matrix, maximize=False):
+    """scipy.optimize.linear_sum_assignment, with scipy imported on the first
+    call: most processes never solve, and the import is most of their
+    start-up time and memory."""
+    from scipy.optimize import linear_sum_assignment as solve
+
+    return solve(cost_matrix, maximize=maximize)
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,7 +167,7 @@ class Verdict:
         """The verdict `verify` wrote as `doc`.  Only the alignment, its
         counts, the lengths and the gammas are read; every other field is
         recomputed from them and must equal the document's."""
-        try:
+        with _document("verdict document"):
             pairs = tuple((int(f["pi"]), int(f["rho"])) for f in doc["frames"])
             matched = tuple(int(f["matched_bits"]) for f in doc["frames"])
             t, t_r, m = (
@@ -167,17 +175,13 @@ class Verdict:
             )
             gamma_f, gamma_v = float(doc["gamma_f"]), float(doc["gamma_v"])
             tamper = doc["tamper"]
-        except KeyError as exc:
-            raise ValueError(f"verdict document is missing key {exc.args[0]!r}") from None
-        except (TypeError, OverflowError) as exc:
-            raise ValueError(f"malformed verdict document: {exc}") from None
         # Reject what verify cannot produce: anything but a one-to-one
         # alignment of min(T, T_r) pairs, sorted by pi as Assignment requires,
         # with counts in [0, M], and M beyond one SHA-256 digest.
         if not (1 <= t <= MAX_FRAMES and 1 <= t_r <= MAX_FRAMES):
             raise ValueError(f"verdict lengths must lie in [1, {MAX_FRAMES}], not {t} and {t_r}")
-        if not 1 <= m <= 256:
-            raise ValueError("verdict message_bits must lie in [1, 256]")
+        if not 1 <= m <= MAX_MESSAGE_BITS:
+            raise ValueError(f"verdict message_bits must lie in [1, {MAX_MESSAGE_BITS}]")
         if len(pairs) != min(t, t_r):
             raise ValueError(f"verdict must align min(T, T_r) = {min(t, t_r)} frames")
         Assignment(pairs, 0)
@@ -612,6 +616,8 @@ def null_calibration(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not 1 <= num_frames <= MAX_FRAMES:
+        raise ValueError(f"num_frames must lie in [1, {MAX_FRAMES}]")
     tau_f, p_f = frame_threshold(message_bits, gamma_f)
     tau_v = video_threshold(num_frames, p_f, gamma_v)
     identity_passes = 0

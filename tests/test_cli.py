@@ -610,6 +610,20 @@ class TestToyVideoFlow:
         assert extracted_with[0] is produced
         assert extracted_with[1] is written["attacked.spdf"]
 
+    def test_default_toy_run_leaves_scipy_unimported(self, tmp_path):
+        # A default toy run never solves an assignment, so it never pays
+        # for importing scipy.
+        src = str(Path(spdmark.cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        child = subprocess.run(
+            [sys.executable, "-c", "import sys; from spdmark.cli import main; "
+             "code = main(sys.argv[1:]); print('scipy' in sys.modules); sys.exit(code)",
+             "run-pipeline", "--mode", "toy", "--out", str(tmp_path)],
+            env=env, check=True, capture_output=True, text=True,
+        )
+        assert child.stdout.splitlines()[-1] == "False"
+
     def test_toy_path_runs_without_scipy_linalg(self, tmp_path, capsys, monkeypatch):
         # The toy path does its dense linear algebra in numpy's OpenBLAS; a
         # call into scipy's separately bundled one starts a second thread
@@ -856,6 +870,14 @@ class TestCalibrateCommand:
         assert by_flag.read_bytes() == by_config.read_bytes()
         assert run("calibrate", "--calibration-trials", "1000") == 2
         capsys.readouterr()
+
+    def test_frames_beyond_the_verifier_bound_exit_2_at_once(self, capsys):
+        begin = time.perf_counter()
+        assert run("calibrate", "--frames", str(MAX_FRAMES + 1)) == 2
+        assert time.perf_counter() - begin < 1.0
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["stage"] == "config"
+        assert load_config(None, {"num_frames": MAX_FRAMES}).num_frames == MAX_FRAMES
 
     def test_no_warning_when_resolvable(self, tmp_path, capsys):
         out = tmp_path / "calibration.json"

@@ -8,6 +8,7 @@ artifacts with one part replaced, deleted or cut short.
 
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -195,3 +196,61 @@ def test_parsed_verdicts_are_alignments(doc):
 def test_impossible_verdicts_rejected(change):
     with pytest.raises(ValueError):
         Verdict.from_doc({**VERDICT, **change})
+
+
+HEADER, PAYLOAD = EXTRACTOR.split(b"\n", 1)
+
+
+def read_header(header) -> LinearExtractor:
+    """read_extractor on EXTRACTOR with `header`, a JSON value or raw
+    bytes, as its header line."""
+    line = header if isinstance(header, bytes) else json.dumps(header).encode("ascii")
+    return read_extractor(io.BytesIO(line + b"\n" + PAYLOAD))
+
+
+def replaced(doc: dict, key: str, value) -> dict:
+    return {**doc, key: value}
+
+
+def without(doc: dict, key: str) -> dict:
+    return {k: v for k, v in doc.items() if k != key}
+
+
+def reader_faults():
+    """For each JSON reader: the name its messages give the document, a
+    missing key, a value of the wrong type, and a number too large for
+    int."""
+    key, schedule, extraction, verdict, record = DOCUMENTS.values()
+    header = json.loads(HEADER)
+    readers = [
+        ("key", parse_key_document, "key document", key, "key_hex",
+         replaced(key, "config", []),
+         replaced(key, "config", {**key["config"], "L": 1e400})),
+        ("schedule", parse_schedule_document, "schedule document", schedule, "frames",
+         replaced(schedule, "frames", 5),
+         replaced(schedule, "frames", [{**schedule["frames"][0], "t": 1e400}])),
+        ("extraction", parse_extraction_document, "extraction document", extraction,
+         "message_bits", replaced(extraction, "frames", 5),
+         replaced(extraction, "message_bits", 1e400)),
+        ("verdict", Verdict.from_doc, "verdict document", verdict, "gamma_f",
+         replaced(verdict, "frames", 5), replaced(verdict, "num_expected", 1e400)),
+        ("tamper", TamperRecord.from_doc, "tamper record", record, "trim_tail",
+         replaced(record, "dropped", 5), replaced(record, "source_length", 1e400)),
+        ("extractor", read_header, "extractor header", header, "ridge_lambda",
+         replaced(header, "message_bits", []), replaced(header, "features", 1e400)),
+    ]
+    for name, reader, what, doc, missing, wrong_type, too_large in readers:
+        malformed = "^" + re.escape(f"malformed {what}: ")
+        yield pytest.param(reader, without(doc, missing),
+                           "^" + re.escape(f"{what} is missing key {missing!r}") + "$",
+                           id=f"{name}-missing")
+        yield pytest.param(reader, wrong_type, malformed, id=f"{name}-type")
+        yield pytest.param(reader, too_large, malformed, id=f"{name}-overflow")
+    yield pytest.param(read_header, b"[" * 2000, "^extractor header is nested too deeply$",
+                       id="extractor-nested")
+
+
+@pytest.mark.parametrize("reader, doc, pattern", reader_faults())
+def test_reader_messages(reader, doc, pattern):
+    with pytest.raises(ValueError, match=pattern):
+        reader(doc)

@@ -833,3 +833,8 @@ class TestNullCalibration:
         assert always["matched_pass_inflation"] == 1.0
         for report in (never, always):
             json.dumps(report, allow_nan=False)
+
+    def test_frames_beyond_the_verifier_bound_rejected(self):
+        # Each trial would otherwise build a (T, T) similarity matrix.
+        with pytest.raises(ValueError, match=re.escape(f"[1, {MAX_FRAMES}]")):
+            null_calibration(28, MAX_FRAMES + 1, 1e-3, 1e-6, trials=1, seed=0)
