@@ -396,6 +396,8 @@ def parse_attack_spec(spec, structural: bool = False) -> tuple:
         )
     try:
         seed = int(params.pop("seed", 0))
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, not {seed}")
         args = [convert(params.pop(key, *default)) for key, convert, *default in parameters]
     except KeyError as exc:
         raise ValueError(f"attack {name!r} needs {exc.args[0]!r}") from None

@@ -224,6 +224,8 @@ class RunConfig:
             raise ValueError(f"layer_dim * rank must be <= {MAX_SHIFT_TERMS}")
         for spec in self.attacks or ():
             parse_attack_spec(spec, structural=True)
+            if "seed" in spec:
+                raise ValueError("attacks entries take no seed: the table seeds every trial")
         if self.attack:
             parse_attack_spec(self.attack)
         self.secret()
@@ -503,10 +505,10 @@ def _read_binary(path: str, reader):
         return reader(stream)
 
 
-def _read_record(path: str) -> Optional[TamperRecord]:
-    """A tamper record file; the JSON null written for photometric attacks
-    means there is no ground truth."""
-    doc = _read_json(path)
+def _read_record(path: Optional[str]) -> Optional[TamperRecord]:
+    """The tamper record file at `path`, if given; the JSON null written for
+    photometric attacks means there is no ground truth."""
+    doc = _read_json(path) if path else None
     return None if doc is None else TamperRecord.from_doc(doc)
 
 
@@ -627,16 +629,14 @@ def cmd_verify(cfg: RunConfig, args) -> int:
             _read_schedule(args.schedule),
             parse_extraction_document(_read_json(args.extraction)),
         )
-        tamper = _read_json(args.tamper) if args.tamper else None
-        _emit(verdict.to_doc(tamper), args.out)
+        _emit(verdict.to_doc(_read_record(args.tamper)), args.out)
     return 0 if verdict.valid else 3
 
 
 def cmd_diagnose(cfg: RunConfig, args) -> int:
     with _stage("diagnose"):
         verdict = Verdict.from_doc(_read_json(args.verdict))
-        record = _read_record(args.tamper) if args.tamper else None
-        _emit(diagnose_tampering(verdict, record).to_doc(), args.out)
+        _emit(diagnose_tampering(verdict, _read_record(args.tamper)).to_doc(), args.out)
     return 0
 
 
@@ -684,7 +684,7 @@ def _toy_pipeline(cfg: RunConfig, out: Path) -> int:
         _emit(extraction_document(extracted), str(out / "extraction.json"))
     with _stage("verify", seconds):
         verdict = _verify(cfg, schedule, extracted)
-        _emit(verdict.to_doc(_record_doc(record)), str(out / "verdict.json"))
+        _emit(verdict.to_doc(record), str(out / "verdict.json"))
     with _stage("diagnose", seconds):
         _emit(diagnose_tampering(verdict, record).to_doc(), str(out / "diagnosis.json"))
     with _stage("losses", seconds):

@@ -16,7 +16,7 @@ T = 25, 50 and 100.  null_calibration measures both alignments.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
@@ -135,14 +135,15 @@ class Verdict:
         """(pi, rho, matched_bits) of the frames that pass tau_f."""
         return tuple((f.pi, f.rho, f.matched_bits) for f in self.frames if f.valid)
 
-    def to_doc(self, tamper: Optional[dict] = None) -> dict:
+    def to_doc(self, record: Optional[TamperRecord] = None) -> dict:
+        """The verdict as a JSON document whose "tamper" field is `record`, the
+        attack's ground truth, or null.  Raises ValueError if `record`
+        describes other lengths than (T, T_r)."""
+        if record is not None:
+            self._check_lengths(record)
         return {
             "valid": self.valid,
-            "tau_f": self.thresholds.tau_f,
-            "p_f": self.thresholds.p_f,
-            "tau_v": self.thresholds.tau_v,
-            "gamma_f": self.thresholds.gamma_f,
-            "gamma_v": self.thresholds.gamma_v,
+            **asdict(self.thresholds),
             "num_valid": len(self.valid_set),
             "bit_acc": self.bit_acc,
             "order_acc": self.order_acc,
@@ -150,23 +151,20 @@ class Verdict:
             "num_expected": self.num_expected,
             "num_extracted": self.num_extracted,
             "message_bits": self.message_bits,
-            "frames": [
-                {
-                    "pi": entry.pi,
-                    "rho": entry.rho,
-                    "matched_bits": entry.matched_bits,
-                    "valid": entry.valid,
-                }
-                for entry in self.frames
-            ],
-            "tamper": tamper,
+            "frames": [entry._asdict() for entry in self.frames],
+            "tamper": None if record is None else record.to_doc(),
         }
+
+    def _check_lengths(self, record: TamperRecord) -> None:
+        if (record.source_length, record.output_length) != (self.num_expected, self.num_extracted):
+            raise ValueError(f"tamper record lengths differ from (T, T_r) = "
+                             f"({self.num_expected}, {self.num_extracted})")
 
     @classmethod
     def from_doc(cls, doc: dict) -> "Verdict":
         """The verdict `verify` wrote as `doc`.  Only the alignment, its
-        counts, the lengths and the gammas are read; every other field is
-        recomputed from them and must equal the document's."""
+        counts, the lengths, the gammas and the tamper record are read; every
+        other field is recomputed from them and must equal the document's."""
         with _document("verdict document"):
             pairs = tuple((int(f["pi"]), int(f["rho"])) for f in doc["frames"])
             matched = tuple(int(f["matched_bits"]) for f in doc["frames"])
@@ -192,7 +190,7 @@ class Verdict:
                     f"lies outside T={t}, T_r={t_r}, M={m}"
                 )
         verdict = _verdict(pairs, matched, (t, t_r, m), gamma_f, gamma_v)
-        recomputed = verdict.to_doc(tamper)
+        recomputed = verdict.to_doc(None if tamper is None else TamperRecord.from_doc(tamper))
         missing = [key for key in recomputed if key not in doc]
         if missing:
             raise ValueError(f"verdict document is missing key {missing[0]!r}")
@@ -398,7 +396,12 @@ def hungarian_match(sim: SimilarityMatrix) -> Assignment:
     return Assignment(pairs=pairs, total_matched=best)
 
 
-@lru_cache(maxsize=None)
+# Verdict documents choose their own lengths and gammas, so the tail memo is
+# bounded: one table is about 131 KB at n = MAX_FRAMES, so 64 hold 8.4 MB.
+_TAIL_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=_TAIL_CACHE_SIZE)
 def _tails(n: int, p: float) -> tuple[float, ...]:
     # Pr(X >= k) for X ~ Binomial(n, p), k = 0..n+1.  A float p is c/s, s a
     # power of two, so s^n Pr(X >= k) = sum_{j >= k} C(n, j) c^j (s - c)^(n - j).
@@ -433,7 +436,6 @@ def binomial_tail(n: int, k: int) -> float:
     return _binomial_tail(n, k, 0.5)
 
 
-@lru_cache(maxsize=None)
 def frame_threshold(message_bits: int, gamma_f: float) -> tuple[int, float]:
     """Minimal matched-bit count whose fair-coin tail is <= gamma_f, and
     that tail probability itself."""
@@ -444,7 +446,6 @@ def frame_threshold(message_bits: int, gamma_f: float) -> tuple[int, float]:
     return tau, tails[tau]
 
 
-@lru_cache(maxsize=None)
 def video_threshold(num_pairs: int, p_f: float, gamma_v: float) -> int:
     """Minimal valid-pair count whose Binomial(num_pairs, p_f) tail is
     <= gamma_v."""
@@ -559,11 +560,7 @@ def diagnose_tampering(
     )
     scores = None
     if ground_truth is not None:
-        if (
-            ground_truth.source_length != verdict.num_expected
-            or ground_truth.output_length != verdict.num_extracted
-        ):
-            raise ValueError("ground truth does not match sequence lengths")
+        verdict._check_lengths(ground_truth)
         scores = {
             "drop": _f1_scores(
                 set(predicted_dropped), set(ground_truth.removed_indices)

@@ -257,7 +257,8 @@ class TestExitCodes:
         "spec",
         ['{"attack": "melt"}', '{"attack": "drop"}', '{"attack": "trim", "head_fraction": 0.1}',
          '{"attack": "drop", "fraction": 0.5, "fracton": 1}',
-         '{"attack": "insert", "fraction": [0.5]}', '{"attack": ["drop"]}'],
+         '{"attack": "insert", "fraction": [0.5]}', '{"attack": ["drop"]}',
+         '{"attack": "drop", "fraction": 0.5, "seed": -1}'],
     )
     def test_attack_spec_faults_exit_2(self, spec, tmp_path, capsys):
         """Attack specs are checked when the config loads, against the
@@ -287,6 +288,21 @@ class TestExitCodes:
         assert error["stage"] == "config"
         assert repr(spec["attack"]) in error["message"]
         assert "photometric" in error["message"]
+        assert not (tmp_path / "channel").exists()
+        assert RunConfig(attack=spec).attack == spec
+
+    def test_seeded_attacks_entry_exits_2(self, tmp_path, capsys):
+        """The forensics table seeds every trial itself, so a seed in an
+        attacks entry would show in its row's params yet go unused; the
+        singular toy attack keeps its seed."""
+        spec = {"attack": "drop", "fraction": 0.5, "seed": 3}
+        path = tmp_path / "cfg.json"
+        write_json(path, {"attacks": [{"attack": "swap_random"}, spec]})
+        assert run("run-pipeline", "--mode", "channel", "--config", str(path),
+                   "--out", str(tmp_path / "channel")) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["stage"] == "config"
+        assert "seeds every trial" in error["message"]
         assert not (tmp_path / "channel").exists()
         assert RunConfig(attack=spec).attack == spec
 
@@ -454,6 +470,56 @@ class TestAttackDiagnoseFlow:
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["stage"] == "diagnose"
         assert "missing key 'source_length'" in err["message"]
+
+    def test_malformed_tamper_record_exits_4_at_verify(self, schedule_files, capsys):
+        tmp_path, _, schedule = schedule_files
+        extraction = tmp_path / "extraction.json"
+        bogus = tmp_path / "bogus.json"
+        verdict = tmp_path / "verdict.json"
+        write_json(bogus, {"anything": [1, 2, 3]})
+        assert run("extract", "--schedule", str(schedule), "--seed", "11",
+                   "--out", str(extraction)) == 0
+        assert run("verify", "--schedule", str(schedule), "--extraction", str(extraction),
+                   "--tamper", str(bogus), "--out", str(verdict)) == 4
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["stage"] == "verify"
+        assert "missing key 'source_length'" in err["message"]
+        assert not verdict.exists()
+
+    def test_record_of_other_lengths_exits_4_at_verify(self, schedule_files, capsys):
+        # A drop record against the unattacked extraction: 10 frames expected
+        # and 10 extracted, where the record says 5 survive.
+        tmp_path, _, schedule = schedule_files
+        attacked = tmp_path / "attacked.json"
+        record = tmp_path / "record.json"
+        extraction = tmp_path / "extraction.json"
+        assert run("attack", "--schedule", str(schedule),
+                   "--attack", '{"attack": "drop", "fraction": 0.5, "seed": 3}',
+                   "--out", str(attacked), "--record", str(record)) == 0
+        assert run("extract", "--schedule", str(schedule), "--seed", "11",
+                   "--out", str(extraction)) == 0
+        assert run("verify", "--schedule", str(schedule), "--extraction", str(extraction),
+                   "--tamper", str(record)) == 4
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["stage"] == "verify"
+        assert "(T, T_r) = (10, 10)" in err["message"]
+
+    @pytest.mark.parametrize("tamper", [{"anything": [1, 2, 3]}, [1, 2, 3], "drop", 7])
+    def test_verdict_whose_tamper_field_is_not_a_record_exits_4(
+        self, tamper, schedule_files, capsys
+    ):
+        tmp_path, _, schedule = schedule_files
+        extraction = tmp_path / "extraction.json"
+        verdict = tmp_path / "verdict.json"
+        assert run("extract", "--schedule", str(schedule), "--seed", "11",
+                   "--out", str(extraction)) == 0
+        assert run("verify", "--schedule", str(schedule), "--extraction", str(extraction),
+                   "--out", str(verdict)) == 0
+        write_json(verdict, {**read_json(verdict), "tamper": tamper})
+        assert run("diagnose", "--verdict", str(verdict)) == 4
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["stage"] == "diagnose"
+        assert "tamper record" in err["message"]
 
 
 def fast_toy_config(tmp_path, **extra) -> Path:

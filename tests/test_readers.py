@@ -40,7 +40,7 @@ DOCUMENTS = {
     parse_key_document: key_document(CFG, KEY),
     parse_schedule_document: schedule_document(CFG, KEY, SCHEDULE),
     parse_extraction_document: extraction_document(ATTACKED),
-    Verdict.from_doc: verify(SCHEDULE, ATTACKED).to_doc(RECORD.to_doc()),
+    Verdict.from_doc: verify(SCHEDULE, ATTACKED).to_doc(RECORD),
     TamperRecord.from_doc: RECORD.to_doc(),
 }
 

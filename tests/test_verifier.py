@@ -120,6 +120,23 @@ class TestBinomialTailCache:
             for k in range(0, n + 2):
                 assert binomial_tail(n, k) == want[k]
 
+    def test_memos_stay_bounded_on_untrusted_verdicts(self):
+        # A verdict document names its own lengths and gammas, and each
+        # distinct (length, p_f) is one more tail table.
+        memos = [f for f in vars(spdmark.verifier).values() if hasattr(f, "cache_info")]
+        assert memos
+        for memo in memos:
+            memo.cache_clear()
+        for t in range(1, 9):
+            schedule = make_schedule(t)
+            for k in range(1, 57):
+                doc = verify(schedule, ideal(schedule), 2.0 ** (-k / 2), 3.0**-k).to_doc()
+                Verdict.from_doc(doc)
+        for memo in memos:
+            info = memo.cache_info()
+            assert info.maxsize is not None
+            assert info.misses > info.maxsize >= info.currsize
+
     def test_verdict_document_round_trips_the_p_value(self):
         schedule = make_schedule(12)
         rows = np.array(ideal(schedule).messages)
@@ -651,6 +668,23 @@ class TestVerify:
         del doc["tau_v"]
         with pytest.raises(ValueError, match="'tau_v'"):
             Verdict.from_doc(doc)
+
+    def test_verdict_document_carries_only_a_record_of_its_lengths(self):
+        schedule = make_schedule(6)
+        attacked, record = attack_drop(ideal(schedule), 0.5, seed=1)
+        verdict = verify(schedule, attacked)
+        doc = verdict.to_doc(record)
+        assert doc["tamper"] == record.to_doc()
+        assert Verdict.from_doc(doc) == verdict
+        clean = verify(schedule, ideal(schedule))
+        with pytest.raises(ValueError, match=re.escape("(T, T_r) = (6, 6)")):
+            clean.to_doc(record)
+        with pytest.raises(ValueError, match=re.escape("(T, T_r) = (6, 6)")):
+            Verdict.from_doc({**clean.to_doc(), "tamper": record.to_doc()})
+        with pytest.raises(ValueError, match="missing key 'source_length'"):
+            Verdict.from_doc({**clean.to_doc(), "tamper": {"anything": [1, 2, 3]}})
+        with pytest.raises(ValueError, match=re.escape("(T, T_r) = (6, 6)")):
+            diagnose_tampering(clean, record)
 
     def test_lengths_beyond_the_bound_rejected_before_matching(self, monkeypatch):
         def refuse(*args):
