@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .keyspace import MessageSequence, _document, _unchecked_sequence
+from .keyspace import MessageSequence, _document, _typed, _unchecked_sequence
 from .spd_core import _video
 
 __all__ = [
@@ -127,13 +127,13 @@ class TamperRecord:
     def from_doc(cls, doc: dict) -> "TamperRecord":
         with _document("tamper record"):
             return cls(
-                source_length=int(doc["source_length"]),
-                output_length=int(doc["output_length"]),
-                dropped=frozenset(int(i) for i in doc["dropped"]),
-                inserted=frozenset(int(i) for i in doc["inserted"]),
-                permutation={int(k): int(v) for k, v in doc["permutation"]},
-                trim_head=int(doc["trim_head"]),
-                trim_tail=int(doc["trim_tail"]),
+                source_length=_typed(doc["source_length"], int),
+                output_length=_typed(doc["output_length"], int),
+                dropped=frozenset(_typed(i, int) for i in doc["dropped"]),
+                inserted=frozenset(_typed(i, int) for i in doc["inserted"]),
+                permutation={_typed(k, int): _typed(v, int) for k, v in doc["permutation"]},
+                trim_head=_typed(doc["trim_head"], int),
+                trim_tail=_typed(doc["trim_tail"], int),
             )
 
 
@@ -350,11 +350,10 @@ def attack_rescale(video, factor: float) -> np.ndarray:
     return _video(out)
 
 
-# Every attack an attack-spec document can name: the attack, whether it
-# takes the spec's "seed", whether it is structural (edits the frame
-# sequence and returns a TamperRecord) rather than photometric (edits
-# pixels), and its other parameters in call order as (name, conversion) or
-# (name, conversion, default).
+# Every attack an attack-spec document can name: the attack, whether it takes
+# the spec's "seed", whether it is structural (edits the frame sequence and
+# returns a TamperRecord) rather than photometric (edits pixels), and its
+# other parameters in call order as (name, type) or (name, type, default).
 _ATTACKS = {
     "none": (_attack_none, False, True, ()),
     "drop": (attack_drop, True, True, (("fraction", float),)),
@@ -377,11 +376,11 @@ _ATTACKS = {
 
 
 def parse_attack_spec(spec, structural: bool = False) -> tuple:
-    """The attack an attack-spec document names and its arguments after the
-    target.  Raises ValueError on an unknown attack, on a photometric one
-    where `structural` asks for a structural attack, and on a missing,
-    unexpected or unconvertible parameter; the values themselves are
-    checked by the attack, against the target."""
+    """The attack an attack-spec document names, its arguments after the
+    target, and the spec with its values typed (a float parameter given as
+    1 reads 1.0).  Raises ValueError on an unknown attack, on a photometric
+    one where `structural` asks for a structural one, and on a missing,
+    unexpected or mistyped parameter; the attack checks the values."""
     if not isinstance(spec, dict) or "attack" not in spec:
         raise ValueError('an attack spec must be an object with an "attack" name')
     params = dict(spec)
@@ -394,25 +393,29 @@ def parse_attack_spec(spec, structural: bool = False) -> tuple:
             f"attack {name!r} is photometric and leaves no tamper record; "
             "only structural attacks can be scored"
         )
+    typed, args = dict(spec), []
     try:
-        seed = int(params.pop("seed", 0))
+        for key, kind, *default in (*parameters, ("seed", int, 0)):
+            args.append(_typed(params.pop(key, *default), kind))
+            if key in spec:
+                typed[key] = args[-1]
+        seed = args.pop()
         if seed < 0:
-            raise ValueError(f"seed must be >= 0, not {seed}")
-        args = [convert(params.pop(key, *default)) for key, convert, *default in parameters]
+            raise ValueError(f"must be >= 0, not {seed}")
     except KeyError as exc:
         raise ValueError(f"attack {name!r} needs {exc.args[0]!r}") from None
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"attack {name!r} has a malformed parameter: {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"attack {name!r} has a malformed parameter {key!r}: {exc}") from None
     if params:
         raise ValueError(f"unexpected attack parameters {sorted(params)}")
-    return attack, (args + [seed] if seeded else args)
+    return attack, (args + [seed] if seeded else args), typed
 
 
 def apply_attack(target, spec: dict):
     """Dispatch an attack-spec document, e.g. {"attack": "drop",
     "fraction": 0.5, "seed": 7}.  Returns (attacked, TamperRecord or None);
     photometric attacks carry no structural record."""
-    attack, args = parse_attack_spec(spec)
+    attack, args, _ = parse_attack_spec(spec)
     attacked = attack(target, *args)
     # Structural attacks return (attacked, record), photometric ones a video.
     return attacked if isinstance(attacked, tuple) else (attacked, None)

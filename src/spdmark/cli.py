@@ -18,7 +18,6 @@ import dataclasses
 import functools
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -40,6 +39,7 @@ from .keyspace import (
     BaseSecret,
     KeyConfig,
     MessageSequence,
+    _typed,
     derive_frame_messages,
     derive_schedules,
     extraction_document,
@@ -128,29 +128,6 @@ def _stage(name: str, seconds: Optional[dict] = None):
         seconds[name] = time.perf_counter() - begin
 
 
-def _check_type(name: str, kind, value) -> None:
-    """Require `value` to have the field type `kind`: a bool is not a
-    number, a float must be finite, and a list stands for a tuple."""
-    if typing.get_origin(kind) is typing.Union:  # Optional[...]
-        if value is None:
-            return
-        kind = typing.get_args(kind)[0]
-    if kind is float:
-        try:
-            ok = not isinstance(value, bool) and math.isfinite(value)
-        except (TypeError, OverflowError):
-            ok = False
-    elif kind is int:
-        ok = isinstance(value, int) and not isinstance(value, bool)
-    elif kind is tuple:
-        ok = isinstance(value, (list, tuple))
-    else:
-        ok = isinstance(value, kind)
-    if not ok:
-        what = "a finite number" if kind is float else f"of type {kind.__name__}"
-        raise ValueError(f"{name} must be {what}, not {value!r}")
-
-
 @dataclass(frozen=True)
 class RunConfig:
     num_layers: int = 14
@@ -186,11 +163,18 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
-            _check_type(field.name, field.type, value)
-            if field.type is float:
+            value, kind = getattr(self, field.name), field.type
+            if typing.get_origin(kind) is typing.Union:  # Optional[...]
+                if value is None:
+                    continue
+                kind = typing.get_args(kind)[0]
+            try:
+                typed = _typed(value, kind)
+            except TypeError as exc:
+                raise ValueError(f"{field.name}: {exc}") from None
+            if kind is float:
                 # 1 and 1.0 are one config: one hash, one config.json.
-                object.__setattr__(self, field.name, float(value))
+                object.__setattr__(self, field.name, typed)
         for name in ("num_layers", "bases_per_layer", "layer_dim", "height", "width",
                      "num_frames", "trials", "calibration_trials", "train_videos",
                      "train_frames", "holdout_videos"):
@@ -222,15 +206,14 @@ class RunConfig:
         if self.layer_dim * self.rank > MAX_SHIFT_TERMS:
             # Beyond it the decoder's displacement products are not exact.
             raise ValueError(f"layer_dim * rank must be <= {MAX_SHIFT_TERMS}")
-        for spec in self.attacks or ():
-            parse_attack_spec(spec, structural=True)
-            if "seed" in spec:
-                raise ValueError("attacks entries take no seed: the table seeds every trial")
-        if self.attack:
-            parse_attack_spec(self.attack)
-        self.secret()
         if self.attacks is not None:
-            object.__setattr__(self, "attacks", tuple(self.attacks))
+            specs = tuple(parse_attack_spec(spec, structural=True)[2] for spec in self.attacks)
+            if any("seed" in spec for spec in specs):
+                raise ValueError("attacks entries take no seed: the table seeds every trial")
+            object.__setattr__(self, "attacks", specs)
+        if self.attack:
+            object.__setattr__(self, "attack", parse_attack_spec(self.attack)[2])
+        self.secret()
 
     def key_config(self) -> KeyConfig:
         return KeyConfig(
@@ -392,7 +375,6 @@ def forensics_table(cfg: RunConfig) -> list:
     digest = config_hash(cfg)
     rows = []
     for spec in cfg.attacks if cfg.attacks is not None else DEFAULT_ATTACK_SUITE:
-        spec = dict(spec)
         name = spec["attack"]
         row_seed = derive_seed(cfg.seed, name)
         sums = {"bit_acc": 0.0, "order_acc": 0.0, "f1_drop": 0.0, "f1_insert": 0.0}
@@ -490,6 +472,16 @@ def _verify(cfg: RunConfig, schedule, extracted: MessageSequence) -> Verdict:
 
 
 def _calibrate(cfg: RunConfig) -> dict:
+    trials = cfg.calibration_trials
+    if trials < 1000:
+        raise ConfigError("calibration needs at least 1000 trials")
+    if cfg.gamma_v < 10 / trials:
+        print(
+            f"warning: gamma_v={cfg.gamma_v:g} is below the Monte Carlo resolution "
+            f"10/trials={10 / trials:g}; the video-level rate is a "
+            "threshold check, not a rate estimate",
+            file=sys.stderr,
+        )
     return null_calibration(
         cfg.message_bits, cfg.num_frames, cfg.gamma_f, cfg.gamma_v,
         cfg.calibration_trials, derive_seed(cfg.seed, "calibrate"),
@@ -641,16 +633,6 @@ def cmd_diagnose(cfg: RunConfig, args) -> int:
 
 
 def cmd_calibrate(cfg: RunConfig, args) -> int:
-    trials = cfg.calibration_trials
-    if trials < 1000:
-        raise ConfigError("calibration needs at least 1000 trials")
-    if cfg.gamma_v < 10 / trials:
-        print(
-            f"warning: gamma_v={cfg.gamma_v:g} is below the Monte Carlo resolution "
-            f"10/trials={10 / trials:g}; the video-level rate is a "
-            "threshold check, not a rate estimate",
-            file=sys.stderr,
-        )
     with _stage("calibrate"):
         report = _calibrate(cfg)
         report["config_hash"] = config_hash(cfg)

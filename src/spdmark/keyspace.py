@@ -18,6 +18,8 @@ coordination.
 
 import contextlib
 import hashlib
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
@@ -95,13 +97,6 @@ class KeyConfig:
         return cls(num_layers, bases_per_layer, num_layers * bits)
 
 
-def _validate_bits(bits: Sequence[int], what: str) -> tuple[int, ...]:
-    out = tuple(int(b) for b in bits)
-    if any(b not in (0, 1) for b in out):
-        raise ValueError(f"{what} must contain only 0/1 values")
-    return out
-
-
 @dataclass(frozen=True)
 class WatermarkKey:
     """An M-bit watermark key."""
@@ -109,7 +104,9 @@ class WatermarkKey:
     bits: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "bits", _validate_bits(self.bits, "key bits"))
+        if any(b not in (0, 1) for b in self.bits):
+            raise ValueError("key bits must contain only 0/1 values")
+        object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
         if not self.bits:
             raise ValueError("key must contain at least one bit")
 
@@ -365,6 +362,24 @@ def key_document(cfg: KeyConfig, key: WatermarkKey) -> dict:
     }
 
 
+def _typed(value, kind: type):
+    """`value`, read from outside the program, as a `kind`: an int is an
+    integer and not a bool, a float any finite number but a bool (returned
+    as a float), a str a string, a tuple a list or tuple; else TypeError."""
+    if type(value) is kind and (kind is not float or math.isfinite(value)):
+        return value
+    if kind is float:
+        try:
+            ok = isinstance(value, numbers.Real) and math.isfinite(value)
+        except OverflowError:  # an int beyond the float range
+            ok = False
+    else:
+        ok = isinstance(value, (list, tuple) if kind is tuple else kind)
+    if not ok or isinstance(value, bool):
+        raise TypeError(f"not a valid {kind.__name__}: {value!r}")
+    return float(value) if kind is float else value
+
+
 @contextlib.contextmanager
 def _document(what: str):
     """Report a missing key, a value of the wrong type or too deep a
@@ -382,9 +397,9 @@ def _document(what: str):
 def parse_key_document(doc: dict) -> tuple[KeyConfig, WatermarkKey]:
     with _document("key document"):
         cfg = KeyConfig(
-            num_layers=int(doc["config"]["L"]),
-            bases_per_layer=int(doc["config"]["P"]),
-            message_bits=int(doc["config"]["M"]),
+            num_layers=_typed(doc["config"]["L"], int),
+            bases_per_layer=_typed(doc["config"]["P"], int),
+            message_bits=_typed(doc["config"]["M"], int),
         )
         return cfg, WatermarkKey(hex_to_bits(doc["key_hex"], cfg.message_bits))
 
@@ -399,7 +414,7 @@ def _frames_document(messages: MessageSequence) -> list:
 def _parse_frames(frames: list, num_bits: int) -> MessageSequence:
     # Entries may come in any order, but their indices t must be 1..T.
     entries = sorted(
-        ((int(entry["t"]), entry["bits_hex"]) for entry in frames),
+        ((_typed(entry["t"], int), entry["bits_hex"]) for entry in frames),
         key=lambda entry: entry[0],
     )
     if [t for t, _ in entries] != list(range(1, len(entries) + 1)):
@@ -432,4 +447,4 @@ def extraction_document(sequence: MessageSequence) -> dict:
 
 def parse_extraction_document(doc: dict) -> MessageSequence:
     with _document("extraction document"):
-        return _parse_frames(doc["frames"], int(doc["message_bits"]))
+        return _parse_frames(doc["frames"], _typed(doc["message_bits"], int))

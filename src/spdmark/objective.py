@@ -27,7 +27,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .keyspace import MessageSequence, _document
+from .keyspace import MessageSequence, _document, _typed
 from .spd_core import _frozen, _read_payload, _video
 
 __all__ = [
@@ -364,9 +364,9 @@ def read_extractor(stream: BinaryIO) -> LinearExtractor:
     with _document("extractor header"):
         header = json.loads(header_line.decode("ascii"))
         version = header["version"]
-        bits = int(header["message_bits"])
-        features = int(header["features"])
-        ridge_lambda = float(header["ridge_lambda"])
+        bits = _typed(header["message_bits"], int)
+        features = _typed(header["features"], int)
+        ridge_lambda = _typed(header["ridge_lambda"], float)
     if type(version) is not int or version != _EXTRACTOR_VERSION:
         raise ValueError(f"unsupported extractor format version {version!r}")
     if bits < 1 or features < 1:

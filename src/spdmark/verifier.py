@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .channel_attacks import MAX_FRAMES, TamperRecord
-from .keyspace import MAX_MESSAGE_BITS, MessageSequence, _document
+from .keyspace import MAX_MESSAGE_BITS, MessageSequence, _document, _typed
 
 __all__ = [
     "SimilarityMatrix",
@@ -166,12 +166,12 @@ class Verdict:
         counts, the lengths, the gammas and the tamper record are read; every
         other field is recomputed from them and must equal the document's."""
         with _document("verdict document"):
-            pairs = tuple((int(f["pi"]), int(f["rho"])) for f in doc["frames"])
-            matched = tuple(int(f["matched_bits"]) for f in doc["frames"])
+            pairs = tuple((_typed(f["pi"], int), _typed(f["rho"], int)) for f in doc["frames"])
+            matched = tuple(_typed(f["matched_bits"], int) for f in doc["frames"])
             t, t_r, m = (
-                int(doc[key]) for key in ("num_expected", "num_extracted", "message_bits")
+                _typed(doc[key], int) for key in ("num_expected", "num_extracted", "message_bits")
             )
-            gamma_f, gamma_v = float(doc["gamma_f"]), float(doc["gamma_v"])
+            gamma_f, gamma_v = _typed(doc["gamma_f"], float), _typed(doc["gamma_v"], float)
             tamper = doc["tamper"]
         # Reject what verify cannot produce: anything but a one-to-one
         # alignment of min(T, T_r) pairs, sorted by pi as Assignment requires,

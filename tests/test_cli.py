@@ -130,6 +130,19 @@ class TestConfig:
             str(fast_toy_config(tmp_path, alpha=1.0)), {}
         ))
 
+    def test_float_attack_parameters_hash_as_floats(self):
+        """A float attack parameter given as an int is stored as a float, in
+        `attack` and in `attacks` alike; parameters the spec leaves out stay
+        out."""
+        for wrap in (lambda spec: {"attack": spec}, lambda spec: {"attacks": [spec]}):
+            hashes = {config_hash(RunConfig(**wrap({"attack": "swap_adjacent",
+                                                    "pair_fraction": value})))
+                      for value in (1, 1.0)}
+            assert len(hashes) == 1
+        cfg = RunConfig(attack={"attack": "insert", "fraction": 1, "seed": 2})
+        assert cfg.attack == {"attack": "insert", "fraction": 1.0, "seed": 2}
+        assert type(cfg.attack["fraction"]) is float
+
     def test_derive_seed_stable_and_labelled(self):
         assert derive_seed(0, "train", 3) == derive_seed(0, "train", 3)
         assert derive_seed(0, "train", 3) != derive_seed(0, "holdout", 3)
@@ -258,7 +271,11 @@ class TestExitCodes:
         ['{"attack": "melt"}', '{"attack": "drop"}', '{"attack": "trim", "head_fraction": 0.1}',
          '{"attack": "drop", "fraction": 0.5, "fracton": 1}',
          '{"attack": "insert", "fraction": [0.5]}', '{"attack": ["drop"]}',
-         '{"attack": "drop", "fraction": 0.5, "seed": -1}'],
+         '{"attack": "drop", "fraction": 0.5, "seed": -1}',
+         '{"attack": "drop", "fraction": 0.5, "seed": 2.7}',
+         '{"attack": "drop", "fraction": 0.5, "seed": true}',
+         '{"attack": "drop", "fraction": 0.5, "seed": "7"}',
+         '{"attack": "drop", "fraction": "0.5"}'],
     )
     def test_attack_spec_faults_exit_2(self, spec, tmp_path, capsys):
         """Attack specs are checked when the config loads, against the
@@ -921,6 +938,18 @@ class TestCalibrateCommand:
         assert doc["trials"] == 1000
         assert doc["identity_valid_count"] == 0
         assert 0.0 <= doc["matched_pass_rate"] <= 1.0
+
+    def test_channel_mode_calibration_needs_1000_trials(self, tmp_path, capsys):
+        """run-pipeline --mode channel runs the calibrate stage of
+        `spdmark calibrate`, with its trial policy."""
+        cfg = tmp_path / "cfg.json"
+        write_json(cfg, {"seed": 4, "num_frames": 10, "trials": 1, "calibration_trials": 10,
+                         "attacks": [{"attack": "none"}]})
+        assert run("run-pipeline", "--config", str(cfg), "--mode", "channel",
+                   "--out", str(tmp_path / "channel")) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"stage": "config", "message": "calibration needs at least 1000 trials"}
+        assert not (tmp_path / "channel" / "report.json").exists()
 
     def test_trials_flag_sets_calibration_trials(self, tmp_path, capsys):
         """calibrate --trials N writes the report, config_hash included, of a

@@ -92,6 +92,19 @@ class TestKeyToMask:
             key_to_mask(WatermarkKey((0, 1)), cfg)
 
 
+class TestWatermarkKey:
+    @pytest.mark.parametrize("bits", [(0.7, 1), (1, "1")])
+    def test_rejects_what_is_not_a_bit_before_converting(self, bits):
+        """int() would truncate 0.7 to 0 and read "1" as 1."""
+        with pytest.raises(ValueError, match="0/1"):
+            WatermarkKey(bits)
+
+    def test_bits_equal_to_0_or_1_read_as_ints(self):
+        key = WatermarkKey((1.0, True, np.uint8(0), 0))
+        assert key.bits == (1, 1, 0, 0)
+        assert all(type(bit) is int for bit in key.bits)
+
+
 class TestMaskToKey:
     def test_first_basis_everywhere_is_zero_key(self):
         cfg = KeyConfig.from_layout(3, 8)

@@ -254,3 +254,48 @@ def reader_faults():
 def test_reader_messages(reader, doc, pattern):
     with pytest.raises(ValueError, match=pattern):
         reader(doc)
+
+
+def wrong_types():
+    """A value of the wrong type in each JSON reader, one that int() or
+    float() would have turned into the valid document's own value."""
+    key, _, extraction, verdict, record = DOCUMENTS.values()
+    header = json.loads(HEADER)
+    first, *rest = extraction["frames"]
+    pair, *pairs = verdict["frames"]
+    assert (key["config"]["L"], key["config"]["P"], first["t"]) == (2, 4, 1)
+    assert (extraction["message_bits"], header["message_bits"], pair["pi"]) == (4, 2, 1)
+    assert (record["source_length"], record["trim_head"], verdict["num_expected"]) == (3, 0, 3)
+    cases = [
+        ("tamper-length-str", TamperRecord.from_doc, "tamper record",
+         replaced(record, "source_length", "3")),
+        ("tamper-length-float", TamperRecord.from_doc, "tamper record",
+         replaced(record, "source_length", 3.9)),
+        ("tamper-trim-bool", TamperRecord.from_doc, "tamper record",
+         replaced(record, "trim_head", False)),
+        ("key-layers-float", parse_key_document, "key document",
+         replaced(key, "config", {**key["config"], "L": 2.9})),
+        ("key-bases-str", parse_key_document, "key document",
+         replaced(key, "config", {**key["config"], "P": "4"})),
+        ("extraction-index-str", parse_extraction_document, "extraction document",
+         replaced(extraction, "frames", [{**first, "t": "1"}, *rest])),
+        ("extraction-bits-float", parse_extraction_document, "extraction document",
+         replaced(extraction, "message_bits", 4.5)),
+        ("extractor-bits-str", read_header, "extractor header",
+         replaced(header, "message_bits", "2")),
+        ("extractor-lambda-str", read_header, "extractor header",
+         replaced(header, "ridge_lambda", str(header["ridge_lambda"]))),
+        ("verdict-index-bool", Verdict.from_doc, "verdict document",
+         replaced(verdict, "frames", [{**pair, "pi": True}, *pairs])),
+        ("verdict-length-float", Verdict.from_doc, "verdict document",
+         replaced(verdict, "num_expected", 3.0)),
+    ]
+    for name, reader, what, doc in cases:
+        yield pytest.param(reader, doc, "^" + re.escape(f"malformed {what}: not a valid "),
+                           id=name)
+
+
+@pytest.mark.parametrize("reader, doc, pattern", wrong_types())
+def test_values_of_the_wrong_type_rejected(reader, doc, pattern):
+    with pytest.raises(ValueError, match=pattern):
+        reader(doc)
