@@ -6,9 +6,8 @@ same kind.  The structural edit depends only on (length, parameters,
 seed), so for the ideal channel every temporal attack commutes with
 extraction.  A temporal attack only computes its source map, the original
 row shown at each output position or -1 for an inserted one; one routine
-turns the map into the attacked object plus a TamperRecord that reconciles
-the original and attacked lengths exactly and is the ground truth for
-forensics scoring.
+turns the map into the attacked object plus a TamperRecord, which holds the
+map and is the ground truth for forensics scoring.
 
 Fractional frame counts are rounded from the exact decimal value of the
 given fraction (round-half-to-even for drop/insert/rescale, floor for trim
@@ -22,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .keyspace import MessageSequence, _document, _typed, _unchecked_sequence
+from .keyspace import MessageSequence, _canonical, _document, _typed, _unchecked_sequence
 from .spd_core import _video
 
 __all__ = [
@@ -58,18 +57,17 @@ _NOISE_FRAME_STD = 0.25
 
 @dataclass(frozen=True)
 class TamperRecord:
-    """Ground truth for one temporal attack.
+    """Ground truth for one temporal attack: which original each output
+    position shows.
 
-    Original frame indices and output positions are 1-based.  The record
-    always reconciles: output_length = source_length - dropped - trimmed
-    + inserted, and the permutation maps exactly the surviving originals
-    onto exactly the non-inserted output positions.
+    Original frame indices and output positions are 1-based.  The
+    permutation maps untrimmed originals one-to-one into the output
+    positions; the originals it leaves out are dropped, the positions it
+    does not fill are inserted.
     """
 
     source_length: int
     output_length: int
-    dropped: frozenset[int] = frozenset()
-    inserted: frozenset[int] = frozenset()
     permutation: dict[int, int] = field(default_factory=dict)
     trim_head: int = 0
     trim_tail: int = 0
@@ -80,37 +78,30 @@ class TamperRecord:
             raise ValueError(f"lengths must lie in [1, {MAX_FRAMES}], not {t} and {t_r}")
         if self.trim_head < 0 or self.trim_tail < 0 or self.trim_head + self.trim_tail >= t:
             raise ValueError("trim bounds must leave at least one frame")
-        # Range arithmetic, not sets of indices, so that a document claiming
-        # huge lengths is rejected without building them.
         first, last = self.trim_head + 1, t - self.trim_tail
-        if not all(first <= i <= last for i in self.dropped):
-            raise ValueError("dropped indices must be untrimmed originals")
-        if not all(1 <= p <= t_r for p in self.inserted):
-            raise ValueError("inserted positions must lie in the output range")
-        survivors = last - first + 1 - len(self.dropped)
-        if t_r != survivors + len(self.inserted):
-            raise ValueError("record does not reconcile lengths")
-        if len(self.permutation) != survivors or not all(
-            first <= k <= last and k not in self.dropped for k in self.permutation
+        targets = self.permutation.values()
+        if not (
+            all(first <= k <= last for k in self.permutation)
+            and all(1 <= p <= t_r for p in targets)
+            and len(set(targets)) == len(targets)
         ):
-            raise ValueError("permutation keys must be exactly the survivors")
-        targets = set(self.permutation.values())
-        if len(targets) != survivors or not all(
-            1 <= p <= t_r and p not in self.inserted for p in targets
-        ):
-            raise ValueError("permutation values must fill the non-inserted slots")
-
-    @property
-    def trimmed(self) -> set[int]:
-        t = self.source_length
-        head = set(range(1, self.trim_head + 1))
-        tail = set(range(t - self.trim_tail + 1, t + 1))
-        return head | tail
+            raise ValueError("permutation must map untrimmed originals one-to-one into [1, T_r]")
 
     @property
     def removed_indices(self) -> frozenset[int]:
         """All originals absent from the output: dropped plus trimmed."""
-        return frozenset(self.dropped | self.trimmed)
+        return frozenset(range(1, self.source_length + 1)).difference(self.permutation)
+
+    @property
+    def dropped(self) -> frozenset[int]:
+        """Untrimmed originals absent from the output."""
+        untrimmed = range(self.trim_head + 1, self.source_length - self.trim_tail + 1)
+        return frozenset(untrimmed).difference(self.permutation)
+
+    @property
+    def inserted(self) -> frozenset[int]:
+        """Output positions that show no original."""
+        return frozenset(range(1, self.output_length + 1)).difference(self.permutation.values())
 
     def to_doc(self) -> dict:
         return {
@@ -125,16 +116,18 @@ class TamperRecord:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "TamperRecord":
+        """The record whose to_doc is `doc`; any other document raises ValueError."""
         with _document("tamper record"):
-            return cls(
+            record = cls(
                 source_length=_typed(doc["source_length"], int),
                 output_length=_typed(doc["output_length"], int),
-                dropped=frozenset(_typed(i, int) for i in doc["dropped"]),
-                inserted=frozenset(_typed(i, int) for i in doc["inserted"]),
                 permutation={_typed(k, int): _typed(v, int) for k, v in doc["permutation"]},
                 trim_head=_typed(doc["trim_head"], int),
                 trim_tail=_typed(doc["trim_tail"], int),
             )
+            if _canonical(record.to_doc()) != _canonical(doc):
+                raise ValueError("tamper record is not the document its own fields write")
+        return record
 
 
 @dataclass(frozen=True)
@@ -201,11 +194,7 @@ def _structural(target, rows: np.ndarray, sources: list, extra: list = (),
     if extra:
         out[index < 0] = extra
     permutation = {s + 1: p for p, s in enumerate(sources, 1) if s >= 0}
-    dropped = frozenset(range(trim_head + 1, t - trim_tail + 1)).difference(permutation)
-    inserted = frozenset(p for p, s in enumerate(sources, 1) if s < 0)
-    record = TamperRecord(
-        t, len(sources), dropped, inserted, permutation, trim_head, trim_tail
-    )
+    record = TamperRecord(t, len(sources), permutation, trim_head, trim_tail)
     return _rebuild(target, out), record
 
 
@@ -218,7 +207,8 @@ def attack_drop(target, fraction: float, seed: int = 0):
     """Delete round(T * fraction) uniformly chosen frames, order preserved."""
     rows = _rows(target)
     t = len(rows)
-    if not 0.0 <= float(fraction) < 1.0:
+    fraction = _typed(fraction, float)
+    if not 0.0 <= fraction < 1.0:
         raise ValueError("fraction must lie in [0, 1)")
     count = rounded_count(t, fraction)
     if count >= t:
@@ -245,7 +235,8 @@ def attack_swap_adjacent(
     """
     rows = _rows(target)
     t = len(rows)
-    if not 0.0 <= float(pair_fraction) <= 1.0:
+    pair_fraction = _typed(pair_fraction, float)
+    if not 0.0 <= pair_fraction <= 1.0:
         raise ValueError("pair_fraction must lie in [0, 1]")
     num_pairs = t // 2
     count = floor_count(num_pairs, pair_fraction)
@@ -268,7 +259,8 @@ def attack_insert(target, fraction: float, mode: str = "duplicate", seed: int = 
         raise ValueError(f"unknown insert mode {mode!r}")
     rows = _rows(target)
     t = len(rows)
-    if float(fraction) < 0.0:
+    fraction = _typed(fraction, float)
+    if fraction < 0.0:
         raise ValueError("fraction must be >= 0")
     count = rounded_count(t, fraction)
     rng = np.random.default_rng(seed)
@@ -288,7 +280,8 @@ def attack_trim(target, head_fraction: float, tail_fraction: float):
     """Remove floor(T * head) leading and floor(T * tail) trailing frames."""
     rows = _rows(target)
     t = len(rows)
-    if float(head_fraction) < 0.0 or float(tail_fraction) < 0.0:
+    head_fraction, tail_fraction = _typed(head_fraction, float), _typed(tail_fraction, float)
+    if head_fraction < 0.0 or tail_fraction < 0.0:
         raise ValueError("trim fractions must be >= 0")
     head = floor_count(t, head_fraction)
     tail = floor_count(t, tail_fraction)
@@ -301,6 +294,7 @@ def attack_pixel_noise(
     video, sigma: float = DEFAULT_NOISE_SIGMA, seed: int = 0
 ) -> np.ndarray:
     """Add seeded Gaussian pixel noise, clamped to [0, 1]."""
+    sigma = _typed(sigma, float)
     if sigma < 0.0:
         raise ValueError("sigma must be >= 0")
     pixels = _video(video)
@@ -331,7 +325,8 @@ def _interp_matrix(n_in: int, n_out: int) -> np.ndarray:
 def attack_rescale(video, factor: float) -> np.ndarray:
     """Bilinear downscale by the factor and upscale back to the input shape."""
     pixels = _video(video)
-    if not 0.0 < float(factor) <= 1.0:
+    factor = _typed(factor, float)
+    if not 0.0 < factor <= 1.0:
         raise ValueError("factor must lie in (0, 1]")
     _, _, height, width = pixels.shape
     mid_h = max(1, rounded_count(height, factor))
@@ -350,9 +345,9 @@ def attack_rescale(video, factor: float) -> np.ndarray:
     return _video(out)
 
 
-# Every attack an attack-spec document can name: the attack, whether it takes
-# the spec's "seed", whether it is structural (edits the frame sequence and
-# returns a TamperRecord) rather than photometric (edits pixels), and its
+# Every attack an attack-spec document can name: the attack, whether it draws
+# (and so takes a "seed"), whether it is structural (edits the frame sequence
+# and returns a TamperRecord) rather than photometric (edits pixels), and its
 # other parameters in call order as (name, type) or (name, type, default).
 _ATTACKS = {
     "none": (_attack_none, False, True, ()),
@@ -375,12 +370,13 @@ _ATTACKS = {
 }
 
 
-def parse_attack_spec(spec, structural: bool = False) -> tuple:
+def parse_attack_spec(spec, structural: bool = False, seed: int = 0) -> tuple:
     """The attack an attack-spec document names, its arguments after the
-    target, and the spec with its values typed (a float parameter given as
-    1 reads 1.0).  Raises ValueError on an unknown attack, on a photometric
-    one where `structural` asks for a structural one, and on a missing,
-    unexpected or mistyped parameter; the attack checks the values."""
+    target (the spec's "seed", else `seed`, last if the attack draws), and
+    the spec with its values typed (a float parameter given as 1 reads 1.0).
+    Raises ValueError on an unknown attack, on a photometric one where
+    `structural` asks for a structural one, and on a missing, unexpected or
+    mistyped parameter; the attack checks the values."""
     if not isinstance(spec, dict) or "attack" not in spec:
         raise ValueError('an attack spec must be an object with an "attack" name')
     params = dict(spec)
@@ -393,29 +389,31 @@ def parse_attack_spec(spec, structural: bool = False) -> tuple:
             f"attack {name!r} is photometric and leaves no tamper record; "
             "only structural attacks can be scored"
         )
+    if seeded:
+        parameters = (*parameters, ("seed", int, seed))
     typed, args = dict(spec), []
     try:
-        for key, kind, *default in (*parameters, ("seed", int, 0)):
+        for key, kind, *default in parameters:
             args.append(_typed(params.pop(key, *default), kind))
             if key in spec:
                 typed[key] = args[-1]
-        seed = args.pop()
-        if seed < 0:
-            raise ValueError(f"must be >= 0, not {seed}")
+        if seeded and args[-1] < 0:
+            raise ValueError(f"must be >= 0, not {args[-1]}")
     except KeyError as exc:
         raise ValueError(f"attack {name!r} needs {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:
         raise ValueError(f"attack {name!r} has a malformed parameter {key!r}: {exc}") from None
     if params:
         raise ValueError(f"unexpected attack parameters {sorted(params)}")
-    return attack, (args + [seed] if seeded else args), typed
+    return attack, args, typed
 
 
-def apply_attack(target, spec: dict):
+def apply_attack(target, spec: dict, seed: int = 0):
     """Dispatch an attack-spec document, e.g. {"attack": "drop",
-    "fraction": 0.5, "seed": 7}.  Returns (attacked, TamperRecord or None);
+    "fraction": 0.5, "seed": 7}; an attack that draws and whose spec names
+    no seed draws from `seed`.  Returns (attacked, TamperRecord or None);
     photometric attacks carry no structural record."""
-    attack, args, _ = parse_attack_spec(spec)
+    attack, args, _ = parse_attack_spec(spec, seed=seed)
     attacked = attack(target, *args)
     # Structural attacks return (attacked, record), photometric ones a video.
     return attacked if isinstance(attacked, tuple) else (attacked, None)

@@ -39,6 +39,7 @@ from .keyspace import (
     BaseSecret,
     KeyConfig,
     MessageSequence,
+    _canonical,
     _typed,
     derive_frame_messages,
     derive_schedules,
@@ -248,8 +249,7 @@ def config_hash(cfg: RunConfig) -> str:
         for field in dataclasses.fields(cfg)
         if field.name != "out_dir"
     }
-    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+    return hashlib.sha256(_canonical(doc).encode("utf-8")).hexdigest()[:16]
 
 
 def load_config(path: Optional[str], overrides: dict) -> RunConfig:
@@ -383,10 +383,7 @@ def forensics_table(cfg: RunConfig) -> list:
         for trial in range(cfg.trials):
             key = random_key(key_cfg, derive_seed(row_seed, trial, "key"))
             schedule = derive_frame_messages(secret, key, cfg.num_frames)
-            attacked, record = apply_attack(
-                schedule,
-                {**spec, "seed": derive_seed(row_seed, trial, "attack")},
-            )
+            attacked, record = apply_attack(schedule, spec, derive_seed(row_seed, trial, "attack"))
             received = channel_extract(
                 attacked,
                 ChannelSpec(cfg.flip_probability, derive_seed(row_seed, trial, "channel")),
@@ -458,9 +455,7 @@ def _fit_extractor(cfg: RunConfig, components) -> tuple:
 
 
 def _attack(cfg: RunConfig, target) -> tuple:
-    spec = dict(cfg.attack or {"attack": "none"})
-    spec.setdefault("seed", derive_seed(cfg.seed, "attack"))
-    return apply_attack(target, spec)
+    return apply_attack(target, cfg.attack or {"attack": "none"}, derive_seed(cfg.seed, "attack"))
 
 
 def _extract(extractor, video) -> MessageSequence:

@@ -18,6 +18,7 @@ coordination.
 
 import contextlib
 import hashlib
+import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -378,6 +379,11 @@ def _typed(value, kind: type):
     if not ok or isinstance(value, bool):
         raise TypeError(f"not a valid {kind.__name__}: {value!r}")
     return float(value) if kind is float else value
+
+
+def _canonical(doc) -> str:
+    """`doc` as canonical JSON text, in which 1, 1.0 and true differ."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 @contextlib.contextmanager

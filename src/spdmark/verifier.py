@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .channel_attacks import MAX_FRAMES, TamperRecord
-from .keyspace import MAX_MESSAGE_BITS, MessageSequence, _document, _typed
+from .keyspace import MAX_MESSAGE_BITS, MessageSequence, _canonical, _document, _typed
 
 __all__ = [
     "SimilarityMatrix",
@@ -194,7 +194,7 @@ class Verdict:
         missing = [key for key in recomputed if key not in doc]
         if missing:
             raise ValueError(f"verdict document is missing key {missing[0]!r}")
-        if recomputed != doc:
+        if _canonical(recomputed) != _canonical(doc):
             raise ValueError("verdict document disagrees with its own alignment")
         return verdict
 
@@ -473,6 +473,7 @@ def _verdict(pairs: Sequence[tuple[int, int]], matched: Sequence[int],
     # The verdict on an alignment: `matched` holds the matched-bit count of
     # each pair, `lengths` is (T, T_r, M).
     num_expected, num_extracted, message_bits = lengths
+    gamma_f, gamma_v = _typed(gamma_f, float), _typed(gamma_v, float)
     tau_f, p_f = frame_threshold(message_bits, gamma_f)
     tau_v = video_threshold(len(pairs), p_f, gamma_v)
     frames = tuple(
@@ -562,10 +563,8 @@ def diagnose_tampering(
     if ground_truth is not None:
         verdict._check_lengths(ground_truth)
         scores = {
-            "drop": _f1_scores(
-                set(predicted_dropped), set(ground_truth.removed_indices)
-            ),
-            "insert": _f1_scores(set(predicted_inserted), set(ground_truth.inserted)),
+            "drop": _f1_scores(set(predicted_dropped), ground_truth.removed_indices),
+            "insert": _f1_scores(set(predicted_inserted), ground_truth.inserted),
         }
     return TamperDiagnosis(
         predicted_dropped=predicted_dropped,

@@ -5,7 +5,8 @@ and `attack_rescale` ran when a video was a list of frame objects, one noise
 draw and one pair of bilinear resamplings per (3, H, W) frame.
 
 The five structural attacks as they were before each became a source map:
-every one builds its own survivor list, permutation and TamperRecord.
+every one builds its own survivor list, permutation, drop and insert sets
+and TamperRecord, and the record must derive the same drop and insert sets.
 
 The attacks in `spdmark.channel_attacks` must give the same bytes and
 records.  Nothing under `src/` imports this module.
@@ -23,6 +24,14 @@ from spdmark.channel_attacks import (
     floor_count,
     rounded_count,
 )
+
+
+def _record(dropped=frozenset(), inserted=frozenset(), **fields) -> TamperRecord:
+    """The TamperRecord of `fields`, which must derive exactly the drop and
+    insert sets the attack computed."""
+    record = TamperRecord(**fields)
+    assert (record.dropped, record.inserted) == (dropped, inserted)
+    return record
 
 
 def attack_pixel_noise(frames, sigma: float, seed: int) -> list:
@@ -63,7 +72,7 @@ def attack_drop(target, fraction: float, seed: int = 0):
     rng = np.random.default_rng(seed)
     dropped = frozenset(int(i) + 1 for i in rng.choice(t, size=count, replace=False))
     survivors = [i for i in range(1, t + 1) if i not in dropped]
-    record = TamperRecord(
+    record = _record(
         source_length=t,
         output_length=t - count,
         dropped=dropped,
@@ -79,7 +88,7 @@ def attack_swap_random(target, seed: int = 0):
     rng = np.random.default_rng(seed)
     order = rng.permutation(t)
     # Output position p holds original order[p - 1] + 1.
-    record = TamperRecord(
+    record = _record(
         source_length=t,
         output_length=t,
         permutation={int(orig) + 1: pos + 1 for pos, orig in enumerate(order)},
@@ -110,7 +119,7 @@ def attack_swap_adjacent(
     for pair in chosen:
         first = 2 * int(pair)
         order[[first, first + 1]] = first + 1, first
-    record = TamperRecord(
+    record = _record(
         source_length=t,
         output_length=t,
         permutation={int(orig) + 1: pos + 1 for pos, orig in enumerate(order)},
@@ -144,7 +153,7 @@ def attack_insert(target, fraction: float, mode: str = "duplicate", seed: int = 
     ]
     inserted = frozenset(positions)
     survivors = [p for p in range(1, t_r + 1) if p not in inserted]
-    record = TamperRecord(
+    record = _record(
         source_length=t,
         output_length=t_r,
         inserted=inserted,
@@ -168,7 +177,7 @@ def attack_trim(target, head_fraction: float, tail_fraction: float):
     if head + tail >= t:
         raise ValueError("trim would remove every frame")
     survivors = list(range(head + 1, t - tail + 1))
-    record = TamperRecord(
+    record = _record(
         source_length=t,
         output_length=len(survivors),
         permutation={orig: pos + 1 for pos, orig in enumerate(survivors)},

@@ -1,10 +1,12 @@
+import dataclasses
+import json
 import math
 import re
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference_attacks
@@ -44,6 +46,10 @@ def make_sequence(num_frames: int, seed: int = 0) -> MessageSequence:
     key = random_key(CFG, seed)
     schedule = derive_frame_messages(SECRET, key, num_frames)
     return channel_extract(schedule, ChannelSpec())
+
+
+# A record with a trim, drops, inserts and a reordering.
+RECORD = TamperRecord(8, 7, {2: 3, 3: 1, 5: 2, 6: 5, 7: 7}, trim_head=1)
 
 
 def no_op_record(seq: MessageSequence) -> TamperRecord:
@@ -345,45 +351,78 @@ class TestRecordReconciliation:
             TamperRecord.from_doc(doc)
 
     def test_inconsistent_record_rejected(self):
-        with pytest.raises(ValueError):
-            TamperRecord(source_length=5, output_length=5, dropped=frozenset({1}))
+        # Two originals on one position, a position past or before the
+        # output, an original past the source, and a trimmed original.
+        for permutation, trim_head in [({1: 1, 2: 1}, 0), ({1: 6}, 0), ({1: 0}, 0),
+                                       ({6: 1}, 0), ({1: 1}, 1)]:
+            with pytest.raises(ValueError, match="one-to-one"):
+                TamperRecord(5, 5, permutation, trim_head)
 
     @given(
         st.integers(1, 8),
         st.integers(1, 8),
-        st.frozensets(st.integers(-1, 9), max_size=4),
-        st.frozensets(st.integers(-1, 9), max_size=4),
         st.dictionaries(st.integers(-1, 9), st.integers(-1, 9), max_size=8),
         st.integers(0, 8),
         st.integers(0, 8),
     )
     @settings(max_examples=500, deadline=None)
-    def test_validation_matches_set_based_rules(
-        self, t, t_r, dropped, inserted, permutation, head, tail
-    ):
-        # The record's rules, stated with explicit index sets.
-        valid = head + tail < t
-        if valid:
-            untrimmed = set(range(head + 1, t - tail + 1))
-            survivors = untrimmed - dropped
-            slots = set(range(1, t_r + 1)) - inserted
-            valid = (
-                dropped <= untrimmed
-                and inserted <= set(range(1, t_r + 1))
-                and t_r == len(survivors) + len(inserted)
-                and set(permutation) == survivors
-                and len(set(permutation.values())) == len(survivors)
-                and set(permutation.values()) == slots
-            )
-        args = dict(
-            source_length=t, output_length=t_r, dropped=dropped, inserted=inserted,
-            permutation=permutation, trim_head=head, trim_tail=tail,
+    def test_validation_matches_set_based_rules(self, t, t_r, permutation, head, tail):
+        # The record's rule, stated with explicit index sets: the
+        # permutation maps untrimmed originals one-to-one into [1, T_r].
+        targets = list(permutation.values())
+        valid = (
+            head + tail < t
+            and set(permutation) <= set(range(head + 1, t - tail + 1))
+            and set(targets) <= set(range(1, t_r + 1))
+            and len(set(targets)) == len(targets)
         )
         if valid:
-            TamperRecord(**args)
+            record = TamperRecord(t, t_r, permutation, head, tail)
+            assert record.dropped == set(range(head + 1, t - tail + 1)) - set(permutation)
+            assert record.inserted == set(range(1, t_r + 1)) - set(targets)
+            assert record.removed_indices == set(range(1, t + 1)) - set(permutation)
         else:
             with pytest.raises(ValueError):
-                TamperRecord(**args)
+                TamperRecord(t, t_r, permutation, head, tail)
+
+    @given(st.data(), st.integers(1, 12), st.integers(1, 12), st.integers(0, 5),
+           st.integers(0, 5))
+    @settings(max_examples=300, deadline=None)
+    def test_every_record_reads_back_as_written(self, data, t, t_r, head, tail):
+        assume(head + tail < t)
+        untrimmed = range(head + 1, t - tail + 1)
+        kept = data.draw(st.lists(st.sampled_from(untrimmed), unique=True,
+                                  max_size=min(len(untrimmed), t_r)))
+        slots = data.draw(st.permutations(range(1, t_r + 1)))
+        record = TamperRecord(t, t_r, dict(zip(kept, slots)), head, tail)
+        doc = json.loads(json.dumps(record.to_doc()))
+        assert TamperRecord.from_doc(doc) == record
+
+    def test_record_holds_the_map_and_derives_the_sets(self):
+        assert [f.name for f in dataclasses.fields(TamperRecord)] == [
+            "source_length", "output_length", "permutation", "trim_head", "trim_tail"
+        ]
+        assert RECORD.dropped == {4, 8}
+        assert RECORD.inserted == {4, 6}
+        assert RECORD.removed_indices == {1, 4, 8}
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["dropped"].append(doc["dropped"][0]),
+        lambda doc: doc["inserted"].append(doc["inserted"][0]),
+        lambda doc: doc["permutation"].reverse(),
+        lambda doc: doc["dropped"].pop(),
+        lambda doc: doc["dropped"].append(doc["permutation"][0][0]),
+        lambda doc: doc.update(extra=None),
+        lambda doc: doc.update(trim_tail=0.0),
+        lambda doc: doc.pop("inserted"),
+    ], ids=["duplicate-drop", "duplicate-insert", "reordered-permutation",
+            "missing-drop", "surplus-drop", "extra-key", "float-trim", "no-inserts"])
+    def test_record_read_back_only_as_written(self, edit):
+        doc = json.loads(json.dumps(RECORD.to_doc()))
+        assert TamperRecord.from_doc(doc) == RECORD
+        edit(doc)
+        with pytest.raises(ValueError):
+            TamperRecord.from_doc(doc)
 
     def test_huge_lengths_checked_without_enumerating_them(self):
         huge = 10**18
@@ -392,7 +431,7 @@ class TestRecordReconciliation:
             TamperRecord.from_doc({**doc, "source_length": huge})
         with pytest.raises(ValueError, match=OUT_OF_BOUND):
             TamperRecord.from_doc({**doc, "output_length": huge, "inserted": [huge]})
-        with pytest.raises(ValueError, match="reconcile"):
+        with pytest.raises(ValueError, match="not the document its own fields write"):
             TamperRecord.from_doc({**doc, "source_length": MAX_FRAMES})
         last = MAX_FRAMES
         record = TamperRecord.from_doc(
@@ -691,8 +730,49 @@ class TestApplyAttack:
         with pytest.raises(ValueError):
             apply_attack(make_sequence(3), {"attack": "melt"})
 
+    @pytest.mark.parametrize("spec", [
+        {"attack": "drop", "fraction": 0.5},
+        {"attack": "insert", "fraction": 0.5, "mode": "noise"},
+        {"attack": "pixel_noise"},
+    ])
+    def test_seed_is_the_fallback_of_attacks_that_draw(self, spec):
+        video = make_video(10)
+        seeded = apply_attack(video, {**spec, "seed": 7})
+        for got in (apply_attack(video, spec, 7), apply_attack(video, {**spec, "seed": 7}, 8)):
+            assert np.array_equal(got[0], seeded[0]) and got[1] == seeded[1]
+        assert not np.array_equal(apply_attack(video, spec, 8)[0], seeded[0])
+
+    @pytest.mark.parametrize("spec", [
+        {"attack": "none"},
+        {"attack": "trim", "head_fraction": 0.2, "tail_fraction": 0.1},
+        {"attack": "rescale", "factor": 0.5},
+    ])
+    def test_attacks_that_draw_nothing_take_no_seed(self, spec):
+        video = make_video(10)
+        attacked = apply_attack(video, spec, 7)[0]
+        assert np.array_equal(attacked, apply_attack(video, spec, 8)[0])
+        with pytest.raises(ValueError, match=re.escape("unexpected attack parameters ['seed']")):
+            apply_attack(video, {**spec, "seed": 3})
+
     def test_unexpected_parameter_rejected(self):
         with pytest.raises(ValueError):
             apply_attack(
                 make_sequence(3), {"attack": "drop", "fraction": 0.5, "fracton": 1}
             )
+
+
+@pytest.mark.parametrize("attack, args", [
+    (attack_drop, ("0.5", 3)),
+    (attack_drop, (float("nan"),)),
+    (attack_trim, ("0.2", "0.1")),
+    (attack_trim, (0.2, True)),
+    (attack_swap_adjacent, ("0.3",)),
+    (attack_insert, ("0.5",)),
+    (attack_pixel_noise, ("0.05",)),
+    (attack_rescale, ("0.5",)),
+])
+def test_attack_arguments_follow_the_type_rule(attack, args):
+    """Fractions, sigma and factor are read as floats by the one type rule:
+    a string, a bool or a non-finite number is not converted."""
+    with pytest.raises(TypeError, match="not a valid float"):
+        attack(make_video(10), *args)

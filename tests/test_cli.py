@@ -275,7 +275,9 @@ class TestExitCodes:
          '{"attack": "drop", "fraction": 0.5, "seed": 2.7}',
          '{"attack": "drop", "fraction": 0.5, "seed": true}',
          '{"attack": "drop", "fraction": 0.5, "seed": "7"}',
-         '{"attack": "drop", "fraction": "0.5"}'],
+         '{"attack": "drop", "fraction": "0.5"}',
+         '{"attack": "trim", "head_fraction": 0.2, "tail_fraction": 0.1, "seed": 3}',
+         '{"attack": "none", "seed": 3}'],
     )
     def test_attack_spec_faults_exit_2(self, spec, tmp_path, capsys):
         """Attack specs are checked when the config loads, against the
@@ -520,6 +522,32 @@ class TestAttackDiagnoseFlow:
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["stage"] == "verify"
         assert "(T, T_r) = (10, 10)" in err["message"]
+
+    @pytest.mark.parametrize("artifact, edit", [
+        ("record", lambda doc: doc["dropped"].append(doc["dropped"][0])),
+        ("record", lambda doc: doc["permutation"].reverse()),
+        ("record", lambda doc: doc.update(extra=None)),
+        ("verdict", lambda doc: doc.update(valid=1)),
+        ("verdict", lambda doc: doc.update(tau_f=23.0)),
+    ], ids=["drop-twice", "reversed-permutation", "extra-key", "valid-int", "tau_f-float"])
+    def test_artifact_not_as_written_exits_4(self, artifact, edit, schedule_files, capsys):
+        """A record or verdict reads back only as the pipeline writes it,
+        even where Python's == would take the edited value for the same."""
+        tmp_path, _, schedule = schedule_files
+        files = {name: tmp_path / f"{name}.json" for name in ("attacked", "record", "verdict")}
+        assert run("attack", "--schedule", str(schedule),
+                   "--attack", '{"attack": "drop", "fraction": 0.5, "seed": 3}',
+                   "--out", str(files["attacked"]), "--record", str(files["record"])) == 0
+        assert run("verify", "--schedule", str(schedule), "--extraction", str(files["attacked"]),
+                   "--tamper", str(files["record"]), "--out", str(files["verdict"])) == 0
+        diagnose = ("diagnose", "--verdict", str(files["verdict"]), "--tamper", str(files["record"]))
+        assert run(*diagnose) == 0
+        capsys.readouterr()
+        doc = read_json(files[artifact])
+        edit(doc)
+        write_json(files[artifact], doc)
+        assert run(*diagnose) == 4
+        assert json.loads(capsys.readouterr().err)["error"]["stage"] == "diagnose"
 
     @pytest.mark.parametrize("tamper", [{"anything": [1, 2, 3]}, [1, 2, 3], "drop", 7])
     def test_verdict_whose_tamper_field_is_not_a_record_exits_4(

@@ -19,6 +19,7 @@ from spdmark.channel_attacks import TamperRecord, attack_insert
 from spdmark.keyspace import (
     BaseSecret,
     KeyConfig,
+    MessageSequence,
     derive_frame_messages,
     extraction_document,
     key_document,
@@ -235,7 +236,7 @@ def reader_faults():
         ("verdict", Verdict.from_doc, "verdict document", verdict, "gamma_f",
          replaced(verdict, "frames", 5), replaced(verdict, "num_expected", 1e400)),
         ("tamper", TamperRecord.from_doc, "tamper record", record, "trim_tail",
-         replaced(record, "dropped", 5), replaced(record, "source_length", 1e400)),
+         replaced(record, "permutation", 5), replaced(record, "source_length", 1e400)),
         ("extractor", read_header, "extractor header", header, "ridge_lambda",
          replaced(header, "message_bits", []), replaced(header, "features", 1e400)),
     ]
@@ -299,3 +300,18 @@ def wrong_types():
 def test_values_of_the_wrong_type_rejected(reader, doc, pattern):
     with pytest.raises(ValueError, match=pattern):
         reader(doc)
+
+
+@pytest.mark.parametrize("key, kind", [
+    ("valid", int), ("tau_f", float), ("num_valid", bool), ("bit_acc", int), ("gamma_v", int),
+])
+def test_verdict_reads_back_only_as_written(key, kind):
+    """A recomputed field of the same value in Python (1 == 1.0 == True) but
+    another JSON type does not read back."""
+    first = MessageSequence(SCHEDULE.messages[:1])
+    verdict = verify(first, first, gamma_f=0.1, gamma_v=1.0)
+    doc = json.loads(json.dumps(verdict.to_doc()))
+    assert Verdict.from_doc(doc) == verdict
+    assert doc["num_valid"] == 1 and kind(doc[key]) == doc[key]
+    with pytest.raises(ValueError, match="disagrees with its own alignment"):
+        Verdict.from_doc({**doc, key: kind(doc[key])})
