@@ -153,13 +153,13 @@ def channel_extract(messages: MessageSequence, spec: ChannelSpec) -> MessageSequ
     return _unchecked_sequence(bits)
 
 
-def rounded_count(total: int, fraction) -> int:
+def rounded_count(total: int, fraction: float) -> int:
     """total * fraction rounded half-to-even on the exact decimal value."""
-    return round(Fraction(str(fraction)) * total)
+    return round(Fraction(str(_typed(fraction, float))) * total)
 
 
-def floor_count(total: int, fraction) -> int:
-    return math.floor(Fraction(str(fraction)) * total)
+def floor_count(total: int, fraction: float) -> int:
+    return math.floor(Fraction(str(_typed(fraction, float))) * total)
 
 
 def _rows(target) -> np.ndarray:

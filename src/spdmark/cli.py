@@ -88,8 +88,6 @@ __all__ = [
     "build_corpus",
     "toy_components",
     "forensics_table",
-    "extraction_document",
-    "parse_extraction_document",
     "DEFAULT_ATTACK_SUITE",
     "main",
 ]
@@ -279,7 +277,7 @@ def _read_json(path: str) -> dict:
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
-def _emit(doc: dict, out: Optional[str]) -> None:
+def _emit(doc, out) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -413,23 +411,28 @@ def forensics_table(cfg: RunConfig) -> list:
     return rows
 
 
-# One function per pipeline stage, on in-memory objects.  The subcommands
-# read their inputs from files, run the stage and write its artifact;
-# run-pipeline runs the same stages in order and writes through the same
-# writers.
+# One function per pipeline stage, on in-memory objects.  Each writes its
+# artifact to the path it is given and returns what later stages read.  The
+# subcommands read their inputs from files and call one stage; run-pipeline
+# chains the stages in one process, so each artifact is written in one place.
 
 
-def _keygen(cfg: RunConfig):
-    return random_key(cfg.key_config(), cfg.seed)
+def _keygen(cfg: RunConfig, out):
+    key = random_key(cfg.key_config(), cfg.seed)
+    _emit({**key_document(cfg.key_config(), key), "seed": cfg.seed}, out)
+    return key
 
 
-def _schedule(cfg: RunConfig, key) -> MessageSequence:
-    return derive_frame_messages(cfg.secret(), key, cfg.num_frames)
+def _schedule(cfg: RunConfig, key_cfg: KeyConfig, key, out) -> MessageSequence:
+    schedule = derive_frame_messages(cfg.secret(), key, cfg.num_frames)
+    _emit(schedule_document(key_cfg, key, schedule), out)
+    return schedule
 
 
-def _embed(cfg: RunConfig, components, schedule, with_clean: bool) -> tuple:
-    """The watermarked video and, if asked, the unwatermarked one (alpha 0)
-    from the same latents; `components` is what toy_components returns.
+def _embed(cfg: RunConfig, components, schedule, out, clean_out=None) -> tuple:
+    """The watermarked video and, if `clean_out` is given, the unwatermarked
+    one (alpha 0) from the same latents; `components` is what
+    toy_components returns.
 
     The clean video's dictionary is the shared dictionary's alpha-0 twin,
     which reuses its factor_a and factor_b stacks and their rounded images;
@@ -439,31 +442,55 @@ def _embed(cfg: RunConfig, components, schedule, with_clean: bool) -> tuple:
     marked = generate_video(
         decoder, dictionary, schedule, latent_seed, condition, cfg.latent_scale
     )
+    _write_binary(out, write_video, marked)
     clean = None
-    if with_clean:
+    if clean_out:
         clean = generate_video(
             decoder, _clean_twin(dictionary), schedule, latent_seed,
             condition, cfg.latent_scale,
         )
+        _write_binary(clean_out, write_video, clean)
     return marked, clean
 
 
-def _fit_extractor(cfg: RunConfig, components) -> tuple:
+def _fit_extractor(cfg: RunConfig, components, out) -> tuple:
     """The extractor fitted on the training corpus, and that corpus."""
     train = build_corpus(cfg, "train", cfg.train_videos, cfg.train_frames, *components)
-    return fit_extractor(*train, ridge_lambda=cfg.ridge_lambda), train
+    extractor = fit_extractor(*train, ridge_lambda=cfg.ridge_lambda)
+    _write_binary(out, write_extractor, extractor)
+    return extractor, train
 
 
-def _attack(cfg: RunConfig, target) -> tuple:
-    return apply_attack(target, cfg.attack or {"attack": "none"}, derive_seed(cfg.seed, "attack"))
+def _attack(cfg: RunConfig, target, out, record_out=None) -> tuple:
+    """The attacked video or extraction and its tamper record, each written
+    if given a path (a video always needs one)."""
+    attacked, record = apply_attack(
+        target, cfg.attack or {"attack": "none"}, derive_seed(cfg.seed, "attack")
+    )
+    if isinstance(attacked, MessageSequence):
+        _emit(extraction_document(attacked), out)
+    elif out:
+        _write_binary(out, write_video, attacked)
+    else:
+        raise ConfigError("attacking a video writes binary output and needs --out")
+    if record_out:
+        _emit(None if record is None else record.to_doc(), record_out)
+    return attacked, record
 
 
 def _extract(extractor, video) -> MessageSequence:
     return MessageSequence([extractor.decode(frame) for frame in video])
 
 
-def _verify(cfg: RunConfig, schedule, extracted: MessageSequence) -> Verdict:
-    return verify(schedule, extracted, cfg.gamma_f, cfg.gamma_v)
+def _verify(cfg: RunConfig, schedule, extracted: MessageSequence,
+            record: Optional[TamperRecord], out) -> Verdict:
+    verdict = verify(schedule, extracted, cfg.gamma_f, cfg.gamma_v)
+    _emit(verdict.to_doc(record), out)
+    return verdict
+
+
+def _diagnose(verdict: Verdict, record: Optional[TamperRecord], out) -> None:
+    _emit(diagnose_tampering(verdict, record).to_doc(), out)
 
 
 def _calibrate(cfg: RunConfig) -> dict:
@@ -504,14 +531,6 @@ def _write_binary(path, writer, value) -> None:
         writer(stream, value)
 
 
-def _key_file(cfg: RunConfig, key) -> dict:
-    return {**key_document(cfg.key_config(), key), "seed": cfg.seed}
-
-
-def _record_doc(record: Optional[TamperRecord]) -> Optional[dict]:
-    return None if record is None else record.to_doc()
-
-
 def cmd_keygen(cfg: RunConfig, args) -> int:
     bits = args.bits if args.bits is not None else cfg.message_bits
     if bits != cfg.message_bits:
@@ -520,14 +539,13 @@ def cmd_keygen(cfg: RunConfig, args) -> int:
             f"({cfg.num_layers} layers x log2({cfg.bases_per_layer}) bits)"
         )
     with _stage("keygen"):
-        _emit(_key_file(cfg, _keygen(cfg)), args.out)
+        _keygen(cfg, args.out)
     return 0
 
 
 def cmd_schedule(cfg: RunConfig, args) -> int:
     with _stage("schedule"):
-        key_cfg, key = parse_key_document(_read_json(args.key))
-        _emit(schedule_document(key_cfg, key, _schedule(cfg, key)), args.out)
+        _schedule(cfg, *parse_key_document(_read_json(args.key)), args.out)
     return 0
 
 
@@ -535,12 +553,8 @@ def cmd_embed(cfg: RunConfig, args) -> int:
     if not args.out:
         raise ConfigError("embed writes a binary video and needs --out")
     with _stage("embed"):
-        marked, clean = _embed(
-            cfg, toy_components(cfg), _read_schedule(args.schedule), bool(args.clean_out)
-        )
-        _write_binary(args.out, write_video, marked)
-        if clean is not None:
-            _write_binary(args.clean_out, write_video, clean)
+        _embed(cfg, toy_components(cfg), _read_schedule(args.schedule), args.out,
+               args.clean_out)
     return 0
 
 
@@ -554,15 +568,7 @@ def cmd_attack(cfg: RunConfig, args) -> int:
             target = _read_schedule(args.schedule)
         else:
             raise ConfigError("attack needs --video, --extraction, or --schedule")
-        attacked, record = _attack(cfg, target)
-        if isinstance(attacked, MessageSequence):
-            _emit(extraction_document(attacked), args.out)
-        else:
-            if not args.out:
-                raise ConfigError("attacking a video writes binary output and needs --out")
-            _write_binary(args.out, write_video, attacked)
-        if args.record:
-            _emit(_record_doc(record), args.record)
+        _attack(cfg, target, args.out, args.record)
     return 0
 
 
@@ -589,9 +595,8 @@ def cmd_extract(cfg: RunConfig, args) -> int:
 def cmd_fit_extractor(cfg: RunConfig, args) -> int:
     with _stage("fit-extractor"):
         components = toy_components(cfg)
-        extractor, train = _fit_extractor(cfg, components)
         out_path = args.out or str(Path(cfg.out_dir) / "extractor.bin")
-        _write_binary(out_path, write_extractor, extractor)
+        extractor, train = _fit_extractor(cfg, components, out_path)
         held = build_corpus(
             cfg, "holdout", cfg.holdout_videos, cfg.train_frames, *components
         )
@@ -611,19 +616,16 @@ def cmd_fit_extractor(cfg: RunConfig, args) -> int:
 
 def cmd_verify(cfg: RunConfig, args) -> int:
     with _stage("verify"):
-        verdict = _verify(
-            cfg,
-            _read_schedule(args.schedule),
-            parse_extraction_document(_read_json(args.extraction)),
-        )
-        _emit(verdict.to_doc(_read_record(args.tamper)), args.out)
+        schedule = _read_schedule(args.schedule)
+        extracted = parse_extraction_document(_read_json(args.extraction))
+        verdict = _verify(cfg, schedule, extracted, _read_record(args.tamper), args.out)
     return 0 if verdict.valid else 3
 
 
 def cmd_diagnose(cfg: RunConfig, args) -> int:
     with _stage("diagnose"):
-        verdict = Verdict.from_doc(_read_json(args.verdict))
-        _emit(diagnose_tampering(verdict, _read_record(args.tamper)).to_doc(), args.out)
+        _diagnose(Verdict.from_doc(_read_json(args.verdict)), _read_record(args.tamper),
+                  args.out)
     return 0
 
 
@@ -635,76 +637,54 @@ def cmd_calibrate(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _toy_pipeline(cfg: RunConfig, out: Path) -> int:
-    started = time.perf_counter()
-    seconds: dict = {}
+def _toy_pipeline(cfg: RunConfig, out: Path, seconds: dict) -> dict:
+    """Every toy stage in order, each writing its artifact into `out` and
+    its wall time into `seconds`; returns the report's body."""
     with _stage("keygen", seconds):
-        key = _keygen(cfg)
-        _emit(_key_file(cfg, key), str(out / "key.json"))
+        key = _keygen(cfg, out / "key.json")
     with _stage("schedule", seconds):
-        schedule = _schedule(cfg, key)
-        _emit(schedule_document(cfg.key_config(), key, schedule), str(out / "schedule.json"))
+        schedule = _schedule(cfg, cfg.key_config(), key, out / "schedule.json")
     with _stage("embed", seconds):
         components = toy_components(cfg)
-        marked, clean = _embed(cfg, components, schedule, with_clean=True)
-        _write_binary(out / "marked.spdf", write_video, marked)
-        _write_binary(out / "clean.spdf", write_video, clean)
+        marked, clean = _embed(
+            cfg, components, schedule, out / "marked.spdf", out / "clean.spdf"
+        )
     with _stage("fit-extractor", seconds):
-        extractor, _ = _fit_extractor(cfg, components)
-        _write_binary(out / "extractor.bin", write_extractor, extractor)
+        extractor, _ = _fit_extractor(cfg, components, out / "extractor.bin")
     with _stage("attack", seconds):
-        attacked, record = _attack(cfg, marked)
-        _write_binary(out / "attacked.spdf", write_video, attacked)
-        _emit(_record_doc(record), str(out / "tamper.json"))
+        attacked, record = _attack(cfg, marked, out / "attacked.spdf", out / "tamper.json")
     with _stage("extract", seconds):
         extracted = _extract(extractor, attacked)
-        _emit(extraction_document(extracted), str(out / "extraction.json"))
+        _emit(extraction_document(extracted), out / "extraction.json")
     with _stage("verify", seconds):
-        verdict = _verify(cfg, schedule, extracted)
-        _emit(verdict.to_doc(record), str(out / "verdict.json"))
+        verdict = _verify(cfg, schedule, extracted, record, out / "verdict.json")
     with _stage("diagnose", seconds):
-        _emit(diagnose_tampering(verdict, record).to_doc(), str(out / "diagnosis.json"))
+        _diagnose(verdict, record, out / "diagnosis.json")
     with _stage("losses", seconds):
         losses = loss_report(
             clean, marked, extractor, schedule, LossWeights(cfg.lambda_ps, cfg.lambda_tc)
         )
-    report = {
-        "mode": "toy",
-        "config_hash": config_hash(cfg),
-        "seed": cfg.seed,
+    return {
         "valid": verdict.valid,
         "bit_acc": verdict.bit_acc,
         "order_acc": verdict.order_acc,
         "num_valid": len(verdict.valid_set),
         "losses": losses,
         "artifacts": sorted(p.name for p in out.iterdir()),
-        "runtime": {
-            "stage_seconds": seconds,
-            "total_seconds": time.perf_counter() - started,
-        },
     }
-    _emit(report, str(out / "report.json"))
-    return 0 if verdict.valid else 3
 
 
-def _channel_pipeline(cfg: RunConfig, out: Path) -> int:
-    started = time.perf_counter()
+def _channel_pipeline(cfg: RunConfig) -> dict:
     with _stage("forensics"):
         rows = forensics_table(cfg)
     with _stage("calibrate"):
         calibration = _calibrate(cfg)
-    report = {
-        "mode": "channel",
-        "config_hash": config_hash(cfg),
-        "seed": cfg.seed,
+    return {
         "flip_probability": cfg.flip_probability,
         "num_frames": cfg.num_frames,
         "rows": rows,
         "calibration": calibration,
-        "runtime": {"total_seconds": time.perf_counter() - started},
     }
-    _emit(report, str(out / "report.json"))
-    return 0
 
 
 def cmd_run_pipeline(cfg: RunConfig, args) -> int:
@@ -712,10 +692,20 @@ def cmd_run_pipeline(cfg: RunConfig, args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     resolved = dataclasses.asdict(cfg)
     resolved["config_hash"] = config_hash(cfg)
-    _emit(resolved, str(out / "config.json"))
+    _emit(resolved, out / "config.json")
+    started = time.perf_counter()
     if args.mode == "toy":
-        return _toy_pipeline(cfg, out)
-    return _channel_pipeline(cfg, out)
+        seconds: dict = {}
+        body = _toy_pipeline(cfg, out, seconds)
+        runtime = {"stage_seconds": seconds}
+    else:
+        body, runtime = _channel_pipeline(cfg), {}
+    runtime["total_seconds"] = time.perf_counter() - started
+    report = {"mode": args.mode, "config_hash": config_hash(cfg), "seed": cfg.seed,
+              **body, "runtime": runtime}
+    _emit(report, out / "report.json")
+    # Only an invalid toy verdict exits 3; channel mode has no single verdict.
+    return 0 if body.get("valid", True) else 3
 
 
 @functools.lru_cache(maxsize=1)

@@ -241,18 +241,14 @@ def key_to_mask(key: WatermarkKey, cfg: KeyConfig) -> SelectionMask:
 
 
 def mask_to_key(mask: SelectionMask, cfg: KeyConfig) -> WatermarkKey:
-    """Invert key_to_mask; rejects rows without exactly one selection."""
+    """Invert key_to_mask: each row's selected basis, read back as its MSB
+    first chunk (SelectionMask holds exactly one selection per row).
+    Public API with no caller in src/, kept for acceptance criterion 3."""
     if mask.num_layers != cfg.num_layers or mask.bases_per_layer != cfg.bases_per_layer:
         raise ValueError("mask dimensions do not match config")
-    width = cfg.bits_per_layer
-    bits: list[int] = []
-    for layer in range(cfg.num_layers):
-        row = np.flatnonzero(mask.mask[layer])
-        if row.size != 1:
-            raise ValueError(f"mask row {layer + 1} does not select exactly one basis")
-        index = int(row[0])
-        bits.extend((index >> (width - 1 - k)) & 1 for k in range(width))
-    return WatermarkKey(tuple(bits))
+    index = mask.mask.argmax(axis=1)
+    bits = (index[:, None] >> np.arange(cfg.bits_per_layer - 1, -1, -1)) & 1
+    return WatermarkKey(tuple(bits.ravel().tolist()))
 
 
 def _pack(bits: Sequence[int]) -> bytes:

@@ -225,6 +225,7 @@ def imperceptibility_loss(clean, marked, weights: LossWeights = LossWeights()) -
 
     The temporal term compares luminance differences of successive frames, so
     it needs at least two frames; a static pixel offset leaves it at zero.
+    Public API with no caller in src/, kept for acceptance criterion 7.
     """
     ps, tc = _weighted_terms(clean, marked, weights)
     return ps + tc

@@ -432,7 +432,8 @@ def _binomial_tail(n: int, k: int, p: float) -> float:
 
 def binomial_tail(n: int, k: int) -> float:
     """Pr(X >= k) for X ~ Binomial(n, 1/2): the exact rational
-    sum_{j >= k} C(n, j) / 2^n, correctly rounded to the nearest float."""
+    sum_{j >= k} C(n, j) / 2^n, correctly rounded to the nearest float.
+    Public API with no caller in src/, kept for acceptance criterion 1."""
     return _binomial_tail(n, k, 0.5)
 
 

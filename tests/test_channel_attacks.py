@@ -83,6 +83,19 @@ class TestCounts:
         assert floor_count(8, 0.3) == 2
         assert floor_count(25, 0.2) == 5
 
+    @pytest.mark.parametrize("count", [rounded_count, floor_count])
+    @pytest.mark.parametrize("fraction", ["0.3", True, None])
+    def test_fraction_must_be_a_number(self, count, fraction):
+        # The type rule the attacks apply to their fractions: "0.3" would
+        # otherwise read as the decimal 0.3 and True as 1.
+        with pytest.raises(TypeError):
+            count(25, fraction)
+
+    def test_number_fractions_read_as_before(self):
+        assert floor_count(25, 0.3) == 7
+        assert rounded_count(25, 1) == floor_count(25, 1) == 25
+        assert rounded_count(25, np.float64(0.3)) == 8
+
 
 class TestChannelExtract:
     def test_ideal_is_exact_copy(self):

@@ -34,8 +34,16 @@ from spdmark.cli import (
     main,
     toy_components,
 )
-from spdmark.channel_attacks import MAX_FRAMES
-from spdmark.keyspace import KeyConfig, MessageSequence, bits_to_hex, random_key
+from spdmark.channel_attacks import MAX_FRAMES, apply_attack
+from spdmark.keyspace import (
+    KeyConfig,
+    MessageSequence,
+    bits_to_hex,
+    extraction_document,
+    parse_extraction_document,
+    parse_schedule_document,
+    random_key,
+)
 from spdmark.objective import read_extractor
 from spdmark.spd_core import init_dictionary, init_toy_decoder, read_video
 from spdmark.verifier import verify
@@ -419,6 +427,38 @@ class TestAttackDiagnoseFlow:
         assert sorted(diag["predicted_dropped"]) == sorted(record_doc["dropped"])
         assert diag["scores"]["drop"]["f1"] == 1.0
         assert diag["scores"]["insert"]["f1"] == 1.0
+
+    def test_attack_on_an_extraction(self, schedule_files, tmp_path):
+        # attack --extraction attacks the parsed sequence as apply_attack
+        # does, under the seed the attack stage derives; verify and diagnose
+        # take what it writes.
+        _, _, schedule = schedule_files
+        cfg = tmp_path / "noisy.json"
+        write_json(cfg, {"seed": 11, "flip_probability": 0.05})
+        spec = {"attack": "drop", "fraction": 0.3}
+        extraction, attacked, record, verdict, diagnosis = (
+            tmp_path / name for name in ("extraction.json", "attacked.json", "record.json",
+                                         "verdict.json", "diagnosis.json")
+        )
+        assert run("extract", "--config", str(cfg), "--schedule", str(schedule),
+                   "--out", str(extraction)) == 0
+        received = parse_extraction_document(read_json(extraction))
+        # The channel flipped bits, so attacking the schedule would differ.
+        assert received != parse_schedule_document(read_json(schedule))[2]
+        assert run("attack", "--config", str(cfg), "--extraction", str(extraction),
+                   "--attack", json.dumps(spec), "--out", str(attacked),
+                   "--record", str(record)) == 0
+        want, want_record = apply_attack(received, spec, derive_seed(11, "attack"))
+        assert read_json(attacked) == extraction_document(want)
+        assert read_json(record) == want_record.to_doc()
+        code = run("verify", "--config", str(cfg), "--schedule", str(schedule),
+                   "--extraction", str(attacked), "--tamper", str(record),
+                   "--out", str(verdict))
+        assert code == (0 if read_json(verdict)["valid"] else 3)
+        assert read_json(verdict)["tamper"] == want_record.to_doc()
+        assert run("diagnose", "--verdict", str(verdict), "--tamper", str(record),
+                   "--out", str(diagnosis)) == 0
+        assert read_json(diagnosis)["scores"] is not None
 
     def test_photometric_attack_record_is_null(self, schedule_files, tmp_path):
         _, _, schedule = schedule_files

@@ -444,6 +444,24 @@ class TestFitExtractor:
             )
             assert extractor.bias[bit] == pytest.approx(solution[features], abs=1e-6)
 
+    def test_zero_ridge_is_the_minimum_norm_fit(self):
+        # The seed-3 training corpus has rank 67 of its 193 design columns
+        # (Gram condition number about 6.5e20), so at lambda = 0 only an
+        # SVD-based solve is meaningful: the fit must be the minimum-norm
+        # least-squares solution that the pseudo-inverse gives.
+        cfg = RunConfig(seed=3)
+        videos, schedule = build_corpus(
+            cfg, "train", cfg.train_videos, cfg.train_frames, *toy_components(cfg)
+        )
+        extractor = fit_extractor(videos, schedule, ridge_lambda=0.0)
+        design = np.hstack([videos.reshape(len(schedule), -1), np.ones((len(schedule), 1))])
+        want = np.linalg.pinv(design) @ (2.0 * schedule.messages - 1)
+        # Entries reach about 140; the two solves agree to about 1e-8.
+        np.testing.assert_allclose(extractor.weight, want[:-1].T, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(extractor.bias, want[-1], rtol=0, atol=1e-6)
+        assert extractor.ridge_lambda == 0.0
+        assert bit_accuracy(extractor, videos, schedule) >= 0.99
+
     def test_deterministic(self):
         rng = np.random.default_rng(16)
         videos = rng.uniform(0, 1, (3, 6, 3, 4, 4))
