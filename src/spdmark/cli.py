@@ -9,7 +9,8 @@ of a report is the one exception and carries wall-clock stats only.
 
 Exit codes: 0 success, 2 invalid configuration or usage, 3 verification
 returned invalid (for scripting), 4 a pipeline stage failed (the error
-report on stderr names the stage).
+report on stderr names the stage).  `main` tags each subcommand's failures
+with its name as the stage; run-pipeline names the failing stage of the run.
 """
 
 import argparse
@@ -462,24 +463,31 @@ def _fit_extractor(cfg: RunConfig, components, out) -> tuple:
 
 
 def _attack(cfg: RunConfig, target, out, record_out=None) -> tuple:
-    """The attacked video or extraction and its tamper record, each written
-    if given a path (a video always needs one)."""
+    """The attacked video or extraction, written to `out`, and its tamper
+    record, written if given a path."""
     attacked, record = apply_attack(
         target, cfg.attack or {"attack": "none"}, derive_seed(cfg.seed, "attack")
     )
     if isinstance(attacked, MessageSequence):
         _emit(extraction_document(attacked), out)
-    elif out:
-        _write_binary(out, write_video, attacked)
     else:
-        raise ConfigError("attacking a video writes binary output and needs --out")
+        _write_binary(out, write_video, attacked)
     if record_out:
         _emit(None if record is None else record.to_doc(), record_out)
     return attacked, record
 
 
-def _extract(extractor, video) -> MessageSequence:
-    return MessageSequence([extractor.decode(frame) for frame in video])
+def _extract(cfg: RunConfig, target, extractor, out) -> MessageSequence:
+    """The messages read from a video by `extractor`, or from a
+    MessageSequence through the configured bit-flip channel."""
+    if isinstance(target, MessageSequence):
+        extracted = channel_extract(
+            target, ChannelSpec(cfg.flip_probability, derive_seed(cfg.seed, "channel"))
+        )
+    else:
+        extracted = MessageSequence([extractor.decode(frame) for frame in target])
+    _emit(extraction_document(extracted), out)
+    return extracted
 
 
 def _verify(cfg: RunConfig, schedule, extracted: MessageSequence,
@@ -538,103 +546,95 @@ def cmd_keygen(cfg: RunConfig, args) -> int:
             f"--bits {bits} does not match the configured layout "
             f"({cfg.num_layers} layers x log2({cfg.bases_per_layer}) bits)"
         )
-    with _stage("keygen"):
-        _keygen(cfg, args.out)
+    _keygen(cfg, args.out)
     return 0
 
 
 def cmd_schedule(cfg: RunConfig, args) -> int:
-    with _stage("schedule"):
-        _schedule(cfg, *parse_key_document(_read_json(args.key)), args.out)
+    _schedule(cfg, *parse_key_document(_read_json(args.key)), args.out)
     return 0
 
 
 def cmd_embed(cfg: RunConfig, args) -> int:
     if not args.out:
         raise ConfigError("embed writes a binary video and needs --out")
-    with _stage("embed"):
-        _embed(cfg, toy_components(cfg), _read_schedule(args.schedule), args.out,
-               args.clean_out)
+    _embed(cfg, toy_components(cfg), _read_schedule(args.schedule), args.out,
+           args.clean_out)
     return 0
 
 
 def cmd_attack(cfg: RunConfig, args) -> int:
-    with _stage("attack"):
-        if args.video:
-            target = _read_binary(args.video, read_video)
-        elif args.extraction:
-            target = parse_extraction_document(_read_json(args.extraction))
-        elif args.schedule:
-            target = _read_schedule(args.schedule)
-        else:
-            raise ConfigError("attack needs --video, --extraction, or --schedule")
-        _attack(cfg, target, args.out, args.record)
+    if args.video:
+        if not args.out:
+            raise ConfigError("attacking a video writes binary output and needs --out")
+        target = _read_binary(args.video, read_video)
+    elif args.extraction:
+        target = parse_extraction_document(_read_json(args.extraction))
+    elif args.schedule:
+        target = _read_schedule(args.schedule)
+    else:
+        raise ConfigError("attack needs --video, --extraction, or --schedule")
+    _attack(cfg, target, args.out, args.record)
     return 0
 
 
 def cmd_extract(cfg: RunConfig, args) -> int:
-    with _stage("extract"):
-        if args.video:
-            if not args.extractor:
-                raise ConfigError("extracting from a video needs --extractor")
-            sequence = _extract(
-                _read_binary(args.extractor, read_extractor),
-                _read_binary(args.video, read_video),
-            )
-        elif args.schedule:
-            sequence = channel_extract(
-                _read_schedule(args.schedule),
-                ChannelSpec(cfg.flip_probability, derive_seed(cfg.seed, "channel")),
-            )
-        else:
-            raise ConfigError("extract needs --video with --extractor, or --schedule")
-        _emit(extraction_document(sequence), args.out)
+    if args.video:
+        if not args.extractor:
+            raise ConfigError("extracting from a video needs --extractor")
+        extractor = _read_binary(args.extractor, read_extractor)
+        target = _read_binary(args.video, read_video)
+    elif args.schedule:
+        extractor, target = None, _read_schedule(args.schedule)
+    else:
+        raise ConfigError("extract needs --video with --extractor, or --schedule")
+    _extract(cfg, target, extractor, args.out)
     return 0
 
 
 def cmd_fit_extractor(cfg: RunConfig, args) -> int:
-    with _stage("fit-extractor"):
-        components = toy_components(cfg)
-        out_path = args.out or str(Path(cfg.out_dir) / "extractor.bin")
-        extractor, train = _fit_extractor(cfg, components, out_path)
-        held = build_corpus(
-            cfg, "holdout", cfg.holdout_videos, cfg.train_frames, *components
-        )
-        report = {
-            "extractor": out_path,
-            "train_videos": cfg.train_videos,
-            "train_frames": cfg.train_frames,
-            "holdout_videos": cfg.holdout_videos,
-            "train_bit_acc": bit_accuracy(extractor, *train),
-            "holdout_bit_acc": bit_accuracy(extractor, *held),
-            "config_hash": config_hash(cfg),
-            "seed": cfg.seed,
-        }
-        _emit(report, None)
+    components = toy_components(cfg)
+    out_path = args.out or str(Path(cfg.out_dir) / "extractor.bin")
+    extractor, train = _fit_extractor(cfg, components, out_path)
+    held = build_corpus(cfg, "holdout", cfg.holdout_videos, cfg.train_frames, *components)
+    report = {
+        "extractor": out_path,
+        "train_videos": cfg.train_videos,
+        "train_frames": cfg.train_frames,
+        "holdout_videos": cfg.holdout_videos,
+        "train_bit_acc": bit_accuracy(extractor, *train),
+        "holdout_bit_acc": bit_accuracy(extractor, *held),
+        "config_hash": config_hash(cfg),
+        "seed": cfg.seed,
+    }
+    _emit(report, None)
     return 0
 
 
 def cmd_verify(cfg: RunConfig, args) -> int:
-    with _stage("verify"):
-        schedule = _read_schedule(args.schedule)
-        extracted = parse_extraction_document(_read_json(args.extraction))
-        verdict = _verify(cfg, schedule, extracted, _read_record(args.tamper), args.out)
+    schedule = _read_schedule(args.schedule)
+    extracted = parse_extraction_document(_read_json(args.extraction))
+    verdict = _verify(cfg, schedule, extracted, _read_record(args.tamper), args.out)
     return 0 if verdict.valid else 3
 
 
 def cmd_diagnose(cfg: RunConfig, args) -> int:
-    with _stage("diagnose"):
-        _diagnose(Verdict.from_doc(_read_json(args.verdict)), _read_record(args.tamper),
-                  args.out)
+    _diagnose(Verdict.from_doc(_read_json(args.verdict)), _read_record(args.tamper),
+              args.out)
     return 0
 
 
 def cmd_calibrate(cfg: RunConfig, args) -> int:
-    with _stage("calibrate"):
-        report = _calibrate(cfg)
-        report["config_hash"] = config_hash(cfg)
-        _emit(report, args.out)
+    report = _calibrate(cfg)
+    report["config_hash"] = config_hash(cfg)
+    _emit(report, args.out)
     return 0
+
+
+# What a toy run writes: config.json and each stage's artifact.
+_TOY_ARTIFACTS = ("attacked.spdf", "clean.spdf", "config.json", "diagnosis.json",
+                  "extraction.json", "extractor.bin", "key.json", "marked.spdf",
+                  "schedule.json", "tamper.json", "verdict.json")
 
 
 def _toy_pipeline(cfg: RunConfig, out: Path, seconds: dict) -> dict:
@@ -654,8 +654,7 @@ def _toy_pipeline(cfg: RunConfig, out: Path, seconds: dict) -> dict:
     with _stage("attack", seconds):
         attacked, record = _attack(cfg, marked, out / "attacked.spdf", out / "tamper.json")
     with _stage("extract", seconds):
-        extracted = _extract(extractor, attacked)
-        _emit(extraction_document(extracted), out / "extraction.json")
+        extracted = _extract(cfg, attacked, extractor, out / "extraction.json")
     with _stage("verify", seconds):
         verdict = _verify(cfg, schedule, extracted, record, out / "verdict.json")
     with _stage("diagnose", seconds):
@@ -670,14 +669,14 @@ def _toy_pipeline(cfg: RunConfig, out: Path, seconds: dict) -> dict:
         "order_acc": verdict.order_acc,
         "num_valid": len(verdict.valid_set),
         "losses": losses,
-        "artifacts": sorted(p.name for p in out.iterdir()),
+        "artifacts": _TOY_ARTIFACTS,
     }
 
 
-def _channel_pipeline(cfg: RunConfig) -> dict:
-    with _stage("forensics"):
+def _channel_pipeline(cfg: RunConfig, seconds: dict) -> dict:
+    with _stage("forensics", seconds):
         rows = forensics_table(cfg)
-    with _stage("calibrate"):
+    with _stage("calibrate", seconds):
         calibration = _calibrate(cfg)
     return {
         "flip_probability": cfg.flip_probability,
@@ -693,14 +692,13 @@ def cmd_run_pipeline(cfg: RunConfig, args) -> int:
     resolved = dataclasses.asdict(cfg)
     resolved["config_hash"] = config_hash(cfg)
     _emit(resolved, out / "config.json")
+    seconds: dict = {}
     started = time.perf_counter()
     if args.mode == "toy":
-        seconds: dict = {}
         body = _toy_pipeline(cfg, out, seconds)
-        runtime = {"stage_seconds": seconds}
     else:
-        body, runtime = _channel_pipeline(cfg), {}
-    runtime["total_seconds"] = time.perf_counter() - started
+        body = _channel_pipeline(cfg, seconds)
+    runtime = {"stage_seconds": seconds, "total_seconds": time.perf_counter() - started}
     report = {"mode": args.mode, "config_hash": config_hash(cfg), "seed": cfg.seed,
               **body, "runtime": runtime}
     _emit(report, out / "report.json")
@@ -805,7 +803,8 @@ def main(argv: Optional[list] = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         cfg = load_config(args.config, _overrides(args))
-        return args.handler(cfg, args)
+        with _stage(args.command):
+            return args.handler(cfg, args)
     except ConfigError as exc:
         print(json.dumps({"error": {"stage": "config", "message": str(exc)}}),
               file=sys.stderr)

@@ -266,6 +266,39 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["stage"] == "embed"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("keygen",), ("schedule", "--key", "k.json"),
+         ("embed", "--schedule", "s.json", "--out", "v.spdf"),
+         ("attack", "--schedule", "s.json"), ("extract", "--schedule", "s.json"),
+         ("fit-extractor", "--out", "e.bin"),
+         ("verify", "--schedule", "s.json", "--extraction", "x.json"),
+         ("diagnose", "--verdict", "v.json"),
+         ("calibrate", "--trials", "1000", "--frames", "10", "--gamma-v", "0.05")],
+        ids=lambda argv: argv[0],
+    )
+    def test_unexpected_failure_names_the_subcommand(self, argv, capsys, monkeypatch):
+        """main runs each subcommand as one stage: a failure it did not
+        foresee, here in reading or writing a file, exits 4 under the
+        subcommand's name."""
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("injected fault")
+
+        for name in ("_read_json", "_read_binary", "_emit", "_write_binary"):
+            monkeypatch.setattr(spdmark.cli, name, fail)
+        assert run(*argv) == 4
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"stage": argv[0], "message": "injected fault"}
+
+    def test_run_pipeline_into_a_regular_file_exits_4(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert run("run-pipeline", "--out", str(taken)) == 4
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["stage"] == "run-pipeline"
+        assert str(taken) in err["message"]
+
     def test_keygen_bits_mismatch(self, capsys):
         assert run("keygen", "--bits", "30") == 2
         capsys.readouterr()
@@ -486,6 +519,15 @@ class TestAttackDiagnoseFlow:
         assert run("attack", "--attack", '{"attack": "none"}') == 2
         capsys.readouterr()
 
+    def test_attack_on_a_video_without_out_exits_2_before_reading_it(self, tmp_path,
+                                                                      capsys):
+        corrupt = tmp_path / "corrupt.spdf"
+        corrupt.write_bytes(b"not a video")
+        assert run("attack", "--video", str(corrupt)) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"stage": "config",
+                       "message": "attacking a video writes binary output and needs --out"}
+
     def test_malformed_attack_json_rejected(self, schedule_files, capsys):
         _, _, schedule = schedule_files
         assert run("attack", "--schedule", str(schedule), "--attack", "{oops") == 2
@@ -675,6 +717,23 @@ class TestToyVideoFlow:
             else:
                 assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
+    def test_rerun_into_a_used_directory_reports_the_same_artifacts(self, tmp_path,
+                                                                    capsys):
+        """artifacts lists exactly the files a run writes, whatever the
+        directory held before."""
+        cfg = str(fast_toy_config(tmp_path))
+        fresh, used = tmp_path / "fresh", tmp_path / "used"
+        assert run("run-pipeline", "--config", cfg, "--out", str(used)) == 0
+        (used / "notes.txt").write_text("not an artifact")
+        assert run("run-pipeline", "--config", cfg, "--out", str(used)) == 0
+        assert run("run-pipeline", "--config", cfg, "--out", str(fresh)) == 0
+        capsys.readouterr()
+        report = read_json(used / "report.json")
+        assert strip_runtime(report) == strip_runtime(read_json(fresh / "report.json"))
+        assert len(report["artifacts"]) == 11
+        written = sorted(path.name for path in fresh.iterdir())
+        assert sorted(report["artifacts"] + ["report.json"]) == written
+
     @pytest.mark.parametrize(
         "attack",
         [{"attack": "drop", "fraction": 0.3}, {"attack": "pixel_noise"}],
@@ -734,9 +793,9 @@ class TestToyVideoFlow:
             written[Path(path).name] = value
             write_binary(path, writer, value)
 
-        def record_extract(extractor, video):
-            extracted_with.extend((extractor, video))
-            return extract(extractor, video)
+        def record_extract(cfg, target, extractor, out):
+            extracted_with.extend((extractor, target))
+            return extract(cfg, target, extractor, out)
 
         monkeypatch.setattr(spdmark.cli, "_write_binary", record_write)
         monkeypatch.setattr(spdmark.cli, "_extract", record_extract)
@@ -950,6 +1009,18 @@ class TestChannelPipeline:
         assert row["valid_rate"] == 1.0
         assert row["perm_recovered_rate"] == 1.0
         assert report["calibration"]["tau_f"] == 23
+
+    def test_runtime_times_each_stage(self, tmp_path, capsys):
+        """Channel mode reports the toy mode's runtime header: each stage's
+        wall time and the total."""
+        out_dir = tmp_path / "run"
+        assert run("run-pipeline", "--mode", "channel", "--trials", "3",
+                   "--out", str(out_dir)) == 0
+        capsys.readouterr()
+        runtime = read_json(out_dir / "report.json")["runtime"]
+        assert sorted(runtime) == ["stage_seconds", "total_seconds"]
+        assert sorted(runtime["stage_seconds"]) == ["calibrate", "forensics"]
+        assert sum(runtime["stage_seconds"].values()) <= runtime["total_seconds"]
 
     def test_channel_reports_reproduce(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
