@@ -687,6 +687,9 @@ def _channel_pipeline(cfg: RunConfig, seconds: dict) -> dict:
 
 
 def cmd_run_pipeline(cfg: RunConfig, args) -> int:
+    if args.mode == "toy" and cfg.num_frames < 2:
+        raise ConfigError("run-pipeline --mode toy needs at least 2 frames for its "
+                          "temporal consistency loss")
     out = Path(args.out or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     resolved = dataclasses.asdict(cfg)

@@ -117,21 +117,16 @@ def record_products() -> Iterator[list]:
         _product_log.reset(token)
 
 
-def _matmul(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
-    """a @ b, logged when record_products is active, into `out` if given.
-    A right-hand side stacked as column vectors (..., k, 1) is logged as one
-    (a.shape, (k,)) record per vector and runs as one matrix-matrix product
-    over the stack; the decoder's products are exact, so that gives the
-    bytes of one matrix-vector product per vector."""
+def _matmul(a: np.ndarray, rows: np.ndarray, out=None) -> np.ndarray:
+    """a times each row of `rows`, a vector or a stack of rows (..., k), into
+    `out` if given; logged when record_products is active as one
+    (a.shape, (k,)) record per row.  The stack runs as one matrix-matrix
+    product; the decoder's products are exact, so that gives the bytes of
+    one matrix-vector product per row."""
     log = _product_log.get()
-    if b.ndim > 1 and b.shape[-1] == 1:
-        if log is not None:
-            log.extend([(a.shape, b.shape[-2:-1])] * math.prod(b.shape[:-2]))
-        rows = None if out is None else out[..., 0]
-        return np.matmul(b[..., 0], a.T, out=rows)[..., None]
     if log is not None:
-        log.append((a.shape, b.shape))
-    return np.matmul(a, b, out=out)
+        log.extend([(a.shape, rows.shape[-1:])] * math.prod(rows.shape[:-1]))
+    return np.matmul(rows, a.T, out=out)
 
 
 def _round_to_grid(values: np.ndarray, bits: int, axis, what: str, out=None):
@@ -397,9 +392,8 @@ def _forward(
 
     Hidden states are (n, d) rows, rounded frame by frame.  Each product runs
     over all rows, or over the rows of one basis, as one matrix-matrix
-    product of a stack of column vectors.  The products are exact, so every
-    row is bit-identical to the frame-by-frame forward, whatever the other
-    frames in the batch.
+    product.  The products are exact, so every row is bit-identical to the
+    frame-by-frame forward, whatever the other frames in the batch.
     """
     displaced = dictionary.alpha != 0.0 and dictionary.rank > 0
     # Two buffers take turns holding the rounded states and the layer output.
@@ -420,15 +414,15 @@ def _forward(
             # mode="clip" lets take write to `out` without a buffer.
             np.take(state, order, axis=0, out=out, mode="clip")
             state, out = out, state
-        _matmul(decoder._weight_images[layer], state[:, :, None], out[:, :, None])
+        _matmul(decoder._weight_images[layer], state, out)
         out += decoder.offsets[layer]
         if displaced:
             factor_a, factor_b = dictionary._factor_images[layer]
             stops = np.cumsum(np.bincount(column, minlength=len(factor_a)))
             for basis, (start, stop) in enumerate(zip([0, *stops[:-1]], stops)):
                 if start < stop:
-                    low_rank = _matmul(factor_b[basis], state[start:stop, :, None])
-                    displacement = _matmul(factor_a[basis], low_rank)[:, :, 0]
+                    low_rank = _matmul(factor_b[basis], state[start:stop])
+                    displacement = _matmul(factor_a[basis], low_rank)
                     displacement *= dictionary.alpha
                     out[start:stop] += displacement
         h = out
@@ -437,7 +431,7 @@ def _forward(
         out[frames] = state
         state = out
     raster = np.empty((len(state), len(decoder.projection_offset)))
-    _matmul(decoder._projection_image, state[:, :, None], raster[:, :, None])
+    _matmul(decoder._projection_image, state, raster)
     raster += decoder.projection_offset
     _check_finite(raster, "pixel values")
     return np.clip(raster, 0.0, 1.0, out=raster)

@@ -45,13 +45,13 @@ __all__ = [
 ]
 
 
-def linear_sum_assignment(cost_matrix, maximize=False):
-    """scipy.optimize.linear_sum_assignment, with scipy imported on the first
-    call: most processes never solve, and the import is most of their
-    start-up time and memory."""
+def linear_sum_assignment(cost_matrix):
+    """scipy.optimize.linear_sum_assignment, minimizing, with scipy imported
+    on the first call: most processes never solve, and the import is most of
+    their start-up time and memory."""
     from scipy.optimize import linear_sum_assignment as solve
 
-    return solve(cost_matrix, maximize=maximize)
+    return solve(cost_matrix)
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,8 +69,8 @@ class SimilarityMatrix:
         counts = np.ascontiguousarray(self.matched_bits, dtype=np.int64)
         if counts.ndim != 2 or counts.size == 0:
             raise ValueError("matched_bits must be a non-empty 2-D matrix")
-        if self.message_bits < 1:
-            raise ValueError("message_bits must be >= 1")
+        if not 1 <= self.message_bits <= MAX_MESSAGE_BITS:
+            raise ValueError(f"message_bits must lie in [1, {MAX_MESSAGE_BITS}]")
         if counts.min() < 0 or counts.max() > self.message_bits:
             raise ValueError("matched-bit counts must lie in [0, message_bits]")
         counts.setflags(write=False)
@@ -230,26 +230,34 @@ def _similarity(expected: np.ndarray, extracted: np.ndarray) -> SimilarityMatrix
     # Matched-bit counts of (T, M) and (T_r, M) uint8 bit arrays, from one
     # product of their +-1 forms: each term of S_E S_X^T is +1 for a match
     # and -1 for a mismatch, so matched = (M + S_E S_X^T) / 2.  Every
-    # partial sum is an integer of magnitude <= M < 2^53, so float64 holds
-    # it exactly and the product does not depend on the BLAS kernel, its
-    # thread count or its summation order.
+    # partial sum is an integer of magnitude <= M, which SimilarityMatrix
+    # bounds by 256 < 2^24, so float32 holds it exactly and the product does
+    # not depend on the BLAS kernel, its thread count or summation order.
     m = expected.shape[1]
-    agreement = (2.0 * expected - 1.0) @ (2.0 * extracted - 1.0).T
-    return SimilarityMatrix(((m + agreement) / 2).astype(np.int64), m)
+    signs = [2 * bits.astype(np.float32) - 1 for bits in (expected, extracted)]
+    agreement = signs[0] @ signs[1].T
+    agreement += m
+    agreement /= 2
+    return SimilarityMatrix(agreement, m)
 
 
-def _row_potentials(weights: np.ndarray, assigned: np.ndarray) -> np.ndarray:
-    # Bellman-Ford on u_k <= u_i + w[k, m(k)] - w[i, m(k)] from u = 0.  The
-    # constraints have a negative cycle exactly when the assignment m is not
-    # a maximum, so they converge within n rounds iff m is optimal.
+def _tight_edges(weights: np.ndarray, assigned: np.ndarray) -> np.ndarray:
+    # The tight edges u_i + v_j == w[i, j] of exact dual potentials for the
+    # assignment, row i holding column assigned[i] and h(j) holding column
+    # j.  As v_j = w[h(j), j] - u_h(j), (i, j) is tight exactly when
+    # slack[i, j] = w[h(j), j] - w[i, j] equals u_h(j) - u_i.  Bellman-Ford
+    # on u_h(j) <= u_i + slack[i, j] from u = 0 has a negative cycle exactly
+    # when the assignment is not a maximum, so it converges within n rounds
+    # iff it is optimal; int32 holds n + 1 rounds of steps >= -w_max.
     n = len(assigned)
-    held = weights[:, assigned]  # held[i, k] = w[i, m(k)]
-    slack = held.diagonal() - held
-    u = np.zeros(n, dtype=np.int64)
+    holder = np.empty(n, dtype=np.intp)
+    holder[assigned] = np.arange(n)
+    slack = weights[holder, np.arange(n)] - weights
+    u = np.zeros(n, dtype=np.int32)
     for _ in range(n + 1):
-        relaxed = (u[:, None] + slack).min(axis=0)
+        relaxed = (u[:, None] + slack).min(axis=0)[assigned]
         if np.array_equal(relaxed, u):
-            return u
+            return slack == u[holder] - u[:, None]
         u = relaxed
     raise RuntimeError("assignment is not optimal: dual potentials did not converge")
 
@@ -373,16 +381,11 @@ def hungarian_match(sim: SimilarityMatrix) -> Assignment:
             pairs = tuple(zip(range(1, num_rows + 1), (best + 1).tolist()))
             return Assignment(pairs=pairs, total_matched=int(maxima.sum()))
     n = max(num_rows, num_cols)
-    weights = np.zeros((n, n), dtype=np.int64)
+    weights = np.zeros((n, n), dtype=np.int16)
     weights[:num_rows, :num_cols] = counts
-    _, solved = linear_sum_assignment(weights, maximize=True)
-    held = weights[np.arange(n), solved]
-    best = int(held.sum())
-
-    u = _row_potentials(weights, solved)
-    v = np.empty(n, dtype=np.int64)
-    v[solved] = held - u
-    tight = u[:, None] + v[None, :] == weights
+    _, solved = linear_sum_assignment(np.negative(weights, dtype=np.float64))
+    best = int(weights[np.arange(n), solved].sum())
+    tight = _tight_edges(weights, solved)
     assigned = _smallest_tight_matching(tight, solved.tolist(), counts.shape)
 
     pairs = tuple(

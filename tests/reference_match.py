@@ -1,13 +1,17 @@
-"""Test-only oracles: the broadcast similarity count and the re-solving
-lexicographic assignment.
+"""Test-only oracles: the broadcast similarity count, the re-solving
+lexicographic assignment and the row-order dual potentials.
 
 `_similarity` is the original matched-bit count, one elementwise compare of
 every message pair; `spdmark.verifier` computes it as one +-1 product.
 `hungarian_match` is the original assignment, which finds the
 lexicographically smallest maximum-similarity assignment by re-solving a
-reduced assignment for every candidate column of every row.  Both are slow
-but obviously correct, so the differential tests compare the implementations
-in `spdmark.verifier` against them.  Nothing under `src/` imports this module.
+reduced assignment for every candidate column of every row.
+`tight_edges` is the original dual pass: int64 potentials u from
+Bellman-Ford over the rows, v from the assigned edges, and the edges where
+u_i + v_j == w[i, j]; `spdmark.verifier` runs the same pass in column order
+on 16-bit weights.  All are slow but obviously correct, so the differential
+tests compare the implementations in `spdmark.verifier` against them.
+Nothing under `src/` imports this module.
 """
 
 import numpy as np
@@ -21,6 +25,34 @@ def _similarity(expected: np.ndarray, extracted: np.ndarray) -> SimilarityMatrix
     m = expected.shape[1]
     mismatches = (expected[:, None, :] != extracted[None, :, :]).sum(axis=2)
     return SimilarityMatrix(m - mismatches, m)
+
+
+def _row_potentials(weights: np.ndarray, assigned: np.ndarray) -> np.ndarray:
+    # Bellman-Ford on u_k <= u_i + w[k, m(k)] - w[i, m(k)] from u = 0.  The
+    # constraints have a negative cycle exactly when the assignment m is not
+    # a maximum, so they converge within n rounds iff m is optimal.
+    n = len(assigned)
+    held = weights[:, assigned]  # held[i, k] = w[i, m(k)]
+    slack = held.diagonal() - held
+    u = np.zeros(n, dtype=np.int64)
+    for _ in range(n + 1):
+        relaxed = (u[:, None] + slack).min(axis=0)
+        if np.array_equal(relaxed, u):
+            return u
+        u = relaxed
+    raise RuntimeError("assignment is not optimal: dual potentials did not converge")
+
+
+def tight_edges(weights: np.ndarray, assigned: np.ndarray) -> np.ndarray:
+    """The (n, n) boolean matrix of edges tight under the row potentials of
+    the optimal assignment that gives row i column assigned[i] of the
+    square int64 `weights`."""
+    n = len(assigned)
+    held = weights[np.arange(n), assigned]
+    u = _row_potentials(weights, assigned)
+    v = np.empty(n, dtype=np.int64)
+    v[assigned] = held - u
+    return u[:, None] + v[None, :] == weights
 
 
 def _assignment_value(counts: np.ndarray) -> int:

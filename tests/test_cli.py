@@ -299,6 +299,18 @@ class TestExitCodes:
         assert err["stage"] == "run-pipeline"
         assert str(taken) in err["message"]
 
+    def test_toy_run_of_one_frame_refused_before_any_stage(self, tmp_path, capsys):
+        # The temporal consistency loss needs two frames; channel mode has
+        # no such stage and takes one.
+        out = tmp_path / "run"
+        assert run("run-pipeline", "--mode", "toy", "--frames", "1", "--out", str(out)) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["stage"] == "config"
+        assert not out.exists()
+        assert run("run-pipeline", "--mode", "channel", "--frames", "1", "--trials", "2",
+                   "--out", str(out)) == 0
+        capsys.readouterr()
+
     def test_keygen_bits_mismatch(self, capsys):
         assert run("keygen", "--bits", "30") == 2
         capsys.readouterr()

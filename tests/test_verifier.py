@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from scipy.optimize import linear_sum_assignment
 import spdmark.verifier
 from reference_match import _similarity as reference_similarity
 from reference_match import hungarian_match as reference_match
+from reference_match import tight_edges as reference_tight_edges
 from reference_verdict import _verdict_from_matrix as reference_verdict
 from spdmark.channel_attacks import (
     MAX_FRAMES,
@@ -30,6 +32,7 @@ from spdmark.channel_attacks import (
     channel_extract,
 )
 from spdmark.keyspace import (
+    MAX_MESSAGE_BITS,
     BaseSecret,
     KeyConfig,
     MessageSequence,
@@ -250,6 +253,23 @@ class TestSimilarityMatrix:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             similarity_matrix(MessageSequence([[1, 0]]), MessageSequence([[1, 0, 1]]))
+
+    def test_widths_beyond_one_digest_rejected(self):
+        # A verdict document reads back only M <= MAX_MESSAGE_BITS, so wider
+        # messages fail before any verdict is written; the 16-bit alignment
+        # relies on the same bound.
+        rng = np.random.default_rng(300)
+        widest, wide = (
+            MessageSequence(rng.integers(0, 2, (6, m), dtype=np.uint8))
+            for m in (MAX_MESSAGE_BITS, MAX_MESSAGE_BITS + 44)
+        )
+        assert Verdict.from_doc(verify(widest, widest).to_doc()).message_bits == MAX_MESSAGE_BITS
+        with pytest.raises(ValueError, match="message_bits"):
+            verify(wide, wide)
+        with pytest.raises(ValueError, match="message_bits"):
+            null_calibration(MAX_MESSAGE_BITS + 1, 10, 1e-3, 1e-6, 1, seed=0)
+        with pytest.raises(ValueError, match="message_bits"):
+            SimilarityMatrix(np.array([[70000, 1], [2, 70000]]), 100000)
 
 
 class TestSimilarityOracle:
@@ -494,6 +514,63 @@ class TestHungarianMatch:
     def test_unsorted_assignment_rejected(self):
         with pytest.raises(ValueError):
             Assignment(pairs=((2, 1), (1, 2)), total_matched=8)
+
+
+class TestTightEdgesOracle:
+    """The column-order dual pass on 16-bit weights against the row-order
+    int64 potentials it replaced, in tests/reference_match.py: the same tight
+    edges on optimal assignments of padded squares."""
+
+    @staticmethod
+    def check(counts):
+        n = max(counts.shape)
+        weights = np.zeros((n, n), dtype=np.int64)
+        weights[: counts.shape[0], : counts.shape[1]] = counts
+        _, assigned = linear_sum_assignment(weights, maximize=True)
+        got = spdmark.verifier._tight_edges(weights.astype(np.int16), assigned)
+        assert np.array_equal(got, reference_tight_edges(weights, assigned))
+
+    @given(
+        shape=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+        alphabet=st.sampled_from([1, 2, 3, 29]),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_row_potentials(self, shape, alphabet, data):
+        self.check(data.draw(arrays(np.int64, shape, elements=st.integers(0, alphabet - 1))))
+
+    @pytest.mark.parametrize("shape", [(100, 100), (200, 150)])
+    def test_matches_row_potentials_at_scale(self, shape):
+        for seed in range(3):
+            rng = np.random.default_rng([*shape, seed])
+            expected = rng.integers(0, 2, (shape[0], 28), dtype=np.uint8)
+            extracted = rng.integers(0, 2, (shape[1], 28), dtype=np.uint8)
+            self.check(reference_similarity(expected, extracted).matched_bits)
+
+
+class TestAllocationPeaks:
+    """At n = 1024 the similarity product and the alignment each allocate at
+    most 16 bytes per count at their peak, as tracemalloc sees numpy's
+    buffers, so verify at MAX_FRAMES stays well under a gigabyte."""
+
+    @staticmethod
+    def peak_bytes(call) -> int:
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_similarity_and_alignment_peaks(self):
+        n = 1024
+        rng = np.random.default_rng(n)
+        expected, extracted = (
+            MessageSequence(rng.integers(0, 2, (n, 28), dtype=np.uint8)) for _ in range(2)
+        )
+        sim = similarity_matrix(expected, extracted)
+        assert self.peak_bytes(lambda: similarity_matrix(expected, extracted)) <= 16 * n * n
+        assert self.peak_bytes(lambda: hungarian_match(sim)) <= 16 * n * n
 
 
 def watermark_like(rng, num_expected, num_noise, message_bits, flip_fraction):
