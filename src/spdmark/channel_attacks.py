@@ -44,7 +44,7 @@ __all__ = [
 
 # The most frames a tamper record or verdict may hold on a side.  At the bound
 # a verdict reads back in a 0.37 s cold tail pass; verify on random messages
-# takes 3.3 s and 367 MB (4.3 s, 303 MB at T_r = 2048; 2-core Xeon, Python 3.11).
+# takes 4.6 s and 271 MB (4.9 s, 255 MB at T_r = 2048; 2-core Xeon, Python 3.11).
 MAX_FRAMES = 4096
 
 DEFAULT_NOISE_SIGMA = 0.05

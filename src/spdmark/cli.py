@@ -211,7 +211,7 @@ class RunConfig:
             if any("seed" in spec for spec in specs):
                 raise ValueError("attacks entries take no seed: the table seeds every trial")
             object.__setattr__(self, "attacks", specs)
-        if self.attack:
+        if self.attack is not None:
             object.__setattr__(self, "attack", parse_attack_spec(self.attack)[2])
         self.secret()
 

@@ -58,7 +58,8 @@ def linear_sum_assignment(cost_matrix):
 class SimilarityMatrix:
     """Pairwise similarity between expected and extracted messages.
 
-    Stored as exact matched-bit counts; the similarity of a pair is
+    Exact matched-bit counts, held as a read-only, C-contiguous int16
+    (T, T_r) matrix of its own; the similarity of a pair is
     matched_bits / M, i.e. 1 - hamming/M.
     """
 
@@ -66,13 +67,17 @@ class SimilarityMatrix:
     message_bits: int
 
     def __post_init__(self) -> None:
-        counts = np.ascontiguousarray(self.matched_bits, dtype=np.int64)
-        if counts.ndim != 2 or counts.size == 0:
+        given = np.asarray(self.matched_bits)
+        if given.ndim != 2 or given.size == 0:
             raise ValueError("matched_bits must be a non-empty 2-D matrix")
         if not 1 <= self.message_bits <= MAX_MESSAGE_BITS:
             raise ValueError(f"message_bits must lie in [1, {MAX_MESSAGE_BITS}]")
-        if counts.min() < 0 or counts.max() > self.message_bits:
+        # On the values as given, so that none wraps in the cast; NaN fails.
+        if not (given.min() >= 0 and given.max() <= self.message_bits):
             raise ValueError("matched-bit counts must lie in [0, message_bits]")
+        counts = np.array(given, dtype=np.int16, order="C")
+        if not np.array_equal(counts, given):
+            raise ValueError("matched-bit counts must be whole numbers")
         counts.setflags(write=False)
         object.__setattr__(self, "matched_bits", counts)
 

@@ -330,7 +330,7 @@ class TestExitCodes:
          '{"attack": "drop", "fraction": 0.5, "seed": "7"}',
          '{"attack": "drop", "fraction": "0.5"}',
          '{"attack": "trim", "head_fraction": 0.2, "tail_fraction": 0.1, "seed": 3}',
-         '{"attack": "none", "seed": 3}'],
+         '{"attack": "none", "seed": 3}', '{}'],
     )
     def test_attack_spec_faults_exit_2(self, spec, tmp_path, capsys):
         """Attack specs are checked when the config loads, against the

@@ -271,10 +271,35 @@ class TestSimilarityMatrix:
         with pytest.raises(ValueError, match="message_bits"):
             SimilarityMatrix(np.array([[70000, 1], [2, 70000]]), 100000)
 
+    @pytest.mark.parametrize("count", [3.5, 27.99, -0.5, 65539, -65533, np.nan, np.inf])
+    def test_fractional_or_out_of_range_counts_rejected(self, count):
+        # 65539 and -65533 would wrap to 3 in 16 bits, so the range is checked
+        # before the cast.
+        with pytest.raises(ValueError, match="matched-bit counts"):
+            SimilarityMatrix(np.array([[count, 2], [0, 27]]), 28)
+
+    def test_counts_are_a_read_only_copy(self):
+        given = np.array([[9, 1], [2, 8]], dtype=np.int64)
+        sim = SimilarityMatrix(given, 10)
+        given[0, 0] = 99
+        assert given.flags.writeable and not sim.matched_bits.flags.writeable
+        assert sim.matched_bits.tolist() == [[9, 1], [2, 8]]
+        assert hungarian_match(sim).total_matched == 17
+
+    def test_counts_are_c_ordered_int16(self):
+        rng = np.random.default_rng(16)
+        expected, extracted = (
+            MessageSequence(rng.integers(0, 2, (t, 28), dtype=np.uint8)) for t in (7, 5)
+        )
+        counts = similarity_matrix(expected, extracted).matched_bits
+        assert counts.dtype == np.int16 and counts.nbytes == 2 * 7 * 5
+        transposed = SimilarityMatrix(counts.T.astype(np.int64), 28).matched_bits
+        assert transposed.flags.c_contiguous and np.array_equal(transposed, counts.T)
+
 
 class TestSimilarityOracle:
     """The +-1 product against the broadcast compare it replaced, in
-    tests/reference_match.py: equal int64 counts."""
+    tests/reference_match.py: equal int16 counts."""
 
     @given(
         t=st.integers(1, 40),
@@ -295,7 +320,7 @@ class TestSimilarityOracle:
         got = similarity_matrix(
             MessageSequence(expected), MessageSequence(extracted)
         ).matched_bits
-        assert got.dtype == want.dtype == np.int64
+        assert got.dtype == want.dtype == np.int16
         assert np.array_equal(got, want)
 
     def test_null_calibration_does_not_depend_on_blas_threads(self):
@@ -549,9 +574,9 @@ class TestTightEdgesOracle:
 
 
 class TestAllocationPeaks:
-    """At n = 1024 the similarity product and the alignment each allocate at
-    most 16 bytes per count at their peak, as tracemalloc sees numpy's
-    buffers, so verify at MAX_FRAMES stays well under a gigabyte."""
+    """At n = 1024, as tracemalloc sees numpy's buffers, the similarity
+    product allocates at most 8 bytes per count at its peak, the alignment
+    16 and the whole of verify 14, so verify at MAX_FRAMES stays under 300 MB."""
 
     @staticmethod
     def peak_bytes(call) -> int:
@@ -569,8 +594,9 @@ class TestAllocationPeaks:
             MessageSequence(rng.integers(0, 2, (n, 28), dtype=np.uint8)) for _ in range(2)
         )
         sim = similarity_matrix(expected, extracted)
-        assert self.peak_bytes(lambda: similarity_matrix(expected, extracted)) <= 16 * n * n
+        assert self.peak_bytes(lambda: similarity_matrix(expected, extracted)) <= 8 * n * n
         assert self.peak_bytes(lambda: hungarian_match(sim)) <= 16 * n * n
+        assert self.peak_bytes(lambda: verify(expected, extracted)) <= 14 * n * n
 
 
 def watermark_like(rng, num_expected, num_noise, message_bits, flip_fraction):
