@@ -263,6 +263,8 @@ def attack_insert(target, fraction: float, mode: str = "duplicate", seed: int = 
     if fraction < 0.0:
         raise ValueError("fraction must be >= 0")
     count = rounded_count(t, fraction)
+    if t + count > MAX_FRAMES:
+        raise ValueError(f"insert would make {t + count} frames, outside [1, {MAX_FRAMES}]")
     rng = np.random.default_rng(seed)
     inserted = set(rng.choice(t + count, size=count, replace=False).tolist())
     # One row per inserted position, drawn in position order.

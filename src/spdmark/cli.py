@@ -27,6 +27,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
+from . import channel_attacks
 from .channel_attacks import (
     MAX_FRAMES,
     ChannelSpec,
@@ -361,6 +364,11 @@ def build_corpus(cfg: RunConfig, role: str, count: int, frames_per_video: int,
     return pixels.reshape(count, frames_per_video, *pixels.shape[1:]), schedule
 
 
+def _attack_suite(cfg: RunConfig) -> tuple:
+    """The attacks the forensics table runs: `attacks`, or the default suite."""
+    return cfg.attacks if cfg.attacks is not None else DEFAULT_ATTACK_SUITE
+
+
 def forensics_table(cfg: RunConfig) -> list:
     """Per-attack Monte Carlo table: schedule, attack, channel, verify,
     diagnose, aggregate.
@@ -373,7 +381,7 @@ def forensics_table(cfg: RunConfig) -> list:
     secret = cfg.secret()
     digest = config_hash(cfg)
     rows = []
-    for spec in cfg.attacks if cfg.attacks is not None else DEFAULT_ATTACK_SUITE:
+    for spec in _attack_suite(cfg):
         name = spec["attack"]
         row_seed = derive_seed(cfg.seed, name)
         sums = {"bit_acc": 0.0, "order_acc": 0.0, "f1_drop": 0.0, "f1_insert": 0.0}
@@ -686,10 +694,27 @@ def _channel_pipeline(cfg: RunConfig, seconds: dict) -> dict:
     }
 
 
+def _check_attacks(specs, num_frames: int) -> None:
+    """Run each attack spec once on num_frames zero 1 x 1 frames, so that a
+    spec the attack itself rejects at this length (a drop or trim of every
+    frame, an insert past MAX_FRAMES) exits as a config fault before any
+    artifact is written.  The attack is looked up in its own module, so a
+    benchmark that wraps this module's apply_attack counts only the run's
+    own attack."""
+    placeholder = np.zeros((num_frames, 3, 1, 1))
+    for spec in specs:
+        try:
+            channel_attacks.apply_attack(placeholder, spec)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"attack {spec['attack']!r} on {num_frames} frames: {exc}") from exc
+
+
 def cmd_run_pipeline(cfg: RunConfig, args) -> int:
     if args.mode == "toy" and cfg.num_frames < 2:
         raise ConfigError("run-pipeline --mode toy needs at least 2 frames for its "
                           "temporal consistency loss")
+    _check_attacks([cfg.attack or {"attack": "none"}] if args.mode == "toy"
+                   else _attack_suite(cfg), cfg.num_frames)
     out = Path(args.out or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     resolved = dataclasses.asdict(cfg)
@@ -791,7 +816,7 @@ def _overrides(args) -> dict:
     if args.command == "calibrate":
         # calibrate's --trials is its own trial count, not the forensics one.
         overrides["calibration_trials"] = overrides.pop("trials")
-    if getattr(args, "attack", None):
+    if getattr(args, "attack", None) is not None:
         try:
             overrides["attack"] = json.loads(args.attack)
         except json.JSONDecodeError as exc:

@@ -156,33 +156,34 @@ def _round_to_grid(values: np.ndarray, bits: int, axis, what: str, out=None):
 
 def _images(stack: np.ndarray, what: str):
     """Each matrix of the (..., rows, cols) `stack` rounded to _PARAM_BITS
-    bits below the exponent of its largest entry, read-only, and those
-    exponents as a list."""
+    bits below the exponent of its largest entry, read-only, and the (...)
+    array of those exponents."""
     images, exponents = _round_to_grid(stack, _PARAM_BITS, (-2, -1), what)
     images.setflags(write=False)
-    return images, exponents.ravel().tolist()
+    return images, exponents[..., 0, 0]
 
 
-def _state_range(exponents, bits: int, terms: int) -> tuple[int, int]:
-    """The state exponents e (as _round_to_grid gives them) at which a
-    product is exact and finite, for any of the parameter exponent sums in
-    `exponents`, parameters rounded to `bits` bits in all, and `terms` terms
-    in each sum: the terms' grid 2**(p - bits + e - _STATE_BITS) must not
-    underflow 2**-1074, and the bound terms * 2**(p + e) on every partial
-    sum must stay below 2**1024."""
-    return (
-        bits + _STATE_BITS - 1074 - min(exponents),
-        1023 - (terms - 1).bit_length() - max(exponents),
-    )
+def _state_range(exponents: np.ndarray, bits: int, terms: int) -> np.ndarray:
+    """Row by row, the (low, high) state exponents e (as _round_to_grid gives
+    them) at which a product is exact and finite, for any of the parameter
+    exponent sums in that row of `exponents`, parameters rounded to `bits`
+    bits in all, and `terms` terms in each sum: the terms' grid 2**(p - bits
+    + e - _STATE_BITS) must not underflow 2**-1074, and the bound terms *
+    2**(p + e) on every partial sum must stay below 2**1024."""
+    return np.stack([
+        bits + _STATE_BITS - 1074 - exponents.min(axis=1),
+        1023 - (terms - 1).bit_length() - exponents.max(axis=1),
+    ], axis=1)
 
 
-def _intersect(*ranges) -> tuple[int, int]:
-    lows, highs = zip(*ranges)
-    return max(lows), min(highs)
+def _intersect(ranges: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """Row by row, the intersection of two tables of (low, high) ranges."""
+    return np.column_stack([np.maximum(ranges[:, 0], others[:, 0]),
+                            np.minimum(ranges[:, 1], others[:, 1])])
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=np.float64, order="C")
+def _frozen(arr: np.ndarray, dtype=np.float64) -> np.ndarray:
+    out = np.array(arr, dtype=dtype, order="C")
     out.setflags(write=False)
     return out
 
@@ -199,10 +200,10 @@ class BasisDictionary:
     alpha: float
     init_seed: int
     init_scale: float
-    # Per layer, the (P, d, r) A and (P, r, d) B factors rounded for exact
-    # products, and the state exponents at which its shifts are exact.
+    # factor_a and factor_b rounded for exact products, and the (L, 2) table
+    # of each layer's (low, high) state exponents at which its shifts are exact.
     _factor_images: tuple = field(init=False, repr=False)
-    _state_ranges: tuple = field(init=False, repr=False)
+    _state_ranges: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         a = _frozen(self.factor_a)
@@ -221,20 +222,13 @@ class BasisDictionary:
             )
         object.__setattr__(self, "factor_a", a)
         object.__setattr__(self, "factor_b", b)
-        images, ranges = [], []
-        for layer_a, layer_b in zip(a, b):
-            factor_a, a_exponents = _images(layer_a, "basis factors")
-            factor_b, b_exponents = _images(layer_b, "basis factors")
-            images.append((factor_a, factor_b))
-            ranges.append(_intersect(
-                _state_range(b_exponents, _PARAM_BITS, d),
-                _state_range(
-                    [e_a + e_b for e_a, e_b in zip(a_exponents, b_exponents)],
-                    2 * _PARAM_BITS, d * r,
-                ),
-            ))
-        object.__setattr__(self, "_factor_images", tuple(images))
-        object.__setattr__(self, "_state_ranges", tuple(ranges))
+        images_a, a_exponents = _images(a, "basis factors")
+        images_b, b_exponents = _images(b, "basis factors")
+        object.__setattr__(self, "_factor_images", (images_a, images_b))
+        object.__setattr__(self, "_state_ranges", _frozen(_intersect(
+            _state_range(b_exponents, _PARAM_BITS, d),
+            _state_range(a_exponents + b_exponents, 2 * _PARAM_BITS, d * r),
+        ), int))
 
     @property
     def num_layers(self) -> int:
@@ -278,11 +272,11 @@ class ToyDecoder:
     frame_shape: tuple[int, int, int]
     seed: int
     # Each layer's weight and the projection rounded for exact products, and
-    # for each layer, then the projection, the state exponents at which
-    # those products are exact.
+    # the (L + 1, 2) table of the (low, high) state exponents at which each
+    # layer's product, then the projection's, is exact.
     _weight_images: np.ndarray = field(init=False, repr=False)
     _projection_image: np.ndarray = field(init=False, repr=False)
-    _state_ranges: tuple = field(init=False, repr=False)
+    _state_ranges: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         w = _frozen(self.weights)
@@ -310,10 +304,9 @@ class ToyDecoder:
         projection_image, projection_exponent = _images(proj, "decoder parameters")
         object.__setattr__(self, "_weight_images", weight_images)
         object.__setattr__(self, "_projection_image", projection_image)
-        object.__setattr__(self, "_state_ranges", tuple(
-            _state_range([e], _PARAM_BITS, w.shape[1])
-            for e in exponents + projection_exponent
-        ))
+        object.__setattr__(self, "_state_ranges", _frozen(_state_range(
+            np.append(exponents, projection_exponent)[:, None], _PARAM_BITS, w.shape[1]
+        ), int))
 
     @property
     def num_layers(self) -> int:
@@ -402,11 +395,11 @@ def _forward(
     frames = np.arange(len(latents))
     h = out = latents
     state = np.empty_like(latents)
+    state_ranges = decoder._state_ranges[:-1]
+    if displaced:
+        state_ranges = _intersect(state_ranges, dictionary._state_ranges)
     for layer in range(decoder.num_layers):
-        state_range = decoder._state_ranges[layer]
-        if displaced:
-            state_range = _intersect(state_range, dictionary._state_ranges[layer])
-        _round_states(h, state_range, state)
+        _round_states(h, state_ranges[layer], state)
         if displaced:
             column = indices[frames, layer]
             order = np.argsort(column, kind="stable")
@@ -417,7 +410,7 @@ def _forward(
         _matmul(decoder._weight_images[layer], state, out)
         out += decoder.offsets[layer]
         if displaced:
-            factor_a, factor_b = dictionary._factor_images[layer]
+            factor_a, factor_b = (images[layer] for images in dictionary._factor_images)
             stops = np.cumsum(np.bincount(column, minlength=len(factor_a)))
             for basis, (start, stop) in enumerate(zip([0, *stops[:-1]], stops)):
                 if start < stop:
@@ -534,11 +527,8 @@ def init_toy_decoder(
     depth neither explodes nor collapses the hidden state.
     """
     rng = np.random.default_rng(seed)
-    weights = np.empty((num_layers, layer_dim, layer_dim))
-    for layer in range(num_layers):
-        gauss = rng.normal(0.0, 1.0, (layer_dim, layer_dim))
-        q, r = np.linalg.qr(gauss)
-        weights[layer] = q * np.sign(np.diag(r))
+    q, r = np.linalg.qr(rng.normal(0.0, 1.0, (num_layers, layer_dim, layer_dim)))
+    weights = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
     offsets = rng.normal(0.0, _OFFSET_SCALE, (num_layers, layer_dim))
     projection = rng.normal(
         0.0, _PROJECTION_SCALE / np.sqrt(layer_dim), (3 * height * width, layer_dim)

@@ -292,6 +292,17 @@ class TestInsert:
         with pytest.raises(ValueError):
             attack_insert(make_sequence(5), 0.2, "mirror", seed=1)
 
+    def test_frame_bound_checked_before_the_draw(self, monkeypatch):
+        """The bound holds before any row is drawn or copied, so the cost of
+        a rejected fraction does not grow with it."""
+        def no_draw(seed):
+            raise AssertionError("drew before checking the frame bound")
+
+        seq = make_sequence(25)
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(ValueError, match=OUT_OF_BOUND):
+            attack_insert(seq, 200.0, "duplicate", seed=1)
+
 
 class TestTrim:
     def test_survivors_for_quarter_length_video(self):

@@ -344,6 +344,36 @@ class TestExitCodes:
                    "--out", str(tmp_path / "channel")) == 2
         assert json.loads(capsys.readouterr().err)["error"]["stage"] == "config"
 
+    def test_empty_attack_exits_2(self, tmp_path, capsys):
+        """An empty --attack is a spec that is not JSON, not a missing one."""
+        for argv in (["run-pipeline", "--out", str(tmp_path / "run")], ["calibrate"]):
+            assert run(*argv, "--attack", "") == 2
+            error = json.loads(capsys.readouterr().err)["error"]
+            assert error["stage"] == "config" and "not valid JSON" in error["message"]
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "spec",
+        [{"attack": "drop", "fraction": 1.5},
+         {"attack": "trim", "head_fraction": 0.6, "tail_fraction": 0.5},
+         {"attack": "insert", "fraction": 200}],
+        ids=["drop", "trim", "insert"],
+    )
+    def test_attack_that_cannot_run_exits_2_before_any_output(self, spec, tmp_path, capsys):
+        """A spec that loads but that its attack rejects at num_frames fails
+        as configuration, before run-pipeline writes anything or fits the
+        extractor: as the toy attack, and as an attacks entry."""
+        toy = tmp_path / "toy"
+        assert run("run-pipeline", "--attack", json.dumps(spec), "--out", str(toy)) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["stage"] == "config"
+        assert not toy.exists()
+        path, channel = tmp_path / "cfg.json", tmp_path / "channel"
+        write_json(path, {"attacks": [{"attack": "swap_random"}, spec]})
+        assert run("run-pipeline", "--mode", "channel", "--config", str(path), "--trials", "2",
+                   "--out", str(channel)) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["stage"] == "config"
+        assert not channel.exists()
+
     @pytest.mark.parametrize(
         "spec",
         [{"attack": "pixel_noise", "sigma": 0.01}, {"attack": "rescale", "factor": 0.5}],
@@ -696,6 +726,19 @@ class TestToyVideoFlow:
         assert run("verify", "--config", str(cfg), "--schedule", str(schedule),
                    "--extraction", str(extraction)) == 0
 
+    def test_run_applies_its_attack_once_through_cli(self, tmp_path, monkeypatch, capsys):
+        """run-pipeline checks its attack on a placeholder through
+        channel_attacks, so cli.apply_attack, which a trace wraps, sees the
+        run's one attack."""
+        calls = []
+        monkeypatch.setattr(spdmark.cli, "apply_attack",
+                            lambda target, spec, seed: calls.append(spec) or apply_attack(
+                                target, spec, seed))
+        assert run("run-pipeline", "--config", str(fast_toy_config(tmp_path)), "--attack",
+                   '{"attack": "swap_random"}', "--out", str(tmp_path / "run")) in (0, 3)
+        assert calls == [{"attack": "swap_random"}]
+        capsys.readouterr()
+
     def test_run_pipeline_toy_mode(self, tmp_path, capsys):
         cfg = fast_toy_config(tmp_path)
         out_dir = tmp_path / "run"
@@ -913,9 +956,7 @@ def model_arrays(dictionary, decoder) -> list:
     arrays = [decoder.weights, decoder.offsets, decoder.projection,
               decoder.projection_offset, decoder._weight_images,
               decoder._projection_image]
-    arrays += [dictionary.factor_a, dictionary.factor_b]
-    for images in dictionary._factor_images:
-        arrays += images
+    arrays += [dictionary.factor_a, dictionary.factor_b, *dictionary._factor_images]
     return arrays
 
 

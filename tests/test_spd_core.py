@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_model
 from reference_generate import (
     LayerShift,
     compose_displacement,
@@ -100,8 +101,8 @@ class TestBasisDictionary:
     def test_rank_zero_accepted(self):
         dictionary = stacked(np.zeros((2, 4, 3, 0)), np.zeros((2, 4, 0, 3)))
         assert dictionary.rank == 0 and dictionary.layer_dim == 3
-        factor_a, factor_b = dictionary._factor_images[1]
-        assert factor_a.shape == (4, 3, 0) and factor_b.shape == (4, 0, 3)
+        factor_a, factor_b = dictionary._factor_images
+        assert factor_a.shape == (2, 4, 3, 0) and factor_b.shape == (2, 4, 0, 3)
 
     def test_numerical_rank_bounded(self):
         rng = np.random.default_rng(7)
@@ -124,12 +125,12 @@ class TestBasisDictionary:
         factor_a, factor_b = rng.normal(size=(2, 2, 6, 3)), rng.normal(size=(2, 2, 3, 6))
         dictionary = stacked(factor_a, factor_b)
         before = [array.tobytes() for array in (
-            dictionary.factor_a, dictionary.factor_b, *dictionary._factor_images[0]
+            dictionary.factor_a, dictionary.factor_b, *dictionary._factor_images
         )]
         factor_a[...] = 0.0
         factor_b[...] = np.nan
         assert before == [array.tobytes() for array in (
-            dictionary.factor_a, dictionary.factor_b, *dictionary._factor_images[0]
+            dictionary.factor_a, dictionary.factor_b, *dictionary._factor_images
         )]
 
 
@@ -568,8 +569,8 @@ class TestExactProducts:
         images, exponent = _round_to_grid(np.zeros((2, 4, 0)), 13, (-2, -1), "factors")
         assert images.shape == (2, 4, 0)
         assert exponent.ravel().tolist() == [0, 0]
-        factor_a, factor_b = init_dictionary(CFG, layer_dim=4, rank=0)._factor_images[0]
-        assert factor_a.shape == (4, 4, 0) and factor_b.shape == (4, 0, 4)
+        factor_a, factor_b = init_dictionary(CFG, layer_dim=4, rank=0)._factor_images
+        assert factor_a.shape == (4, 4, 4, 0) and factor_b.shape == (4, 4, 0, 4)
 
     def test_frames_far_apart_in_scale_share_a_batch(self):
         # With a per-batch exponent the small frames would round to zero.
@@ -708,6 +709,92 @@ class TestInitToyDecoder:
         b = init_toy_decoder(layer_dim=16, height=4, width=4, num_layers=3, seed=9)
         np.testing.assert_array_equal(a.weights, b.weights)
         np.testing.assert_array_equal(a.projection, b.projection)
+
+    @pytest.mark.parametrize("num_layers, layer_dim", [(14, 64), (3, 5), (1, 2)])
+    def test_stacked_draw_matches_the_per_layer_loop(self, num_layers, layer_dim):
+        """One (L, d, d) draw and one stacked QR give the weights, and leave
+        the stream where, the per-layer draws and QRs leave it."""
+        for seed in range(5):
+            decoder = init_toy_decoder(layer_dim, 2, 3, num_layers, seed)
+            expected = reference_model.toy_decoder_draws(layer_dim, 2, 3, num_layers, seed)
+            actual = (decoder.weights, decoder.offsets, decoder.projection)
+            assert [a.tobytes() for a in actual] == [e.tobytes() for e in expected]
+
+
+def scaled(rng, shape, exponents) -> np.ndarray:
+    """Uniform entries in (-1, 1), each trailing matrix scaled by 2**k for
+    the matching k of `exponents`."""
+    return np.ldexp(rng.uniform(-1.0, 1.0, shape), np.asarray(exponents)[..., None, None])
+
+
+def outcome(build):
+    """What `build()` returns, or the message of the ValueError it raises."""
+    try:
+        return build()
+    except ValueError as exc:
+        return str(exc)
+
+
+# Per-matrix scale exponents: ordinary ones, and ones near both ends of the
+# range a parameter can be rounded in (a grid 2**(e - 13) must be normal,
+# and every entry finite).
+SCALES = [-1009, -1000, -3, 0, 2, 1000, 1023]
+
+
+class TestStackedModel:
+    """The dictionary's two image stacks and both models' range tables
+    against the per-layer construction of tests/reference_model.py."""
+
+    @pytest.mark.parametrize("shape", [(1, 2, 2, 1), (3, 4, 5, 0), (1, 2, 6, 3),
+                                       (2, 4, 16, 8), (14, 4, 64, 32)])
+    @pytest.mark.parametrize("scales", [[0], SCALES, [-1010, 0]], ids=["unit", "ends", "tiny"])
+    def test_dictionary_matches_per_layer_construction(self, shape, scales):
+        num_layers, bases, d, r = shape
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            factor_a = scaled(rng, shape, rng.choice(scales, shape[:2]))
+            factor_b = scaled(rng, (num_layers, bases, r, d), rng.choice(scales, shape[:2]))
+
+            def stacks():
+                dictionary = stacked(factor_a, factor_b)
+                images = [image.tobytes() for image in dictionary._factor_images]
+                return images, dictionary._state_ranges.tolist()
+
+            def layers():
+                images, ranges = reference_model.dictionary_layers(factor_a, factor_b)
+                return ([np.stack([pair[i] for pair in images]).tobytes() for i in (0, 1)],
+                        [list(pair) for pair in ranges])
+
+            assert outcome(stacks) == outcome(layers)
+
+    @pytest.mark.parametrize("num_layers, d", [(1, 2), (3, 5), (14, 64)])
+    @pytest.mark.parametrize("scales", [[0], SCALES, [-1010, 0]], ids=["unit", "ends", "tiny"])
+    def test_decoder_matches_per_layer_construction(self, num_layers, d, scales):
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            weights = scaled(rng, (num_layers, d, d), rng.choice(scales, num_layers))
+            projection = scaled(rng, (12, d), rng.choice(scales))
+
+            def stacks():
+                decoder = ToyDecoder(weights, np.zeros((num_layers, d)), projection,
+                                     np.zeros(12), (3, 2, 2), 0)
+                return (decoder._weight_images.tobytes(), decoder._projection_image.tobytes(),
+                        decoder._state_ranges.tolist())
+
+            def layers():
+                images, projection_image, ranges = reference_model.decoder_layers(
+                    weights, projection)
+                return (np.stack(images).tobytes(), projection_image.tobytes(),
+                        [list(pair) for pair in ranges])
+
+            assert outcome(stacks) == outcome(layers)
+
+    def test_tables_are_read_only_ints(self):
+        decoder, dictionary = small_setup()
+        for table, rows in ((decoder._state_ranges, 5), (dictionary._state_ranges, 4)):
+            assert table.shape == (rows, 2) and table.dtype.kind == "i"
+            with pytest.raises(ValueError):
+                table[0, 0] = 0
 
 
 class TestVideoFile:
