@@ -66,7 +66,6 @@ from .objective import (
 )
 from .spd_core import (
     MAX_SHIFT_TERMS,
-    _clean_twin,
     generate_frames,
     generate_video,
     init_dictionary,
@@ -296,7 +295,7 @@ _MODEL_CACHE_SIZE = 1
 
 
 @functools.lru_cache(maxsize=_MODEL_CACHE_SIZE)
-def _toy_model(num_layers, bases_per_layer, message_bits, layer_dim, rank, alpha,
+def _toy_model(num_layers, bases_per_layer, message_bits, layer_dim, rank,
                init_seed, init_scale, height, width, decoder_seed):
     """The dictionary and decoder of one model config, built on first use.
     Both are frozen and their arrays read-only, so every run shares them."""
@@ -305,7 +304,6 @@ def _toy_model(num_layers, bases_per_layer, message_bits, layer_dim, rank, alpha
                   message_bits=message_bits),
         layer_dim=layer_dim,
         rank=rank,
-        alpha=alpha,
         init_seed=init_seed,
         init_scale=init_scale,
     )
@@ -325,12 +323,12 @@ def toy_components(cfg: RunConfig):
     The dictionary and decoder come from a per-process memo of the last
     _MODEL_CACHE_SIZE model configs, keyed on exactly the fields they read
     (the parameters of _toy_model), so runs that differ only in per-run
-    fields such as seed, attack or num_frames share one model.  The
+    fields such as seed, alpha, attack or num_frames share one model.  The
     condition vector depends on the seed and is drawn per call.
     """
     dictionary, decoder = _toy_model(
         cfg.num_layers, cfg.bases_per_layer, cfg.message_bits, cfg.layer_dim,
-        cfg.rank, cfg.alpha, cfg.init_seed, cfg.init_scale, cfg.height,
+        cfg.rank, cfg.init_seed, cfg.init_scale, cfg.height,
         cfg.width, cfg.decoder_seed,
     )
     condition = random_condition(cfg.layer_dim, cfg.resolved_condition_seed())
@@ -359,7 +357,8 @@ def build_corpus(cfg: RunConfig, role: str, count: int, frames_per_video: int,
         (seed, t) for seed in latent_seeds for t in range(1, frames_per_video + 1)
     ]
     pixels = generate_frames(
-        decoder, dictionary, schedule, frame_seeds, condition, cfg.latent_scale
+        decoder, dictionary, schedule, frame_seeds, condition, cfg.latent_scale,
+        cfg.alpha,
     )
     return pixels.reshape(count, frames_per_video, *pixels.shape[1:]), schedule
 
@@ -440,23 +439,18 @@ def _schedule(cfg: RunConfig, key_cfg: KeyConfig, key, out) -> MessageSequence:
 
 def _embed(cfg: RunConfig, components, schedule, out, clean_out=None) -> tuple:
     """The watermarked video and, if `clean_out` is given, the unwatermarked
-    one (alpha 0) from the same latents; `components` is what
-    toy_components returns.
-
-    The clean video's dictionary is the shared dictionary's alpha-0 twin,
-    which reuses its factor_a and factor_b stacks and their rounded images;
-    only the latent seed and the videos are made per run."""
+    one from the same latents and dictionary at alpha 0; `components` is
+    what toy_components returns."""
     dictionary, decoder, condition = components
     latent_seed = derive_seed(cfg.seed, "latent")
     marked = generate_video(
-        decoder, dictionary, schedule, latent_seed, condition, cfg.latent_scale
+        decoder, dictionary, schedule, latent_seed, condition, cfg.latent_scale, cfg.alpha
     )
     _write_binary(out, write_video, marked)
     clean = None
     if clean_out:
         clean = generate_video(
-            decoder, _clean_twin(dictionary), schedule, latent_seed,
-            condition, cfg.latent_scale,
+            decoder, dictionary, schedule, latent_seed, condition, cfg.latent_scale, 0.0
         )
         _write_binary(clean_out, write_video, clean)
     return marked, clean

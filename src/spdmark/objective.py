@@ -199,6 +199,8 @@ def _check_pair(clean, marked) -> tuple:
     marked = _video(marked)
     if clean.shape != marked.shape:
         raise ValueError("clean and marked videos must have the same shape")
+    if clean.shape[0] < 2:
+        raise ValueError("temporal consistency needs at least 2 frames")
     return clean, marked
 
 
@@ -212,8 +214,6 @@ def _temporal_term(clean: np.ndarray, marked: np.ndarray) -> float:
 def _weighted_terms(clean, marked, weights: LossWeights) -> tuple[float, float]:
     """The weighted perceptual and temporal-consistency terms (ps, tc)."""
     clean, marked = _check_pair(clean, marked)
-    if clean.shape[0] < 2:
-        raise ValueError("temporal consistency needs at least 2 frames")
     # Mean per frame, then over frames: one mean over every pixel would sum
     # in another order and could move the last bits of reported losses.
     ps = float(np.mean([mean_squared_error(c, m) for c, m in zip(clean, marked)]))
@@ -258,8 +258,6 @@ def loss_gradients(
     """
     clean, marked = _check_pair(clean, marked)
     num_frames = clean.shape[0]
-    if num_frames < 2:
-        raise ValueError("temporal consistency needs at least 2 frames")
     targets = _frame_messages(schedule, num_frames)
     pixels_per_frame = clean[0].size
 

@@ -6,8 +6,9 @@ shifts as two stacks, A as one (L, P, d, r) array and B as one (L, P, r, d)
 array, as the decoder holds its L weights as one (L, d, d) array.  The
 realized delta A @ B is never formed: the displaced forward pass evaluates
 A @ (B @ h) as two rank-r products.  Each frame's message picks one shift
-per decoder layer, and the toy generator runs a latent through L displaced
-affine layers followed by a pixel projection.
+per decoder layer, which generation scales by the strength alpha it is
+given, and the toy generator runs a latent through L displaced affine layers
+followed by a pixel projection.
 
 Every product on that path is exact, in the manner of integer-arithmetic
 inference (Jacob et al., CVPR 2018) and of reproducible summation (Demmel
@@ -32,7 +33,6 @@ concurrent use over disjoint frames matches sequential output exactly.
 
 import contextlib
 import contextvars
-import copy
 import itertools
 import math
 import struct
@@ -58,7 +58,6 @@ __all__ = [
     "DEFAULT_LAYER_DIM",
     "DEFAULT_FRAME_SIDE",
     "DEFAULT_NUM_LAYERS",
-    "DEFAULT_BASES_PER_LAYER",
     "DEFAULT_RANK",
     "DEFAULT_ALPHA",
     "DEFAULT_INIT_SCALE",
@@ -69,7 +68,6 @@ __all__ = [
 DEFAULT_LAYER_DIM = 64
 DEFAULT_FRAME_SIDE = 8
 DEFAULT_NUM_LAYERS = 14
-DEFAULT_BASES_PER_LAYER = 4
 DEFAULT_RANK = 32
 DEFAULT_ALPHA = 1.0
 DEFAULT_INIT_SCALE = 0.3
@@ -192,14 +190,11 @@ def _frozen(arr: np.ndarray, dtype=np.float64) -> np.ndarray:
 class BasisDictionary:
     """L x P grid of low-rank basis shifts in factored form, stacked as
     factor_a (L, P, d, r) and factor_b (L, P, r, d), so that shift p of
-    layer ell is factor_a[ell, p] @ factor_b[ell, p]; plus the global scale
-    alpha.  The factors are read-only float64 copies of the arrays given."""
+    layer ell is factor_a[ell, p] @ factor_b[ell, p].  The factors are
+    read-only float64 copies of the arrays given."""
 
     factor_a: np.ndarray
     factor_b: np.ndarray
-    alpha: float
-    init_seed: int
-    init_scale: float
     # factor_a and factor_b rounded for exact products, and the (L, 2) table
     # of each layer's (low, high) state exponents at which its shifts are exact.
     _factor_images: tuple = field(init=False, repr=False)
@@ -250,17 +245,6 @@ class BasisDictionary:
         return KeyConfig.from_layout(self.num_layers, self.bases_per_layer)
 
 
-def _clean_twin(dictionary: BasisDictionary) -> BasisDictionary:
-    """`dictionary` with alpha 0, which generates the unwatermarked video
-    from the same latents.  It shares the factors, their rounded images and
-    their state ranges, which depend on the factors alone, where
-    dataclasses.replace would round every factor again for a forward that
-    reads none of them."""
-    twin = copy.copy(dictionary)
-    object.__setattr__(twin, "alpha", 0.0)
-    return twin
-
-
 @dataclass(frozen=True, eq=False)
 class ToyDecoder:
     """L affine layers (weight d x d, offset d) and a pixel projection."""
@@ -270,7 +254,6 @@ class ToyDecoder:
     projection: np.ndarray
     projection_offset: np.ndarray
     frame_shape: tuple[int, int, int]
-    seed: int
     # Each layer's weight and the projection rounded for exact products, and
     # the (L + 1, 2) table of the (low, high) state exponents at which each
     # layer's product, then the projection's, is exact.
@@ -378,17 +361,18 @@ def _forward(
     dictionary: BasisDictionary,
     indices: np.ndarray,
     latents: np.ndarray,
+    alpha: float,
 ) -> np.ndarray:
     """Pixel rows (n, 3*H*W) for n latents, frame i displaced at layer ell by
-    basis indices[i, ell], in an array of their own; `latents` is used as
-    scratch space.
+    alpha times basis indices[i, ell], in an array of their own; `latents` is
+    used as scratch space.
 
     Hidden states are (n, d) rows, rounded frame by frame.  Each product runs
     over all rows, or over the rows of one basis, as one matrix-matrix
     product.  The products are exact, so every row is bit-identical to the
     frame-by-frame forward, whatever the other frames in the batch.
     """
-    displaced = dictionary.alpha != 0.0 and dictionary.rank > 0
+    displaced = alpha != 0.0 and dictionary.rank > 0
     # Two buffers take turns holding the rounded states and the layer output.
     # Before a displaced layer the states are sorted by their basis, so that
     # each basis reads one contiguous block; row j holds frame frames[j].
@@ -416,7 +400,7 @@ def _forward(
                 if start < stop:
                     low_rank = _matmul(factor_b[basis], state[start:stop])
                     displacement = _matmul(factor_a[basis], low_rank)
-                    displacement *= dictionary.alpha
+                    displacement *= alpha
                     out[start:stop] += displacement
         h = out
     _round_states(h, decoder._state_ranges[-1], state)
@@ -437,11 +421,13 @@ def generate_frames(
     frame_seeds: Sequence[tuple[int, int]],
     condition: np.ndarray,
     latent_scale: float = DEFAULT_LATENT_SCALE,
+    alpha: float = DEFAULT_ALPHA,
 ) -> np.ndarray:
     """The (n, 3, H, W) video of n frames generated in one batch from the
     (n, M) bit rows of `messages`; frame_seeds[i] is row i's (latent_seed,
     frame_index), and frame i is frame frame_index of the video with seed
-    latent_seed.
+    latent_seed.  Each row's bases displace the decoder's layers with
+    strength `alpha`; alpha 0 gives the unwatermarked frames.
 
     Each frame equals the one generate_video gives for it, byte for byte,
     so videos that share a condition (a training corpus), or a single frame
@@ -457,10 +443,12 @@ def generate_frames(
     condition = np.asarray(condition, dtype=np.float64)
     if condition.shape != (decoder.layer_dim,):
         raise ValueError("condition must be a layer_dim vector")
+    if not math.isfinite(alpha):
+        raise ValueError("alpha must be finite")
     indices = _basis_indices(bits, dictionary.key_config())
     latents = _frame_latents(frame_seeds, decoder.layer_dim, latent_scale)
     latents += condition
-    pixels = _forward(decoder, dictionary, indices, latents)
+    pixels = _forward(decoder, dictionary, indices, latents, alpha)
     # Read-only rows that _forward owns become the video without a copy.
     pixels.setflags(write=False)
     return _video(pixels.reshape(len(bits), *decoder.frame_shape))
@@ -473,9 +461,11 @@ def generate_video(
     latent_seed: int,
     condition: np.ndarray,
     latent_scale: float = DEFAULT_LATENT_SCALE,
+    alpha: float = DEFAULT_ALPHA,
 ) -> np.ndarray:
     """Run each frame's seeded latent plus the shared condition through the
-    displaced decoder; frame t uses the bases its own message selects.
+    decoder displaced with strength `alpha`; frame t uses the bases its own
+    message selects, and alpha 0 gives the unwatermarked video.
 
     The per-frame latent depends only on (latent_seed, t), so the output is
     per-frame deterministic and frames may be produced in any order.
@@ -483,7 +473,7 @@ def generate_video(
     return generate_frames(
         decoder, dictionary, schedule,
         [(latent_seed, t) for t in range(1, len(schedule) + 1)],
-        condition, latent_scale,
+        condition, latent_scale, alpha,
     )
 
 
@@ -491,7 +481,6 @@ def init_dictionary(
     cfg: KeyConfig,
     layer_dim: int = DEFAULT_LAYER_DIM,
     rank: int = DEFAULT_RANK,
-    alpha: float = DEFAULT_ALPHA,
     init_seed: int = 0,
     init_scale: float = DEFAULT_INIT_SCALE,
 ) -> BasisDictionary:
@@ -505,13 +494,7 @@ def init_dictionary(
     for layer, basis in np.ndindex(cfg.num_layers, cfg.bases_per_layer):
         factor_a[layer, basis] = rng.normal(0.0, std, (layer_dim, rank))
         factor_b[layer, basis] = rng.normal(0.0, std, (rank, layer_dim))
-    return BasisDictionary(
-        factor_a=factor_a,
-        factor_b=factor_b,
-        alpha=alpha,
-        init_seed=init_seed,
-        init_scale=init_scale,
-    )
+    return BasisDictionary(factor_a, factor_b)
 
 
 def init_toy_decoder(
@@ -540,7 +523,6 @@ def init_toy_decoder(
         projection=projection,
         projection_offset=projection_offset,
         frame_shape=(3, height, width),
-        seed=seed,
     )
 
 

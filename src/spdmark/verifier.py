@@ -378,8 +378,9 @@ def hungarian_match(sim: SimilarityMatrix) -> Assignment:
     counts = sim.matched_bits
     num_rows, num_cols = counts.shape
     # Distinct argmax columns first: the test fails at once under H0 and
-    # whenever T > T_r, before the ties are counted.
-    best = counts.argmax(axis=1)
+    # whenever T > T_r, before the ties are counted.  numpy's row argmax is
+    # slower on int16 than on an int32 copy of the counts.
+    best = counts.astype(np.int32).argmax(axis=1)
     if np.bincount(best).max() == 1:
         maxima = counts[np.arange(num_rows), best]
         if np.count_nonzero(counts == maxima[:, None]) == num_rows:
@@ -460,8 +461,6 @@ def video_threshold(num_pairs: int, p_f: float, gamma_v: float) -> int:
     <= gamma_v."""
     if not 0.0 < gamma_v <= 1.0:
         raise ValueError("gamma_v must lie in (0, 1]")
-    if num_pairs < 0:
-        raise ValueError("num_pairs must be >= 0")
     return next(k for k, tail in enumerate(_tails(num_pairs, p_f)) if tail <= gamma_v)
 
 

@@ -23,6 +23,7 @@ import numpy as np
 from reference_latent import latent
 from spdmark.keyspace import MessageSequence, SelectionMask, WatermarkKey, key_to_mask
 from spdmark.spd_core import (
+    DEFAULT_ALPHA,
     DEFAULT_LATENT_SCALE,
     BasisDictionary,
     ToyDecoder,
@@ -131,10 +132,11 @@ def generate_video(
     latent_seed: int,
     condition: np.ndarray,
     latent_scale: float = DEFAULT_LATENT_SCALE,
+    alpha: float = DEFAULT_ALPHA,
 ) -> np.ndarray:
     """Run each frame's seeded latent plus the shared condition through the
-    displaced decoder; frame t uses the selection mask of its own message.
-    Returns the (T, 3, H, W) video.
+    decoder displaced with strength alpha; frame t uses the selection mask
+    of its own message.  Returns the (T, 3, H, W) video.
     """
     if not schedule:
         raise ValueError("schedule must be non-empty")
@@ -166,7 +168,7 @@ def generate_video(
                 weights[layer],
                 decoder.offsets[layer],
                 shifts[layer],
-                dictionary.alpha,
+                alpha,
                 round_to_grid(h, STATE_BITS),
             )
         raster = _matmul(projection, round_to_grid(h, STATE_BITS)) + decoder.projection_offset

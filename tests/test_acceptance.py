@@ -306,14 +306,14 @@ def test_criterion_8_extractor_learns_watermark():
         assert marked_acc >= 0.95
         # Same pipeline with displacement disabled: nothing to learn, so the
         # fit must collapse to chance.  This separates signal from leakage.
-        plain = dataclasses.replace(dictionary, alpha=0.0)
+        plain = dataclasses.replace(cfg, alpha=0.0)
         train0 = build_corpus(
-            cfg, "train", cfg.train_videos, cfg.train_frames, plain, decoder,
+            plain, "train", cfg.train_videos, cfg.train_frames, dictionary, decoder,
             condition,
         )
         held0 = build_corpus(
-            cfg, "holdout", cfg.holdout_videos, cfg.train_frames, plain, decoder,
-            condition,
+            plain, "holdout", cfg.holdout_videos, cfg.train_frames, dictionary,
+            decoder, condition,
         )
         control_acc = bit_accuracy(
             fit_extractor(*train0, ridge_lambda=cfg.ridge_lambda), *held0
@@ -370,7 +370,6 @@ def test_criterion_9_displacement_stays_factored():
                 projection=rng.normal(0.0, 0.1 * std, (3 * height * width, d)),
                 projection_offset=rng.normal(0.5, 0.1, 3 * height * width),
                 frame_shape=(3, height, width),
-                seed=trial,
             )
             factors = [
                 [
@@ -382,7 +381,6 @@ def test_criterion_9_displacement_stays_factored():
             dictionary = BasisDictionary(
                 factor_a=[[a for a, _ in row] for row in factors],
                 factor_b=[[b for _, b in row] for row in factors],
-                alpha=alpha, init_seed=trial, init_scale=1.0,
             )
             messages = rng.integers(0, 2, (num_frames, cfg.message_bits))
             frame_seeds = [
@@ -392,7 +390,8 @@ def test_criterion_9_displacement_stays_factored():
             condition = rng.normal(size=d)
             with record_products() as log:
                 got = generate_frames(
-                    decoder, dictionary, messages, frame_seeds, condition, latent_scale
+                    decoder, dictionary, messages, frame_seeds, condition, latent_scale,
+                    alpha,
                 )
             # Layer ell reads its chunk of the message MSB first.
             step = cfg.bits_per_layer

@@ -941,12 +941,22 @@ class TestCorpus:
         assert len(calls) == 1
 
 
+def assert_same_artifacts(left: Path, right: Path) -> None:
+    """The two run directories hold the same files with the same bytes, but
+    for report.json's runtime block."""
+    names = sorted(path.name for path in left.iterdir())
+    assert names == sorted(path.name for path in right.iterdir())
+    for name in names:
+        if name == "report.json":
+            assert strip_runtime(read_json(left / name)) == strip_runtime(read_json(right / name))
+        else:
+            assert (left / name).read_bytes() == (right / name).read_bytes(), (left, name)
+
+
 def model_bytes(dictionary, decoder) -> tuple:
     """Everything a dictionary and a decoder hold, as bytes and values."""
     factors = [dictionary.factor_a.tobytes(), dictionary.factor_b.tobytes()]
-    scalars = (dictionary.layer_dim, dictionary.rank, dictionary.alpha,
-               dictionary.init_seed, dictionary.init_scale,
-               decoder.frame_shape, decoder.seed)
+    scalars = (dictionary.layer_dim, dictionary.rank, decoder.frame_shape)
     arrays = (decoder.weights, decoder.offsets, decoder.projection,
               decoder.projection_offset)
     return scalars, factors, [array.tobytes() for array in arrays]
@@ -965,7 +975,7 @@ class TestModelMemo:
         base = toy_components(RunConfig(seed=3))
         other = toy_components(RunConfig(
             seed=5, attack={"attack": "drop", "fraction": 0.5}, num_frames=10,
-            condition_seed=7, out_dir="elsewhere",
+            condition_seed=7, out_dir="elsewhere", alpha=0.5,
         ))
         assert other[0] is base[0]
         assert other[1] is base[1]
@@ -976,7 +986,6 @@ class TestModelMemo:
         {"bases_per_layer": 2, "message_bits": 14},
         {"layer_dim": 32},
         {"rank": 16},
-        {"alpha": 0.5},
         {"init_seed": 1},
         {"init_scale": 0.2},
         {"height": 4},
@@ -989,7 +998,7 @@ class TestModelMemo:
         dictionary, decoder, _ = toy_components(cfg)
         assert dictionary is not base[0] and decoder is not base[1]
         fresh_dictionary = init_dictionary(
-            cfg.key_config(), layer_dim=cfg.layer_dim, rank=cfg.rank, alpha=cfg.alpha,
+            cfg.key_config(), layer_dim=cfg.layer_dim, rank=cfg.rank,
             init_seed=cfg.init_seed, init_scale=cfg.init_scale,
         )
         fresh_decoder = init_toy_decoder(
@@ -1013,6 +1022,22 @@ class TestModelMemo:
             with pytest.raises(ValueError):
                 array[(0,) * array.ndim] = 0.0
 
+    def test_alpha_run_reuses_the_model_of_a_default_run(self, tmp_path, capsys):
+        cfg = str(fast_toy_config(tmp_path))
+        strong = tmp_path / "strong.json"
+        write_json(strong, {**read_json(Path(cfg)), "alpha": 0.5})
+        memo = spdmark.cli._toy_model
+        memo.cache_clear()
+        for config, name in ((cfg, "default"), (str(strong), "shared")):
+            assert run("run-pipeline", "--config", config, "--out", str(tmp_path / name)) in (0, 3)
+        assert (memo.cache_info().hits, memo.cache_info().misses) == (1, 1)
+        memo.cache_clear()
+        assert run("run-pipeline", "--config", str(strong),
+                   "--out", str(tmp_path / "fresh")) in (0, 3)
+        assert memo.cache_info().hits == 0
+        capsys.readouterr()
+        assert_same_artifacts(tmp_path / "shared", tmp_path / "fresh")
+
     def test_runs_do_not_depend_on_earlier_runs(self, tmp_path, capsys):
         cfg = str(fast_toy_config(tmp_path))
         other = tmp_path / "other.json"
@@ -1034,14 +1059,7 @@ class TestModelMemo:
         )
         capsys.readouterr()
         for left, right in (("first", "again"), ("five", "fresh")):
-            names = sorted(path.name for path in (tmp_path / left).iterdir())
-            assert names == sorted(path.name for path in (tmp_path / right).iterdir())
-            for name in names:
-                a, b = tmp_path / left / name, tmp_path / right / name
-                if name == "report.json":
-                    assert strip_runtime(read_json(a)) == strip_runtime(read_json(b))
-                else:
-                    assert a.read_bytes() == b.read_bytes(), (left, name)
+            assert_same_artifacts(tmp_path / left, tmp_path / right)
 
 
 class TestChannelPipeline:

@@ -40,7 +40,6 @@ from spdmark.spd_core import (
     MAX_SHIFT_TERMS,
     BasisDictionary,
     ToyDecoder,
-    _clean_twin,
     _forward,
     _matmul,
     _round_to_grid,
@@ -58,10 +57,8 @@ CFG = KeyConfig.from_layout(4, 4)
 SECRET = BaseSecret(b"spd-core-test-secret")
 
 
-def small_setup(seed=0, alpha=1.0, layer_dim=16, rank=8):
-    dictionary = init_dictionary(
-        CFG, layer_dim=layer_dim, rank=rank, alpha=alpha, init_seed=seed
-    )
+def small_setup(seed=0, layer_dim=16, rank=8):
+    dictionary = init_dictionary(CFG, layer_dim=layer_dim, rank=rank, init_seed=seed)
     decoder = init_toy_decoder(
         layer_dim=layer_dim, height=4, width=4, num_layers=CFG.num_layers, seed=seed
     )
@@ -74,7 +71,7 @@ def dense_shift(shift) -> np.ndarray:
 
 
 def stacked(factor_a, factor_b) -> BasisDictionary:
-    return BasisDictionary(factor_a, factor_b, alpha=1.0, init_seed=0, init_scale=1.0)
+    return BasisDictionary(factor_a, factor_b)
 
 
 class TestBasisDictionary:
@@ -255,14 +252,11 @@ class TestGenerateVideo:
     def test_watermark_changes_at_least_one_pixel(self):
         for trial in range(100):
             decoder, dictionary = small_setup(seed=trial)
-            plain = init_dictionary(
-                CFG, layer_dim=16, rank=8, alpha=0.0, init_seed=trial
-            )
             key = random_key(CFG, trial)
             schedule = derive_frame_messages(SECRET, key, 1)
             condition = random_condition(16, trial + 1000)
             marked = generate_video(decoder, dictionary, schedule, trial, condition)
-            clean = generate_video(decoder, plain, schedule, trial, condition)
+            clean = generate_video(decoder, dictionary, schedule, trial, condition, alpha=0.0)
             assert np.any(marked[0] != clean[0])
 
     def test_frames_are_independent(self):
@@ -371,16 +365,14 @@ class TestBatchedGeneration:
     ):
         cfg = KeyConfig.from_layout(num_layers, bases)
         rank = round(rank_share * layer_dim)
-        dictionary = init_dictionary(
-            cfg, layer_dim=layer_dim, rank=rank, alpha=alpha, init_seed=seed
-        )
+        dictionary = init_dictionary(cfg, layer_dim=layer_dim, rank=rank, init_seed=seed)
         decoder = init_toy_decoder(
             layer_dim=layer_dim, height=2, width=3, num_layers=num_layers, seed=seed
         )
         schedule = derive_frame_messages(SECRET, random_key(cfg, seed), num_frames)
         condition = random_condition(layer_dim, seed + 1)
-        got = generate_video(decoder, dictionary, schedule, seed, condition)
-        want = reference_generate(decoder, dictionary, schedule, seed, condition)
+        got = generate_video(decoder, dictionary, schedule, seed, condition, alpha=alpha)
+        want = reference_generate(decoder, dictionary, schedule, seed, condition, alpha=alpha)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
@@ -429,11 +421,11 @@ class TestBatchedGeneration:
     @pytest.mark.parametrize("alpha, per_frame", [(1.0, 43), (0.0, 15)])
     def test_products_per_frame_at_default_size(self, alpha, per_frame):
         cfg = KeyConfig.from_layout(14, 4)
-        dictionary = init_dictionary(cfg, alpha=alpha)
+        dictionary = init_dictionary(cfg)
         decoder = init_toy_decoder()
         schedule = derive_frame_messages(SECRET, random_key(cfg, 2), 9)
         with record_products() as products:
-            generate_video(decoder, dictionary, schedule, 0, random_condition(64, 0))
+            generate_video(decoder, dictionary, schedule, 0, random_condition(64, 0), alpha=alpha)
         assert len(products) == per_frame * 9
         assert all(len(rhs) == 1 and len(lhs) == 2 for lhs, rhs in products)
 
@@ -490,13 +482,12 @@ class TestBatchedGeneration:
             projection=np.full((3 * 2 * 2, dim), 1e308),
             projection_offset=np.zeros(3 * 2 * 2),
             frame_shape=(3, 2, 2),
-            seed=0,
         )
         cfg = KeyConfig.from_layout(layers, 2)
-        dictionary = init_dictionary(cfg, layer_dim=dim, rank=2, alpha=0.0)
+        dictionary = init_dictionary(cfg, layer_dim=dim, rank=2)
         schedule = derive_frame_messages(SECRET, random_key(cfg, 0), 1)
         with pytest.raises(ValueError, match="finite"):
-            generate_video(decoder, dictionary, schedule, 0, np.zeros(dim))
+            generate_video(decoder, dictionary, schedule, 0, np.zeros(dim), alpha=0.0)
 
 
 def fraction_round(row, bits):
@@ -579,9 +570,11 @@ class TestExactProducts:
         rng = np.random.default_rng(3)
         latents = rng.normal(size=(8, 16)) * np.array([1.0, 1e-8] * 4)[:, None]
         indices = rng.integers(0, 4, (8, 4))
-        batch = _forward(decoder, dictionary, indices, latents.copy())
+        batch = _forward(decoder, dictionary, indices, latents.copy(), 1.0)
         for i in range(8):
-            single = _forward(decoder, dictionary, indices[i:i + 1], latents[i:i + 1].copy())
+            single = _forward(
+                decoder, dictionary, indices[i:i + 1], latents[i:i + 1].copy(), 1.0
+            )
             assert single.tobytes() == batch[i].tobytes()
         # The small frames' pixels still carry their states.
         assert (batch[1::2] != 0.5).any()
@@ -600,11 +593,11 @@ class TestExactProducts:
             dataclasses.replace(decoder, weights=decoder.weights * 1e-305)
         indices = np.zeros((2, 4), dtype=np.int64)
         with pytest.raises(ValueError, match="too small"):
-            _forward(decoder, dictionary, indices, np.full((2, 16), 1e-310))
+            _forward(decoder, dictionary, indices, np.full((2, 16), 1e-310), 1.0)
         # A state the rounding takes, whose products' terms would underflow.
         faint = init_dictionary(CFG, layer_dim=16, rank=8, init_scale=1e-200)
         with pytest.raises(ValueError, match="exact and finite"):
-            _forward(decoder, faint, indices, np.full((2, 16), 1e-290))
+            _forward(decoder, faint, indices, np.full((2, 16), 1e-290), 1.0)
 
     @pytest.mark.skipif(
         platform.machine().lower() not in ("x86_64", "amd64"),
@@ -667,13 +660,13 @@ class TestInitDictionary:
     def test_zero_scale_matches_undisplaced_output(self):
         decoder, _ = small_setup()
         zero = init_dictionary(CFG, layer_dim=16, rank=8, init_scale=0.0, init_seed=1)
-        plain = init_dictionary(CFG, layer_dim=16, rank=8, alpha=0.0, init_seed=1)
+        plain = init_dictionary(CFG, layer_dim=16, rank=8, init_seed=1)
         key = random_key(CFG, 8)
         schedule = derive_frame_messages(SECRET, key, 3)
         condition = random_condition(16, 8)
         np.testing.assert_array_equal(
             generate_video(decoder, zero, schedule, 2, condition),
-            generate_video(decoder, plain, schedule, 2, condition),
+            generate_video(decoder, plain, schedule, 2, condition, alpha=0.0),
         )
 
     def test_rank_above_dim_rejected(self):
@@ -681,20 +674,23 @@ class TestInitDictionary:
             init_dictionary(CFG, layer_dim=8, rank=9)
 
 
-class TestCleanTwin:
-    def test_shares_the_images_and_generates_the_unmarked_video(self):
-        cfg = RunConfig(seed=3)
-        dictionary, decoder, condition = toy_components(cfg)
-        twin = _clean_twin(dictionary)
-        assert twin.alpha == 0.0
-        assert dictionary.alpha == cfg.alpha
-        for name in ("factor_a", "factor_b", "_factor_images", "_state_ranges"):
-            assert getattr(twin, name) is getattr(dictionary, name)
+class TestAlpha:
+    def test_alpha_zero_generates_the_unmarked_video(self):
+        dictionary, decoder, condition = toy_components(RunConfig(seed=3))
         schedule = derive_frame_messages(SECRET, random_key(dictionary.key_config(), 6), 5)
-        video = generate_video(decoder, twin, schedule, 4, condition).tobytes()
-        plain = dataclasses.replace(dictionary, alpha=0.0)
-        assert video == generate_video(decoder, plain, schedule, 4, condition).tobytes()
-        assert video == reference_generate(decoder, plain, schedule, 4, condition).tobytes()
+        video = generate_video(decoder, dictionary, schedule, 4, condition, alpha=0.0)
+        want = reference_generate(decoder, dictionary, schedule, 4, condition, alpha=0.0)
+        assert video.tobytes() == want.tobytes()
+        marked = generate_video(decoder, dictionary, schedule, 4, condition)
+        assert video.tobytes() != marked.tobytes()
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+    def test_non_finite_alpha_rejected(self, alpha):
+        decoder, dictionary = small_setup()
+        schedule = derive_frame_messages(SECRET, random_key(CFG, 1), 2)
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            generate_video(decoder, dictionary, schedule, 0, random_condition(16, 1),
+                           alpha=alpha)
 
 
 class TestInitToyDecoder:
@@ -777,7 +773,7 @@ class TestStackedModel:
 
             def stacks():
                 decoder = ToyDecoder(weights, np.zeros((num_layers, d)), projection,
-                                     np.zeros(12), (3, 2, 2), 0)
+                                     np.zeros(12), (3, 2, 2))
                 return (decoder._weight_images.tobytes(), decoder._projection_image.tobytes(),
                         decoder._state_ranges.tolist())
 
