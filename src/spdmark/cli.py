@@ -134,7 +134,6 @@ def _stage(name: str, seconds: Optional[dict] = None):
 class RunConfig:
     num_layers: int = 14
     bases_per_layer: int = 4
-    message_bits: int = 28
     layer_dim: int = 64
     height: int = 8
     width: int = 8
@@ -161,7 +160,6 @@ class RunConfig:
     train_frames: int = 8
     holdout_videos: int = 50
     condition_seed: Optional[int] = None
-    out_dir: str = "."
 
     def __post_init__(self) -> None:
         for field in dataclasses.fields(self):
@@ -198,10 +196,11 @@ class RunConfig:
                 raise ValueError(f"{name} must lie in (0, 1]")
         if not 0.0 <= self.flip_probability <= 1.0:
             raise ValueError("flip_probability must lie in [0, 1]")
-        self.key_config()
-        if self.message_bits > MAX_MESSAGE_BITS:
+        width = self.key_config().message_bits
+        if width > MAX_MESSAGE_BITS:
             raise ValueError(
-                f"message_bits must be <= {MAX_MESSAGE_BITS}, the length of one SHA-256 digest"
+                f"num_layers * log2(bases_per_layer) = {width} "
+                f"exceeds {MAX_MESSAGE_BITS}, the length of one SHA-256 digest"
             )
         if self.rank > self.layer_dim:
             raise ValueError("rank must not exceed layer_dim")
@@ -218,11 +217,7 @@ class RunConfig:
         self.secret()
 
     def key_config(self) -> KeyConfig:
-        return KeyConfig(
-            num_layers=self.num_layers,
-            bases_per_layer=self.bases_per_layer,
-            message_bits=self.message_bits,
-        )
+        return KeyConfig(self.num_layers, self.bases_per_layer)
 
     def secret(self) -> BaseSecret:
         if self.secret_hex:
@@ -244,12 +239,9 @@ def derive_seed(*parts) -> int:
 
 
 def config_hash(cfg: RunConfig) -> str:
-    """Hash of every semantic config field; artifact placement is excluded."""
-    doc = {
-        field.name: getattr(cfg, field.name)
-        for field in dataclasses.fields(cfg)
-        if field.name != "out_dir"
-    }
+    """The first 16 hex digits of the SHA-256 of every config field as
+    canonical JSON: config.json without its "config_hash" key."""
+    doc = {field.name: getattr(cfg, field.name) for field in dataclasses.fields(cfg)}
     return hashlib.sha256(_canonical(doc).encode("utf-8")).hexdigest()[:16]
 
 
@@ -295,13 +287,12 @@ _MODEL_CACHE_SIZE = 1
 
 
 @functools.lru_cache(maxsize=_MODEL_CACHE_SIZE)
-def _toy_model(num_layers, bases_per_layer, message_bits, layer_dim, rank,
-               init_seed, init_scale, height, width, decoder_seed):
+def _toy_model(num_layers, bases_per_layer, layer_dim, rank, init_seed, init_scale,
+               height, width, decoder_seed):
     """The dictionary and decoder of one model config, built on first use.
     Both are frozen and their arrays read-only, so every run shares them."""
     dictionary = init_dictionary(
-        KeyConfig(num_layers=num_layers, bases_per_layer=bases_per_layer,
-                  message_bits=message_bits),
+        KeyConfig(num_layers, bases_per_layer),
         layer_dim=layer_dim,
         rank=rank,
         init_seed=init_seed,
@@ -327,9 +318,8 @@ def toy_components(cfg: RunConfig):
     condition vector depends on the seed and is drawn per call.
     """
     dictionary, decoder = _toy_model(
-        cfg.num_layers, cfg.bases_per_layer, cfg.message_bits, cfg.layer_dim,
-        cfg.rank, cfg.init_seed, cfg.init_scale, cfg.height,
-        cfg.width, cfg.decoder_seed,
+        cfg.num_layers, cfg.bases_per_layer, cfg.layer_dim, cfg.rank,
+        cfg.init_seed, cfg.init_scale, cfg.height, cfg.width, cfg.decoder_seed,
     )
     condition = random_condition(cfg.layer_dim, cfg.resolved_condition_seed())
     return dictionary, decoder, condition
@@ -515,7 +505,7 @@ def _calibrate(cfg: RunConfig) -> dict:
             file=sys.stderr,
         )
     return null_calibration(
-        cfg.message_bits, cfg.num_frames, cfg.gamma_f, cfg.gamma_v,
+        cfg.key_config().message_bits, cfg.num_frames, cfg.gamma_f, cfg.gamma_v,
         cfg.calibration_trials, derive_seed(cfg.seed, "calibrate"),
     )
 
@@ -542,12 +532,6 @@ def _write_binary(path, writer, value) -> None:
 
 
 def cmd_keygen(cfg: RunConfig, args) -> int:
-    bits = args.bits if args.bits is not None else cfg.message_bits
-    if bits != cfg.message_bits:
-        raise ConfigError(
-            f"--bits {bits} does not match the configured layout "
-            f"({cfg.num_layers} layers x log2({cfg.bases_per_layer}) bits)"
-        )
     _keygen(cfg, args.out)
     return 0
 
@@ -596,7 +580,7 @@ def cmd_extract(cfg: RunConfig, args) -> int:
 
 def cmd_fit_extractor(cfg: RunConfig, args) -> int:
     components = toy_components(cfg)
-    out_path = args.out or str(Path(cfg.out_dir) / "extractor.bin")
+    out_path = args.out or "extractor.bin"
     extractor, train = _fit_extractor(cfg, components, out_path)
     held = build_corpus(cfg, "holdout", cfg.holdout_videos, cfg.train_frames, *components)
     report = {
@@ -709,7 +693,7 @@ def cmd_run_pipeline(cfg: RunConfig, args) -> int:
                           "temporal consistency loss")
     _check_attacks([cfg.attack or {"attack": "none"}] if args.mode == "toy"
                    else _attack_suite(cfg), cfg.num_frames)
-    out = Path(args.out or cfg.out_dir)
+    out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     resolved = dataclasses.asdict(cfg)
     resolved["config_hash"] = config_hash(cfg)
@@ -749,7 +733,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("keygen", parents=[common], help="draw a watermark key")
-    p.add_argument("--bits", type=int, help="expected key width (validation only)")
     p.set_defaults(handler=cmd_keygen)
 
     p = sub.add_parser("schedule", parents=[common], help="derive per-frame messages")

@@ -69,11 +69,11 @@ MAX_MESSAGE_BITS = 256
 
 @dataclass(frozen=True)
 class KeyConfig:
-    """Shape of the keyspace: L layers, P bases per layer, M message bits."""
+    """Shape of the keyspace: L layers and P bases per layer.  A key picks
+    one basis per layer, so its width M = L * log2(P) follows from them."""
 
     num_layers: int
     bases_per_layer: int
-    message_bits: int
 
     def __post_init__(self) -> None:
         if self.num_layers < 1:
@@ -81,21 +81,14 @@ class KeyConfig:
         p = self.bases_per_layer
         if p < 2 or p & (p - 1) != 0:
             raise ValueError("bases_per_layer must be a power of two >= 2")
-        if self.message_bits != self.num_layers * self.bits_per_layer:
-            raise ValueError(
-                "message_bits must equal num_layers * log2(bases_per_layer); "
-                f"got {self.message_bits} for L={self.num_layers}, "
-                f"P={self.bases_per_layer}"
-            )
 
     @property
     def bits_per_layer(self) -> int:
         return self.bases_per_layer.bit_length() - 1
 
-    @classmethod
-    def from_layout(cls, num_layers: int, bases_per_layer: int) -> "KeyConfig":
-        bits = bases_per_layer.bit_length() - 1
-        return cls(num_layers, bases_per_layer, num_layers * bits)
+    @property
+    def message_bits(self) -> int:
+        return self.num_layers * self.bits_per_layer
 
 
 @dataclass(frozen=True)
@@ -401,8 +394,12 @@ def parse_key_document(doc: dict) -> tuple[KeyConfig, WatermarkKey]:
         cfg = KeyConfig(
             num_layers=_typed(doc["config"]["L"], int),
             bases_per_layer=_typed(doc["config"]["P"], int),
-            message_bits=_typed(doc["config"]["M"], int),
         )
+        width = _typed(doc["config"]["M"], int)
+        if width != cfg.message_bits:
+            raise ValueError(
+                f"key document M must equal L * log2(P) = {cfg.message_bits}, got {width}"
+            )
         return cfg, WatermarkKey(hex_to_bits(doc["key_hex"], cfg.message_bits))
 
 

@@ -242,7 +242,7 @@ class BasisDictionary:
         return self.factor_a.shape[3]
 
     def key_config(self) -> KeyConfig:
-        return KeyConfig.from_layout(self.num_layers, self.bases_per_layer)
+        return KeyConfig(self.num_layers, self.bases_per_layer)
 
 
 @dataclass(frozen=True, eq=False)

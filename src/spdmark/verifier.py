@@ -378,9 +378,8 @@ def hungarian_match(sim: SimilarityMatrix) -> Assignment:
     counts = sim.matched_bits
     num_rows, num_cols = counts.shape
     # Distinct argmax columns first: the test fails at once under H0 and
-    # whenever T > T_r, before the ties are counted.  numpy's row argmax is
-    # slower on int16 than on an int32 copy of the counts.
-    best = counts.astype(np.int32).argmax(axis=1)
+    # whenever T > T_r, before the ties are counted.
+    best = counts.argmax(axis=1)
     if np.bincount(best).max() == 1:
         maxima = counts[np.arange(num_rows), best]
         if np.count_nonzero(counts == maxima[:, None]) == num_rows:

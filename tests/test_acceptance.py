@@ -136,7 +136,7 @@ def test_criterion_2_matching_optimal():
 
 def test_criterion_3_key_mask_round_trip():
     with criterion(3, "10000 key/mask round trips, zero failures"):
-        cfg = KeyConfig.from_layout(14, 4)
+        cfg = KeyConfig(14, 4)
         rng = np.random.default_rng(3)
         failures = 0
         for _ in range(10_000):
@@ -152,7 +152,7 @@ def test_criterion_3_key_mask_round_trip():
 
 def test_criterion_4_ideal_channel_verifies():
     with criterion(4, "100 ideal-channel runs verify with perfect recovery"):
-        cfg = KeyConfig.from_layout(14, 4)
+        cfg = KeyConfig(14, 4)
         for seed in range(100):
             secret = BaseSecret(sha256(b"acceptance-ideal-%d" % seed).digest())
             key = random_key(cfg, seed)
@@ -362,7 +362,7 @@ def test_criterion_9_displacement_stays_factored():
             num_frames = int(rng.integers(1, 9))
             alpha = float(rng.uniform(0.1, 2.0))
             latent_scale = float(rng.uniform(0.01, 1.0))
-            cfg = KeyConfig.from_layout(num_layers, bases)
+            cfg = KeyConfig(num_layers, bases)
             std = 1.0 / math.sqrt(d)
             decoder = ToyDecoder(
                 weights=rng.normal(0.0, std, (num_layers, d, d)),

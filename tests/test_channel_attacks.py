@@ -34,7 +34,7 @@ from spdmark.keyspace import (
     random_key,
 )
 
-CFG = KeyConfig.from_layout(14, 4)
+CFG = KeyConfig(14, 4)
 SECRET = BaseSecret(b"attack-test-secret-0")
 
 

@@ -65,6 +65,16 @@ def strip_runtime(report: dict) -> dict:
     return {k: v for k, v in report.items() if k != "runtime"}
 
 
+def assert_own_config_hash(path: Path) -> None:
+    """The config.json at `path` hashes to its own config_hash: the first 16
+    hex digits of the SHA-256 of its canonical JSON without that key."""
+    doc = read_json(path)
+    digest = doc.pop("config_hash")
+    assert "message_bits" not in doc and "out_dir" not in doc
+    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest()[:16] == digest
+
+
 class TestConfig:
     def test_defaults_are_consistent(self):
         cfg = RunConfig()
@@ -91,9 +101,16 @@ class TestConfig:
         cfg = load_config(None, {})
         assert cfg.seed == 33
 
+    def test_message_width_follows_the_layout(self):
+        assert load_config(None, {"num_layers": 7}).key_config().message_bits == 14
+
     def test_inconsistent_layout_rejected(self):
-        with pytest.raises(ConfigError):
-            load_config(None, {"message_bits": 27})
+        # The width is num_layers * log2(bases_per_layer), not a setting.
+        with pytest.raises(ConfigError, match=r"unknown config keys: \['message_bits'\]"):
+            load_config(None, {"message_bits": 28})
+        with pytest.raises(ConfigError, match=r"log2\(bases_per_layer\) = 300 exceeds 256"):
+            load_config(None, {"num_layers": 300, "bases_per_layer": 2})
+        assert load_config(None, {"num_layers": 128}).key_config().message_bits == 256
         with pytest.raises(ConfigError):
             load_config(None, {"rank": 100, "layer_dim": 64})
         # layer_dim * rank above MAX_SHIFT_TERMS: products would not be exact.
@@ -102,9 +119,11 @@ class TestConfig:
         assert load_config(None, {"layer_dim": 64, "rank": 64}).rank == 64
 
     def test_hash_covers_semantics_not_paths(self):
+        # --out alone names the output location, so every field is hashed.
         base = RunConfig()
-        assert config_hash(base) == config_hash(RunConfig(out_dir="/elsewhere"))
-        assert config_hash(base) != config_hash(RunConfig(seed=1))
+        for fields in ({"seed": 1}, {"alpha": 0.5}, {"num_layers": 7},
+                       {"condition_seed": 0}, {"secret_hex": "00" * 16}):
+            assert config_hash(base) != config_hash(RunConfig(**fields))
 
     @pytest.mark.parametrize("fields", [
         {},
@@ -117,12 +136,11 @@ class TestConfig:
     def test_hash_equals_the_asdict_document(self, fields):
         cfg = RunConfig(**fields)
         doc = dataclasses.asdict(cfg)
-        doc.pop("out_dir")
         canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         assert config_hash(cfg) == hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
     def test_float_fields_hash_as_floats(self, tmp_path):
-        assert config_hash(RunConfig()) == "2d6954d2dad10472"
+        assert config_hash(RunConfig()) == "919ae4c93c24c479"
         assert config_hash(RunConfig(alpha=1)) == config_hash(RunConfig(alpha=1.0))
         ints = {field.name: 1 for field in dataclasses.fields(RunConfig)
                 if field.type is float}
@@ -312,8 +330,30 @@ class TestExitCodes:
         capsys.readouterr()
 
     def test_keygen_bits_mismatch(self, capsys):
+        # The key width follows the layout; keygen has no --bits flag.
         assert run("keygen", "--bits", "30") == 2
-        capsys.readouterr()
+        assert "unrecognized arguments: --bits 30" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,value", [("message_bits", 28), ("out_dir", "elsewhere")])
+    def test_removed_settings_are_unknown_keys(self, tmp_path, capsys, name, value):
+        path = tmp_path / "cfg.json"
+        write_json(path, {name: value})
+        out = tmp_path / "run"
+        assert run("run-pipeline", "--config", str(path), "--out", str(out)) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {"stage": "config", "message": f"unknown config keys: [{name!r}]"}
+        assert not out.exists()
+
+    def test_schedule_rejects_a_key_of_the_wrong_width(self, tmp_path, capsys):
+        key = tmp_path / "key.json"
+        assert run("keygen", "--out", str(key)) == 0
+        doc = read_json(key)
+        doc["config"]["M"] = 27
+        write_json(key, doc)
+        assert run("schedule", "--key", str(key)) == 4
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["stage"] == "schedule"
+        assert "got 27" in error["message"]
 
     def test_calibrate_rejects_small_trial_count(self, capsys):
         assert run("calibrate", "--trials", "500") == 2
@@ -422,7 +462,7 @@ class TestKeygen:
         assert len(doc["key_hex"]) == 8
 
     def test_distinct_over_many_seeds(self):
-        cfg = KeyConfig.from_layout(14, 4)
+        cfg = KeyConfig(14, 4)
         keys = {bits_to_hex(random_key(cfg, seed).bits) for seed in range(10_000)}
         assert len(keys) == 10_000
 
@@ -754,6 +794,15 @@ class TestToyVideoFlow:
         assert report["bit_acc"] >= 0.9
         assert set(report["losses"]) == {"ps", "tc", "rec", "total"}
         assert report["config_hash"] == read_json(out_dir / "config.json")["config_hash"]
+        assert_own_config_hash(out_dir / "config.json")
+
+    def test_layout_sets_the_key_width(self, tmp_path, capsys):
+        cfg = fast_toy_config(tmp_path, num_layers=7, bases_per_layer=8)
+        out_dir = tmp_path / "run"
+        assert run("run-pipeline", "--config", str(cfg), "--out", str(out_dir)) == 0
+        capsys.readouterr()
+        assert read_json(out_dir / "key.json")["config"] == {"L": 7, "P": 8, "M": 21}
+        assert_own_config_hash(out_dir / "config.json")
 
     def test_toy_reports_reproduce(self, tmp_path, capsys):
         cfg = fast_toy_config(tmp_path)
@@ -975,15 +1024,15 @@ class TestModelMemo:
         base = toy_components(RunConfig(seed=3))
         other = toy_components(RunConfig(
             seed=5, attack={"attack": "drop", "fraction": 0.5}, num_frames=10,
-            condition_seed=7, out_dir="elsewhere", alpha=0.5,
+            condition_seed=7, alpha=0.5,
         ))
         assert other[0] is base[0]
         assert other[1] is base[1]
         assert other[2].tobytes() != base[2].tobytes()
 
     @pytest.mark.parametrize("fields", [
-        {"num_layers": 7, "message_bits": 14},
-        {"bases_per_layer": 2, "message_bits": 14},
+        {"num_layers": 7},
+        {"bases_per_layer": 2},
         {"layer_dim": 32},
         {"rank": 16},
         {"init_seed": 1},
@@ -1080,6 +1129,8 @@ class TestChannelPipeline:
         assert row["valid_rate"] == 1.0
         assert row["perm_recovered_rate"] == 1.0
         assert report["calibration"]["tau_f"] == 23
+        assert report["config_hash"] == read_json(out_dir / "config.json")["config_hash"]
+        assert_own_config_hash(out_dir / "config.json")
 
     def test_runtime_times_each_stage(self, tmp_path, capsys):
         """Channel mode reports the toy mode's runtime header: each stage's

@@ -23,7 +23,7 @@ from spdmark.spd_core import (
 
 EDGE_SEEDS = (0, 1, 2**63 - 1, 2**64 - 1)
 EDGE_FRAMES = (1, 2**32 + 1)
-CFG = KeyConfig.from_layout(14, 4)
+CFG = KeyConfig(14, 4)
 U64 = st.integers(0, 2**64 - 1)
 
 # Words whose uniforms cover every AS241 branch and its edges: both ends
@@ -113,7 +113,7 @@ class TestVectorMatchesOracle:
     @given(seeds=st.lists(U64, min_size=1, max_size=8), layers=st.integers(1, 64))
     @settings(max_examples=100, deadline=None)
     def test_key_sweep(self, seeds, layers):
-        cfg = KeyConfig.from_layout(layers, 2)
+        cfg = KeyConfig(layers, 2)
         keys = random_keys(cfg, seeds)
         assert [key.bits for key in keys] == [ref.key_bits(s, layers) for s in seeds]
         assert keys == [random_key(cfg, seed) for seed in seeds]
@@ -123,7 +123,7 @@ class TestVectorMatchesOracle:
     def test_unchecked_keys_equal_checked_ones(self, seeds, layers):
         # random_keys skips WatermarkKey's check; its keys are the checked
         # keys of the same bits, held as Python ints.
-        cfg = KeyConfig.from_layout(layers, 2)
+        cfg = KeyConfig(layers, 2)
         for key in random_keys(cfg, seeds):
             assert key == WatermarkKey(tuple(key.bits))
             assert isinstance(key.bits, tuple)
@@ -154,6 +154,6 @@ class TestSeedRange:
     @pytest.mark.parametrize("frame_seed", [(-1, 1), (2**64, 1), (0, -1), (0, 2**64)])
     def test_latent_counters_out_of_range(self, frame_seed):
         decoder = init_toy_decoder(layer_dim=8, height=2, width=2, num_layers=1)
-        dictionary = init_dictionary(KeyConfig.from_layout(1, 2), layer_dim=8, rank=2)
+        dictionary = init_dictionary(KeyConfig(1, 2), layer_dim=8, rank=2)
         with pytest.raises(ValueError, match="2\\*\\*64"):
             generate_frames(decoder, dictionary, [[1]], [frame_seed], np.zeros(8))

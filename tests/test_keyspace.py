@@ -20,6 +20,7 @@ from spdmark.keyspace import (
     derive_schedules,
     extraction_document,
     hex_to_bits,
+    key_document,
     key_to_mask,
     mask_to_key,
     parse_extraction_document,
@@ -54,40 +55,37 @@ def test_hmac_reference_matches_published_vectors():
 
 class TestKeyConfig:
     def test_paper_scale_layout(self):
-        cfg = KeyConfig.from_layout(14, 4)
+        cfg = KeyConfig(14, 4)
         assert cfg.message_bits == 28
         assert cfg.bits_per_layer == 2
-
-    def test_rejects_inconsistent_message_bits(self):
-        with pytest.raises(ValueError):
-            KeyConfig(num_layers=14, bases_per_layer=4, message_bits=27)
+        assert KeyConfig(7, 8).message_bits == 21
 
     def test_rejects_non_power_of_two_bases(self):
         for bases in (3, 1, 0, -4):
             with pytest.raises(ValueError, match="power of two"):
-                KeyConfig.from_layout(4, bases)
+                KeyConfig(4, bases)
 
 
 class TestKeyToMask:
     def test_worked_example(self):
-        cfg = KeyConfig.from_layout(2, 4)
+        cfg = KeyConfig(2, 4)
         mask = key_to_mask(WatermarkKey((1, 0, 0, 1)), cfg)
         # Chunk "10" -> 2 -> third column, chunk "01" -> 1 -> second column.
         assert mask.mask.tolist() == [[0, 0, 1, 0], [0, 1, 0, 0]]
 
     def test_all_zero_key_selects_first_basis(self):
-        cfg = KeyConfig.from_layout(14, 4)
+        cfg = KeyConfig(14, 4)
         mask = key_to_mask(WatermarkKey((0,) * 28), cfg)
         assert mask.mask.argmax(axis=1).tolist() == [0] * 14
 
     def test_rows_are_one_hot(self):
-        cfg = KeyConfig.from_layout(14, 4)
+        cfg = KeyConfig(14, 4)
         for seed in range(50):
             mask = key_to_mask(random_key(cfg, seed), cfg)
             assert (mask.mask.sum(axis=1) == 1).all()
 
     def test_length_mismatch_rejected(self):
-        cfg = KeyConfig.from_layout(14, 4)
+        cfg = KeyConfig(14, 4)
         with pytest.raises(ValueError):
             key_to_mask(WatermarkKey((0, 1)), cfg)
 
@@ -107,13 +105,13 @@ class TestWatermarkKey:
 
 class TestMaskToKey:
     def test_first_basis_everywhere_is_zero_key(self):
-        cfg = KeyConfig.from_layout(3, 8)
+        cfg = KeyConfig(3, 8)
         mask = np.zeros((3, 8), dtype=np.uint8)
         mask[:, 0] = 1
         assert mask_to_key(SelectionMask(mask), cfg).bits == (0,) * 9
 
     def test_round_trip_random_keys(self):
-        cfg = KeyConfig.from_layout(14, 4)
+        cfg = KeyConfig(14, 4)
         for seed in range(2000):
             key = random_key(cfg, seed)
             assert mask_to_key(key_to_mask(key, cfg), cfg) == key
@@ -127,7 +125,7 @@ class TestMaskToKey:
     @given(st.integers(1, 6), st.sampled_from([2, 4, 8]), st.data())
     @settings(max_examples=200, deadline=None)
     def test_round_trip_property(self, num_layers, bases, data):
-        cfg = KeyConfig.from_layout(num_layers, bases)
+        cfg = KeyConfig(num_layers, bases)
         bits = data.draw(
             st.lists(
                 st.integers(0, 1),
@@ -190,7 +188,7 @@ class TestPacking:
 
 
 class TestFrameMessages:
-    cfg = KeyConfig.from_layout(14, 4)
+    cfg = KeyConfig(14, 4)
     secret = BaseSecret(b"0123456789abcdef")
 
     def test_matches_independent_hmac_reference(self):
@@ -368,7 +366,7 @@ class TestSecret:
 
 class TestScheduleDocument:
     def test_round_trip(self):
-        cfg = KeyConfig.from_layout(14, 4)
+        cfg = KeyConfig(14, 4)
         secret = BaseSecret(b"fedcba9876543210")
         key = random_key(cfg, 6)
         frames = derive_frame_messages(secret, key, 25)
@@ -379,7 +377,7 @@ class TestScheduleDocument:
         assert frames2 == frames
 
     def test_document_shape(self):
-        cfg = KeyConfig.from_layout(2, 4)
+        cfg = KeyConfig(2, 4)
         key = WatermarkKey((1, 0, 0, 1))
         frames = MessageSequence([[1, 0, 0, 1]])
         doc = schedule_document(cfg, key, frames)
@@ -414,7 +412,7 @@ class TestScheduleDocument:
         ],
     )
     def test_frames_must_be_exactly_one_to_t(self, frames):
-        cfg = KeyConfig.from_layout(2, 4)
+        cfg = KeyConfig(2, 4)
         doc = schedule_document(
             cfg, WatermarkKey((1, 0, 0, 1)), MessageSequence([[1, 0, 0, 1]])
         )
@@ -423,8 +421,15 @@ class TestScheduleDocument:
         with pytest.raises(ValueError):
             parse_extraction_document({"message_bits": 4, "frames": frames})
 
+    def test_width_other_than_the_layout_rejected(self):
+        # A key document comes from outside: its M must equal L * log2(P).
+        doc = key_document(KeyConfig(14, 4), WatermarkKey((0, 1) * 14))
+        doc["config"]["M"] = 27
+        with pytest.raises(ValueError, match=r"L \* log2\(P\) = 28, got 27"):
+            parse_key_document(doc)
+
     def test_missing_keys_are_value_errors(self):
-        cfg = KeyConfig.from_layout(2, 4)
+        cfg = KeyConfig(2, 4)
         doc = schedule_document(
             cfg, WatermarkKey((1, 0, 0, 1)), MessageSequence([[1, 0, 0, 1]])
         )

@@ -112,7 +112,7 @@ class TestBceLogits:
         assert mid <= ends + 1e-12
 
     def test_accepts_logit_vector_and_frame_message(self):
-        cfg = KeyConfig.from_layout(2, 4)
+        cfg = KeyConfig(2, 4)
         (message,) = derive_frame_messages(SECRET, random_key(cfg, 0), 1)
         loss = bce_logits(np.zeros(cfg.message_bits), message.bits)
         assert loss == pytest.approx(math.log(2))
@@ -698,7 +698,7 @@ class TestLearnability:
         return np.stack(videos), MessageSequence(np.concatenate(schedules))
 
     def test_holdout_accuracy_shared_condition_corpus(self):
-        cfg = KeyConfig.from_layout(14, 4)
+        cfg = KeyConfig(14, 4)
         dictionary = init_dictionary(cfg, init_seed=101)
         decoder = init_toy_decoder(seed=202)
         shared = random_condition(64, 7)
@@ -709,7 +709,7 @@ class TestLearnability:
         assert bit_accuracy(extractor, *held) >= 0.9
 
     def test_fresh_conditions_defeat_a_single_linear_map(self):
-        cfg = KeyConfig.from_layout(14, 4)
+        cfg = KeyConfig(14, 4)
         dictionary = init_dictionary(cfg, init_seed=101)
         decoder = init_toy_decoder(seed=202)
         fresh = lambda seed: random_condition(64, seed)

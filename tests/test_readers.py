@@ -33,7 +33,7 @@ from spdmark.objective import LinearExtractor, read_extractor, write_extractor
 from spdmark.spd_core import read_video, write_video
 from spdmark.verifier import Verdict, verify
 
-CFG = KeyConfig.from_layout(2, 4)
+CFG = KeyConfig(2, 4)
 KEY = random_key(CFG, 0)
 SCHEDULE = derive_frame_messages(BaseSecret(b"reader-fuzz-secret"), KEY, 3)
 ATTACKED, RECORD = attack_insert(SCHEDULE, 0.5, "noise", seed=1)

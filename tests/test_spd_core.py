@@ -53,7 +53,7 @@ from spdmark.spd_core import (
     write_video,
 )
 
-CFG = KeyConfig.from_layout(4, 4)
+CFG = KeyConfig(4, 4)
 SECRET = BaseSecret(b"spd-core-test-secret")
 
 
@@ -93,7 +93,7 @@ class TestBasisDictionary:
         dictionary = stacked(np.zeros((3, 2, 5, 4)), np.zeros((3, 2, 4, 5)))
         assert (dictionary.num_layers, dictionary.bases_per_layer) == (3, 2)
         assert (dictionary.layer_dim, dictionary.rank) == (5, 4)
-        assert dictionary.key_config() == KeyConfig.from_layout(3, 2)
+        assert dictionary.key_config() == KeyConfig(3, 2)
 
     def test_rank_zero_accepted(self):
         dictionary = stacked(np.zeros((2, 4, 3, 0)), np.zeros((2, 4, 0, 3)))
@@ -363,7 +363,7 @@ class TestBatchedGeneration:
     def test_matches_frame_by_frame_oracle(
         self, num_layers, bases, layer_dim, rank_share, alpha, num_frames, seed
     ):
-        cfg = KeyConfig.from_layout(num_layers, bases)
+        cfg = KeyConfig(num_layers, bases)
         rank = round(rank_share * layer_dim)
         dictionary = init_dictionary(cfg, layer_dim=layer_dim, rank=rank, init_seed=seed)
         decoder = init_toy_decoder(
@@ -420,7 +420,7 @@ class TestBatchedGeneration:
 
     @pytest.mark.parametrize("alpha, per_frame", [(1.0, 43), (0.0, 15)])
     def test_products_per_frame_at_default_size(self, alpha, per_frame):
-        cfg = KeyConfig.from_layout(14, 4)
+        cfg = KeyConfig(14, 4)
         dictionary = init_dictionary(cfg)
         decoder = init_toy_decoder()
         schedule = derive_frame_messages(SECRET, random_key(cfg, 2), 9)
@@ -463,7 +463,7 @@ class TestBatchedGeneration:
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("num_layers", [2, 4])
     def test_overflowing_hidden_state_rejected(self, num_layers):
-        cfg = KeyConfig.from_layout(num_layers, 4)
+        cfg = KeyConfig(num_layers, 4)
         dictionary = init_dictionary(cfg, layer_dim=16, rank=8)
         decoder = init_toy_decoder(layer_dim=16, height=4, width=4, num_layers=num_layers)
         # Orthogonal weights times 1e200 reach inf at the second layer.
@@ -483,7 +483,7 @@ class TestBatchedGeneration:
             projection_offset=np.zeros(3 * 2 * 2),
             frame_shape=(3, 2, 2),
         )
-        cfg = KeyConfig.from_layout(layers, 2)
+        cfg = KeyConfig(layers, 2)
         dictionary = init_dictionary(cfg, layer_dim=dim, rank=2)
         schedule = derive_frame_messages(SECRET, random_key(cfg, 0), 1)
         with pytest.raises(ValueError, match="finite"):

@@ -55,7 +55,7 @@ from spdmark.verifier import (
     wilson_interval,
 )
 
-CFG = KeyConfig.from_layout(14, 4)
+CFG = KeyConfig(14, 4)
 SECRET = BaseSecret(b"verifier-test-secret")
 
 
