@@ -5,7 +5,10 @@ defaults, then the config file (--config, or the SPDMARK_CONFIG environment
 variable), then command-line flags; flags win.  Every random draw flows
 from named seeds derived with derive_seed, so any command replayed with the
 same config and seeds reproduces its output bit for bit; the "runtime" key
-of a report is the one exception and carries wall-clock stats only.
+of a report is the one exception and carries wall-clock stats only.  A
+run's config.json is a valid --config: it holds every field and their
+config_hash, which must still be the hash of those fields when the file is
+read back, before flags override them.
 
 Exit codes: 0 success, 2 invalid configuration or usage, 3 verification
 returned invalid (for scripting), 4 a pipeline stage failed (the error
@@ -57,7 +60,6 @@ from .keyspace import (
     schedule_document,
 )
 from .objective import (
-    LossWeights,
     bit_accuracy,
     fit_extractor,
     loss_report,
@@ -140,11 +142,8 @@ class RunConfig:
     rank: int = 32
     alpha: float = 1.0
     init_seed: int = 0
-    init_scale: float = 0.3
     decoder_seed: int = 0
     latent_scale: float = 0.05
-    lambda_ps: float = 1.0
-    lambda_tc: float = 1.0
     ridge_lambda: float = 1e-3
     gamma_f: float = 1e-3
     gamma_v: float = 1e-6
@@ -152,8 +151,8 @@ class RunConfig:
     num_frames: int = 25
     flip_probability: float = 0.0
     secret_hex: str = ""
-    attack: Optional[dict] = None
-    attacks: Optional[tuple] = None
+    attack: dict = dataclasses.field(default_factory=lambda: {"attack": "none"})
+    attacks: tuple = DEFAULT_ATTACK_SUITE
     trials: int = 1000
     calibration_trials: int = 2000
     train_videos: int = 200
@@ -182,8 +181,8 @@ class RunConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.num_frames > MAX_FRAMES:
             raise ValueError(f"num_frames must be <= {MAX_FRAMES}, the verifier's bound")
-        for name in ("rank", "init_seed", "decoder_seed", "seed", "init_scale",
-                     "latent_scale", "lambda_ps", "lambda_tc", "ridge_lambda"):
+        for name in ("rank", "init_seed", "decoder_seed", "seed", "latent_scale",
+                     "ridge_lambda"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         if self.condition_seed is not None and self.condition_seed < 0:
@@ -207,13 +206,11 @@ class RunConfig:
         if self.layer_dim * self.rank > MAX_SHIFT_TERMS:
             # Beyond it the decoder's displacement products are not exact.
             raise ValueError(f"layer_dim * rank must be <= {MAX_SHIFT_TERMS}")
-        if self.attacks is not None:
-            specs = tuple(parse_attack_spec(spec, structural=True)[2] for spec in self.attacks)
-            if any("seed" in spec for spec in specs):
-                raise ValueError("attacks entries take no seed: the table seeds every trial")
-            object.__setattr__(self, "attacks", specs)
-        if self.attack is not None:
-            object.__setattr__(self, "attack", parse_attack_spec(self.attack)[2])
+        specs = tuple(parse_attack_spec(spec, structural=True)[2] for spec in self.attacks)
+        if any("seed" in spec for spec in specs):
+            raise ValueError("attacks entries take no seed: the table seeds every trial")
+        object.__setattr__(self, "attacks", specs)
+        object.__setattr__(self, "attack", parse_attack_spec(self.attack)[2])
         self.secret()
 
     def key_config(self) -> KeyConfig:
@@ -257,12 +254,20 @@ def load_config(path: Optional[str], overrides: dict) -> RunConfig:
         if not isinstance(loaded, dict):
             raise ConfigError(f"config {path} must hold a JSON object")
         data.update(loaded)
+    # A run's config.json states its hash; it must be the hash of the fields
+    # the file holds, before any flag overrides them.
+    states_hash = "config_hash" in data
+    stated = data.pop("config_hash", None)
+    from_file = dict(data)
     data.update({k: v for k, v in overrides.items() if v is not None})
     known = {field.name for field in dataclasses.fields(RunConfig)}
     unknown = sorted(set(data) - known)
     if unknown:
         raise ConfigError(f"unknown config keys: {unknown}")
     try:
+        if states_hash and stated != config_hash(RunConfig(**from_file)):
+            raise ConfigError(f"config {path} states config_hash {stated!r}, "
+                              "which is not the hash of its fields")
         return RunConfig(**data)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -287,8 +292,8 @@ _MODEL_CACHE_SIZE = 1
 
 
 @functools.lru_cache(maxsize=_MODEL_CACHE_SIZE)
-def _toy_model(num_layers, bases_per_layer, layer_dim, rank, init_seed, init_scale,
-               height, width, decoder_seed):
+def _toy_model(num_layers, bases_per_layer, layer_dim, rank, init_seed, height, width,
+               decoder_seed):
     """The dictionary and decoder of one model config, built on first use.
     Both are frozen and their arrays read-only, so every run shares them."""
     dictionary = init_dictionary(
@@ -296,7 +301,6 @@ def _toy_model(num_layers, bases_per_layer, layer_dim, rank, init_seed, init_sca
         layer_dim=layer_dim,
         rank=rank,
         init_seed=init_seed,
-        init_scale=init_scale,
     )
     decoder = init_toy_decoder(
         layer_dim=layer_dim,
@@ -319,7 +323,7 @@ def toy_components(cfg: RunConfig):
     """
     dictionary, decoder = _toy_model(
         cfg.num_layers, cfg.bases_per_layer, cfg.layer_dim, cfg.rank,
-        cfg.init_seed, cfg.init_scale, cfg.height, cfg.width, cfg.decoder_seed,
+        cfg.init_seed, cfg.height, cfg.width, cfg.decoder_seed,
     )
     condition = random_condition(cfg.layer_dim, cfg.resolved_condition_seed())
     return dictionary, decoder, condition
@@ -353,11 +357,6 @@ def build_corpus(cfg: RunConfig, role: str, count: int, frames_per_video: int,
     return pixels.reshape(count, frames_per_video, *pixels.shape[1:]), schedule
 
 
-def _attack_suite(cfg: RunConfig) -> tuple:
-    """The attacks the forensics table runs: `attacks`, or the default suite."""
-    return cfg.attacks if cfg.attacks is not None else DEFAULT_ATTACK_SUITE
-
-
 def forensics_table(cfg: RunConfig) -> list:
     """Per-attack Monte Carlo table: schedule, attack, channel, verify,
     diagnose, aggregate.
@@ -370,7 +369,7 @@ def forensics_table(cfg: RunConfig) -> list:
     secret = cfg.secret()
     digest = config_hash(cfg)
     rows = []
-    for spec in _attack_suite(cfg):
+    for spec in cfg.attacks:
         name = spec["attack"]
         row_seed = derive_seed(cfg.seed, name)
         sums = {"bit_acc": 0.0, "order_acc": 0.0, "f1_drop": 0.0, "f1_insert": 0.0}
@@ -457,9 +456,7 @@ def _fit_extractor(cfg: RunConfig, components, out) -> tuple:
 def _attack(cfg: RunConfig, target, out, record_out=None) -> tuple:
     """The attacked video or extraction, written to `out`, and its tamper
     record, written if given a path."""
-    attacked, record = apply_attack(
-        target, cfg.attack or {"attack": "none"}, derive_seed(cfg.seed, "attack")
-    )
+    attacked, record = apply_attack(target, cfg.attack, derive_seed(cfg.seed, "attack"))
     if isinstance(attacked, MessageSequence):
         _emit(extraction_document(attacked), out)
     else:
@@ -646,9 +643,7 @@ def _toy_pipeline(cfg: RunConfig, out: Path, seconds: dict) -> dict:
     with _stage("diagnose", seconds):
         _diagnose(verdict, record, out / "diagnosis.json")
     with _stage("losses", seconds):
-        losses = loss_report(
-            clean, marked, extractor, schedule, LossWeights(cfg.lambda_ps, cfg.lambda_tc)
-        )
+        losses = loss_report(clean, marked, extractor, schedule)
     return {
         "valid": verdict.valid,
         "bit_acc": verdict.bit_acc,
@@ -691,8 +686,7 @@ def cmd_run_pipeline(cfg: RunConfig, args) -> int:
     if args.mode == "toy" and cfg.num_frames < 2:
         raise ConfigError("run-pipeline --mode toy needs at least 2 frames for its "
                           "temporal consistency loss")
-    _check_attacks([cfg.attack or {"attack": "none"}] if args.mode == "toy"
-                   else _attack_suite(cfg), cfg.num_frames)
+    _check_attacks([cfg.attack] if args.mode == "toy" else cfg.attacks, cfg.num_frames)
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     resolved = dataclasses.asdict(cfg)

@@ -118,6 +118,16 @@ class TestConfig:
             load_config(None, {"layer_dim": 128, "rank": 64})
         assert load_config(None, {"layer_dim": 64, "rank": 64}).rank == 64
 
+    def test_spelled_out_defaults_are_the_default_config(self):
+        """attack and attacks hold the specs a run uses, so spelling out
+        the none spec and the default suite changes neither the config nor
+        its hash."""
+        spelled = RunConfig(attack={"attack": "none"}, attacks=list(DEFAULT_ATTACK_SUITE))
+        assert spelled == RunConfig()
+        assert config_hash(spelled) == config_hash(RunConfig())
+        assert config_hash(RunConfig(trials=3)) == config_hash(
+            RunConfig(trials=3, attacks=DEFAULT_ATTACK_SUITE))
+
     def test_hash_covers_semantics_not_paths(self):
         # --out alone names the output location, so every field is hashed.
         base = RunConfig()
@@ -140,7 +150,7 @@ class TestConfig:
         assert config_hash(cfg) == hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
     def test_float_fields_hash_as_floats(self, tmp_path):
-        assert config_hash(RunConfig()) == "919ae4c93c24c479"
+        assert config_hash(RunConfig()) == "6c4f8aabd790f1e1"
         assert config_hash(RunConfig(alpha=1)) == config_hash(RunConfig(alpha=1.0))
         ints = {field.name: 1 for field in dataclasses.fields(RunConfig)
                 if field.type is float}
@@ -243,7 +253,8 @@ class TestConfigFuzz:
         ["[]", '"str"', '{"num_frames": 1e400}', '{"calibration_trials": 1e400}',
          '{"num_frames": 2.5}', '{"num_frames": true}', '{"gamma_f": "nan"}',
          '{"gamma_v": 0}', '{"seed": -1}', '{"secret_hex": "00"}', "[" * 100_000,
-         '{"seed": 18446744073709551616}', '{"layer_dim": 128, "rank": 64}'],
+         '{"seed": 18446744073709551616}', '{"layer_dim": 128, "rank": 64}',
+         '{"attack": null}', '{"attacks": null}'],
     )
     def test_probed_config_faults_exit_2(self, text, tmp_path):
         path = tmp_path / "cfg.json"
@@ -334,7 +345,10 @@ class TestExitCodes:
         assert run("keygen", "--bits", "30") == 2
         assert "unrecognized arguments: --bits 30" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name,value", [("message_bits", 28), ("out_dir", "elsewhere")])
+    @pytest.mark.parametrize("name,value", [
+        ("message_bits", 28), ("out_dir", "elsewhere"), ("init_scale", 0.3),
+        ("lambda_ps", 1.0), ("lambda_tc", 1.0),
+    ])
     def test_removed_settings_are_unknown_keys(self, tmp_path, capsys, name, value):
         path = tmp_path / "cfg.json"
         write_json(path, {name: value})
@@ -795,6 +809,10 @@ class TestToyVideoFlow:
         assert set(report["losses"]) == {"ps", "tc", "rec", "total"}
         assert report["config_hash"] == read_json(out_dir / "config.json")["config_hash"]
         assert_own_config_hash(out_dir / "config.json")
+        written = read_json(out_dir / "config.json")
+        assert written["attack"] == {"attack": "none"}
+        assert written["attacks"] == [dict(spec) for spec in DEFAULT_ATTACK_SUITE]
+        assert not {"init_scale", "lambda_ps", "lambda_tc"} & set(written)
 
     def test_layout_sets_the_key_width(self, tmp_path, capsys):
         cfg = fast_toy_config(tmp_path, num_layers=7, bases_per_layer=8)
@@ -1036,7 +1054,6 @@ class TestModelMemo:
         {"layer_dim": 32},
         {"rank": 16},
         {"init_seed": 1},
-        {"init_scale": 0.2},
         {"height": 4},
         {"width": 4},
         {"decoder_seed": 1},
@@ -1048,7 +1065,7 @@ class TestModelMemo:
         assert dictionary is not base[0] and decoder is not base[1]
         fresh_dictionary = init_dictionary(
             cfg.key_config(), layer_dim=cfg.layer_dim, rank=cfg.rank,
-            init_seed=cfg.init_seed, init_scale=cfg.init_scale,
+            init_seed=cfg.init_seed,
         )
         fresh_decoder = init_toy_decoder(
             layer_dim=cfg.layer_dim, height=cfg.height, width=cfg.width,
@@ -1109,6 +1126,53 @@ class TestModelMemo:
         capsys.readouterr()
         for left, right in (("first", "again"), ("five", "fresh")):
             assert_same_artifacts(tmp_path / left, tmp_path / right)
+
+
+class TestConfigReplay:
+    """A run's config.json is a valid --config, and replays the run."""
+
+    @pytest.mark.parametrize("mode,extra", [
+        ("toy", {"attack": {"attack": "swap_random"}}),
+        ("channel", {"trials": 3, "flip_probability": 0.02}),
+    ])
+    def test_config_json_replays_the_run(self, tmp_path, capsys, mode, extra):
+        cfg = str(fast_toy_config(tmp_path, **extra))
+        first, replay = tmp_path / "first", tmp_path / "replay"
+        assert run("run-pipeline", "--mode", mode, "--config", cfg, "--out", str(first)) == 0
+        assert run("run-pipeline", "--mode", mode, "--config", str(first / "config.json"),
+                   "--out", str(replay)) == 0
+        capsys.readouterr()
+        assert_same_artifacts(first, replay)
+
+    def test_edited_config_json_exits_2(self, tmp_path, capsys):
+        first = tmp_path / "first"
+        assert run("run-pipeline", "--config", str(fast_toy_config(tmp_path)),
+                   "--out", str(first)) == 0
+        doc = read_json(first / "config.json")
+        edited, out = tmp_path / "edited.json", tmp_path / "run"
+        write_json(edited, {**doc, "seed": doc["seed"] + 1})
+        capsys.readouterr()
+        assert run("run-pipeline", "--config", str(edited), "--out", str(out)) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["stage"] == "config"
+        assert doc["config_hash"] in error["message"]
+        assert not out.exists()
+        # Unknown keys are named before the hash is checked.
+        write_json(edited, {**doc, "seed": doc["seed"] + 1, "init_scale": 0.3})
+        assert run("run-pipeline", "--config", str(edited), "--out", str(out)) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {"stage": "config", "message": "unknown config keys: ['init_scale']"}
+
+    def test_flags_override_a_replayed_config(self, tmp_path, capsys):
+        """The stated hash is that of the file's fields; a flag still
+        overrides one of them."""
+        default, replay, fresh = tmp_path / "default", tmp_path / "replay", tmp_path / "fresh"
+        assert run("run-pipeline", "--out", str(default)) == 0
+        assert run("run-pipeline", "--config", str(default / "config.json"), "--seed", "4",
+                   "--out", str(replay)) == 0
+        assert run("run-pipeline", "--seed", "4", "--out", str(fresh)) == 0
+        capsys.readouterr()
+        assert_same_artifacts(replay, fresh)
 
 
 class TestChannelPipeline:

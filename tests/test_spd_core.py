@@ -684,6 +684,19 @@ class TestAlpha:
         marked = generate_video(decoder, dictionary, schedule, 4, condition)
         assert video.tobytes() != marked.tobytes()
 
+    @pytest.mark.parametrize("init_scale,alpha", [(0.6, 4.0), (0.15, 0.25)])
+    def test_init_scale_restates_alpha(self, init_scale, alpha):
+        """A shift is alpha * A (B h) with A and B drawn at std
+        init_scale / sqrt(d), so init_scale c * 0.3 is alpha c**2 at 0.3;
+        for a power-of-two c the grid rounding commutes with it and the
+        bytes are equal.  The run config therefore sets alpha alone."""
+        base, decoder, condition = toy_components(RunConfig())
+        scaled = init_dictionary(base.key_config(), init_scale=init_scale)
+        schedule = derive_frame_messages(SECRET, random_key(base.key_config(), 1), 25)
+        video = generate_video(decoder, scaled, schedule, 2, condition)
+        want = generate_video(decoder, base, schedule, 2, condition, alpha=alpha)
+        assert video.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
     def test_non_finite_alpha_rejected(self, alpha):
         decoder, dictionary = small_setup()
