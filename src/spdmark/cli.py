@@ -25,7 +25,6 @@ import json
 import os
 import sys
 import time
-import typing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -158,15 +157,11 @@ class RunConfig:
     train_videos: int = 200
     train_frames: int = 8
     holdout_videos: int = 50
-    condition_seed: Optional[int] = None
+    condition_seed: int = 0
 
     def __post_init__(self) -> None:
         for field in dataclasses.fields(self):
             value, kind = getattr(self, field.name), field.type
-            if typing.get_origin(kind) is typing.Union:  # Optional[...]
-                if value is None:
-                    continue
-                kind = typing.get_args(kind)[0]
             try:
                 typed = _typed(value, kind)
             except TypeError as exc:
@@ -182,11 +177,9 @@ class RunConfig:
         if self.num_frames > MAX_FRAMES:
             raise ValueError(f"num_frames must be <= {MAX_FRAMES}, the verifier's bound")
         for name in ("rank", "init_seed", "decoder_seed", "seed", "latent_scale",
-                     "ridge_lambda"):
+                     "ridge_lambda", "condition_seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        if self.condition_seed is not None and self.condition_seed < 0:
-            raise ValueError("condition_seed must be >= 0")
         if self.seed >= 1 << 64:
             # keygen draws the key from the seed's own counter-based stream.
             raise ValueError("seed must be < 2**64")
@@ -222,14 +215,9 @@ class RunConfig:
         seeded = hashlib.sha256(f"spdmark-secret:{self.seed}".encode()).digest()
         return BaseSecret(seeded)
 
-    def resolved_condition_seed(self) -> int:
-        if self.condition_seed is not None:
-            return self.condition_seed
-        return derive_seed(self.seed, "condition")
-
 
 def derive_seed(*parts) -> int:
-    """Stable 63-bit seed from a labelled path, e.g. (seed, "train", i)."""
+    """Stable 63-bit seed from a labelled path, e.g. (seed, "attack")."""
     text = "\x1f".join(str(part) for part in parts)
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") >> 1
@@ -285,10 +273,24 @@ def _emit(doc, out) -> None:
         sys.stdout.write(text)
 
 
-# Model configs whose dictionary and decoder stay built in one process: the
-# last one, since runs in a process use one config (about 4.8 MB at the
-# defaults).
+# Model configs whose dictionary, decoder and training corpus stay built in
+# one process: the last one, since runs in a process use one config (about
+# 4.8 MB for the model and 0.7 MB for the corpus at the defaults).
 _MODEL_CACHE_SIZE = 1
+
+# The fields each memo is keyed on: exactly the fields its value reads.
+_MODEL_FIELDS = ("num_layers", "bases_per_layer", "layer_dim", "rank", "init_seed",
+                 "height", "width", "decoder_seed")
+_CORPUS_FIELDS = _MODEL_FIELDS + ("alpha", "latent_scale", "condition_seed",
+                                  "train_videos", "train_frames")
+
+# The schedule secret of every training and holdout corpus.  A corpus is a
+# property of the model, so no per-run field (seed, secret_hex) reaches it.
+_CORPUS_SECRET = BaseSecret(hashlib.sha256(b"spdmark-corpus-secret").digest())
+
+
+def _fields(cfg: RunConfig, names) -> tuple:
+    return tuple(getattr(cfg, name) for name in names)
 
 
 @functools.lru_cache(maxsize=_MODEL_CACHE_SIZE)
@@ -312,21 +314,29 @@ def _toy_model(num_layers, bases_per_layer, layer_dim, rank, init_seed, height, 
     return dictionary, decoder
 
 
+@functools.lru_cache(maxsize=_MODEL_CACHE_SIZE)
+def _toy_corpus(*fields):
+    """The training corpus of the config whose _CORPUS_FIELDS hold `fields`,
+    built on first use.  Its pixels and schedule are read-only, so every run
+    of the model shares it."""
+    cfg = RunConfig(**dict(zip(_CORPUS_FIELDS, fields)))
+    dictionary, decoder = _toy_model(*_fields(cfg, _MODEL_FIELDS))
+    condition = random_condition(cfg.layer_dim, cfg.condition_seed)
+    return build_corpus(cfg, "train", cfg.train_videos, cfg.train_frames,
+                        dictionary, decoder, condition)
+
+
 def toy_components(cfg: RunConfig):
-    """Dictionary, decoder, and the corpus-wide condition vector.
+    """Dictionary, decoder, and the model's condition vector.
 
     The dictionary and decoder come from a per-process memo of the last
     _MODEL_CACHE_SIZE model configs, keyed on exactly the fields they read
-    (the parameters of _toy_model), so runs that differ only in per-run
-    fields such as seed, alpha, attack or num_frames share one model.  The
-    condition vector depends on the seed and is drawn per call.
+    (_MODEL_FIELDS, the parameters of _toy_model), so runs that differ only
+    in per-run fields such as seed, alpha, attack or num_frames share one
+    model.  The condition vector is drawn from condition_seed per call.
     """
-    dictionary, decoder = _toy_model(
-        cfg.num_layers, cfg.bases_per_layer, cfg.layer_dim, cfg.rank,
-        cfg.init_seed, cfg.height, cfg.width, cfg.decoder_seed,
-    )
-    condition = random_condition(cfg.layer_dim, cfg.resolved_condition_seed())
-    return dictionary, decoder, condition
+    dictionary, decoder = _toy_model(*_fields(cfg, _MODEL_FIELDS))
+    return dictionary, decoder, random_condition(cfg.layer_dim, cfg.condition_seed)
 
 
 def build_corpus(cfg: RunConfig, role: str, count: int, frames_per_video: int,
@@ -336,17 +346,21 @@ def build_corpus(cfg: RunConfig, role: str, count: int, frames_per_video: int,
     MessageSequence of their count * frames_per_video messages, video after
     video.
 
-    The condition vector is shared across the corpus: the displacement a
-    mask adds is linear in the hidden state, so a single linear extractor
-    has a fixed signal direction to learn only when the condition is fixed.
-    Sharing it also lets the whole corpus be generated in one batch.
+    The keys, latents and schedule secret come from a fixed corpus
+    namespace, "corpus" and `role` ("train" or "holdout"), never from the
+    run's seed or secret: the corpus reads only the model fields, alpha,
+    latent_scale and the condition.  The condition vector is shared across
+    the corpus: the displacement a mask adds is linear in the hidden state,
+    so a single linear extractor has a fixed signal direction to learn only
+    when the condition is fixed.  Sharing it also lets the whole corpus be
+    generated in one batch.
     """
     keys = random_keys(
         cfg.key_config(),
-        [derive_seed(cfg.seed, role, index, "key") for index in range(count)],
+        [derive_seed("corpus", role, index, "key") for index in range(count)],
     )
-    schedule = derive_schedules(cfg.secret(), keys, frames_per_video)
-    latent_seeds = [derive_seed(cfg.seed, role, index, "latent") for index in range(count)]
+    schedule = derive_schedules(_CORPUS_SECRET, keys, frames_per_video)
+    latent_seeds = [derive_seed("corpus", role, index, "latent") for index in range(count)]
     frame_seeds = [
         (seed, t) for seed in latent_seeds for t in range(1, frames_per_video + 1)
     ]
@@ -445,9 +459,10 @@ def _embed(cfg: RunConfig, components, schedule, out, clean_out=None) -> tuple:
     return marked, clean
 
 
-def _fit_extractor(cfg: RunConfig, components, out) -> tuple:
-    """The extractor fitted on the training corpus, and that corpus."""
-    train = build_corpus(cfg, "train", cfg.train_videos, cfg.train_frames, *components)
+def _fit_extractor(cfg: RunConfig, out) -> tuple:
+    """The extractor fitted at the run's ridge_lambda on the model's training
+    corpus, and that corpus, which the per-process memo builds once."""
+    train = _toy_corpus(*_fields(cfg, _CORPUS_FIELDS))
     extractor = fit_extractor(*train, ridge_lambda=cfg.ridge_lambda)
     _write_binary(out, write_extractor, extractor)
     return extractor, train
@@ -578,7 +593,7 @@ def cmd_extract(cfg: RunConfig, args) -> int:
 def cmd_fit_extractor(cfg: RunConfig, args) -> int:
     components = toy_components(cfg)
     out_path = args.out or "extractor.bin"
-    extractor, train = _fit_extractor(cfg, components, out_path)
+    extractor, train = _fit_extractor(cfg, out_path)
     held = build_corpus(cfg, "holdout", cfg.holdout_videos, cfg.train_frames, *components)
     report = {
         "extractor": out_path,
@@ -628,12 +643,11 @@ def _toy_pipeline(cfg: RunConfig, out: Path, seconds: dict) -> dict:
     with _stage("schedule", seconds):
         schedule = _schedule(cfg, cfg.key_config(), key, out / "schedule.json")
     with _stage("embed", seconds):
-        components = toy_components(cfg)
         marked, clean = _embed(
-            cfg, components, schedule, out / "marked.spdf", out / "clean.spdf"
+            cfg, toy_components(cfg), schedule, out / "marked.spdf", out / "clean.spdf"
         )
     with _stage("fit-extractor", seconds):
-        extractor, _ = _fit_extractor(cfg, components, out / "extractor.bin")
+        extractor, _ = _fit_extractor(cfg, out / "extractor.bin")
     with _stage("attack", seconds):
         attacked, record = _attack(cfg, marked, out / "attacked.spdf", out / "tamper.json")
     with _stage("extract", seconds):

@@ -132,7 +132,7 @@ class TestConfig:
         # --out alone names the output location, so every field is hashed.
         base = RunConfig()
         for fields in ({"seed": 1}, {"alpha": 0.5}, {"num_layers": 7},
-                       {"condition_seed": 0}, {"secret_hex": "00" * 16}):
+                       {"condition_seed": 1}, {"secret_hex": "00" * 16}):
             assert config_hash(base) != config_hash(RunConfig(**fields))
 
     @pytest.mark.parametrize("fields", [
@@ -150,7 +150,7 @@ class TestConfig:
         assert config_hash(cfg) == hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
     def test_float_fields_hash_as_floats(self, tmp_path):
-        assert config_hash(RunConfig()) == "6c4f8aabd790f1e1"
+        assert config_hash(RunConfig()) == "4457339ccd38c55e"
         assert config_hash(RunConfig(alpha=1)) == config_hash(RunConfig(alpha=1.0))
         ints = {field.name: 1 for field in dataclasses.fields(RunConfig)
                 if field.type is float}
@@ -254,7 +254,7 @@ class TestConfigFuzz:
          '{"num_frames": 2.5}', '{"num_frames": true}', '{"gamma_f": "nan"}',
          '{"gamma_v": 0}', '{"seed": -1}', '{"secret_hex": "00"}', "[" * 100_000,
          '{"seed": 18446744073709551616}', '{"layer_dim": 128, "rank": 64}',
-         '{"attack": null}', '{"attacks": null}'],
+         '{"attack": null}', '{"attacks": null}', '{"condition_seed": null}'],
     )
     def test_probed_config_faults_exit_2(self, text, tmp_path):
         path = tmp_path / "cfg.json"
@@ -760,6 +760,30 @@ def fast_toy_config(tmp_path, **extra) -> Path:
     return path
 
 
+def toy_chain(tmp_path, embed_cfg, fit_cfg, *fit_flags) -> tuple:
+    """keygen, schedule, embed and verify under `embed_cfg`; fit-extractor
+    and extract under `fit_cfg` and `fit_flags`.  Returns verify's exit code
+    and the share of extracted bits that equal the scheduled ones."""
+
+    def path(name):
+        return str(tmp_path / name)
+
+    embed = ["--config", str(embed_cfg)]
+    fit = ["--config", str(fit_cfg), *fit_flags]
+    assert run("keygen", *embed, "--out", path("key.json")) == 0
+    assert run("schedule", *embed, "--key", path("key.json"), "--out", path("schedule.json")) == 0
+    assert run("embed", *embed, "--schedule", path("schedule.json"),
+               "--out", path("marked.spdf")) == 0
+    assert run("fit-extractor", *fit, "--out", path("extractor.bin")) == 0
+    assert run("extract", *fit, "--video", path("marked.spdf"),
+               "--extractor", path("extractor.bin"), "--out", path("extraction.json")) == 0
+    code = run("verify", *embed, "--schedule", path("schedule.json"),
+               "--extraction", path("extraction.json"), "--out", path("verdict.json"))
+    scheduled = parse_schedule_document(read_json(tmp_path / "schedule.json"))[2]
+    extracted = parse_extraction_document(read_json(tmp_path / "extraction.json"))
+    return code, float((scheduled.messages == extracted.messages).mean())
+
+
 class TestToyVideoFlow:
     def test_embed_extract_verify(self, tmp_path):
         cfg = fast_toy_config(tmp_path)
@@ -779,6 +803,28 @@ class TestToyVideoFlow:
                    "--extractor", str(extractor), "--out", str(extraction)) == 0
         assert run("verify", "--config", str(cfg), "--schedule", str(schedule),
                    "--extraction", str(extraction)) == 0
+
+    def test_chain_stages_may_use_different_seeds(self, tmp_path, capsys):
+        """The extractor is fitted on the model's corpus, so one fitted at
+        the default seed reads a video embedded at seed 11."""
+        cfg = fast_toy_config(tmp_path)
+        assert read_json(cfg)["seed"] == 11
+        code, agreement = toy_chain(tmp_path, cfg, cfg, "--seed", "0")
+        capsys.readouterr()
+        assert code == 0
+        assert agreement >= 0.9
+
+    def test_other_condition_reads_chance(self, tmp_path, capsys):
+        """condition_seed is a model field that every stage must share: an
+        extractor fitted under another condition reads about chance, and
+        the chain exits 3 as on an unwatermarked video."""
+        cfg = fast_toy_config(tmp_path)
+        other = tmp_path / "other_condition.json"
+        write_json(other, {**read_json(cfg), "condition_seed": 1})
+        code, agreement = toy_chain(tmp_path, cfg, other)
+        capsys.readouterr()
+        assert code == 3
+        assert 0.35 <= agreement <= 0.65
 
     def test_run_applies_its_attack_once_through_cli(self, tmp_path, monkeypatch, capsys):
         """run-pipeline checks its attack on a placeholder through
@@ -990,7 +1036,7 @@ class TestCorpus:
         for index, (video, bits) in enumerate(zip(videos, runs)):
             want = reference_generate(
                 decoder, dictionary, MessageSequence(bits),
-                derive_seed(cfg.seed, "train", index, "latent"), condition, cfg.latent_scale,
+                derive_seed("corpus", "train", index, "latent"), condition, cfg.latent_scale,
             )
             assert video.tobytes() == want.tobytes()
 
@@ -1035,6 +1081,41 @@ def model_arrays(dictionary, decoder) -> list:
               decoder._projection_image]
     arrays += [dictionary.factor_a, dictionary.factor_b, *dictionary._factor_images]
     return arrays
+
+
+# A corpus small enough to build once per test case.
+SMALL_CORPUS = {"train_videos": 6, "train_frames": 3}
+
+# One changed value for each field the training corpus reads.
+CORPUS_FIELD_CHANGES = [
+    {"num_layers": 7},
+    {"bases_per_layer": 2},
+    {"layer_dim": 32},
+    {"rank": 16},
+    {"init_seed": 1},
+    {"height": 4},
+    {"width": 4},
+    {"decoder_seed": 1},
+    {"alpha": 0.5},
+    {"latent_scale": 0.1},
+    {"condition_seed": 7},
+    {"train_videos": 5},
+    {"train_frames": 2},
+]
+
+
+def memo_corpus(cfg):
+    """The training corpus the per-process memo holds for `cfg`."""
+    cli = spdmark.cli
+    return cli._toy_corpus(*cli._fields(cfg, cli._CORPUS_FIELDS))
+
+
+def fresh_corpus(cfg, role="train"):
+    return build_corpus(cfg, role, cfg.train_videos, cfg.train_frames, *toy_components(cfg))
+
+
+def corpus_bytes(videos, schedule) -> tuple:
+    return videos.shape, videos.tobytes(), schedule.messages.tobytes()
 
 
 class TestModelMemo:
@@ -1088,19 +1169,73 @@ class TestModelMemo:
             with pytest.raises(ValueError):
                 array[(0,) * array.ndim] = 0.0
 
+    def test_corpus_key_is_every_field_the_corpus_reads(self):
+        names = [next(iter(fields)) for fields in CORPUS_FIELD_CHANGES]
+        assert names == list(spdmark.cli._CORPUS_FIELDS)
+        assert names[:8] == list(spdmark.cli._MODEL_FIELDS)
+
+    @pytest.mark.parametrize("fields", CORPUS_FIELD_CHANGES,
+                             ids=lambda fields: next(iter(fields)))
+    def test_each_corpus_field_gives_a_fresh_corpus(self, fields):
+        base = memo_corpus(RunConfig(**SMALL_CORPUS))
+        cfg = RunConfig(**{**SMALL_CORPUS, **fields})
+        videos, schedule = memo_corpus(cfg)
+        assert videos is not base[0] and schedule is not base[1]
+        assert corpus_bytes(videos, schedule) == corpus_bytes(*fresh_corpus(cfg))
+        assert corpus_bytes(videos, schedule) != corpus_bytes(*base)
+
+    @pytest.mark.parametrize("fields", [
+        {"seed": 5},
+        {"secret_hex": "ab" * 16},
+        {"ridge_lambda": 0.01},
+        {"attack": {"attack": "drop", "fraction": 0.5}},
+        {"num_frames": 10},
+        {"gamma_f": 0.01},
+    ], ids=lambda fields: next(iter(fields)))
+    def test_per_run_fields_share_one_corpus(self, fields):
+        base = memo_corpus(RunConfig(**SMALL_CORPUS))
+        assert memo_corpus(RunConfig(**SMALL_CORPUS, **fields)) is base
+
+    def test_corpus_memo_holds_one_entry(self):
+        memo_corpus(RunConfig(**SMALL_CORPUS))
+        memo_corpus(RunConfig(**SMALL_CORPUS, condition_seed=7))
+        info = spdmark.cli._toy_corpus.cache_info()
+        assert (info.maxsize, info.currsize) == (1, 1)
+
+    def test_shared_corpus_is_read_only(self):
+        videos, schedule = memo_corpus(RunConfig(**SMALL_CORPUS))
+        for array in (videos, schedule.messages):
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = 0
+
+    @pytest.mark.parametrize("role", ["train", "holdout"])
+    def test_corpus_does_not_depend_on_the_run_seed_or_secret(self, role):
+        base = RunConfig(**SMALL_CORPUS)
+        want = corpus_bytes(*fresh_corpus(base, role))
+        for fields in ({"seed": 5}, {"secret_hex": "ab" * 16}):
+            assert corpus_bytes(*fresh_corpus(RunConfig(**SMALL_CORPUS, **fields), role)) == want
+        # The role alone keeps the training and holdout corpora apart.
+        other = "holdout" if role == "train" else "train"
+        assert corpus_bytes(*fresh_corpus(base, other)) != want
+
     def test_alpha_run_reuses_the_model_of_a_default_run(self, tmp_path, capsys):
         cfg = str(fast_toy_config(tmp_path))
         strong = tmp_path / "strong.json"
         write_json(strong, {**read_json(Path(cfg)), "alpha": 0.5})
-        memo = spdmark.cli._toy_model
-        memo.cache_clear()
-        for config, name in ((cfg, "default"), (str(strong), "shared")):
-            assert run("run-pipeline", "--config", config, "--out", str(tmp_path / name)) in (0, 3)
-        assert (memo.cache_info().hits, memo.cache_info().misses) == (1, 1)
-        memo.cache_clear()
-        assert run("run-pipeline", "--config", str(strong),
-                   "--out", str(tmp_path / "fresh")) in (0, 3)
-        assert memo.cache_info().hits == 0
+        memos = (spdmark.cli._toy_model, spdmark.cli._toy_corpus)
+
+        def clear_and_run(runs):
+            for memo in memos:
+                memo.cache_clear()
+            for config, name in runs:
+                code = run("run-pipeline", "--config", config, "--out", str(tmp_path / name))
+                assert code in (0, 3)
+            return [(memo.cache_info().hits, memo.cache_info().misses) for memo in memos]
+
+        # One model, hit by the alpha run's embed and by each corpus build;
+        # alpha is a corpus field, so each run builds its own corpus.
+        assert clear_and_run([(cfg, "default"), (str(strong), "shared")]) == [(3, 1), (0, 2)]
+        assert clear_and_run([(str(strong), "fresh")]) == [(1, 1), (0, 1)]
         capsys.readouterr()
         assert_same_artifacts(tmp_path / "shared", tmp_path / "fresh")
 
