@@ -25,6 +25,7 @@ from .keyspace import (
     schedule_document,
 )
 from .objective import (
+    Corpus,
     LinearExtractor,
     LossWeights,
     bit_accuracy,
@@ -64,6 +65,7 @@ __all__ = [
     "BaseSecret",
     "BasisDictionary",
     "ChannelSpec",
+    "Corpus",
     "FrameMessage",
     "KeyConfig",
     "LinearExtractor",

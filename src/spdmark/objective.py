@@ -9,20 +9,22 @@ MessageSequences with one row per frame.
 
 The extractor is a ridge-regression linear map from flattened frames to one
 logit per message bit, the closed-form stand-in for a learned extractor
-network.  It is fitted on a corpus of N videos of T frames given as one
+network.  It is fitted on a Corpus: N videos of T frames as one
 (N, T, 3, H, W) video stack and one MessageSequence of N*T rows, video
-after video.  Bits decode as the sign of the logit, with ties at zero
-decoding to 0.  The Gram matrix is accumulated in a single product and
-solved in numpy's LAPACK, so the fit is bit-for-bit deterministic on one
-BLAS build at one thread count; another build or thread count may move its
-last bits.
+after video, checked once when the Corpus is made.  Bits decode as the sign
+of the logit, with ties at zero decoding to 0.  The Gram matrix is
+accumulated in a single product, kept by the Corpus for every later fit,
+and solved in numpy's LAPACK, so the fit is bit-for-bit deterministic on
+one BLAS build at one thread count; another build or thread count may move
+its last bits.
 
 All loss evaluations are pure.  The gradient of the absolute value at zero
 is taken to be 0.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import BinaryIO
 
 import numpy as np
@@ -33,6 +35,7 @@ from .spd_core import _frozen, _read_payload, _video
 __all__ = [
     "LossWeights",
     "LinearExtractor",
+    "Corpus",
     "bce_logits",
     "recovery_loss",
     "luminance",
@@ -138,21 +141,65 @@ def _frame_messages(schedule: MessageSequence, num_frames: int) -> np.ndarray:
     return schedule.messages
 
 
-def _corpus(videos, schedule: MessageSequence) -> tuple[np.ndarray, np.ndarray]:
-    """The frames of an (N, T, 3, H, W) video stack as one (N*T, 3, H, W)
-    video, and the bits of `schedule`, one row per frame in the same order."""
-    stack = np.asarray(videos)
-    if stack.ndim != 5:
-        raise ValueError("videos must be an (N, T, 3, H, W) stack")
-    frames = _video(stack.reshape(stack.shape[0] * stack.shape[1], *stack.shape[2:]))
-    return frames, _frame_messages(schedule, len(frames))
+@dataclass(frozen=True, eq=False)
+class Corpus:
+    """A training corpus: a read-only (N, T, 3, H, W) video stack and the
+    MessageSequence of its N*T messages, video after video, both checked
+    once when the Corpus is made.  Iterating yields its N videos.
+
+    The ridge normal equations of its intercept-augmented design are
+    computed on first use and kept read-only, so fits at any number of
+    ridge_lambda values share one pass over the frames."""
+
+    videos: np.ndarray
+    schedule: MessageSequence
+
+    def __post_init__(self) -> None:
+        stack = np.asarray(self.videos)
+        if stack.ndim != 5:
+            raise ValueError("videos must be an (N, T, 3, H, W) stack")
+        frames = _video(stack.reshape(stack.shape[0] * stack.shape[1], *stack.shape[2:]))
+        _frame_messages(self.schedule, len(frames))
+        object.__setattr__(self, "videos", frames.reshape(stack.shape))
+
+    def __len__(self) -> int:
+        return self.videos.shape[0]
+
+    def __iter__(self):
+        return iter(self.videos)
+
+    @property
+    def frames(self) -> np.ndarray:
+        """The N*T frames as one (N*T, 3, H, W) video."""
+        return self.videos.reshape(len(self.schedule), *self.videos.shape[2:])
+
+    def _design(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (N*T, 3*H*W + 1) design, flattened frames and an intercept
+        column, and its (N*T, M) bipolar targets 2*bit - 1."""
+        flat = self.videos.reshape(len(self.schedule), -1)
+        design = np.hstack([flat, np.ones((len(flat), 1))])
+        return design, 2.0 * self.schedule.messages - 1.0
+
+    @cached_property
+    def normal_equations(self) -> tuple[np.ndarray, np.ndarray]:
+        """The read-only Gram matrix X'X and right-hand side X'Y of the
+        unpenalized fit, for the design X and bipolar targets Y."""
+        design, bipolar = self._design()
+        gram = design.T @ design
+        rhs = design.T @ bipolar
+        gram.setflags(write=False)
+        rhs.setflags(write=False)
+        return gram, rhs
+
+
+def _bce(logits: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """Binary cross entropy of each logit s against its bit b, in the stable
+    form max(s, 0) - s*b + log(1 + exp(-|s|))."""
+    return np.maximum(logits, 0.0) - logits * bits + np.log1p(np.exp(-np.abs(logits)))
 
 
 def bce_logits(logits: np.ndarray, target) -> float:
-    """Mean binary cross entropy with logits over the bits of one frame.
-
-    Uses the stable form max(s, 0) - s*b + log(1 + exp(-|s|)).
-    """
+    """Mean binary cross entropy with logits over the bits of one frame."""
     values = np.asarray(logits, dtype=np.float64)
     if values.ndim != 1:
         raise ValueError("logits must be a 1-D vector")
@@ -161,17 +208,35 @@ def bce_logits(logits: np.ndarray, target) -> float:
     bits = _message_bits(target)
     if bits.shape != values.shape:
         raise ValueError("logit and target lengths differ")
-    loss = np.maximum(values, 0.0) - values * bits + np.log1p(np.exp(-np.abs(values)))
-    return float(loss.mean())
+    return float(_bce(values, bits).mean())
+
+
+def _video_logits(extractor: LinearExtractor, pixels: np.ndarray) -> np.ndarray:
+    """The (T, M) logits of every frame of a video, row t bit for bit
+    `extractor.logits` of frame t: one stacked matrix-vector product, since
+    a plain `flat @ weight.T` sums in another order."""
+    flat = pixels.reshape(pixels.shape[0], -1)
+    if flat.shape[1] != extractor.num_features:
+        raise ValueError(
+            f"frame has {flat.shape[1]} pixels, extractor expects {extractor.num_features}"
+        )
+    return (extractor.weight @ flat[:, :, None])[:, :, 0] + extractor.bias
 
 
 def recovery_loss(video, extractor: LinearExtractor, schedule: MessageSequence) -> float:
     """Mean over frames of the per-frame BCE between extractor logits and the
     scheduled message bits."""
     pixels = _video(video)
+    bits = _frame_messages(schedule, pixels.shape[0])
+    logits = _video_logits(extractor, pixels)
+    if not np.isfinite(logits).all():
+        raise ValueError("logits must be finite")
+    if bits.shape[1] != extractor.message_bits:
+        raise ValueError("logit and target lengths differ")
+    # bce_logits of each frame, the frame means summed in frame order.
     total = 0.0
-    for frame, bits in zip(pixels, _frame_messages(schedule, pixels.shape[0])):
-        total += bce_logits(extractor.logits(frame), bits)
+    for frame_loss in _bce(logits, bits).mean(axis=1).tolist():
+        total += frame_loss
     return total / pixels.shape[0]
 
 
@@ -216,7 +281,8 @@ def _weighted_terms(clean, marked, weights: LossWeights) -> tuple[float, float]:
     clean, marked = _check_pair(clean, marked)
     # Mean per frame, then over frames: one mean over every pixel would sum
     # in another order and could move the last bits of reported losses.
-    ps = float(np.mean([mean_squared_error(c, m) for c, m in zip(clean, marked)]))
+    squared = (clean - marked) ** 2
+    ps = float(np.mean(squared.reshape(squared.shape[0], -1).mean(axis=1)))
     return weights.lambda_ps * ps, weights.lambda_tc * _temporal_term(clean, marked)
 
 
@@ -294,48 +360,41 @@ def loss_gradients(
 
 
 def fit_extractor(
-    videos: np.ndarray,
-    schedule: MessageSequence,
-    ridge_lambda: float = DEFAULT_RIDGE_LAMBDA,
+    corpus: Corpus, ridge_lambda: float = DEFAULT_RIDGE_LAMBDA
 ) -> LinearExtractor:
     """Closed-form ridge regression of flattened frames onto bipolar targets.
 
-    `videos` is an (N, T, 3, H, W) stack and `schedule` its N*T messages,
-    video after video.  Solves (X'X + lambda*I) W = X'Y on an
-    intercept-augmented design; the intercept column is not penalized.
-    Targets are 2*bit - 1.
+    Solves (X'X + lambda*I) W = X'Y on the corpus's intercept-augmented
+    design, from its kept normal equations; the intercept column is not
+    penalized.  Targets are 2*bit - 1.
     """
     if not np.isfinite(ridge_lambda) or ridge_lambda < 0:
         raise ValueError("ridge_lambda must be finite and >= 0")
-    frames, bits = _corpus(videos, schedule)
-    flat = frames.reshape(len(frames), -1)
-    features = flat.shape[1]
-    design = np.hstack([flat, np.ones((len(flat), 1))])
-    bipolar = 2.0 * bits - 1.0
     if ridge_lambda == 0.0:
-        solution, *_ = np.linalg.lstsq(design, bipolar, rcond=None)
+        solution, *_ = np.linalg.lstsq(*corpus._design(), rcond=None)
     else:
-        gram = design.T @ design
-        gram[np.arange(features), np.arange(features)] += ridge_lambda
-        # numpy's LAPACK, not scipy's: the Gram product above ran in numpy's
+        gram, rhs = corpus.normal_equations
+        gram = gram.copy()
+        weights = np.arange(len(gram) - 1)
+        gram[weights, weights] += ridge_lambda
+        # numpy's LAPACK, not scipy's: the Gram product ran in numpy's
         # OpenBLAS thread pool, and handing the solve to scipy's separately
         # bundled OpenBLAS made the two pools contend for the cores.
-        solution = np.linalg.solve(gram, design.T @ bipolar)
+        solution = np.linalg.solve(gram, rhs)
+    features = len(solution) - 1
     return LinearExtractor(
         weight=solution[:features].T, bias=solution[features], ridge_lambda=ridge_lambda
     )
 
 
-def bit_accuracy(
-    extractor: LinearExtractor, videos: np.ndarray, schedule: MessageSequence
-) -> float:
-    """Fraction of scheduled bits the extractor decodes correctly, on an
-    (N, T, 3, H, W) video stack and its N*T messages."""
-    frames, bits = _corpus(videos, schedule)
-    if schedule.message_bits != extractor.message_bits:
+def bit_accuracy(extractor: LinearExtractor, corpus: Corpus) -> float:
+    """Fraction of the corpus's scheduled bits the extractor decodes
+    correctly."""
+    bits = corpus.schedule.messages
+    if bits.shape[1] != extractor.message_bits:
         raise ValueError("message length must match the extractor bit count")
     correct = 0
-    for frame, row in zip(frames, bits):
+    for frame, row in zip(corpus.frames, bits):
         correct += int((extractor.decode(frame) == row).sum())
     return correct / bits.size
 

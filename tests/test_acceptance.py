@@ -301,8 +301,8 @@ def test_criterion_8_extractor_learns_watermark():
             cfg, "holdout", cfg.holdout_videos, cfg.train_frames, dictionary,
             decoder, condition,
         )
-        extractor = fit_extractor(*train, ridge_lambda=cfg.ridge_lambda)
-        marked_acc = bit_accuracy(extractor, *held)
+        extractor = fit_extractor(train, ridge_lambda=cfg.ridge_lambda)
+        marked_acc = bit_accuracy(extractor, held)
         assert marked_acc >= 0.95
         # Same pipeline with displacement disabled: nothing to learn, so the
         # fit must collapse to chance.  This separates signal from leakage.
@@ -316,7 +316,7 @@ def test_criterion_8_extractor_learns_watermark():
             decoder, condition,
         )
         control_acc = bit_accuracy(
-            fit_extractor(*train0, ridge_lambda=cfg.ridge_lambda), *held0
+            fit_extractor(train0, ridge_lambda=cfg.ridge_lambda), held0
         )
         assert control_acc <= 0.55
         print(

@@ -44,7 +44,7 @@ from spdmark.keyspace import (
     parse_schedule_document,
     random_key,
 )
-from spdmark.objective import read_extractor
+from spdmark.objective import Corpus, read_extractor
 from spdmark.spd_core import init_dictionary, init_toy_decoder, read_video
 from spdmark.verifier import verify
 
@@ -1025,9 +1025,10 @@ class TestCorpus:
     def test_one_batch_equals_per_video_generation(self):
         cfg = RunConfig(seed=3, train_videos=12, train_frames=5)
         dictionary, decoder, condition = toy_components(cfg)
-        videos, schedule = build_corpus(
+        corpus = build_corpus(
             cfg, "train", cfg.train_videos, cfg.train_frames, dictionary, decoder, condition
         )
+        videos, schedule = corpus.videos, corpus.schedule
         assert videos.shape == (12, 5, 3, 8, 8)
         assert not videos.flags.writeable
         assert isinstance(schedule, MessageSequence)
@@ -1114,8 +1115,8 @@ def fresh_corpus(cfg, role="train"):
     return build_corpus(cfg, role, cfg.train_videos, cfg.train_frames, *toy_components(cfg))
 
 
-def corpus_bytes(videos, schedule) -> tuple:
-    return videos.shape, videos.tobytes(), schedule.messages.tobytes()
+def corpus_bytes(corpus) -> tuple:
+    return corpus.videos.shape, corpus.videos.tobytes(), corpus.schedule.messages.tobytes()
 
 
 class TestModelMemo:
@@ -1179,10 +1180,10 @@ class TestModelMemo:
     def test_each_corpus_field_gives_a_fresh_corpus(self, fields):
         base = memo_corpus(RunConfig(**SMALL_CORPUS))
         cfg = RunConfig(**{**SMALL_CORPUS, **fields})
-        videos, schedule = memo_corpus(cfg)
-        assert videos is not base[0] and schedule is not base[1]
-        assert corpus_bytes(videos, schedule) == corpus_bytes(*fresh_corpus(cfg))
-        assert corpus_bytes(videos, schedule) != corpus_bytes(*base)
+        corpus = memo_corpus(cfg)
+        assert corpus.videos is not base.videos and corpus.schedule is not base.schedule
+        assert corpus_bytes(corpus) == corpus_bytes(fresh_corpus(cfg))
+        assert corpus_bytes(corpus) != corpus_bytes(base)
 
     @pytest.mark.parametrize("fields", [
         {"seed": 5},
@@ -1203,20 +1204,20 @@ class TestModelMemo:
         assert (info.maxsize, info.currsize) == (1, 1)
 
     def test_shared_corpus_is_read_only(self):
-        videos, schedule = memo_corpus(RunConfig(**SMALL_CORPUS))
-        for array in (videos, schedule.messages):
+        corpus = memo_corpus(RunConfig(**SMALL_CORPUS))
+        for array in (corpus.videos, corpus.schedule.messages):
             with pytest.raises(ValueError):
                 array[(0,) * array.ndim] = 0
 
     @pytest.mark.parametrize("role", ["train", "holdout"])
     def test_corpus_does_not_depend_on_the_run_seed_or_secret(self, role):
         base = RunConfig(**SMALL_CORPUS)
-        want = corpus_bytes(*fresh_corpus(base, role))
+        want = corpus_bytes(fresh_corpus(base, role))
         for fields in ({"seed": 5}, {"secret_hex": "ab" * 16}):
-            assert corpus_bytes(*fresh_corpus(RunConfig(**SMALL_CORPUS, **fields), role)) == want
+            assert corpus_bytes(fresh_corpus(RunConfig(**SMALL_CORPUS, **fields), role)) == want
         # The role alone keeps the training and holdout corpora apart.
         other = "holdout" if role == "train" else "train"
-        assert corpus_bytes(*fresh_corpus(base, other)) != want
+        assert corpus_bytes(fresh_corpus(base, other)) != want
 
     def test_alpha_run_reuses_the_model_of_a_default_run(self, tmp_path, capsys):
         cfg = str(fast_toy_config(tmp_path))
@@ -1238,6 +1239,29 @@ class TestModelMemo:
         assert clear_and_run([(str(strong), "fresh")]) == [(1, 1), (0, 1)]
         capsys.readouterr()
         assert_same_artifacts(tmp_path / "shared", tmp_path / "fresh")
+
+    def test_runs_of_one_corpus_share_its_normal_equations(self, tmp_path, capsys,
+                                                           monkeypatch):
+        # A run at another ridge_lambda solves the normal equations the first
+        # run computed, and leaves them for the runs after it.
+        cfg = fast_toy_config(tmp_path)
+        ridge = tmp_path / "ridge.json"
+        write_json(ridge, {**read_json(cfg), "ridge_lambda": 0.01})
+        spdmark.cli._toy_corpus.cache_clear()
+        designs = []
+        design = Corpus._design
+        monkeypatch.setattr(
+            Corpus, "_design", lambda corpus: designs.append(corpus) or design(corpus)
+        )
+        for config, name in ((cfg, "first"), (ridge, "ridge"), (cfg, "again")):
+            code = run("run-pipeline", "--config", str(config), "--out", str(tmp_path / name))
+            assert code in (0, 3)
+        capsys.readouterr()
+        assert len(designs) == 1
+        assert_same_artifacts(tmp_path / "first", tmp_path / "again")
+        extractors = [(tmp_path / name / "extractor.bin").read_bytes()
+                      for name in ("first", "ridge")]
+        assert extractors[0] != extractors[1]
 
     def test_runs_do_not_depend_on_earlier_runs(self, tmp_path, capsys):
         cfg = str(fast_toy_config(tmp_path))

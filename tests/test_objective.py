@@ -31,6 +31,7 @@ from spdmark.keyspace import (
 from spdmark.objective import (
     DEFAULT_RIDGE_LAMBDA,
     LUMA_WEIGHTS,
+    Corpus,
     LinearExtractor,
     LossWeights,
     bce_logits,
@@ -411,16 +412,18 @@ class TestFitExtractor:
         videos = np.zeros((2, 10, 3, 4, 4))
         frames = videos.reshape(20, -1)
         frames[:, :bits] = 2.0 * schedule.messages - 1
-        extractor = fit_extractor(videos, schedule, ridge_lambda=1e-9)
-        assert bit_accuracy(extractor, videos, schedule) == 1.0
+        corpus = Corpus(videos, schedule)
+        extractor = fit_extractor(corpus, ridge_lambda=1e-9)
+        assert bit_accuracy(extractor, corpus) == 1.0
 
     def test_huge_ridge_collapses_to_chance(self):
         rng = np.random.default_rng(14)
         videos = rng.uniform(0, 1, (10, 40, 3, 4, 4))
         schedule = MessageSequence([rng.integers(0, 2, 8) for _ in range(400)])
-        extractor = fit_extractor(videos, schedule, ridge_lambda=1e9)
+        corpus = Corpus(videos, schedule)
+        extractor = fit_extractor(corpus, ridge_lambda=1e9)
         assert np.abs(extractor.weight).max() < 1e-5
-        accuracy = bit_accuracy(extractor, videos, schedule)
+        accuracy = bit_accuracy(extractor, corpus)
         assert 0.4 <= accuracy <= 0.62
 
     def test_matches_conjugate_gradient_solver(self):
@@ -428,7 +431,7 @@ class TestFitExtractor:
         video = rng.normal(0.5, 0.3, (40, 3, 2, 2))
         schedule = MessageSequence([rng.integers(0, 2, 5) for _ in range(40)])
         ridge = 0.5
-        extractor = fit_extractor(video[None], schedule, ridge_lambda=ridge)
+        extractor = fit_extractor(Corpus(video[None], schedule), ridge_lambda=ridge)
 
         features = 12
         design = np.hstack(
@@ -450,36 +453,37 @@ class TestFitExtractor:
         # SVD-based solve is meaningful: the fit must be the minimum-norm
         # least-squares solution that the pseudo-inverse gives.
         cfg = RunConfig()
-        videos, schedule = build_corpus(
+        corpus = build_corpus(
             cfg, "train", cfg.train_videos, cfg.train_frames, *toy_components(cfg)
         )
-        extractor = fit_extractor(videos, schedule, ridge_lambda=0.0)
+        videos, schedule = corpus.videos, corpus.schedule
+        extractor = fit_extractor(corpus, ridge_lambda=0.0)
         design = np.hstack([videos.reshape(len(schedule), -1), np.ones((len(schedule), 1))])
         want = np.linalg.pinv(design) @ (2.0 * schedule.messages - 1)
         # Entries reach about 19; the two solves agree to about 2e-12.
         np.testing.assert_allclose(extractor.weight, want[:-1].T, rtol=0, atol=1e-6)
         np.testing.assert_allclose(extractor.bias, want[-1], rtol=0, atol=1e-6)
         assert extractor.ridge_lambda == 0.0
-        assert bit_accuracy(extractor, videos, schedule) >= 0.99
+        assert bit_accuracy(extractor, corpus) >= 0.99
 
     def test_deterministic(self):
         rng = np.random.default_rng(16)
         videos = rng.uniform(0, 1, (3, 6, 3, 4, 4))
         schedule = MessageSequence(rng.integers(0, 2, (18, 6)))
-        first = fit_extractor(videos, schedule)
-        second = fit_extractor(videos, schedule)
+        first = fit_extractor(Corpus(videos, schedule))
+        second = fit_extractor(Corpus(videos, schedule))
         np.testing.assert_array_equal(first.weight, second.weight)
         np.testing.assert_array_equal(first.bias, second.bias)
 
     def test_degenerate_inputs_rejected(self):
         schedule = MessageSequence(np.zeros((2, 4)))
         with pytest.raises(ValueError):
-            fit_extractor(np.zeros((0, 2, 3, 4, 4)), schedule)
+            Corpus(np.zeros((0, 2, 3, 4, 4)), schedule)
         video = np.zeros((2, 3, 4, 4))
         with pytest.raises(ValueError, match="stack"):
-            fit_extractor(video, schedule)
+            Corpus(video, schedule)
         with pytest.raises(ValueError):
-            fit_extractor(video[None], schedule, ridge_lambda=-1.0)
+            fit_extractor(Corpus(video[None], schedule), ridge_lambda=-1.0)
 
     @pytest.mark.parametrize(
         "schedule, message",
@@ -498,9 +502,7 @@ class TestFitExtractor:
         extractor = LinearExtractor(np.zeros((4, 12)), np.zeros(4))
         clean, marked = videos.reshape(6, 3, 2, 2), rng.uniform(0, 1, (6, 3, 2, 2))
         with pytest.raises(ValueError, match=message):
-            fit_extractor(videos, schedule)
-        with pytest.raises(ValueError, match=message):
-            bit_accuracy(extractor, videos, schedule)
+            Corpus(videos, schedule)
         with pytest.raises(ValueError, match=message):
             recovery_loss(marked, extractor, schedule)
         with pytest.raises(ValueError, match=message):
@@ -513,11 +515,125 @@ class TestFitExtractor:
         schedule = MessageSequence(np.zeros((3, 5)))
         extractor = LinearExtractor(np.zeros((4, 12)), np.zeros(4))
         with pytest.raises(ValueError, match="extractor bit count"):
-            bit_accuracy(extractor, videos, schedule)
+            bit_accuracy(extractor, Corpus(videos, schedule))
 
     def test_tie_at_zero_decodes_to_zero(self):
         extractor = LinearExtractor(np.zeros((4, 12)), np.zeros(4))
         np.testing.assert_array_equal(extractor.decode(np.ones((3, 2, 2))), [0, 0, 0, 0])
+
+
+def extractor_bytes(extractor: LinearExtractor) -> bytes:
+    return extractor.weight.tobytes() + extractor.bias.tobytes()
+
+
+class TestCorpus:
+    """A Corpus checks its stack and schedule once, and keeps the ridge
+    normal equations, computed on its first fit, for every later fit."""
+
+    @staticmethod
+    def small_corpus(seed=21) -> Corpus:
+        rng = np.random.default_rng(seed)
+        return Corpus(
+            rng.uniform(0, 1, (3, 6, 3, 4, 4)), MessageSequence(rng.integers(0, 2, (18, 6)))
+        )
+
+    def test_iterates_over_its_read_only_videos(self):
+        corpus = self.small_corpus()
+        assert len(corpus) == 3
+        assert [video.shape for video in corpus] == [(6, 3, 4, 4)] * 3
+        assert sum(len(video) for video in corpus) == len(corpus.schedule)
+        assert corpus.frames.shape == (18, 3, 4, 4)
+        for array in (corpus.videos, corpus.frames, corpus.schedule.messages):
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = 0
+
+    def test_normal_equations_are_computed_once_and_read_only(self, monkeypatch):
+        designs = []
+        design = Corpus._design
+        monkeypatch.setattr(
+            Corpus, "_design", lambda corpus: designs.append(corpus) or design(corpus)
+        )
+        corpus = self.small_corpus()
+        assert designs == []
+        for ridge in (1e-3, 0.01, 1e-3):
+            fit_extractor(corpus, ridge_lambda=ridge)
+        assert designs == [corpus]
+        gram, rhs = corpus.normal_equations
+        assert corpus.normal_equations[0] is gram and corpus.normal_equations[1] is rhs
+        features = len(gram) - 1
+        with pytest.raises(ValueError):
+            gram[np.arange(features), np.arange(features)] += 1e-3
+        with pytest.raises(ValueError):
+            rhs += 1.0
+        # The fits left the unpenalized equations as they were computed.
+        want_gram, want_rhs = reference_fit.normal_equations(
+            corpus.videos, corpus.schedule, ridge_lambda=0.0
+        )
+        assert gram.tobytes() == want_gram.tobytes()
+        assert rhs.tobytes() == want_rhs.tobytes()
+
+    def test_fits_on_one_corpus_equal_fits_on_fresh_corpora(self):
+        cfg = RunConfig()
+        shared = build_corpus(
+            cfg, "train", cfg.train_videos, cfg.train_frames, *toy_components(cfg)
+        )
+        for ridge in (1e-3, 0.01, 1e-3, 0.0):
+            fitted = fit_extractor(shared, ridge_lambda=ridge)
+            fresh = fit_extractor(Corpus(shared.videos, shared.schedule), ridge_lambda=ridge)
+            assert extractor_bytes(fitted) == extractor_bytes(fresh), ridge
+            if ridge == 0.0:
+                continue
+            # As TestFitAgainstScipySolve: both solve the normal equations.
+            oracle = reference_fit.fit_extractor(
+                shared.videos, shared.schedule, ridge_lambda=ridge
+            )
+            gram, rhs = reference_fit.normal_equations(
+                shared.videos, shared.schedule, ridge_lambda=ridge
+            )
+            for extractor in (fitted, oracle):
+                residual = gram @ reference_fit.solution(extractor) - rhs
+                assert np.linalg.norm(residual) / np.linalg.norm(rhs) < 1e-10
+            want = reference_fit.solution(oracle)
+            got = reference_fit.solution(fitted)
+            assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+
+
+class TestLossesOnWholeVideos:
+    """recovery_loss and the perceptual term run on whole videos; each must
+    equal, bit for bit, the frame-by-frame loop over bce_logits and
+    mean_squared_error."""
+
+    @pytest.mark.parametrize(
+        "frames, side, bits",
+        [(2, 1, 1), (2, 2, 3), (7, 5, 9), (25, 8, 28), (3, 16, 130)],
+    )
+    def test_equal_to_the_frame_loop(self, frames, side, bits):
+        rng = np.random.default_rng(1000 * frames + 10 * side + bits)
+        clean = rng.uniform(0, 1, (frames, 3, side, side))
+        marked = clean + rng.normal(0, 0.05, clean.shape)
+        extractor = LinearExtractor(
+            rng.normal(0, 2, (bits, 3 * side * side)), rng.normal(0, 1, bits)
+        )
+        schedule = MessageSequence(rng.integers(0, 2, (frames, bits)))
+        rec = 0.0
+        for frame, row in zip(marked, schedule.messages):
+            rec += bce_logits(extractor.logits(frame), row)
+        rec /= frames
+        ps = float(np.mean([mean_squared_error(c, m) for c, m in zip(clean, marked)]))
+        assert recovery_loss(marked, extractor, schedule).hex() == rec.hex()
+        report = loss_report(clean, marked, extractor, schedule)
+        assert (report["rec"].hex(), report["ps"].hex()) == (rec.hex(), ps.hex())
+
+    def test_rejects_logits_that_overflow(self):
+        extractor = LinearExtractor(np.full((2, 12), 1e308), np.zeros(2))
+        schedule = MessageSequence(np.zeros((2, 2)))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="logits must be finite"):
+            recovery_loss(np.ones((2, 3, 2, 2)), extractor, schedule)
+
+    def test_rejects_a_frame_of_another_size(self):
+        extractor = LinearExtractor(np.zeros((2, 12)), np.zeros(2))
+        with pytest.raises(ValueError, match="frame has 48 pixels"):
+            recovery_loss(np.ones((2, 3, 4, 4)), extractor, MessageSequence(np.zeros((2, 2))))
 
 
 class TestSerialization:
@@ -695,7 +811,7 @@ class TestLearnability:
             )
             videos.append(generated)
             schedules.append(schedule)
-        return np.stack(videos), MessageSequence(np.concatenate(schedules))
+        return Corpus(np.stack(videos), MessageSequence(np.concatenate(schedules)))
 
     def test_holdout_accuracy_shared_condition_corpus(self):
         cfg = KeyConfig(14, 4)
@@ -704,9 +820,9 @@ class TestLearnability:
         shared = random_condition(64, 7)
         train = self._corpus(dictionary, decoder, lambda _: shared, 40, 6, 0)
         held = self._corpus(dictionary, decoder, lambda _: shared, 16, 6, 10_000)
-        extractor = fit_extractor(*train)
-        assert bit_accuracy(extractor, *train) >= 0.98
-        assert bit_accuracy(extractor, *held) >= 0.9
+        extractor = fit_extractor(train)
+        assert bit_accuracy(extractor, train) >= 0.98
+        assert bit_accuracy(extractor, held) >= 0.9
 
     def test_fresh_conditions_defeat_a_single_linear_map(self):
         cfg = KeyConfig(14, 4)
@@ -715,8 +831,8 @@ class TestLearnability:
         fresh = lambda seed: random_condition(64, seed)
         train = self._corpus(dictionary, decoder, fresh, 40, 6, 0)
         held = self._corpus(dictionary, decoder, fresh, 16, 6, 10_000)
-        extractor = fit_extractor(*train)
-        assert bit_accuracy(extractor, *held) <= 0.65
+        extractor = fit_extractor(train)
+        assert bit_accuracy(extractor, held) <= 0.65
 
 
 class TestFitAgainstScipySolve:
@@ -731,13 +847,17 @@ class TestFitAgainstScipySolve:
         components = toy_components(cfg)
         train = build_corpus(cfg, "train", cfg.train_videos, cfg.train_frames, *components)
         held = build_corpus(cfg, "holdout", cfg.holdout_videos, cfg.train_frames, *components)
-        fitted = fit_extractor(*train, ridge_lambda=cfg.ridge_lambda)
-        oracle = reference_fit.fit_extractor(*train, ridge_lambda=cfg.ridge_lambda)
-        gram, rhs = reference_fit.normal_equations(*train, ridge_lambda=cfg.ridge_lambda)
+        fitted = fit_extractor(train, ridge_lambda=cfg.ridge_lambda)
+        oracle = reference_fit.fit_extractor(
+            train.videos, train.schedule, ridge_lambda=cfg.ridge_lambda
+        )
+        gram, rhs = reference_fit.normal_equations(
+            train.videos, train.schedule, ridge_lambda=cfg.ridge_lambda
+        )
         for extractor in (fitted, oracle):
             residual = gram @ reference_fit.solution(extractor) - rhs
             assert np.linalg.norm(residual) / np.linalg.norm(rhs) < 1e-10
         want = reference_fit.solution(oracle)
         got = reference_fit.solution(fitted)
         assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
-        assert bit_accuracy(fitted, *held) == bit_accuracy(oracle, *held)
+        assert bit_accuracy(fitted, held) == bit_accuracy(oracle, held)

@@ -608,8 +608,8 @@ class TestExactProducts:
             "import hashlib; "
             "from spdmark.cli import RunConfig, build_corpus, toy_components; "
             "cfg = RunConfig(); "
-            "videos, _ = build_corpus(cfg, 'train', cfg.train_videos, "
-            "cfg.train_frames, *toy_components(cfg)); "
+            "videos = build_corpus(cfg, 'train', cfg.train_videos, "
+            "cfg.train_frames, *toy_components(cfg)).videos; "
             "print(hashlib.sha256(videos.tobytes()).hexdigest())"
         )
         src = str(Path(spdmark.spd_core.__file__).resolve().parents[1])
@@ -626,9 +626,9 @@ class TestExactProducts:
             for threads in ("1", "2")
         ]
         cfg = RunConfig()
-        videos, _ = build_corpus(
+        videos = build_corpus(
             cfg, "train", cfg.train_videos, cfg.train_frames, *toy_components(cfg)
-        )
+        ).videos
         here = hashlib.sha256(videos.tobytes()).hexdigest()
         assert digests == [here + "\n"] * 6
 
