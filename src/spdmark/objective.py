@@ -23,7 +23,8 @@ is taken to be 0.
 """
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import BinaryIO
 
@@ -117,9 +118,15 @@ class LinearExtractor:
             )
         return self.weight @ flat + self.bias
 
-    def decode(self, frame: np.ndarray) -> np.ndarray:
-        """Decode bits as the sign of each logit; a tie at 0 decodes to 0."""
-        return (self.logits(frame) > 0).astype(np.uint8)
+    def decode(self, frames: np.ndarray) -> np.ndarray:
+        """Decode bits as the sign of each logit; a tie at 0 decodes to 0.
+        A frame gives its M bits; a (T, 3, H, W) video gives the (T, M)
+        bits of its frames, row t bit for bit the decode of frame t."""
+        if np.ndim(frames) == 4:
+            logits = _video_logits(self, np.asarray(frames, dtype=np.float64))
+        else:
+            logits = self.logits(frames)
+        return (logits > 0).astype(np.uint8)
 
 
 def _message_bits(message) -> np.ndarray:
@@ -149,10 +156,13 @@ class Corpus:
 
     The ridge normal equations of its intercept-augmented design are
     computed on first use and kept read-only, so fits at any number of
-    ridge_lambda values share one pass over the frames."""
+    ridge_lambda values share one pass over the frames.  The extractor of
+    its last fit is kept too, for a repeated fit at the same ridge_lambda."""
 
     videos: np.ndarray
     schedule: MessageSequence
+    # (the ridge_lambda key of the last fit, its extractor), see fit_extractor.
+    _last_fit: tuple = field(default=(None, None), init=False, repr=False)
 
     def __post_init__(self) -> None:
         stack = np.asarray(self.videos)
@@ -366,10 +376,16 @@ def fit_extractor(
 
     Solves (X'X + lambda*I) W = X'Y on the corpus's intercept-augmented
     design, from its kept normal equations; the intercept column is not
-    penalized.  Targets are 2*bit - 1.
+    penalized.  Targets are 2*bit - 1.  The corpus keeps the extractor of
+    its last fit, which a fit at the same ridge_lambda returns: the same
+    type, value and sign, since each writes its own extractor header.
     """
     if not np.isfinite(ridge_lambda) or ridge_lambda < 0:
         raise ValueError("ridge_lambda must be finite and >= 0")
+    key = (type(ridge_lambda), ridge_lambda, math.copysign(1.0, ridge_lambda))
+    last_key, last = corpus._last_fit
+    if key == last_key:
+        return last
     if ridge_lambda == 0.0:
         solution, *_ = np.linalg.lstsq(*corpus._design(), rcond=None)
     else:
@@ -382,9 +398,11 @@ def fit_extractor(
         # bundled OpenBLAS made the two pools contend for the cores.
         solution = np.linalg.solve(gram, rhs)
     features = len(solution) - 1
-    return LinearExtractor(
+    extractor = LinearExtractor(
         weight=solution[:features].T, bias=solution[features], ridge_lambda=ridge_lambda
     )
+    object.__setattr__(corpus, "_last_fit", (key, extractor))
+    return extractor
 
 
 def bit_accuracy(extractor: LinearExtractor, corpus: Corpus) -> float:
@@ -393,10 +411,7 @@ def bit_accuracy(extractor: LinearExtractor, corpus: Corpus) -> float:
     bits = corpus.schedule.messages
     if bits.shape[1] != extractor.message_bits:
         raise ValueError("message length must match the extractor bit count")
-    correct = 0
-    for frame, row in zip(corpus.frames, bits):
-        correct += int((extractor.decode(frame) == row).sum())
-    return correct / bits.size
+    return int((extractor.decode(corpus.frames) == bits).sum()) / bits.size
 
 
 def write_extractor(stream: BinaryIO, extractor: LinearExtractor) -> None:

@@ -8,7 +8,10 @@ realized delta A @ B is never formed: the displaced forward pass evaluates
 A @ (B @ h) as two rank-r products.  Each frame's message picks one shift
 per decoder layer, which generation scales by the strength alpha it is
 given, and the toy generator runs a latent through L displaced affine layers
-followed by a pixel projection.
+followed by a pixel projection.  Generation broadcasts over alpha: a
+sequence of strengths gives one video per strength from one draw of the
+latents and one forward pass, so a watermarked video and its clean
+counterpart (strength 0) are made together.
 
 Every product on that path is exact, in the manner of integer-arithmetic
 inference (Jacob et al., CVPR 2018) and of reproducible summation (Demmel
@@ -344,16 +347,52 @@ def _frame_latents(frame_seeds: Sequence[tuple[int, int]], dim: int, scale: floa
     return latents
 
 
-def _round_states(h: np.ndarray, state_range: tuple[int, int], out: np.ndarray) -> None:
-    """Write the (n, d) hidden states h, rounded frame by frame, to `out`,
-    and require their exponents to lie in `state_range`, where the products
-    that read them are exact and finite (see _state_range)."""
+def _round_states(h: np.ndarray, spans, out: np.ndarray) -> None:
+    """Write the (n, d) hidden states h, rounded frame by frame, to `out`.
+    `spans` lists (stop, (low, high)) in row order: the exponents of the
+    rows from the previous stop up to `stop` must lie in (low, high), where
+    the products that read them are exact and finite (see _state_range)."""
     exponent = _round_to_grid(h, _STATE_BITS, 1, "hidden state", out)[1]
-    low, high = state_range
-    if exponent.min() < low or exponent.max() > high:
-        raise ValueError(
-            "hidden state lies outside the range where its products are exact and finite"
-        )
+    start = 0
+    for stop, (low, high) in spans:
+        rows = exponent[start:stop]
+        if rows.min() < low or rows.max() > high:
+            raise ValueError(
+                "hidden state lies outside the range where its products are exact and finite"
+            )
+        start = stop
+
+
+def _sorting(indices: np.ndarray, copies: int, num_bases: int):
+    """The row bookkeeping of `copies` displaced copies of n frames, copy g
+    in rows g*n to (g+1)*n, frame j of each selecting basis indices[j, ell]
+    at layer ell.  Before each layer the rows are sorted by copy and then
+    by basis, so that each copy reads one span and each of its bases one
+    block of rows.
+
+    Returns the (L + 1, copies*n) moves, row i after move ell being row
+    moves[ell, i] before it, the last move restoring the copies' order,
+    and each layer's list of (basis, start, stop) non-empty blocks."""
+    n, num_layers = indices.shape
+    keys = np.tile(indices, (copies, 1))
+    keys += np.repeat(np.arange(copies) * num_bases, n)[:, None]
+    order = np.argsort(keys, axis=0, kind="stable")
+    position = np.empty_like(order)
+    np.put_along_axis(position, order, np.arange(len(keys))[:, None], axis=0)
+    moves = np.empty((num_layers + 1, len(keys)), dtype=np.intp)
+    moves[0] = order[:, 0]
+    moves[1:-1] = np.take_along_axis(position[:, :-1], order[:, 1:], axis=0).T
+    moves[-1] = position[:, -1]
+    width = copies * num_bases
+    counts = np.bincount((keys + np.arange(num_layers) * width).ravel(),
+                         minlength=num_layers * width)
+    stops = np.cumsum(counts.reshape(num_layers, width), axis=1).tolist()
+    blocks = [
+        [(key % num_bases, start, stop)
+         for key, (start, stop) in enumerate(zip([0, *row[:-1]], row)) if start < stop]
+        for row in stops
+    ]
+    return moves, blocks
 
 
 def _forward(
@@ -361,53 +400,66 @@ def _forward(
     dictionary: BasisDictionary,
     indices: np.ndarray,
     latents: np.ndarray,
-    alpha: float,
+    alpha,
 ) -> np.ndarray:
-    """Pixel rows (n, 3*H*W) for n latents, frame i displaced at layer ell by
-    alpha times basis indices[i, ell], in an array of their own; `latents` is
-    used as scratch space.
+    """Pixel rows (k*n, 3*H*W) for n latents at each of k strengths, in an
+    array of their own: rows i*n to (i+1)*n at strength i of `alpha`, a
+    scalar (k = 1) or a sequence.  Frame j at strength s is displaced at
+    layer ell by s times basis indices[j, ell]; a strength of 0 takes no
+    displacement.  `latents` may be used as scratch space.
 
-    Hidden states are (n, d) rows, rounded frame by frame.  Each product runs
-    over all rows, or over the rows of one basis, as one matrix-matrix
-    product.  The products are exact, so every row is bit-identical to the
-    frame-by-frame forward, whatever the other frames in the batch.
+    Hidden states are (k*n, d) rows, rounded frame by frame, the displaced
+    rows first.  Each product runs over all rows, or over the rows of one
+    strength and basis, as one matrix-matrix product.  The products are
+    exact, so every row is bit-identical to the frame-by-frame forward,
+    whatever the other frames in the batch.
     """
-    displaced = alpha != 0.0 and dictionary.rank > 0
+    strengths = np.atleast_1d(alpha).tolist()
+    n = len(latents)
+    shifted = [i for i, s in enumerate(strengths) if s != 0.0 and dictionary.rank > 0]
+    plain = [i for i in range(len(strengths)) if i not in shifted]
+    split, rows = len(shifted) * n, len(strengths) * n
+    # Displaced rows are checked where both their products are exact, the
+    # others where the decoder's are.
+    decoder_ranges = decoder._state_ranges[:-1]
+    parts = [(0, split, _intersect(decoder_ranges, dictionary._state_ranges).tolist()),
+             (split, rows, decoder_ranges.tolist())]
+    spans = [[(stop, ranges[layer]) for start, stop, ranges in parts if start < stop]
+             for layer in range(decoder.num_layers)]
     # Two buffers take turns holding the rounded states and the layer output.
-    # Before a displaced layer the states are sorted by their basis, so that
-    # each basis reads one contiguous block; row j holds frame frames[j].
-    frames = np.arange(len(latents))
-    h = out = latents
-    state = np.empty_like(latents)
-    state_ranges = decoder._state_ranges[:-1]
-    if displaced:
-        state_ranges = _intersect(state_ranges, dictionary._state_ranges)
+    h = out = latents if len(strengths) == 1 else np.tile(latents, (len(strengths), 1))
+    state = np.empty_like(h)
+    if split:
+        moves, blocks = _sorting(indices, len(shifted), dictionary.bases_per_layer)
+        moves = np.hstack([moves, np.tile(np.arange(split, rows), (len(moves), 1))])
+        # The last move also puts the strengths back in the order given.
+        slots = np.argsort(shifted + plain)
+        moves[-1] = moves[-1][(slots[:, None] * n + np.arange(n)).ravel()]
+        factor_a, factor_b = dictionary._factor_images
+        low_rank = np.empty((split, dictionary.rank))
+        displacement = np.empty((split, decoder.layer_dim))
+        copies = [(strengths[i], copy * n, (copy + 1) * n) for copy, i in enumerate(shifted)]
     for layer in range(decoder.num_layers):
-        _round_states(h, state_ranges[layer], state)
-        if displaced:
-            column = indices[frames, layer]
-            order = np.argsort(column, kind="stable")
-            frames = frames[order]
+        _round_states(h, spans[layer], state)
+        if split:
             # mode="clip" lets take write to `out` without a buffer.
-            np.take(state, order, axis=0, out=out, mode="clip")
+            np.take(state, moves[layer], axis=0, out=out, mode="clip")
             state, out = out, state
         _matmul(decoder._weight_images[layer], state, out)
         out += decoder.offsets[layer]
-        if displaced:
-            factor_a, factor_b = (images[layer] for images in dictionary._factor_images)
-            stops = np.cumsum(np.bincount(column, minlength=len(factor_a)))
-            for basis, (start, stop) in enumerate(zip([0, *stops[:-1]], stops)):
-                if start < stop:
-                    low_rank = _matmul(factor_b[basis], state[start:stop])
-                    displacement = _matmul(factor_a[basis], low_rank)
-                    displacement *= alpha
-                    out[start:stop] += displacement
+        if split:
+            for basis, start, stop in blocks[layer]:
+                _matmul(factor_b[layer, basis], state[start:stop], low_rank[start:stop])
+                _matmul(factor_a[layer, basis], low_rank[start:stop], displacement[start:stop])
+            for strength, start, stop in copies:
+                displacement[start:stop] *= strength
+            out[:split] += displacement
         h = out
-    _round_states(h, decoder._state_ranges[-1], state)
-    if displaced:
-        out[frames] = state
+    _round_states(h, [(rows, decoder._state_ranges[-1])], state)
+    if split:
+        np.take(state, moves[-1], axis=0, out=out, mode="clip")
         state = out
-    raster = np.empty((len(state), len(decoder.projection_offset)))
+    raster = np.empty((rows, len(decoder.projection_offset)))
     _matmul(decoder._projection_image, state, raster)
     raster += decoder.projection_offset
     _check_finite(raster, "pixel values")
@@ -421,13 +473,17 @@ def generate_frames(
     frame_seeds: Sequence[tuple[int, int]],
     condition: np.ndarray,
     latent_scale: float = DEFAULT_LATENT_SCALE,
-    alpha: float = DEFAULT_ALPHA,
+    alpha: "float | Sequence[float]" = DEFAULT_ALPHA,
 ) -> np.ndarray:
     """The (n, 3, H, W) video of n frames generated in one batch from the
     (n, M) bit rows of `messages`; frame_seeds[i] is row i's (latent_seed,
     frame_index), and frame i is frame frame_index of the video with seed
     latent_seed.  Each row's bases displace the decoder's layers with
     strength `alpha`; alpha 0 gives the unwatermarked frames.
+
+    Given a 1-D sequence of k strengths, alpha broadcasts: the result is a
+    read-only (k, n, 3, H, W) stack whose video i is the one alpha[i]
+    gives, from one draw of the latents and one forward pass.
 
     Each frame equals the one generate_video gives for it, byte for byte,
     so videos that share a condition (a training corpus), or a single frame
@@ -443,15 +499,21 @@ def generate_frames(
     condition = np.asarray(condition, dtype=np.float64)
     if condition.shape != (decoder.layer_dim,):
         raise ValueError("condition must be a layer_dim vector")
-    if not math.isfinite(alpha):
+    strengths = np.asarray(alpha)
+    if strengths.dtype.kind not in "biuf" or strengths.ndim > 1 or strengths.size == 0:
+        raise ValueError("alpha must be a strength or a non-empty 1-D sequence of strengths")
+    if not np.isfinite(strengths).all():
         raise ValueError("alpha must be finite")
     indices = _basis_indices(bits, dictionary.key_config())
     latents = _frame_latents(frame_seeds, decoder.layer_dim, latent_scale)
     latents += condition
-    pixels = _forward(decoder, dictionary, indices, latents, alpha)
+    pixels = _forward(decoder, dictionary, indices, latents, strengths)
     # Read-only rows that _forward owns become the video without a copy.
     pixels.setflags(write=False)
-    return _video(pixels.reshape(len(bits), *decoder.frame_shape))
+    video = _video(pixels.reshape(-1, *decoder.frame_shape))
+    if strengths.ndim == 0:
+        return video
+    return video.reshape(len(strengths), len(bits), *decoder.frame_shape)
 
 
 def generate_video(
@@ -461,11 +523,13 @@ def generate_video(
     latent_seed: int,
     condition: np.ndarray,
     latent_scale: float = DEFAULT_LATENT_SCALE,
-    alpha: float = DEFAULT_ALPHA,
+    alpha: "float | Sequence[float]" = DEFAULT_ALPHA,
 ) -> np.ndarray:
     """Run each frame's seeded latent plus the shared condition through the
     decoder displaced with strength `alpha`; frame t uses the bases its own
-    message selects, and alpha 0 gives the unwatermarked video.
+    message selects, and alpha 0 gives the unwatermarked video.  A 1-D
+    sequence of k strengths gives the read-only (k, T, 3, H, W) stack of
+    the k videos, from one draw of the latents and one forward pass.
 
     The per-frame latent depends only on (latent_seed, t), so the output is
     per-frame deterministic and frames may be produced in any order.

@@ -16,6 +16,7 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -588,6 +589,26 @@ class TestAttackDiagnoseFlow:
         assert run("diagnose", "--verdict", str(verdict), "--tamper", str(record),
                    "--out", str(diagnosis)) == 0
         assert read_json(diagnosis)["scores"] is not None
+
+    def test_embed_makes_both_videos_in_one_generation(self, schedule_files, tmp_path,
+                                                        monkeypatch):
+        _, _, schedule = schedule_files
+        strengths = []
+        generate = spdmark.cli.generate_video
+        monkeypatch.setattr(spdmark.cli, "generate_video",
+                            lambda *args: strengths.append(args[-1]) or generate(*args))
+        assert run("embed", "--schedule", str(schedule), "--out",
+                   str(tmp_path / "alone.spdf")) == 0
+        assert not (tmp_path / "clean.spdf").exists()
+        assert run("embed", "--schedule", str(schedule), "--out", str(tmp_path / "marked.spdf"),
+                   "--clean-out", str(tmp_path / "clean.spdf")) == 0
+        assert strengths == [(RunConfig().alpha, 0.0)] * 2
+        assert (tmp_path / "alone.spdf").read_bytes() == (tmp_path / "marked.spdf").read_bytes()
+        with open(tmp_path / "clean.spdf", "rb") as stream:
+            clean = read_video(stream)
+        with open(tmp_path / "marked.spdf", "rb") as stream:
+            marked = read_video(stream)
+        assert clean.shape == marked.shape and (clean != marked).any()
 
     def test_photometric_attack_record_is_null(self, schedule_files, tmp_path):
         _, _, schedule = schedule_files
@@ -1262,6 +1283,27 @@ class TestModelMemo:
         extractors = [(tmp_path / name / "extractor.bin").read_bytes()
                       for name in ("first", "ridge")]
         assert extractors[0] != extractors[1]
+
+    def test_runs_of_one_corpus_share_its_last_fit(self, tmp_path, capsys, monkeypatch):
+        # Each run fits once, and a run at the last run's ridge_lambda gets
+        # the corpus's kept extractor without solving again.
+        cfg = fast_toy_config(tmp_path)
+        ridge = tmp_path / "ridge.json"
+        write_json(ridge, {**read_json(cfg), "ridge_lambda": 0.01})
+        spdmark.cli._toy_corpus.cache_clear()
+        fits, solves = [], []
+        fit, solve = spdmark.cli.fit_extractor, np.linalg.solve
+        monkeypatch.setattr(spdmark.cli, "fit_extractor",
+                            lambda *args, **kwargs: fits.append(1) or fit(*args, **kwargs))
+        monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(1) or solve(*args))
+        runs = ((cfg, "first"), (cfg, "second"), (ridge, "ridge"), (cfg, "again"))
+        for config, name in runs:
+            code = run("run-pipeline", "--config", str(config), "--out", str(tmp_path / name))
+            assert code in (0, 3)
+        capsys.readouterr()
+        assert (len(fits), len(solves)) == (4, 3)
+        for name in ("second", "again"):
+            assert_same_artifacts(tmp_path / "first", tmp_path / name)
 
     def test_runs_do_not_depend_on_earlier_runs(self, tmp_path, capsys):
         cfg = str(fast_toy_config(tmp_path))

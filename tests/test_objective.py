@@ -598,6 +598,86 @@ class TestCorpus:
             assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
 
 
+def header(extractor: LinearExtractor) -> bytes:
+    stream = io.BytesIO()
+    write_extractor(stream, extractor)
+    return stream.getvalue().split(b"\n", 1)[0]
+
+
+class TestKeptFit:
+    """A Corpus keeps the extractor of its last fit, which a repeated fit at
+    the same ridge_lambda returns without solving again."""
+
+    def test_repeated_fits_return_the_kept_extractor(self):
+        corpus = TestCorpus.small_corpus()
+        previous = (None, None)
+        for ridge in (1e-3, 1e-3, 0.01, 1e-3, 0.01, 0.01, 0.0, 0.0):
+            fitted = fit_extractor(corpus, ridge_lambda=ridge)
+            fresh = fit_extractor(TestCorpus.small_corpus(), ridge_lambda=ridge)
+            assert extractor_bytes(fitted) == extractor_bytes(fresh), ridge
+            assert header(fitted) == header(fresh)
+            assert (fitted is previous[1]) == (ridge == previous[0])
+            previous = (ridge, fitted)
+
+    def test_a_repeated_fit_solves_nothing(self, monkeypatch):
+        solves = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(
+            np.linalg, "solve", lambda *args: solves.append(1) or solve(*args)
+        )
+        corpus = TestCorpus.small_corpus()
+        for ridge in (1e-3, 1e-3, 1e-3):
+            fit_extractor(corpus, ridge_lambda=ridge)
+        assert len(solves) == 1
+        fit_extractor(corpus, ridge_lambda=0.01)
+        fit_extractor(corpus, ridge_lambda=1e-3)
+        assert len(solves) == 3
+
+    @pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0), (0, 0.0), (1.0, 1)])
+    def test_equal_lambdas_that_write_other_headers_are_fitted_apart(self, first, second):
+        corpus = TestCorpus.small_corpus()
+        kept = fit_extractor(corpus, ridge_lambda=first)
+        fitted = fit_extractor(corpus, ridge_lambda=second)
+        assert fitted is not kept
+        assert header(fitted) != header(kept)
+        assert header(fitted) == header(fit_extractor(TestCorpus.small_corpus(), second))
+
+
+class TestVideoDecode:
+    """LinearExtractor.decode takes a frame or a whole video; a video's rows
+    are its frames' decodes."""
+
+    @pytest.mark.parametrize("frames, side, bits", [(1, 1, 1), (7, 2, 5), (25, 8, 28)])
+    def test_video_decode_equals_the_frame_decodes(self, frames, side, bits):
+        rng = np.random.default_rng(100 * frames + bits)
+        video = rng.uniform(0, 1, (frames, 3, side, side))
+        weight = rng.normal(0, 1, (bits, 3 * side * side))
+        # A zero row ties every logit at 0, which decodes to 0.
+        weight[0] = 0.0
+        extractor = LinearExtractor(weight, np.r_[0.0, rng.normal(0, 1, bits - 1)])
+        decoded = extractor.decode(video)
+        want = np.array([extractor.decode(frame) for frame in video])
+        assert decoded.dtype == np.uint8 and want.shape == (frames, bits)
+        assert decoded.tobytes() == want.tobytes()
+        assert (decoded[:, 0] == 0).all()
+        assert extractor.decode(video[0]).shape == (bits,)
+
+    def test_video_of_another_frame_size_rejected(self):
+        extractor = LinearExtractor(np.zeros((2, 12)), np.zeros(2))
+        with pytest.raises(ValueError, match="frame has 48 pixels"):
+            extractor.decode(np.ones((2, 3, 4, 4)))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_bit_accuracy_equals_the_frame_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        corpus = Corpus(rng.uniform(0, 1, (3, 5, 3, 2, 2)),
+                        MessageSequence(rng.integers(0, 2, (15, 6))))
+        extractor = LinearExtractor(rng.normal(0, 1, (6, 12)), rng.normal(0, 1, 6))
+        correct = 0
+        for frame, row in zip(corpus.frames, corpus.schedule.messages):
+            correct += int((extractor.decode(frame) == row).sum())
+        assert bit_accuracy(extractor, corpus) == correct / corpus.schedule.messages.size
+
 class TestLossesOnWholeVideos:
     """recovery_loss and the perceptual term run on whole videos; each must
     equal, bit for bit, the frame-by-frame loop over bce_logits and

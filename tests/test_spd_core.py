@@ -418,7 +418,7 @@ class TestBatchedGeneration:
                 assert next(rows).tobytes() == frame.tobytes()
                 assert single[0].tobytes() == frame.tobytes()
 
-    @pytest.mark.parametrize("alpha, per_frame", [(1.0, 43), (0.0, 15)])
+    @pytest.mark.parametrize("alpha, per_frame", [(1.0, 43), (0.0, 15), ((1.0, 0.0), 43 + 15)])
     def test_products_per_frame_at_default_size(self, alpha, per_frame):
         cfg = KeyConfig(14, 4)
         dictionary = init_dictionary(cfg)
@@ -489,6 +489,91 @@ class TestBatchedGeneration:
         with pytest.raises(ValueError, match="finite"):
             generate_video(decoder, dictionary, schedule, 0, np.zeros(dim), alpha=0.0)
 
+
+
+def generation_outcome(alpha, *args):
+    """generate_video(*args, alpha=alpha), or the ValueError it raised."""
+    try:
+        return generate_video(*args, alpha=alpha)
+    except ValueError as exc:
+        return exc
+
+
+class TestStrengthStacks:
+    """generate_video broadcasts over alpha: a 1-D sequence of k strengths
+    gives the (k, T, 3, H, W) stack of the videos separate calls give, from
+    one draw of the latents and one forward pass."""
+
+    STACKS = [(1.0, 0.0), (0.7, 0.0), (0.0, 2.3), (1.0, 0.7, 2.3, -1.5),
+              (-1.5, 0.0, 0.7, 0.0), (2.3,), (0.0,)]
+
+    @pytest.mark.parametrize("alphas", STACKS, ids=str)
+    @pytest.mark.parametrize("rank, num_frames", [(8, 6), (0, 6), (8, 1)],
+                             ids=["rank-8", "rank-0", "one-frame"])
+    def test_stack_equals_separate_calls_and_the_oracle(self, alphas, rank, num_frames):
+        decoder, dictionary = small_setup(seed=rank + num_frames, rank=rank)
+        schedule = derive_frame_messages(SECRET, random_key(CFG, 4), num_frames)
+        args = (decoder, dictionary, schedule, 9, random_condition(16, 3))
+        stack = generate_video(*args, alpha=alphas)
+        assert stack.shape == (len(alphas), num_frames, 3, 4, 4)
+        assert not stack.flags.writeable
+        for video, alpha in zip(stack, alphas):
+            assert video.tobytes() == generate_video(*args, alpha=alpha).tobytes()
+            assert video.tobytes() == reference_generate(*args, alpha=alpha).tobytes()
+
+    def test_clean_rows_are_checked_against_the_decoder_ranges_only(self):
+        # Layer 1's shifts are so faint that their products are exact only
+        # on states of exponent 11 or more, which a strength of 2**40 gives
+        # and a strength of 2**-40 does not; an undisplaced state is
+        # checked against the decoder's ranges alone, and passes.
+        cfg = KeyConfig(2, 2)
+        base = init_dictionary(cfg, layer_dim=4, rank=2, init_seed=1)
+        scale = np.array([1.0, 2.0**-520])[:, None, None, None]
+        dictionary = stacked(base.factor_a * scale, base.factor_b * scale)
+        assert dictionary._state_ranges[1, 0] == 11
+        decoder = init_toy_decoder(layer_dim=4, height=1, width=1, num_layers=2, seed=1)
+        schedule = derive_frame_messages(SECRET, random_key(cfg, 3), 5)
+        args = (decoder, dictionary, schedule, 7, random_condition(4, 2))
+        with pytest.raises(ValueError, match="exact and finite"):
+            generate_video(*args, alpha=2.0**-40)
+        stack = generate_video(*args, alpha=(2.0**40, 0.0))
+        for video, alpha in zip(stack, (2.0**40, 0.0)):
+            assert video.tobytes() == generate_video(*args, alpha=alpha).tobytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("alphas", STACKS + [(2.0**-40, 0.0), (0.0, 2.0**-40, 1.0)],
+                             ids=str)
+    def test_stack_raises_exactly_when_a_separate_call_would(self, alphas):
+        decoder, dictionary = small_setup()
+        # Faint shifts take no states of the sizes this decoder makes, and
+        # a loud decoder overflows with or without them.
+        faint = init_dictionary(CFG, layer_dim=16, rank=8, init_scale=1e-200)
+        loud = dataclasses.replace(decoder, weights=decoder.weights * 1e200)
+        schedule = derive_frame_messages(SECRET, random_key(CFG, 6), 4)
+        condition = random_condition(16, 5)
+        for model in ((decoder, dictionary), (decoder, faint), (loud, dictionary)):
+            args = (*model, schedule, 3, condition)
+            separate = [generation_outcome(alpha, *args) for alpha in alphas]
+            stack = generation_outcome(alphas, *args)
+            if any(isinstance(video, ValueError) for video in separate):
+                assert isinstance(stack, ValueError), (model, alphas)
+            else:
+                assert stack.tobytes() == np.stack(separate).tobytes()
+
+    @pytest.mark.parametrize("alphas, message", [
+        ((), "non-empty 1-D"),
+        ([[1.0, 0.0]], "non-empty 1-D"),
+        (("1", "0"), "non-empty 1-D"),
+        ((1.0, np.nan), "alpha must be finite"),
+        ((np.inf, 0.0), "alpha must be finite"),
+    ])
+    def test_bad_stacks_rejected(self, alphas, message):
+        decoder, dictionary = small_setup()
+        schedule = derive_frame_messages(SECRET, random_key(CFG, 1), 2)
+        with pytest.raises(ValueError, match=message):
+            generate_video(decoder, dictionary, schedule, 0, random_condition(16, 1),
+                           alpha=alphas)
 
 def fraction_round(row, bits):
     """Oracle: `row` rounded, ties to even, to multiples of 2**(e - bits),
