@@ -37,10 +37,8 @@ __all__ = [
     "LossWeights",
     "LinearExtractor",
     "Corpus",
-    "bce_logits",
     "recovery_loss",
     "luminance",
-    "mean_squared_error",
     "imperceptibility_loss",
     "loss_report",
     "loss_gradients",
@@ -129,13 +127,6 @@ class LinearExtractor:
         return (logits > 0).astype(np.uint8)
 
 
-def _message_bits(message) -> np.ndarray:
-    bits = np.asarray(message, dtype=np.float64)
-    if bits.ndim != 1 or not np.isin(bits, (0.0, 1.0)).all():
-        raise ValueError("target must be a flat sequence of 0/1 bits")
-    return bits
-
-
 def _frame_messages(schedule: MessageSequence, num_frames: int) -> np.ndarray:
     """The (T, M) uint8 bits of `schedule`, a MessageSequence with one row
     per frame: T == num_frames."""
@@ -208,19 +199,6 @@ def _bce(logits: np.ndarray, bits: np.ndarray) -> np.ndarray:
     return np.maximum(logits, 0.0) - logits * bits + np.log1p(np.exp(-np.abs(logits)))
 
 
-def bce_logits(logits: np.ndarray, target) -> float:
-    """Mean binary cross entropy with logits over the bits of one frame."""
-    values = np.asarray(logits, dtype=np.float64)
-    if values.ndim != 1:
-        raise ValueError("logits must be a 1-D vector")
-    if not np.isfinite(values).all():
-        raise ValueError("logits must be finite")
-    bits = _message_bits(target)
-    if bits.shape != values.shape:
-        raise ValueError("logit and target lengths differ")
-    return float(_bce(values, bits).mean())
-
-
 def _video_logits(extractor: LinearExtractor, pixels: np.ndarray) -> np.ndarray:
     """The (T, M) logits of every frame of a video, row t bit for bit
     `extractor.logits` of frame t: one stacked matrix-vector product, since
@@ -243,7 +221,7 @@ def recovery_loss(video, extractor: LinearExtractor, schedule: MessageSequence) 
         raise ValueError("logits must be finite")
     if bits.shape[1] != extractor.message_bits:
         raise ValueError("logit and target lengths differ")
-    # bce_logits of each frame, the frame means summed in frame order.
+    # Each frame's mean BCE over its bits, the frame means summed in frame order.
     total = 0.0
     for frame_loss in _bce(logits, bits).mean(axis=1).tolist():
         total += frame_loss
@@ -258,15 +236,6 @@ def luminance(pixels) -> np.ndarray:
         raise ValueError("pixels must be a (3, H, W) frame or a (T, 3, H, W) video")
     r, g, b = LUMA_WEIGHTS
     return r * pixels[..., 0, :, :] + g * pixels[..., 1, :, :] + b * pixels[..., 2, :, :]
-
-
-def mean_squared_error(a: np.ndarray, b: np.ndarray) -> float:
-    """The perceptual-distance proxy between two frames."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError("frame shapes differ")
-    return float(np.mean((a - b) ** 2))
 
 
 def _check_pair(clean, marked) -> tuple:

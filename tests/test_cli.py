@@ -2,6 +2,8 @@
 
 Commands run in-process through main(argv); files go to tmp_path.  Reports
 must reproduce bit for bit across reruns except under their "runtime" key.
+The checks that rerun whole commands in fresh processes, under set BLAS
+thread counts and kernels, are in tests/test_end_to_end.py.
 """
 
 import contextlib
@@ -9,9 +11,6 @@ import dataclasses
 import hashlib
 import io
 import json
-import os
-import subprocess
-import sys
 import tempfile
 import time
 from pathlib import Path
@@ -22,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spdmark.cli
+from fresh_process import run_cli, run_script
 from reference_generate import generate_video as reference_generate
 from spdmark.cli import (
     DEFAULT_ATTACK_SUITE,
@@ -48,6 +48,7 @@ from spdmark.keyspace import (
 from spdmark.objective import Corpus, read_extractor
 from spdmark.spd_core import init_dictionary, init_toy_decoder, read_video
 from spdmark.verifier import verify
+from strict_json import read_strict_json
 
 
 def run(*argv) -> int:
@@ -722,23 +723,34 @@ class TestAttackDiagnoseFlow:
         assert err["stage"] == "verify"
         assert "(T, T_r) = (10, 10)" in err["message"]
 
-    @pytest.mark.parametrize("artifact, edit", [
-        ("record", lambda doc: doc["dropped"].append(doc["dropped"][0])),
-        ("record", lambda doc: doc["permutation"].reverse()),
-        ("record", lambda doc: doc.update(extra=None)),
-        ("verdict", lambda doc: doc.update(valid=1)),
-        ("verdict", lambda doc: doc.update(tau_f=23.0)),
-    ], ids=["drop-twice", "reversed-permutation", "extra-key", "valid-int", "tau_f-float"])
-    def test_artifact_not_as_written_exits_4(self, artifact, edit, schedule_files, capsys):
+    @pytest.mark.parametrize("source, artifact, edit", [
+        ("attack", "record", lambda doc: doc["dropped"].append(doc["dropped"][0])),
+        ("attack", "record", lambda doc: doc["permutation"].reverse()),
+        ("attack", "record", lambda doc: doc.update(extra=None)),
+        ("attack", "verdict", lambda doc: doc.update(valid=1)),
+        ("attack", "verdict", lambda doc: doc.update(tau_f=23.0)),
+        ("run-pipeline", "record", lambda doc: doc.update(extra=None)),
+    ], ids=["drop-twice", "reversed-permutation", "extra-key", "valid-int", "tau_f-float",
+            "toy-run-extra-key"])
+    def test_artifact_not_as_written_exits_4(self, source, artifact, edit, schedule_files,
+                                             capsys):
         """A record or verdict reads back only as the pipeline writes it,
-        even where Python's == would take the edited value for the same."""
+        even where Python's == would take the edited value for the same:
+        those of an attacked extraction, and those of a toy run at the
+        defaults."""
         tmp_path, _, schedule = schedule_files
-        files = {name: tmp_path / f"{name}.json" for name in ("attacked", "record", "verdict")}
-        assert run("attack", "--schedule", str(schedule),
-                   "--attack", '{"attack": "drop", "fraction": 0.5, "seed": 3}',
-                   "--out", str(files["attacked"]), "--record", str(files["record"])) == 0
-        assert run("verify", "--schedule", str(schedule), "--extraction", str(files["attacked"]),
-                   "--tamper", str(files["record"]), "--out", str(files["verdict"])) == 0
+        if source == "run-pipeline":
+            out = tmp_path / "run"
+            assert run("run-pipeline", "--mode", "toy", "--out", str(out)) == 0
+            files = {"record": out / "tamper.json", "verdict": out / "verdict.json"}
+        else:
+            files = {name: tmp_path / f"{name}.json" for name in ("attacked", "record", "verdict")}
+            assert run("attack", "--schedule", str(schedule),
+                       "--attack", '{"attack": "drop", "fraction": 0.5, "seed": 3}',
+                       "--out", str(files["attacked"]), "--record", str(files["record"])) == 0
+            assert run("verify", "--schedule", str(schedule),
+                       "--extraction", str(files["attacked"]), "--tamper", str(files["record"]),
+                       "--out", str(files["verdict"])) == 0
         diagnose = ("diagnose", "--verdict", str(files["verdict"]), "--tamper", str(files["record"]))
         assert run(*diagnose) == 0
         capsys.readouterr()
@@ -779,6 +791,19 @@ def fast_toy_config(tmp_path, **extra) -> Path:
     path = tmp_path / "toy_cfg.json"
     write_json(path, doc)
     return path
+
+
+def toy_flags(tmp_path, fast: bool, **extra) -> list:
+    """The --config flags of fast_toy_config(tmp_path, **extra); with fast
+    False, of a config of `extra` alone over the defaults, or none at all
+    when `extra` is empty."""
+    if fast:
+        return ["--config", str(fast_toy_config(tmp_path, **extra))]
+    if not extra:
+        return []
+    path = tmp_path / "toy_cfg.json"
+    write_json(path, extra)
+    return ["--config", str(path)]
 
 
 def toy_chain(tmp_path, embed_cfg, fit_cfg, *fit_flags) -> tuple:
@@ -860,10 +885,10 @@ class TestToyVideoFlow:
         assert calls == [{"attack": "swap_random"}]
         capsys.readouterr()
 
-    def test_run_pipeline_toy_mode(self, tmp_path, capsys):
-        cfg = fast_toy_config(tmp_path)
+    @pytest.mark.parametrize("fast", [True, False], ids=["fast", "defaults"])
+    def test_run_pipeline_toy_mode(self, tmp_path, capsys, fast):
         out_dir = tmp_path / "run"
-        assert run("run-pipeline", "--config", str(cfg), "--out", str(out_dir)) == 0
+        assert run("run-pipeline", *toy_flags(tmp_path, fast), "--out", str(out_dir)) == 0
         capsys.readouterr()
         for name in ("config.json", "key.json", "schedule.json", "clean.spdf",
                      "marked.spdf", "extractor.bin", "attacked.spdf",
@@ -881,10 +906,11 @@ class TestToyVideoFlow:
         assert written["attacks"] == [dict(spec) for spec in DEFAULT_ATTACK_SUITE]
         assert not {"init_scale", "lambda_ps", "lambda_tc"} & set(written)
 
-    def test_layout_sets_the_key_width(self, tmp_path, capsys):
-        cfg = fast_toy_config(tmp_path, num_layers=7, bases_per_layer=8)
+    @pytest.mark.parametrize("fast", [True, False], ids=["fast", "defaults"])
+    def test_layout_sets_the_key_width(self, tmp_path, capsys, fast):
+        flags = toy_flags(tmp_path, fast, num_layers=7, bases_per_layer=8)
         out_dir = tmp_path / "run"
-        assert run("run-pipeline", "--config", str(cfg), "--out", str(out_dir)) == 0
+        assert run("run-pipeline", *flags, "--out", str(out_dir)) == 0
         capsys.readouterr()
         assert read_json(out_dir / "key.json")["config"] == {"L": 7, "P": 8, "M": 21}
         assert_own_config_hash(out_dir / "config.json")
@@ -1012,16 +1038,12 @@ class TestToyVideoFlow:
     def test_default_toy_run_leaves_scipy_unimported(self, tmp_path):
         # A default toy run never solves an assignment, so it never pays
         # for importing scipy.
-        src = str(Path(spdmark.cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        child = subprocess.run(
-            [sys.executable, "-c", "import sys; from spdmark.cli import main; "
-             "code = main(sys.argv[1:]); print('scipy' in sys.modules); sys.exit(code)",
-             "run-pipeline", "--mode", "toy", "--out", str(tmp_path)],
-            env=env, check=True, capture_output=True, text=True,
+        stdout = run_script(
+            "import sys; from spdmark.cli import main; "
+            "code = main(sys.argv[1:]); print('scipy' in sys.modules); sys.exit(code)",
+            ["run-pipeline", "--mode", "toy", "--out", tmp_path],
         )
-        assert child.stdout.splitlines()[-1] == "False"
+        assert stdout.splitlines()[-1] == "False"
 
     def test_toy_path_runs_without_scipy_linalg(self, tmp_path, capsys, monkeypatch):
         # The toy path does its dense linear algebra in numpy's OpenBLAS; a
@@ -1315,15 +1337,7 @@ class TestModelMemo:
             code = run("run-pipeline", "--config", config, "--seed", seed,
                        "--out", str(tmp_path / name))
             assert code in (0, 3)
-        src = str(Path(spdmark.cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        subprocess.run(
-            [sys.executable, "-c", "import sys; from spdmark.cli import main; "
-             "sys.exit(main(sys.argv[1:]))", "run-pipeline", "--config", cfg,
-             "--seed", "5", "--out", str(tmp_path / "fresh")],
-            env=env, check=True, capture_output=True,
-        )
+        run_cli(["run-pipeline", "--config", cfg, "--seed", "5", "--out", tmp_path / "fresh"])
         capsys.readouterr()
         for left, right in (("first", "again"), ("five", "fresh")):
             assert_same_artifacts(tmp_path / left, tmp_path / right)
@@ -1332,23 +1346,24 @@ class TestModelMemo:
 class TestConfigReplay:
     """A run's config.json is a valid --config, and replays the run."""
 
-    @pytest.mark.parametrize("mode,extra", [
-        ("toy", {"attack": {"attack": "swap_random"}}),
-        ("channel", {"trials": 3, "flip_probability": 0.02}),
-    ])
-    def test_config_json_replays_the_run(self, tmp_path, capsys, mode, extra):
-        cfg = str(fast_toy_config(tmp_path, **extra))
+    @pytest.mark.parametrize("mode,fast,extra", [
+        ("toy", True, {"attack": {"attack": "swap_random"}}),
+        ("channel", True, {"trials": 3, "flip_probability": 0.02}),
+        ("toy", False, {}),
+    ], ids=["toy", "channel", "toy-defaults"])
+    def test_config_json_replays_the_run(self, tmp_path, capsys, mode, fast, extra):
+        flags = toy_flags(tmp_path, fast, **extra)
         first, replay = tmp_path / "first", tmp_path / "replay"
-        assert run("run-pipeline", "--mode", mode, "--config", cfg, "--out", str(first)) == 0
+        assert run("run-pipeline", "--mode", mode, *flags, "--out", str(first)) == 0
         assert run("run-pipeline", "--mode", mode, "--config", str(first / "config.json"),
                    "--out", str(replay)) == 0
         capsys.readouterr()
         assert_same_artifacts(first, replay)
 
-    def test_edited_config_json_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("fast", [True, False], ids=["fast", "defaults"])
+    def test_edited_config_json_exits_2(self, tmp_path, capsys, fast):
         first = tmp_path / "first"
-        assert run("run-pipeline", "--config", str(fast_toy_config(tmp_path)),
-                   "--out", str(first)) == 0
+        assert run("run-pipeline", *toy_flags(tmp_path, fast), "--out", str(first)) == 0
         doc = read_json(first / "config.json")
         edited, out = tmp_path / "edited.json", tmp_path / "run"
         write_json(edited, {**doc, "seed": doc["seed"] + 1})
@@ -1397,16 +1412,23 @@ class TestChannelPipeline:
         assert report["config_hash"] == read_json(out_dir / "config.json")["config_hash"]
         assert_own_config_hash(out_dir / "config.json")
 
-    def test_runtime_times_each_stage(self, tmp_path, capsys):
-        """Channel mode reports the toy mode's runtime header: each stage's
-        wall time and the total."""
+    @pytest.mark.parametrize("mode, flags, stages", [
+        ("channel", ["--trials", "3"], ["calibrate", "forensics"]),
+        ("channel", ["--trials", "20"], ["calibrate", "forensics"]),
+        ("toy", [], ["attack", "diagnose", "embed", "extract", "fit-extractor", "keygen",
+                     "losses", "schedule", "verify"]),
+    ], ids=["channel-3", "channel-20", "toy"])
+    def test_runtime_times_each_stage(self, tmp_path, capsys, mode, flags, stages):
+        """Both modes report one header, as strict JSON: the mode, and a
+        runtime of each stage's wall time and the total."""
         out_dir = tmp_path / "run"
-        assert run("run-pipeline", "--mode", "channel", "--trials", "3",
-                   "--out", str(out_dir)) == 0
+        assert run("run-pipeline", "--mode", mode, *flags, "--out", str(out_dir)) == 0
         capsys.readouterr()
-        runtime = read_json(out_dir / "report.json")["runtime"]
+        report = read_strict_json(out_dir / "report.json")
+        assert report["mode"] == mode
+        runtime = report["runtime"]
         assert sorted(runtime) == ["stage_seconds", "total_seconds"]
-        assert sorted(runtime["stage_seconds"]) == ["calibrate", "forensics"]
+        assert sorted(runtime["stage_seconds"]) == stages
         assert sum(runtime["stage_seconds"].values()) <= runtime["total_seconds"]
 
     def test_channel_reports_reproduce(self, tmp_path, capsys):
@@ -1511,17 +1533,10 @@ class TestCalibrateCommand:
     def test_unreachable_frame_threshold_writes_strict_json(self, tmp_path, capsys):
         """gamma_f below 2^-M gives p_f = 0; the reports must still be written,
         as JSON with no NaN or Infinity."""
-
-        def strict(path: Path) -> dict:
-            def reject(name):
-                raise ValueError(f"non-standard JSON constant {name}")
-
-            return json.loads(path.read_text(), parse_constant=reject)
-
         out = tmp_path / "calibration.json"
         assert run("calibrate", "--trials", "1000", "--frames", "10",
                    "--gamma-f", "1e-9", "--out", str(out)) == 0
-        doc = strict(out)
+        doc = read_strict_json(out)
         assert (doc["tau_f"], doc["p_f"]) == (29, 0.0)
         assert doc["identity_pass_z"] is None
         assert doc["matched_pass_inflation"] is None
@@ -1532,6 +1547,6 @@ class TestCalibrateCommand:
         assert run("run-pipeline", "--config", str(cfg), "--mode", "channel",
                    "--out", str(tmp_path / "channel")) == 0
         capsys.readouterr()
-        report = strict(tmp_path / "channel" / "report.json")
+        report = read_strict_json(tmp_path / "channel" / "report.json")
         assert report["calibration"]["matched_pass_inflation"] is None
         assert report["rows"][0]["valid_rate"] == 0.0

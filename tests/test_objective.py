@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_fit
+from reference_losses import bce_logits, mean_squared_error
 from spdmark.cli import RunConfig, build_corpus, toy_components
 from spdmark.keyspace import (
     BaseSecret,
@@ -34,14 +35,12 @@ from spdmark.objective import (
     Corpus,
     LinearExtractor,
     LossWeights,
-    bce_logits,
     bit_accuracy,
     fit_extractor,
     imperceptibility_loss,
     loss_gradients,
     loss_report,
     luminance,
-    mean_squared_error,
     read_extractor,
     recovery_loss,
     write_extractor,

@@ -2,12 +2,8 @@ import dataclasses
 import hashlib
 import io
 import math
-import os
 import platform
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_model
+from fresh_process import run_script
 from reference_generate import (
     LayerShift,
     compose_displacement,
@@ -697,15 +694,8 @@ class TestExactProducts:
             "cfg.train_frames, *toy_components(cfg)).videos; "
             "print(hashlib.sha256(videos.tobytes()).hexdigest())"
         )
-        src = str(Path(spdmark.spd_core.__file__).resolve().parents[1])
-        env = {k: v for k, v in os.environ.items() if not k.startswith("OPENBLAS_")}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         digests = [
-            subprocess.run(
-                [sys.executable, "-c", script],
-                env={**env, **kernel, "OPENBLAS_NUM_THREADS": threads},
-                capture_output=True, text=True, check=True,
-            ).stdout
+            run_script(script, env={**kernel, "OPENBLAS_NUM_THREADS": threads})
             for kernel in ({}, {"OPENBLAS_CORETYPE": "Haswell"},
                            {"OPENBLAS_CORETYPE": "Prescott"})
             for threads in ("1", "2")

@@ -1,13 +1,9 @@
 import itertools
 import json
 import math
-import os
 import re
-import subprocess
-import sys
 import tracemalloc
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment
 
 import spdmark.verifier
+from fresh_process import run_script
 from reference_match import _similarity as reference_similarity
 from reference_match import hungarian_match as reference_match
 from reference_match import tight_edges as reference_tight_edges
@@ -331,14 +328,8 @@ class TestSimilarityOracle:
             "import json; from spdmark.verifier import null_calibration; "
             "print(json.dumps(null_calibration(28, 100, 1e-3, 1e-6, 50, seed=1)))"
         )
-        src = str(Path(spdmark.verifier.__file__).resolve().parents[1])
-        env = {k: v for k, v in os.environ.items() if not k.startswith("OPENBLAS_")}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         reports = [
-            subprocess.run(
-                [sys.executable, "-c", script], env={**env, **setting},
-                capture_output=True, text=True, check=True,
-            ).stdout
+            run_script(script, env=setting)
             for setting in (
                 {"OPENBLAS_NUM_THREADS": "1"},
                 {"OPENBLAS_NUM_THREADS": "2"},
